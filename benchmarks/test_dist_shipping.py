@@ -23,18 +23,12 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import replace
 from pathlib import Path
 
-from repro.dist import (
-    DistQuery,
-    DistSpec,
-    Strategy,
-    build_strategy,
-    execute_plan,
-    execute_query,
-)
+from repro.dist import DistSpec, Strategy, build_strategy, execute_plan
 from repro.harness import format_table
+from repro.plan import Join, PlanNode, Project, Scan, TopN
+from repro.storage import MB
 from repro.workloads import TpchScale, tpch_returnflag_agg_plan, tpch_star_join_plan
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_dist.json"
@@ -46,29 +40,29 @@ STRATEGIES = (Strategy.PAGE, Strategy.QUERY, Strategy.HYBRID)
 TOTAL_EXT_PAGES = 1024
 SEED = 9
 
+def cust_orders(semijoin: bool = False) -> PlanNode:
+    join = Join(
+        Scan("customer", conditions=(("acctbal", "<", 60.0),)),
+        Scan("orders", conditions=(("orderdate", "<", 2000),)),
+        "customer.custkey", "orders.custkey", semijoin=semijoin,
+    )
+    columns = ("customer.custkey", "customer.acctbal",
+               "orders.orderkey", "orders.totalprice")
+    return TopN(Project(join, columns), 300)
+
+
 #: Both queries project the probe table's primary key, so projected
 #: tuples are unique and the full-tuple top-N is a total order — the
 #: row-identity assertion across strategies is exact, not approximate.
 QUERIES = {
-    "cust_orders": DistQuery(
-        name="cust_orders",
-        build_table="customer", build_key="custkey",
-        probe_table="orders", probe_key="custkey",
-        build_filter=("acctbal", "<", 60.0),
-        probe_filter=("orderdate", "<", 2000),
-        projection=(("build", "custkey"), ("build", "acctbal"),
-                    ("probe", "orderkey"), ("probe", "totalprice")),
-        top_n=300,
-    ),
-    "order_lines": DistQuery(
-        name="order_lines",
-        build_table="orders", build_key="orderkey",
-        probe_table="lineitem", probe_key="orderkey",
-        build_filter=("orderdate", "<", 1200),
-        projection=(("build", "orderkey"), ("build", "totalprice"),
-                    ("probe", "linekey"), ("probe", "quantity")),
-        top_n=300,
-    ),
+    "cust_orders": cust_orders(),
+    "order_lines": TopN(Project(
+        Join(
+            Scan("orders", conditions=(("orderdate", "<", 1200),)), Scan("lineitem"),
+            "orders.orderkey", "lineitem.orderkey",
+        ),
+        ("orders.orderkey", "orders.totalprice", "lineitem.linekey", "lineitem.quantity"),
+    ), 300),
 }
 
 
@@ -94,12 +88,16 @@ def _cell(setup, result) -> dict:
     }
 
 
-def run_cell(query: DistQuery, n: int, strategy: Strategy) -> dict:
+def run_cell(plan: PlanNode, name: str, n: int, strategy: Strategy) -> dict:
+    """One two-table join; the grant (8 MB over join + top-N) is pinned
+    so these cells stay on their recorded virtual clock."""
     setup = build_strategy(
         strategy, _spec(n), total_ext_pages=TOTAL_EXT_PAGES,
         scale=SCALE, seed=SEED,
     )
-    return _cell(setup, execute_query(setup, query))
+    return _cell(setup, execute_plan(
+        setup, plan, name=name, tag="run", memory_bytes=8 * MB, memory_consumers=2,
+    ))
 
 
 def run_plan_cell(plan, name: str, n: int, strategy: Strategy) -> dict:
@@ -110,8 +108,8 @@ def run_plan_cell(plan, name: str, n: int, strategy: Strategy) -> dict:
     return _cell(setup, execute_plan(setup, plan, name=name))
 
 
-#: Logical plans (repro.plan IR) exercising the distributed lowerings a
-#: single DistQuery cannot express: a left-deep three-table star join
+#: Plans exercising the distributed lowerings beyond a two-table
+#: equi-join: a left-deep three-table star join
 #: (the intermediate result shuffles to the supplier owners) and a
 #: two-phase group-by (partial per fragment, final merge after gather).
 PLAN_CELLS = {
@@ -126,7 +124,7 @@ def measure() -> dict:
     for name, query in QUERIES.items():
         for n in CLUSTER_SIZES:
             for strategy in STRATEGIES:
-                cell = run_cell(query, n, strategy)
+                cell = run_cell(query, name, n, strategy)
                 cells[f"{name}/{n}/{strategy.value}"] = cell
                 rows.append([
                     name, n, strategy.value, cell["rows"],
@@ -134,8 +132,9 @@ def measure() -> dict:
                 ])
     # Semi-join pushdown: same query, same placement, Bloom filter
     # shipped ahead of the shuffle.
-    semi = replace(QUERIES["cust_orders"], semijoin=True)
-    cells["cust_orders/2/query+semijoin"] = run_cell(semi, 2, Strategy.QUERY)
+    cells["cust_orders/2/query+semijoin"] = run_cell(
+        cust_orders(semijoin=True), "cust_orders", 2, Strategy.QUERY
+    )
     # Multi-join and two-phase aggregation: one IR plan per cell row.
     for name, plan in PLAN_CELLS.items():
         for strategy in STRATEGIES:

@@ -8,12 +8,12 @@ latency climbs without much aggregate gain.
 
 from repro.broker import MemoryBroker, MemoryProxy
 from repro.cluster import Cluster
-from repro.engine import Database, RemotePageFile
-from repro.engine.bufferpool import BufferPoolExtension
 from repro.harness import format_table
+from repro.harness.node import Node
 from repro.net import Network
-from repro.remotefile import RemoteMemoryFilesystem, StagingPool
-from repro.storage import GB, MB, Raid0Array
+from repro.remotefile import AccessPolicy
+from repro.storage import GB, MB
+from repro.tiers import TierDef, TierSpec
 from repro.workloads import RangeScanConfig, build_customer_table
 from repro.workloads.rangescan import launch_rangescan
 from repro.sim.kernel import AllOf
@@ -21,6 +21,11 @@ from repro.sim.kernel import AllOf
 N_ROWS = 25_000   # ~6 MB per DB server
 BP_PAGES = 128
 EXT_PAGES = 1280  # covers the table
+
+#: One remote extension tier per DB server; nothing else leaves the node.
+PLAN = TierSpec(
+    name="fig25", extension=(TierDef(medium="remote"),), protocol="ndspi"
+).resolve(analytic=False, bpext_pages=EXT_PAGES, tempdb_pages=0)
 
 
 def _build(n_db):
@@ -34,24 +39,17 @@ def _build(n_db):
         proxy.offer_available(limit_bytes=n_db * 64 * MB + 128 * MB)))
     databases = []
     for index in range(n_db):
-        server = cluster.add_server(f"db{index}")
-        network.attach(server)
-        hdd = server.attach_device(
-            "hdd", Raid0Array(cluster.sim, spindles=20,
-                              rng=cluster.rng.stream(f"hdd{index}")))
-        fs = RemoteMemoryFilesystem(server, broker, StagingPool(server))
+        node = Node(cluster, network, f"db{index}", cores=20, memory_bytes=384 * GB,
+                    spindles=20, hdd_stream=f"hdd{index}")
+        fs = node.attach_remote_fs(broker, schedulers=8, policy=AccessPolicy.SYNC)
 
-        def setup(fs=fs, index=index):
+        def setup(fs=fs, node=node, index=index):
             yield from fs.initialize()
-            file = yield from fs.create(f"ext{index}", EXT_PAGES * 8192)
-            yield from file.open()
-            return file
+            yield from node.open_remote_stores(
+                PLAN, file_name=lambda _store: f"ext{index}", spread=False)
 
-        file = cluster.sim.run_until_complete(cluster.sim.spawn(setup()))
-        ext = BufferPoolExtension(RemotePageFile(900, file, capacity_pages=EXT_PAGES))
-        database = Database(server, bp_pages=BP_PAGES, data_device=hdd,
-                            bpext_store=None)
-        database.pool.extension = ext
+        cluster.sim.run_until_complete(cluster.sim.spawn(setup()))
+        database = node.build_database(PLAN, bp_pages=BP_PAGES)
         table = build_customer_table(database, N_ROWS)
         databases.append((database, table))
     return cluster, databases

@@ -55,8 +55,7 @@ def run_tier_ablation():
         )
         pool = setup.database.pool
         ext = pool.extension
-        levels = getattr(ext, "levels", [ext] if ext is not None else [])
-        per_tier = ", ".join(f"{lv.tier.name}={lv.hits:,d}" for lv in levels)
+        per_tier = ", ".join(f"{lv.name}={lv.hits:,d}" for lv in ext.levels)
         results[_label(design)] = (report, pool, ext)
         rows.append([
             _label(design), report.throughput_qps, pool.ext_hits,

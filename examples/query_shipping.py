@@ -29,10 +29,10 @@ with no join partner never hit the wire.
 Run:  python examples/query_shipping.py
 """
 
-from dataclasses import replace
-
-from repro.dist import DistQuery, DistSpec, Strategy, build_strategy, execute_query
+from repro.dist import DistSpec, Strategy, build_strategy, execute_plan
 from repro.harness import format_table
+from repro.plan import Join, PlanNode, Project, Scan, TopN
+from repro.storage import MB
 from repro.workloads import TpchScale
 
 SCALE = TpchScale(orders=600, lines_per_order=2, customers=150, parts=100, suppliers=25)
@@ -43,27 +43,31 @@ SPEC = DistSpec(
     data_spindles=2, db_cores=4, seed=SEED,
 )
 
-QUERY = DistQuery(
-    name="cust_orders",
-    build_table="customer", build_key="custkey",
-    probe_table="orders", probe_key="custkey",
-    build_filter=("acctbal", "<", 40.0),
-    probe_filter=("orderdate", "<", 2000),
-    projection=(("build", "custkey"), ("build", "acctbal"),
-                ("probe", "orderkey"), ("probe", "totalprice")),
-    top_n=400,
-)
+def cust_orders(semijoin: bool = False) -> PlanNode:
+    """customer JOIN orders as a logical plan; ``orders.orderkey`` in
+    the projection makes the top-N a total order."""
+    join = Join(
+        Scan("customer", conditions=(("acctbal", "<", 40.0),)),
+        Scan("orders", conditions=(("orderdate", "<", 2000),)),
+        "customer.custkey", "orders.custkey", semijoin=semijoin,
+    )
+    columns = ("customer.custkey", "customer.acctbal",
+               "orders.orderkey", "orders.totalprice")
+    return TopN(Project(join, columns), 400)
 
 
-def run(strategy: Strategy, query: DistQuery):
+def run(strategy: Strategy, plan: PlanNode):
     setup = build_strategy(
         strategy, SPEC, total_ext_pages=1024, scale=SCALE, seed=SEED
     )
-    return execute_query(setup, query)
+    return execute_plan(
+        setup, plan, name="cust_orders", tag="run",
+        memory_bytes=8 * MB, memory_consumers=2,
+    )
 
 
 def main() -> None:
-    results = {s: run(s, QUERY) for s in Strategy}
+    results = {s: run(s, cust_orders()) for s in Strategy}
 
     rows = [
         [
@@ -87,7 +91,7 @@ def main() -> None:
     print(f"\nall three strategies returned the same {len(reference)} rows")
 
     plain = results[Strategy.QUERY]
-    pushed = run(Strategy.QUERY, replace(QUERY, semijoin=True))
+    pushed = run(Strategy.QUERY, cust_orders(semijoin=True))
     assert pushed.rows == reference
     print(
         "semi-join pushdown: "

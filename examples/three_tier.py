@@ -51,11 +51,10 @@ def main() -> None:
           f"({report.throughput_qps:,.0f} queries/sec)")
     print("-" * 58)
     print(f"{'DRAM pool hits':28s}: {pool.hits:10,d}")
-    for level in stack.levels:
-        tier = level.tier
+    for tier in stack.levels:
         print(f"{tier.name + ' (' + tier.latency_class + ') hits':28s}: "
-              f"{level.hits:10,d}   parked {level.parked_pages:,d}"
-              f"/{level.capacity_pages:,d} pages")
+              f"{tier.hits:10,d}   parked {tier.parked_pages:,d}"
+              f"/{tier.capacity_pages:,d} pages")
     print(f"{'base-file (HDD) reads':28s}: {pool.base_reads:10,d}")
     print(f"{'demotions ssd -> remote':28s}: {stack.demotions:10,d}")
     print(f"{'promotions remote -> ssd':28s}: {stack.promotions:10,d}")

@@ -30,17 +30,12 @@ from .partition import (
     stable_hash,
 )
 from .planner import (
-    DistQuery,
     FragmentLowering,
     Strategy,
     StrategyResult,
     build_strategy,
-    compile_fragments,
     compile_plan_fragments,
-    compile_plan_single,
-    compile_single,
     execute_plan,
-    execute_query,
     place_exchanges,
 )
 from .semijoin import BloomBuild, BloomFilter, FilterSlot
@@ -49,7 +44,6 @@ __all__ = [
     "BloomBuild",
     "BloomFilter",
     "BroadcastExchange",
-    "DistQuery",
     "DistSetup",
     "DistSpec",
     "EOS_BYTES",
@@ -66,12 +60,8 @@ __all__ = [
     "TPCH_PARTITIONING",
     "build_dist",
     "build_strategy",
-    "compile_fragments",
     "compile_plan_fragments",
-    "compile_plan_single",
-    "compile_single",
     "execute_plan",
-    "execute_query",
     "place_exchanges",
     "load_tpch_partitioned",
     "load_tpch_single",

@@ -30,15 +30,15 @@ from typing import Any, Optional
 
 from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
-from ..engine import Database, DevicePageFile, RemotePageFile, Schema
-from ..harness import warm_extension, warm_pool
-from ..harness.dbbench import BPEXT_FILE_ID, TEMPDB_FILE_ID
+from ..engine import Database, Schema
+from ..harness import prewarm_extension, prewarm_pool
+from ..harness.node import Node
 from ..net import Network
-from ..remotefile import AccessPolicy, RemoteMemoryFilesystem, StagingPool
-from ..storage import GB, MB, PAGE_SIZE, Raid0Array, SsdDevice
+from ..remotefile import AccessPolicy, RemoteMemoryFilesystem
+from ..storage import GB, MB, PAGE_SIZE
 from ..telemetry import MetricsRegistry
 from ..telemetry.attach import register_cluster, register_pool
-from ..tiers import Tier, build_stack
+from ..tiers import TierDef, TierSpec
 from ..workloads import TPCH_SCHEMAS, TpchScale, generate_tpch_rows, install_tpch_tables
 from .exchange import ExchangeRuntime
 
@@ -135,6 +135,14 @@ TPCH_PARTITIONING: dict[str, PartitionSpec] = {
 # ---------------------------------------------------------------------------
 
 
+#: Every DB server spills and logs to its own SSD; one with a remote
+#: page budget adds a single tier leased from the shared broker.
+NODE_TIER = TierSpec(
+    name="dist-node", extension=(TierDef(medium="remote"),),
+    tempdb="ssd", wal="ssd", protocol="ndspi",
+)
+
+
 @dataclass(frozen=True)
 class DistSpec:
     """Declarative distributed topology: N identical DB servers.
@@ -202,23 +210,15 @@ def build_dist(spec: DistSpec) -> DistSetup:
     sim = cluster.sim
     network = Network(sim)
 
-    db_servers: list[Server] = []
-    hdds = []
-    for index in range(spec.db_servers):
-        server = cluster.add_server(
-            f"db{index}", cores=spec.db_cores, memory_bytes=384 * GB
+    nodes = [
+        Node(
+            cluster, network, f"db{index}", cores=spec.db_cores,
+            memory_bytes=384 * GB, spindles=spec.data_spindles,
+            hdd_stream=f"hdd{index}",
         )
-        network.attach(server)
-        hdd = server.attach_device(
-            "hdd",
-            Raid0Array(
-                sim, spindles=spec.data_spindles,
-                rng=cluster.rng.stream(f"hdd{index}"),
-            ),
-        )
-        server.attach_device("ssd", SsdDevice(sim))
-        db_servers.append(server)
-        hdds.append(hdd)
+        for index in range(spec.db_servers)
+    ]
+    db_servers = [node.server for node in nodes]
 
     setup = DistSetup(
         spec=spec, cluster=cluster, network=network,
@@ -228,8 +228,7 @@ def build_dist(spec: DistSpec) -> DistSetup:
         ),
     )
 
-    needs_remote = any(pages > 0 for pages in ext_pages)
-    if needs_remote:
+    if any(pages > 0 for pages in ext_pages):
         # Leases hand out whole MRs, so each server's bpext file consumes
         # at least one full region — size the offer by region count, not
         # raw bytes, or a many-small-shards hybrid starves the last file.
@@ -254,49 +253,27 @@ def build_dist(spec: DistSpec) -> DistSetup:
 
         setup.run(offer_all())
 
-    spread = spec.memory_servers > 1
-    for index, server in enumerate(db_servers):
-        extension = None
-        if ext_pages[index] > 0:
-            fs = RemoteMemoryFilesystem(
-                server, setup.broker,
-                StagingPool(server, schedulers=spec.db_cores),
-                policy=AccessPolicy.SYNC,
-            )
-            setup.remote_fs[server.name] = fs
-
-            def bootstrap(fs=fs, pages=ext_pages[index], label=server.name):
-                yield from fs.initialize()
-                file = yield from fs.create(
-                    f"bpext.{label}", pages * PAGE_SIZE, spread=spread
-                )
-                yield from file.open()
-                return file
-
-            file = setup.run(bootstrap())
-            extension = build_stack([
-                Tier(
-                    name="remote",
-                    store=RemotePageFile(
-                        BPEXT_FILE_ID, file, capacity_pages=ext_pages[index]
-                    ),
-                    medium="remote",
-                )
-            ])
-        tempdb = DevicePageFile(
-            TEMPDB_FILE_ID, server, server.devices["ssd"],
-            capacity_pages=spec.tempdb_pages, base_offset=512 * GB,
-            chunk_pages=None,
+    for node, pages in zip(nodes, ext_pages):
+        plan = NODE_TIER.resolve(
+            analytic=False, bpext_pages=pages, tempdb_pages=spec.tempdb_pages
         )
+        if pages > 0:
+            fs = node.attach_remote_fs(
+                setup.broker, schedulers=spec.db_cores, policy=AccessPolicy.SYNC
+            )
+            setup.remote_fs[node.server.name] = fs
+
+            def bootstrap(node=node, fs=fs, plan=plan):
+                yield from fs.initialize()
+                yield from node.open_remote_stores(
+                    plan, file_name=lambda _store: f"bpext.{node.server.name}",
+                    spread=spec.memory_servers > 1,
+                )
+
+            setup.run(bootstrap())
         setup.databases.append(
-            Database(
-                server,
-                bp_pages=spec.bp_pages,
-                data_device=hdds[index],
-                log_device=server.devices["ssd"],
-                extension=extension,
-                tempdb_store=tempdb,
-                workspace_bytes=spec.workspace_bytes,
+            node.build_database(
+                plan, bp_pages=spec.bp_pages, workspace_bytes=spec.workspace_bytes
             )
         )
 
@@ -353,7 +330,7 @@ def prewarm_dist(setup: DistSetup) -> int:
     installed = 0
     for database in setup.databases[: len(setup.tables)]:
         if database.pool.extension is not None:
-            installed += warm_extension(database.pool)
+            installed += prewarm_extension(database)
         else:
-            installed += warm_pool(database.pool)
+            installed += prewarm_pool(database)
     return installed

@@ -34,10 +34,9 @@ adds the distributed lowering in two steps:
    :class:`~repro.dist.exchange.GatherExchange` operators and wrapping
    the build side with Bloom pushdown on ``semijoin`` joins.
 
-:class:`DistQuery` survives as a thin declarative constructor: its
-:meth:`~DistQuery.to_plan` emits the equivalent IR, and the legacy
-``compile_single`` / ``compile_fragments`` / ``execute_query`` entry
-points delegate to the IR pipeline, producing bit-identical plans.
+:func:`execute_plan` is the one entry point: it picks the lowering from
+how the setup's data was loaded, runs the fragments and merges their
+metrics.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ from ..plan import (
     Scan,
     TopN,
     count_nodes,
+    lower_single,
     output_schema,
 )
 from ..sim.kernel import AllOf
@@ -80,17 +80,12 @@ from .semijoin import BloomBuild, FilterSlot
 
 __all__ = [
     "Strategy",
-    "DistQuery",
     "StrategyResult",
     "place_exchanges",
     "FragmentLowering",
-    "compile_plan_single",
     "compile_plan_fragments",
     "execute_plan",
-    "compile_single",
-    "compile_fragments",
     "build_strategy",
-    "execute_query",
 ]
 
 
@@ -98,51 +93,6 @@ class Strategy(str, Enum):
     PAGE = "page"
     QUERY = "query"
     HYBRID = "hybrid"
-
-
-@dataclass(frozen=True)
-class DistQuery:
-    """One equi-join query, declarative enough to compile three ways.
-
-    ``projection`` entries are ``(side, column)`` with side ``build`` or
-    ``probe``; include the probe table's primary key so the projected
-    tuples are unique and full-tuple ordering is total.  Kept as a thin
-    constructor over the IR — :meth:`to_plan` is the real query.
-    """
-
-    name: str
-    build_table: str
-    build_key: str
-    probe_table: str
-    probe_key: str
-    projection: tuple
-    build_filter: Optional[tuple] = None  # (column, op, value)
-    probe_filter: Optional[tuple] = None
-    top_n: int = 1000
-    semijoin: bool = False
-    bloom_bits: int = 1 << 15
-    memory_bytes: int = 8 * MB
-
-    def to_plan(self) -> PlanNode:
-        """The equivalent logical plan: TopN(Project(Join(Scan, Scan)))."""
-        build = Scan(
-            self.build_table,
-            conditions=(self.build_filter,) if self.build_filter else (),
-        )
-        probe = Scan(
-            self.probe_table,
-            conditions=(self.probe_filter,) if self.probe_filter else (),
-        )
-        join = Join(
-            build, probe,
-            left_key=f"{self.build_table}.{self.build_key}",
-            right_key=f"{self.probe_table}.{self.probe_key}",
-            semijoin=self.semijoin,
-            bloom_bits=self.bloom_bits,
-        )
-        tables = {"build": self.build_table, "probe": self.probe_table}
-        columns = tuple(f"{tables[side]}.{column}" for side, column in self.projection)
-        return TopN(Project(join, columns), self.top_n)
 
 
 @dataclass
@@ -295,7 +245,7 @@ class _ExchangeNames:
     Every fragment lowers the same placed tree in the same order, so
     regenerating the sequence per fragment yields identical ids — the
     contract the exchange fabric (and telemetry binders) require.  The
-    first id of each role is ``{base}.{role}`` (legacy naming); later
+    first id of each role is ``{base}.{role}``; later
     ones append a counter (``.shuffle2``, ...).
     """
 
@@ -352,12 +302,6 @@ class FragmentLowering(Lowering):
         return build_op, probe_op
 
 
-def compile_plan_single(plan: PlanNode, tables: dict, schemas=None) -> Operator:
-    """The page-shipping lowering: ordinary single-node operators."""
-    schemas = schemas or TPCH_SCHEMAS
-    return Lowering(tables, schemas).lower(plan)
-
-
 def compile_plan_fragments(
     plan: PlanNode,
     setup: DistSetup,
@@ -372,32 +316,13 @@ def compile_plan_fragments(
     """
     schemas = schemas or TPCH_SCHEMAS
     if setup.partitioning is None:
-        raise ValueError("setup holds unpartitioned data; use compile_single")
+        raise ValueError("setup holds unpartitioned data; use repro.plan.lower_single")
     placed = place_exchanges(plan, setup.partitioning, schemas)
     plans: list[Operator] = []
     for tables in setup.tables:
         names = _ExchangeNames(setup.runtime, f"{name}.{tag}")
         plans.append(FragmentLowering(tables, schemas, setup.runtime, names).lower(placed))
     return plans
-
-
-# ---------------------------------------------------------------------------
-# Legacy DistQuery entry points (delegate to the IR pipeline)
-# ---------------------------------------------------------------------------
-
-
-def compile_single(query: DistQuery, tables: dict, schemas=None) -> Operator:
-    """The page-shipping plan: ordinary single-node join + top-N."""
-    return compile_plan_single(query.to_plan(), tables, schemas)
-
-
-def compile_fragments(
-    query: DistQuery, setup: DistSetup, tag: str = "run", schemas=None
-) -> list[Operator]:
-    """One plan per fragment: co-located build, shuffled probe, gather."""
-    return compile_plan_fragments(
-        query.to_plan(), setup, name=query.name, tag=tag, schemas=schemas
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +389,7 @@ def execute_plan(
     sim = setup.sim
     start = sim.now
     if setup.partitioning is None:
-        op = compile_plan_single(plan, setup.tables[0], schemas)
+        op = lower_single(plan, setup.tables[0], schemas or TPCH_SCHEMAS)
         result = setup.run(
             setup.databases[0].execute(
                 op, requested_memory_bytes=memory_bytes,
@@ -505,14 +430,4 @@ def execute_plan(
         strategy=strategy, query=name,
         rows=results[0].rows, elapsed_us=sim.now - start,
         metrics=ExecMetrics.merged(r.metrics for r in results).to_dict(),
-    )
-
-
-def execute_query(
-    setup: DistSetup, query: DistQuery, tag: str = "run", schemas=None
-) -> StrategyResult:
-    """Run one :class:`DistQuery` (legacy surface) via the IR pipeline."""
-    return execute_plan(
-        setup, query.to_plan(), name=query.name, tag=tag,
-        memory_bytes=query.memory_bytes, memory_consumers=2, schemas=schemas,
     )

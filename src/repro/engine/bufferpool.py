@@ -28,12 +28,7 @@ from ..reliability import DeadlineExceeded, ReliabilityLayer
 from ..sim import LatencyRecorder, TimeSeries
 from ..sim.kernel import ProcessGenerator
 from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
-from typing import TYPE_CHECKING
-
 from ..tiers.tier import Tier
-
-if TYPE_CHECKING:
-    from ..tiers.stack import TierStack
 from .errors import EngineError, PageNotFound
 from .files import PageStore, RemoteMemoryUnavailable
 from .page import Page, PageId
@@ -58,44 +53,36 @@ class Frame:
 
 
 class BufferPoolExtension:
-    """Maps evicted page ids to slots of an extension page store.
+    """The memory hierarchy below the pool: an ordered list of tiers.
 
-    One extension is one *tier* of the memory hierarchy: construct it
-    from a :class:`~repro.tiers.Tier` to carry medium/latency metadata
-    (a bare :class:`~repro.engine.PageStore` still works and is wrapped
-    in an anonymous tier).  A :class:`~repro.tiers.TierStack` composes
-    several of these into a DRAM -> SSD -> remote hierarchy.
+    Each :class:`~repro.tiers.Tier` is one level (fast -> slow) with its
+    own store, slot map in eviction order, free list and counters; this
+    class implements every operation over them once.  New evictees land
+    in the fastest tier, a full tier pushes its coldest page one level
+    down instead of dropping it (demotion), and a hit at a tier marked
+    ``promote_on_hit`` pulls the page one level up.  One tier is every
+    Table-5 design; the loops below then run exactly once.
     """
 
-    def __init__(self, store: PageStore | Tier):
-        tier = store if isinstance(store, Tier) else None
-        if tier is not None:
-            store = tier.store
-        if store.capacity_pages is None:
-            raise EngineError("extension store needs a fixed capacity")
-        self.store = store
-        self.tier = tier if tier is not None else Tier.wrap(store)
-        self.capacity_pages = store.capacity_pages
-        self._slots: OrderedDict[PageId, int] = OrderedDict()
-        self._free: list[int] = list(range(self.capacity_pages - 1, -1, -1))
-        self.enabled = True
+    def __init__(self, tiers: Iterable[Tier]):
+        self.levels: list[Tier] = list(tiers)
+        if not self.levels:
+            raise EngineError("an extension needs at least one tier")
+        for level in self.levels:
+            self.replace_store(level, level.store)
+        self._lower = tuple(self.levels[1:])
+        self.sim = self.levels[0].store.server.sim
         #: Optional reliability layer (set via BufferPool.attach_reliability):
         #: routes around quarantined providers and classifies deadline
         #: expiries as transient instead of data loss.
         self.reliability: ReliabilityLayer | None = None
-        #: Set by a :class:`~repro.tiers.TierStack`: called with
-        #: ``(page_id, slot)`` when a full tier must make room, to move
-        #: the victim one tier down instead of dropping it.
-        self.demote_sink: Callable[[PageId, int], ProcessGenerator] | None = None
-        self.hits = 0
-        self.misses = 0
-        self.failures = 0
-        #: Accesses skipped because the backing provider is quarantined.
-        self.quarantine_skips = 0
-        #: Deadline expiries — the parked image is presumed intact.
-        self.transient_failures = 0
-        #: Pages invalidated by provider faults (``on_fault`` sweeps).
-        self.pages_lost_to_faults = 0
+        #: Pages moved down because a tier overflowed.
+        self.demotions = 0
+        #: Demotions abandoned because the victim image could not be read
+        #: (the cached copy is lost; the base file stays authoritative).
+        self.demotions_failed = 0
+        #: Pages pulled up after a hit at a slower tier.
+        self.promotions = 0
         #: Observers called with the page id whenever a remote failure is
         #: detected on the access path (fault-detection latency probes).
         self.fault_listeners: list[Callable[[PageId], None]] = []
@@ -104,71 +91,121 @@ class BufferPoolExtension:
         #: managers use to doom in-flight transactions whose working set
         #: may have evaporated with the provider.
         self.loss_listeners: list[Callable[[str | None, list[PageId]], None]] = []
-        #: Per-read latency of extension fetches (Figure 11c drill-down).
-        self.read_latency = LatencyRecorder("bpext.read")
+        #: Per-read latency across all tiers (Figure 11c drill-down, hedge
+        #: delay input).  With one tier it *is* that tier's recorder: a
+        #: second ``record`` per extension read is measurable host time.
+        self.read_latency = (
+            self.levels[0].read_latency if not self._lower
+            else LatencyRecorder("bpext.read")
+        )
         #: Optional bytes-moved series (Figure 11a drill-down).
         self.bytes_series: TimeSeries | None = None
 
     def track_throughput(self, bucket_us: float = 1e6) -> TimeSeries:
+        """One shared bytes-moved series across every tier."""
         self.bytes_series = TimeSeries(bucket_us, name="bpext.bytes")
         return self.bytes_series
 
+    def level_for(self, medium: str) -> Optional[Tier]:
+        """First level on ``medium`` (e.g. the remote level to rebuild)."""
+        for level in self.levels:
+            if level.medium == medium:
+                return level
+        return None
+
+    # -- aggregates over the levels ------------------------------------------
+
     @property
-    def parked_pages(self) -> int:
-        """Number of page images currently parked in this extension."""
-        return len(self._slots)
+    def enabled(self) -> bool:
+        return any(level.enabled for level in self.levels)
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        for level in self.levels:
+            level.enabled = value
+
+    def _total(self, attr: str) -> int:
+        return sum(getattr(level, attr) for level in self.levels)
+
+    capacity_pages = property(lambda self: self._total("capacity_pages"))
+    parked_pages = property(lambda self: self._total("parked_pages"))
+    hits = property(lambda self: self._total("hits"))
+    misses = property(lambda self: self._total("misses"))
+    failures = property(lambda self: self._total("failures"))
+    transient_failures = property(lambda self: self._total("transient_failures"))
+    quarantine_skips = property(lambda self: self._total("quarantine_skips"))
+    pages_lost_to_faults = property(lambda self: self._total("pages_lost_to_faults"))
+
+    # -- access path -----------------------------------------------------------
 
     def contains(self, page_id: PageId) -> bool:
-        return self.enabled and page_id in self._slots
+        for level in self.levels:
+            if level.enabled and page_id in level.slots:
+                return True
+        return False
 
-    def put(self, page: Page) -> ProcessGenerator:
-        """Park a clean page image; evicts the oldest entry when full."""
-        if not self.enabled:
+    def put(self, page: Page, index: int = 0) -> ProcessGenerator:
+        """Park a clean page image; a full tier demotes its oldest entry.
+
+        The pool always parks at the top (``index`` 0); demotion and
+        promotion re-enter here one level down or up.
+        """
+        level = self.levels[index]
+        if not level.enabled:
             return
-        if page.page_id in self._slots:
+        page_id = page.page_id
+        if index == 0:
+            # If a slower tier already holds the page its image is
+            # current (updates invalidate every level), so re-parking it
+            # up top would only double-cache the page and churn the
+            # demotion path.
+            for lower in self._lower:
+                if lower.enabled and page_id in lower.slots:
+                    return
+        slots = level.slots
+        if page_id in slots:
             # Already parked and never dirtied since (updates invalidate
             # the mapping), so the extension copy is current: no I/O.
-            self._slots.move_to_end(page.page_id)
+            slots.move_to_end(page_id)
             return
-        if self._free:
-            slot = self._free.pop()
+        if level.free:
+            slot = level.free.pop()
         else:
-            _old_id, slot = self._slots.popitem(last=False)
-            if self.demote_sink is not None:
+            _old_id, slot = slots.popitem(last=False)
+            if index + 1 < len(self.levels):
                 # Hand the victim to the tier below before its slot is
-                # reused (the sink reads the image and re-parks it).
-                yield from self.demote_sink(_old_id, slot)
-            self.store.discard(slot)
+                # reused.
+                yield from self._demote(level, slot, index + 1)
+            level.store.discard(slot)
         layer = self.reliability
         if layer is not None:
-            provider = self._slot_provider(slot)
+            provider = level.store.slot_provider(slot)
             if provider is not None and not layer.breakers.routable(provider):
                 # Don't park pages at a quarantined provider: give the
                 # slot back and let the page age out of the pool.
-                self.quarantine_skips += 1
-                self._free.append(slot)
+                level.quarantine_skips += 1
+                level.free.append(slot)
                 return
-        page_id = page.page_id
 
-        def _write_aborted(page_id=page_id, slot=slot):
+        def _write_aborted(level=level, slots=slots, page_id=page_id, slot=slot):
             # The write-behind transfer died after put() returned (the
             # provider crashed or a write deadline cut it short): the
             # remote bytes are unknown, so the mapping made below must
             # not survive.  The store already discarded its slot state.
-            self.transient_failures += 1
-            if self._slots.get(page_id) == slot:
-                del self._slots[page_id]
-                self._free.append(slot)
+            level.transient_failures += 1
+            if slots.get(page_id) == slot:
+                del slots[page_id]
+                level.free.append(slot)
 
-        sim = self._sim()
+        sim = self.sim
         try:
             if sim.tracer.enabled:
-                with sim.tracer.span("bpext.put", slot=slot, tier=self.tier.name):
-                    yield from self.store.write_page(
+                with sim.tracer.span("bpext.put", slot=slot, tier=level.name):
+                    yield from level.store.write_page(
                         page, slot=slot, background=True, on_abort=_write_aborted
                     )
             else:
-                yield from self.store.write_page(
+                yield from level.store.write_page(
                     page, slot=slot, background=True, on_abort=_write_aborted
                 )
             if self.bytes_series is not None:
@@ -176,103 +213,124 @@ class BufferPoolExtension:
         except DeadlineExceeded:
             # The write may not have completed: the slot's remote bytes
             # are unknown, so never map it — but the *slot* is reusable.
-            self.transient_failures += 1
-            self.store.discard(slot)
-            self._free.append(slot)
+            level.transient_failures += 1
+            level.store.discard(slot)
+            level.free.append(slot)
             return
         except RemoteMemoryUnavailable:
-            self._on_failure(page.page_id, slot)
+            self._on_failure(level, page_id, slot)
             return
         # Map only once the slot actually holds the page; readers that
         # race the write simply miss to the base file (correct, slower).
-        self._slots[page.page_id] = slot
+        slots[page_id] = slot
+
+    def _demote(self, level: Tier, slot: int, below: int) -> ProcessGenerator:
+        # Best-effort: read the victim image (timed — demotion costs a
+        # real read) and park it one tier down.  A failed read just
+        # loses the cached copy, but is counted where tests can see it.
+        try:
+            page = yield from level.store.read_page(slot, background=True)
+        except (PageNotFound, RemoteMemoryUnavailable, DeadlineExceeded):
+            self.demotions_failed += 1
+            return
+        self.demotions += 1
+        yield from self.put(page, below)
 
     def get(self, page_id: PageId, background: bool = False) -> ProcessGenerator:
-        """Fetch a parked page; raises PageNotFound when absent."""
-        if not self.contains(page_id):
-            self.misses += 1
-            raise PageNotFound(f"extension: {page_id} not present")
-        slot = self._slots[page_id]
+        """Fetch from the fastest tier holding the page; promote if asked.
+
+        Raises :class:`PageNotFound` when no tier serves it (absent,
+        quarantined, or lost mid-read) — the pool then falls back to the
+        base file.
+        """
+        sim = self.sim
         layer = self.reliability
-        if layer is not None:
-            provider = self._slot_provider(slot)
-            if provider is not None and not layer.breakers.routable(provider):
-                # Quarantined provider: go straight to the base file.
-                # The mapping is kept — the parked image is presumed
-                # intact and becomes reachable again once the breaker
-                # re-admits the provider (crashes are swept separately
-                # by on_fault).
-                self.quarantine_skips += 1
-                self.misses += 1
-                raise PageNotFound(
-                    f"extension: {page_id} parked at quarantined provider {provider}"
-                )
-        # Touch the LRU position first so a concurrent put is unlikely
-        # to evict the slot we are about to read.
-        self._slots.move_to_end(page_id)
-        sim = self._sim()
-        start = sim.now
-        try:
-            if sim.tracer.enabled:
-                with sim.tracer.span("bpext.read", slot=slot, tier=self.tier.name):
-                    page = yield from self.store.read_page(slot, background=background)
-            else:
-                page = yield from self.store.read_page(slot, background=background)
-        except DeadlineExceeded:
-            # Transient: the remote image is still there, only slow.
-            # Keep the slot mapped and let the caller fall back to disk.
-            self.transient_failures += 1
-            self.misses += 1
-            raise PageNotFound(f"extension: {page_id} read exceeded its deadline")
-        except RemoteMemoryUnavailable:
-            self._on_failure(page_id, slot)
-            self.misses += 1
-            raise PageNotFound(f"extension: {page_id} lost with remote memory")
-        self.read_latency.record(sim.now - start)
-        if self.bytes_series is not None:
-            self.bytes_series.add(sim.now, 8192)
-        self._slots.move_to_end(page_id)
-        self.hits += 1
-        return page
-
-    def _sim(self):
-        # All stores carry either a server or a remote file with an owner.
-        owner = getattr(self.store, "server", None)
-        if owner is None:
-            owner = self.store.remote_file.owner  # type: ignore[attr-defined]
-        return owner.sim
-
-    def _now(self) -> float:
-        return self._sim().now
-
-    def _slot_provider(self, slot: int) -> str | None:
-        """Memory server backing ``slot``, if the store can tell."""
-        try:
-            return self.store.slot_provider(slot)
-        except Exception:
-            return None  # e.g. the backing lease is already gone
+        held = False
+        for level in self.levels:
+            slots = level.slots
+            if not level.enabled or page_id not in slots:
+                continue
+            held = True
+            slot = slots[page_id]
+            if layer is not None:
+                provider = level.store.slot_provider(slot)
+                if provider is not None and not layer.breakers.routable(provider):
+                    # Quarantined provider: try a slower tier, else the
+                    # base file.  The mapping is kept — the parked image
+                    # is presumed intact and becomes reachable again once
+                    # the breaker re-admits the provider (crashes are
+                    # swept separately by on_fault).
+                    level.quarantine_skips += 1
+                    level.misses += 1
+                    continue
+            # Touch the LRU position first so a concurrent put is unlikely
+            # to evict the slot we are about to read.
+            slots.move_to_end(page_id)
+            start = sim.now
+            try:
+                if sim.tracer.enabled:
+                    with sim.tracer.span("bpext.read", slot=slot, tier=level.name):
+                        page = yield from level.store.read_page(slot, background=background)
+                else:
+                    page = yield from level.store.read_page(slot, background=background)
+            except DeadlineExceeded:
+                # Transient: the remote image is still there, only slow.
+                # Keep the slot mapped and let the caller fall back.
+                level.transient_failures += 1
+                level.misses += 1
+                continue
+            except RemoteMemoryUnavailable:
+                self._on_failure(level, page_id, slot)
+                level.misses += 1
+                continue
+            elapsed = sim.now - start
+            level.read_latency.record(elapsed)
+            if level.read_latency is not self.read_latency:
+                self.read_latency.record(elapsed)
+            if self.bytes_series is not None:
+                self.bytes_series.add(sim.now, 8192)
+            slots.move_to_end(page_id)
+            level.hits += 1
+            if level.promote_on_hit and level is not self.levels[0]:
+                self._drop(level, page_id)
+                self.promotions += 1
+                yield from self.put(page, self.levels.index(level) - 1)
+            return page
+        if not held:
+            # No tier held it: the miss belongs to the bottom of the stack.
+            self.levels[-1].misses += 1
+        raise PageNotFound(f"extension: no tier could serve {page_id}")
 
     def adopt(self, page: Page) -> bool:
         """Park a clean page image without simulated I/O (pool priming).
 
         Steady-state benchmarks use this instead of replaying hours of
-        warm-up traffic.  Returns ``False`` when the extension is
-        disabled, full, or already holds the page.
+        warm-up traffic.  Tiers fill in order, fastest first; returns
+        ``False`` when every tier is disabled, full, or already holds
+        the page.
         """
-        if not self.enabled or page.page_id in self._slots or not self._free:
-            return False
-        slot = self._free.pop()
-        self._slots[page.page_id] = slot
-        self.store.install(page.copy(), slot=slot)
-        return True
+        page_id = page.page_id
+        for level in self.levels:
+            if not level.enabled or page_id in level.slots or not level.free:
+                continue
+            slot = level.free.pop()
+            level.slots[page_id] = slot
+            level.store.install(page.copy(), slot=slot)
+            return True
+        return False
+
+    @staticmethod
+    def _drop(level: Tier, page_id: PageId) -> None:
+        slot = level.slots.pop(page_id, None)
+        if slot is not None:
+            level.store.discard(slot)
+            level.free.append(slot)
 
     def invalidate(self, page_id: PageId) -> None:
-        slot = self._slots.pop(page_id, None)
-        if slot is not None:
-            self.store.discard(slot)
-            self._free.append(slot)
+        for level in self.levels:
+            self._drop(level, page_id)
 
-    def _on_failure(self, page_id: PageId, slot: int) -> None:
+    def _on_failure(self, level: Tier, page_id: PageId, slot: int) -> None:
         """A lease/provider vanished: drop the mapping, free the slot.
 
         The page image is lost, but the *slot* is not: once the store
@@ -281,14 +339,14 @@ class BufferPoolExtension:
         leaking capacity.  The caller re-faults the page from the local
         store, so correctness is never affected.
         """
-        self.failures += 1
+        level.failures += 1
         for listener in self.fault_listeners:
             listener(page_id)
-        if self._slots.pop(page_id, None) is None and slot in self._free:
+        if level.slots.pop(page_id, None) is None and slot in level.free:
             # A concurrent access already reclaimed this slot.
             return
-        self.store.discard(slot)
-        self._free.append(slot)
+        level.store.discard(slot)
+        level.free.append(slot)
 
     def on_fault(self, provider: str | None = None) -> list[PageId]:
         """Drop every slot backed by ``provider`` (``None`` = all slots).
@@ -298,38 +356,36 @@ class BufferPoolExtension:
         ids that were lost (they will re-fault from the base file).
         """
         lost: list[PageId] = []
-        for page_id, slot in list(self._slots.items()):
-            # A store that cannot name a provider loses everything on any
-            # fault sweep (conservative: local media are never swept by
-            # provider-targeted injectors in practice).
-            known = self.store.slot_provider(slot)
-            if provider is None or known is None or known == provider:
-                self.invalidate(page_id)
-                lost.append(page_id)
-        self.pages_lost_to_faults += len(lost)
+        for level in self.levels:
+            before = len(lost)
+            for page_id, slot in list(level.slots.items()):
+                # A store that cannot name a provider loses everything on
+                # any fault sweep (conservative: local media are never
+                # swept by provider-targeted injectors in practice).
+                known = level.store.slot_provider(slot)
+                if provider is None or known is None or known == provider:
+                    self._drop(level, page_id)
+                    lost.append(page_id)
+            level.pages_lost_to_faults += len(lost) - before
         for listener in self.loss_listeners:
             listener(provider, lost)
         return lost
 
-    def replace_store(self, store: PageStore) -> None:
-        """Point the extension at a fresh store (post-crash re-acquisition).
+    @staticmethod
+    def replace_store(level: Tier, store: PageStore) -> None:
+        """Point ``level`` at a fresh store (construction, post-crash
+        re-acquisition, fleet resizes).
 
-        All slot mappings are dropped (the new store starts empty) and
-        the slot free list is rebuilt to the new capacity; the extension
-        then re-warms organically as clean pages are evicted into it.
+        The level's slot mappings are dropped (the new store starts
+        empty) and its free list is rebuilt to the new capacity; it then
+        re-warms organically as clean pages are evicted into it.
         """
         if store.capacity_pages is None:
             raise EngineError("extension store needs a fixed capacity")
-        self.store = store
-        self.tier.store = store
-        self.capacity_pages = store.capacity_pages
-        self._slots.clear()
-        self._free = list(range(self.capacity_pages - 1, -1, -1))
-        self.enabled = True
-
-    def clear(self) -> None:
-        for page_id in list(self._slots):
-            self.invalidate(page_id)
+        level.store = store
+        level.slots.clear()
+        level.free = list(range(store.capacity_pages - 1, -1, -1))
+        level.enabled = True
 
 
 class BufferPool:
@@ -339,7 +395,7 @@ class BufferPool:
         self,
         server: Server,
         capacity_pages: int,
-        extension: "Optional[BufferPoolExtension | TierStack]" = None,
+        extension: Optional[BufferPoolExtension] = None,
         lazy_writers: int = 4,
     ):
         if capacity_pages < 2:

@@ -53,22 +53,15 @@ class Database:
         bp_pages: int,
         data_device: BlockDevice,
         log_device: Optional[BlockDevice] = None,
-        bpext_store: Optional[PageStore] = None,
         tempdb_store: Optional[PageStore] = None,
         workspace_bytes: Optional[int] = None,
         query_setup_cpu_us: float = QUERY_SETUP_CPU_US,
-        extension: Optional[object] = None,
+        extension: Optional[BufferPoolExtension] = None,
     ):
-        """``extension`` (a pre-built
-        :class:`~repro.engine.BufferPoolExtension` or
-        :class:`~repro.tiers.TierStack`) takes precedence over
-        ``bpext_store``, which remains the single-tier shorthand."""
         self.server = server
         self.sim = server.sim
         self.catalog = Catalog()
         self.data_device = data_device
-        if extension is None and bpext_store is not None:
-            extension = BufferPoolExtension(bpext_store)
         self.pool = BufferPool(server, capacity_pages=bp_pages, extension=extension)
         self.wal = WriteAheadLog(server, log_device if log_device is not None else data_device)
         self.tempdb = TempDb(tempdb_store) if tempdb_store is not None else None

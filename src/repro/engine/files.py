@@ -97,6 +97,12 @@ class PageStore(abc.ABC):
         (initial load and steady-state priming; default: ``page_no``)."""
         raise NotImplementedError(f"{type(self).__name__} cannot install pages untimed")
 
+    def preload(self, pages: list[Page]) -> None:
+        """Install page images without simulated I/O (initial load,
+        steady-state setup)."""
+        for page in pages:
+            self.install(page)
+
     def peek(self, slot: int) -> Page:
         """Untimed access to the stored image at ``slot`` (DDL builds and
         demotion snapshots; raises :class:`PageNotFound` when absent).
@@ -128,45 +134,24 @@ class PageStore(abc.ABC):
             )
 
 
-class DevicePageFile(PageStore):
-    """Pages on a local block device, waited on as asynchronous I/O."""
+class LocalImagePageFile(PageStore):
+    """A store whose page images live in a host-side dictionary.
 
-    #: Pages per allocation chunk: contiguous on disk within a chunk,
-    #: chunks scattered across the volume.  This reproduces full-scale
-    #: disk geometry on a scaled-down database: scans still stream
-    #: (one seek per 2 MB), while random page lookups land far apart.
-    #: Pass ``chunk_pages=None`` for linear files (TempDB, log), which
-    #: real engines preallocate contiguously.
-    CHUNK_PAGES = 256
+    The image is authoritative for *content*; the medium only decides
+    what one I/O of ``count`` pages at ``slot`` costs, which is the single
+    hook subclasses provide (:meth:`_io`).  Every I/O is waited on
+    asynchronously, like any disk I/O in a classic engine.
+    """
 
-    def __init__(
-        self,
-        file_id: int,
-        server: Server,
-        device: BlockDevice,
-        capacity_pages: Optional[int] = None,
-        base_offset: int = 0,
-        chunk_pages: Optional[int] = CHUNK_PAGES,
-    ):
+    def __init__(self, file_id: int, server: Server, capacity_pages: Optional[int] = None):
         super().__init__(file_id, capacity_pages)
         self.server = server
-        self.device = device
-        self.base_offset = base_offset
-        self.chunk_pages = chunk_pages
         self._pages: dict[int, Page] = {}
 
-    def _offset(self, slot: int) -> int:
-        if self.chunk_pages is None:
-            return self.base_offset + slot * PAGE_SIZE
-        chunk, within = divmod(slot, self.chunk_pages)
-        # Deterministic pseudo-random chunk placement over a ~8 TB
-        # virtual region (multiplicative hashing; file id salts it).
-        spread = (chunk * 2654435761 + self.file_id * 40503) % (1 << 22)
-        return (
-            self.base_offset
-            + spread * self.chunk_pages * PAGE_SIZE
-            + within * PAGE_SIZE
-        )
+    @abc.abstractmethod
+    def _io(self, op: IoOp, slot: int, count: int):
+        """Issue one ``count``-page transfer at ``slot``; returns the
+        event that fires on completion."""
 
     def read_page(self, slot: int, background: bool = False) -> ProcessGenerator:
         self._check_slot(slot)
@@ -175,8 +160,7 @@ class DevicePageFile(PageStore):
         # Snapshot at I/O start: a concurrent discard (extension slot
         # eviction) must not fault a read already in flight.
         page = self._pages[slot]
-        io = self.device.submit(IoOp.READ, self._offset(slot), PAGE_SIZE)
-        yield from self.server.cpu.async_wait(io)
+        yield from self.server.cpu.async_wait(self._io(IoOp.READ, slot, 1))
         self.page_reads += 1
         return page.copy()
 
@@ -187,25 +171,21 @@ class DevicePageFile(PageStore):
         slot = page.page_no if slot is None else slot
         self._check_slot(slot)
         self._pages[slot] = page.copy()
-        io = self.device.submit(IoOp.WRITE, self._offset(slot), PAGE_SIZE)
+        io = self._io(IoOp.WRITE, slot, 1)
         if not background:
             yield from self.server.cpu.async_wait(io)
         self.page_writes += 1
-        if False:
-            yield  # pragma: no cover - keeps this a generator
 
     def write_batch(self, slot: int, pages: list[Page]) -> ProcessGenerator:
         self._check_slot(slot + len(pages) - 1)
-        io = self.device.submit(IoOp.WRITE, self._offset(slot), len(pages) * PAGE_SIZE)
-        yield from self.server.cpu.async_wait(io)
+        yield from self.server.cpu.async_wait(self._io(IoOp.WRITE, slot, len(pages)))
         for index, page in enumerate(pages):
             self._pages[slot + index] = page.copy()
         self.page_writes += len(pages)
 
     def read_batch(self, slot: int, count: int) -> ProcessGenerator:
         self._check_slot(slot + count - 1)
-        io = self.device.submit(IoOp.READ, self._offset(slot), count * PAGE_SIZE)
-        yield from self.server.cpu.async_wait(io)
+        yield from self.server.cpu.async_wait(self._io(IoOp.READ, slot, count))
         self.page_reads += count
         return [self._pages[slot + index].copy() for index in range(count)
                 if slot + index in self._pages]
@@ -227,10 +207,47 @@ class DevicePageFile(PageStore):
             raise PageNotFound(f"file {self.file_id}: no page at slot {slot}")
         return self._pages[slot]
 
-    def preload(self, pages: list[Page]) -> None:
-        """Populate the disk image without simulated I/O (initial load)."""
-        for page in pages:
-            self.install(page)
+
+class DevicePageFile(LocalImagePageFile):
+    """Pages on a local block device."""
+
+    #: Pages per allocation chunk: contiguous on disk within a chunk,
+    #: chunks scattered across the volume.  This reproduces full-scale
+    #: disk geometry on a scaled-down database: scans still stream
+    #: (one seek per 2 MB), while random page lookups land far apart.
+    #: Pass ``chunk_pages=None`` for linear files (TempDB, log), which
+    #: real engines preallocate contiguously.
+    CHUNK_PAGES = 256
+
+    def __init__(
+        self,
+        file_id: int,
+        server: Server,
+        device: BlockDevice,
+        capacity_pages: Optional[int] = None,
+        base_offset: int = 0,
+        chunk_pages: Optional[int] = CHUNK_PAGES,
+    ):
+        super().__init__(file_id, server, capacity_pages)
+        self.device = device
+        self.base_offset = base_offset
+        self.chunk_pages = chunk_pages
+
+    def _offset(self, slot: int) -> int:
+        if self.chunk_pages is None:
+            return self.base_offset + slot * PAGE_SIZE
+        chunk, within = divmod(slot, self.chunk_pages)
+        # Deterministic pseudo-random chunk placement over a ~8 TB
+        # virtual region (multiplicative hashing; file id salts it).
+        spread = (chunk * 2654435761 + self.file_id * 40503) % (1 << 22)
+        return (
+            self.base_offset
+            + spread * self.chunk_pages * PAGE_SIZE
+            + within * PAGE_SIZE
+        )
+
+    def _io(self, op: IoOp, slot: int, count: int):
+        return self.device.submit(op, self._offset(slot), count * PAGE_SIZE)
 
     def write_scattered(self, pages: list[Page]) -> ProcessGenerator:
         """Checkpoint-style write of non-contiguous pages.
@@ -242,10 +259,9 @@ class DevicePageFile(PageStore):
         if not pages:
             return
         ordered = sorted(pages, key=lambda page: page.page_no)
-        io = self.device.submit(
-            IoOp.WRITE, self._offset(ordered[0].page_no), len(ordered) * PAGE_SIZE
+        yield from self.server.cpu.async_wait(
+            self._io(IoOp.WRITE, ordered[0].page_no, len(ordered))
         )
-        yield from self.server.cpu.async_wait(io)
         for page in ordered:
             self._pages[page.page_no] = page.copy()
         self.page_writes += len(ordered)
@@ -259,6 +275,7 @@ class RemotePageFile(PageStore):
             capacity_pages = remote_file.size // PAGE_SIZE
         super().__init__(file_id, capacity_pages)
         self.remote_file = remote_file
+        self.server = remote_file.owner
         self._present: set[int] = set()
         #: slot -> page count for extents written as one object.
         self._batches: dict[int, int] = {}
@@ -370,13 +387,8 @@ class RemotePageFile(PageStore):
         lease.region.put_object(mr_offset, length, page.copy())
         self._present.add(slot)
 
-    def preload(self, pages: list[Page]) -> None:
-        """Install page images without simulated I/O (steady-state setup)."""
-        for page in pages:
-            self.install(page)
 
-
-class SmbPageFile(PageStore):
+class SmbPageFile(LocalImagePageFile):
     """Pages on a remote RamDrive behind SMB / SMB Direct.
 
     The transport client models the protocol; page *content* is kept
@@ -386,71 +398,9 @@ class SmbPageFile(PageStore):
     """
 
     def __init__(self, file_id: int, server: Server, client, capacity_pages: Optional[int] = None):
-        super().__init__(file_id, capacity_pages)
-        self.server = server
+        super().__init__(file_id, server, capacity_pages)
         self.client = client
-        self._pages: dict[int, Page] = {}
 
-    def read_page(self, slot: int, background: bool = False) -> ProcessGenerator:
-        self._check_slot(slot)
-        if slot not in self._pages:
-            raise PageNotFound(f"smb file {self.file_id}: no page at slot {slot}")
-        page = self._pages[slot]  # snapshot at I/O start (see DevicePageFile)
-        io = self.server.sim.spawn(self.client.read(slot * PAGE_SIZE, PAGE_SIZE))
-        yield from self.server.cpu.async_wait(io)
-        self.page_reads += 1
-        return page.copy()
-
-    def write_page(
-        self, page: Page, slot: Optional[int] = None, background: bool = False,
-        on_abort: Optional[Callable[[], None]] = None,
-    ) -> ProcessGenerator:
-        slot = page.page_no if slot is None else slot
-        self._check_slot(slot)
-        self._pages[slot] = page.copy()
-        io = self.server.sim.spawn(self.client.write(slot * PAGE_SIZE, PAGE_SIZE))
-        if not background:
-            yield from self.server.cpu.async_wait(io)
-        self.page_writes += 1
-
-    def write_batch(self, slot: int, pages: list) -> ProcessGenerator:
-        self._check_slot(slot + len(pages) - 1)
-        io = self.server.sim.spawn(
-            self.client.write(slot * PAGE_SIZE, len(pages) * PAGE_SIZE)
-        )
-        yield from self.server.cpu.async_wait(io)
-        for index, page in enumerate(pages):
-            self._pages[slot + index] = page.copy()
-        self.page_writes += len(pages)
-
-    def read_batch(self, slot: int, count: int) -> ProcessGenerator:
-        self._check_slot(slot + count - 1)
-        io = self.server.sim.spawn(
-            self.client.read(slot * PAGE_SIZE, count * PAGE_SIZE)
-        )
-        yield from self.server.cpu.async_wait(io)
-        self.page_reads += count
-        return [self._pages[slot + index].copy() for index in range(count)
-                if slot + index in self._pages]
-
-    def contains(self, slot: int) -> bool:
-        return slot in self._pages
-
-    def discard(self, slot: int) -> None:
-        self._pages.pop(slot, None)
-
-    def iter_pages(self) -> "Iterator[tuple[int, Page]]":
-        return iter(self._pages.items())
-
-    def install(self, page: Page, slot: Optional[int] = None) -> None:
-        self._pages[page.page_no if slot is None else slot] = page.copy()
-
-    def peek(self, slot: int) -> Page:
-        if slot not in self._pages:
-            raise PageNotFound(f"smb file {self.file_id}: no page at slot {slot}")
-        return self._pages[slot]
-
-    def preload(self, pages: list[Page]) -> None:
-        """Install page images without simulated I/O (steady-state setup)."""
-        for page in pages:
-            self.install(page)
+    def _io(self, op: IoOp, slot: int, count: int):
+        transfer = self.client.read if op is IoOp.READ else self.client.write
+        return self.server.sim.spawn(transfer(slot * PAGE_SIZE, count * PAGE_SIZE))

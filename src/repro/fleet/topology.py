@@ -25,16 +25,16 @@ from typing import Optional
 
 from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
-from ..engine import Database, DevicePageFile, RemotePageFile
-from ..engine.bufferpool import BufferPoolExtension
+from ..engine import Database
 from ..engine.page import PAGE_SIZE
 from ..faults import FaultEngine, FaultPlan
+from ..harness.node import Node, rebuild_remote_level
 from ..net import Network
-from ..remotefile import RemoteFile, RemoteMemoryFilesystem, StagingPool
+from ..remotefile import AccessPolicy, RemoteFile, RemoteMemoryFilesystem
 from ..sim.kernel import AllOf, ProcessGenerator
-from ..storage import GB, MB, Raid0Array, SsdDevice
+from ..storage import GB, MB
 from ..telemetry import MetricsRegistry
-from ..tiers import Tier, TierDef, TierSpec, build_stack
+from ..tiers import Tier, TierDef, TierSpec
 from ..workloads import TpchScale, build_customer_table
 from ..workloads.tpch import build_tpch_database, tpch_query_specs
 from .marketplace import Marketplace, MarketplacePolicy, QosClass, verify_broker_consistency
@@ -60,11 +60,6 @@ DEFAULT_TENANT_TIER = TierSpec(
     semcache="ssd",
     protocol="ndspi",
 )
-
-#: File-id base for fleet extension stores (dbbench uses 900 for its
-#: single engine; fleet replicas each own a database so ids only need
-#: to be unique within one replica).
-FLEET_EXT_FILE_ID = 900
 
 
 @dataclass(frozen=True)
@@ -158,9 +153,8 @@ class TenantReplica:
         self.tpch_tables: Optional[dict] = None
         #: The remote extension level the marketplace resizes (None for
         #: tenants whose tier spec keeps everything local).
-        self.remote_level: Optional[BufferPoolExtension] = None
+        self.remote_level: Optional[Tier] = None
         self.file: Optional[RemoteFile] = None
-        self.ext_file_id: int = FLEET_EXT_FILE_ID
         self.ext_pages: int = 0
         #: False between a torn-down old store and an opened new one
         #: (e.g. a broker restart interrupting a rebuild).
@@ -258,12 +252,9 @@ class TenantRuntime:
         hits = misses = 0
         for replica in self.replicas:
             extension = replica.database.pool.extension
-            if extension is None:
-                continue
-            levels = getattr(extension, "levels", None)
-            for level in levels if levels is not None else (extension,):
-                hits += level.hits
-                misses += level.misses
+            if extension is not None:
+                hits += extension.hits
+                misses += extension.misses
         return hits, misses
 
     # -- telemetry hooks ---------------------------------------------------
@@ -278,7 +269,7 @@ class TenantRuntime:
         self.revoked_counter.add()
         for replica in self.replicas:
             if replica.server.name == lease.holder and replica.remote_level is not None:
-                replica.remote_level.on_fault(provider=lease.provider)
+                replica.database.pool.extension.on_fault(provider=lease.provider)
 
     # -- resizing ----------------------------------------------------------
 
@@ -323,12 +314,10 @@ class TenantRuntime:
             replica.file = None
         name = f"{self.name}.{replica.index}.ext.{self._file_seq}"
         self._file_seq += 1
-        file = yield from replica.fs.create(name, per * PAGE_SIZE)
-        yield from file.open()
-        level.replace_store(
-            RemotePageFile(replica.ext_file_id, file, capacity_pages=per)
+        store = yield from rebuild_remote_level(
+            replica.fs, replica.database.pool.extension, level, name, per
         )
-        replica.file = file
+        replica.file = store.remote_file
         replica.ext_pages = per
         replica.healthy = True
 
@@ -444,73 +433,30 @@ def build_fleet(
             analytic=False, bpext_pages=per_replica, tempdb_pages=0
         )
         for index in range(tenant.replicas):
-            server = cluster.add_server(
-                f"{tenant.name}-{index}", cores=spec.db_cores, memory_bytes=64 * GB
+            node = Node(
+                cluster, network, f"{tenant.name}-{index}", cores=spec.db_cores,
+                memory_bytes=64 * GB, spindles=spec.spindles,
+                hdd_stream=f"hdd.{tenant.name}.{index}",
             )
-            network.attach(server)
-            hdd = server.attach_device(
-                "hdd",
-                Raid0Array(
-                    sim,
-                    spindles=spec.spindles,
-                    rng=cluster.rng.stream(f"hdd.{tenant.name}.{index}"),
-                ),
-            )
-            ssd = server.attach_device("ssd", SsdDevice(sim))
-            local_media = {"hdd": hdd, "ssd": ssd}
-            fs = RemoteMemoryFilesystem(server, broker, StagingPool(server))
+            fs = node.attach_remote_fs(broker, schedulers=8, policy=AccessPolicy.SYNC)
             setup.run(fs.initialize())
-            replica = TenantReplica(index, server, fs)
-
-            tiers: list[Tier] = []
-            for tier_index, resolved in enumerate(plan.extension):
-                file_id = FLEET_EXT_FILE_ID + 10 * tier_index
-                if resolved.medium == "remote":
-                    def bootstrap(fs=fs, resolved=resolved):
-                        file = yield from fs.create(
-                            f"{tenant.name}.{index}.{resolved.name}.0",
-                            resolved.capacity_pages * PAGE_SIZE,
-                            spread=spread_initial,
-                        )
-                        yield from file.open()
-                        return file
-
-                    file = setup.run(bootstrap())
-                    store = RemotePageFile(
-                        file_id, file, capacity_pages=resolved.capacity_pages
-                    )
-                else:
-                    store = DevicePageFile(
-                        file_id,
-                        server,
-                        local_media[resolved.medium],
-                        capacity_pages=resolved.capacity_pages,
-                    )
-                tiers.append(
-                    Tier(
-                        name=resolved.name,
-                        store=store,
-                        medium=resolved.medium,
-                        latency_class=resolved.latency_class,
-                        promote_on_hit=resolved.promote_on_hit,
-                    )
-                )
-            extension = build_stack(tiers)
-            database = Database(
-                server, bp_pages=tenant.bp_pages, data_device=hdd, extension=extension
-            )
+            replica = TenantReplica(index, node.server, fs)
+            if plan.remote_extension_tiers():
+                setup.run(node.open_remote_stores(
+                    plan,
+                    file_name=lambda store: f"{tenant.name}.{index}.{store}.0",
+                    spread=spread_initial,
+                ))
+            database = node.build_database(plan, bp_pages=tenant.bp_pages)
             replica.database = database
 
-            # Find the remote level the marketplace resizes (if any).
-            if extension is not None:
-                levels = getattr(extension, "levels", None)
-                for level in levels if levels is not None else (extension,):
-                    if isinstance(level.store, RemotePageFile):
-                        replica.remote_level = level
-                        replica.ext_file_id = level.store.file_id
-                        replica.file = level.store.remote_file
-                        replica.ext_pages = level.capacity_pages
-                        break
+            # The remote level the marketplace resizes (if any).
+            extension = database.pool.extension
+            level = extension.level_for("remote") if extension is not None else None
+            if level is not None:
+                replica.remote_level = level
+                replica.file = level.store.remote_file
+                replica.ext_pages = level.capacity_pages
 
             if tenant.workload == "tpch":
                 replica.tpch_tables = build_tpch_database(

@@ -6,17 +6,15 @@ from .dbbench import (
     prewarm_extension,
     prewarm_pool,
     rebuild_extension,
-    warm_extension,
-    warm_pool,
 )
-from .designs import DESIGNS, REMOTE_DESIGNS, TIER_SPECS, Design, DesignConfig
+from .designs import TIER_SPECS, Design
 from .iobench import IO_DESIGNS, IoTarget, build_custom_multi, build_io_target
 from .report import format_metrics, format_series, format_table
 
 __all__ = [
-    "DESIGNS", "DbSetup", "Design", "DesignConfig", "IO_DESIGNS",
-    "IoTarget", "REMOTE_DESIGNS", "TIER_SPECS", "build_custom_multi",
+    "DbSetup", "Design", "IO_DESIGNS",
+    "IoTarget", "TIER_SPECS", "build_custom_multi",
     "build_database", "build_io_target", "format_metrics", "format_series",
     "format_table", "prewarm_extension", "prewarm_pool",
-    "rebuild_extension", "warm_extension", "warm_pool",
+    "rebuild_extension",
 ]

@@ -19,19 +19,11 @@ from typing import Optional
 
 from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
-from ..engine import (
-    Database,
-    DevicePageFile,
-    PageStore,
-    RemotePageFile,
-    SmbPageFile,
-    cost_model_for,
-)
-from ..engine.page import PAGE_SIZE
+from ..engine import Database, DevicePageFile, cost_model_for
 from ..net import Network, SmbClient, SmbDirectClient, SmbFileServer
 from ..reliability import ReliabilityLayer, ReliabilityPolicy
-from ..remotefile import AccessPolicy, RemoteMemoryFilesystem, StagingPool
-from ..storage import GB, MB, RamDrive, Raid0Array, SsdDevice
+from ..remotefile import AccessPolicy, RemoteMemoryFilesystem
+from ..storage import GB, MB, PAGE_SIZE, RamDrive
 from ..telemetry import MetricsRegistry
 from ..telemetry.attach import (
     register_cluster,
@@ -39,8 +31,9 @@ from ..telemetry.attach import (
     register_reliability,
     register_remote_file,
 )
-from ..tiers import Tier, TierPlan, TierSpec, build_stack
+from ..tiers import TierPlan, TierSpec
 from .designs import Design, TIER_SPECS
+from .node import SEMCACHE_FILE_ID, Node, open_remote_store, rebuild_remote_level
 
 __all__ = [
     "DbSetup",
@@ -48,19 +41,7 @@ __all__ = [
     "prewarm_extension",
     "prewarm_pool",
     "rebuild_extension",
-    "warm_extension",
-    "warm_pool",
 ]
-
-#: File ids reserved for engine-internal files.  Extension tiers are
-#: spaced ten apart so multi-tier stacks never collide with TempDB.
-BPEXT_FILE_ID = 900
-TEMPDB_FILE_ID = 901
-SEMCACHE_FILE_ID = 950
-
-
-def _ext_file_id(index: int) -> int:
-    return BPEXT_FILE_ID + 10 * index
 
 
 @dataclass
@@ -91,6 +72,10 @@ class DbSetup:
     @property
     def sim(self):
         return self.cluster.sim
+
+    @property
+    def pool(self):
+        return self.database.pool
 
     def run(self, generator):
         return self.sim.run_until_complete(self.sim.spawn(generator))
@@ -136,17 +121,15 @@ class DbSetup:
         their store placement through the spec instead of hand-picking a
         medium per design.
         """
-        medium = self.plan.semcache if self.plan is not None else "ssd"
+        medium = self.spec.semcache if self.spec is not None else "ssd"
         if medium == "remote":
             if self.remote_fs is None:
                 raise ValueError("spec places the semantic cache remotely "
                                  "but the setup has no remote filesystem")
-            spread = len(self.memory_servers) > 1
-            file = yield from self.remote_fs.create(
-                name, capacity_pages * PAGE_SIZE, spread=spread
-            )
-            yield from file.open()
-            return RemotePageFile(SEMCACHE_FILE_ID, file, capacity_pages=capacity_pages)
+            return (yield from open_remote_store(
+                self.remote_fs, SEMCACHE_FILE_ID, name, capacity_pages,
+                spread=len(self.memory_servers) > 1,
+            ))
         device = self.db_server.devices[medium]
         return DevicePageFile(
             SEMCACHE_FILE_ID, self.db_server, device, capacity_pages=capacity_pages
@@ -193,43 +176,17 @@ def build_database(
     cluster = Cluster(seed=seed)
     sim = cluster.sim
     network = Network(sim)
-    db_server = cluster.add_server("db", cores=db_cores, memory_bytes=384 * GB)
-    network.attach(db_server)
-    hdd = db_server.attach_device(
-        "hdd", Raid0Array(sim, spindles=data_spindles, rng=cluster.rng.stream("hdd"))
+    node = Node(
+        cluster, network, "db", cores=db_cores, memory_bytes=384 * GB,
+        spindles=data_spindles, hdd_stream="hdd",
     )
-    ssd = db_server.attach_device("ssd", SsdDevice(sim))
-    local_media = {"hdd": hdd, "ssd": ssd}
-
     setup = DbSetup(
-        design=design_key, cluster=cluster, db_server=db_server,
+        design=design_key, cluster=cluster, db_server=node.server,
         database=None, network=network,  # type: ignore[arg-type]
         spec=spec, plan=plan,
     )
 
-    def local_ext_store(index: int, tier) -> DevicePageFile:
-        return DevicePageFile(
-            _ext_file_id(index), db_server, local_media[tier.medium],
-            capacity_pages=tier.capacity_pages,
-        )
-
-    def local_tempdb_store() -> DevicePageFile:
-        return DevicePageFile(
-            TEMPDB_FILE_ID, db_server, local_media[plan.tempdb.medium],
-            capacity_pages=tempdb_pages, base_offset=512 * GB,
-            chunk_pages=None,  # TempDB is preallocated contiguously
-        )
-
-    ext_stores: list[Optional[PageStore]] = []
-    tempdb_store: Optional[PageStore] = None
-
-    if not plan.needs_remote:
-        # Purely local plans: every tier maps onto an attached device.
-        for index, tier in enumerate(plan.extension):
-            ext_stores.append(local_ext_store(index, tier))
-        tempdb_store = local_tempdb_store()
-    else:
-        # Remote placements need memory servers.
+    if plan.needs_remote:
         remote_bytes_needed = (bpext_pages + tempdb_pages) * PAGE_SIZE + 64 * MB
         per_server = remote_bytes_needed // n_memory_servers + 32 * MB
         for index in range(n_memory_servers):
@@ -242,27 +199,12 @@ def build_database(
         if plan.protocol in ("smb", "smbdirect"):
             mem = setup.memory_servers[0]
             drive = mem.attach_device("ramdrive", RamDrive(sim, name=f"{mem.name}.ramdrive"))
-            file_server = SmbFileServer(mem, drive)
-            client_cls = SmbClient if plan.protocol == "smb" else SmbDirectClient
-            for index, tier in enumerate(plan.extension):
-                if tier.medium == "remote":
-                    ext_stores.append(SmbPageFile(
-                        _ext_file_id(index), db_server,
-                        client_cls(db_server, file_server),
-                        capacity_pages=tier.capacity_pages,
-                    ))
-                else:
-                    ext_stores.append(local_ext_store(index, tier))
-            if plan.tempdb.medium == "remote":
-                tempdb_store = SmbPageFile(
-                    TEMPDB_FILE_ID, db_server, client_cls(db_server, file_server),
-                    capacity_pages=tempdb_pages,
-                )
-            else:
-                tempdb_store = local_tempdb_store()
+            node.attach_smb(
+                SmbFileServer(mem, drive),
+                SmbClient if plan.protocol == "smb" else SmbDirectClient,
+            )
         else:  # ndspi
             broker = MemoryBroker(sim)
-            policy = AccessPolicy.SYNC if plan.sync_remote_io else AccessPolicy.ASYNC
             layer = None
             if reliability:
                 reliability_policy = (
@@ -274,19 +216,13 @@ def build_database(
                     sim, cluster.rng.stream("reliability"), reliability_policy
                 )
                 setup.reliability = layer
-            fs = RemoteMemoryFilesystem(
-                db_server, broker, StagingPool(db_server, schedulers=db_cores),
-                policy=policy, reliability=layer,
+            fs = node.attach_remote_fs(
+                broker, schedulers=db_cores,
+                policy=AccessPolicy.SYNC if spec.sync_remote_io else AccessPolicy.ASYNC,
+                reliability=layer,
             )
             setup.broker = broker
             setup.remote_fs = fs
-
-            # Local tiers of a mixed stack attach directly; remote tiers
-            # are placeholders until the bootstrap opens their files.
-            for index, tier in enumerate(plan.extension):
-                ext_stores.append(
-                    None if tier.medium == "remote" else local_ext_store(index, tier)
-                )
 
             def bootstrap():
                 yield from fs.initialize()
@@ -294,51 +230,17 @@ def build_database(
                     proxy = MemoryProxy(server, broker, mr_bytes=64 * MB)
                     setup.proxies[server.name] = proxy
                     yield from proxy.offer_available(limit_bytes=per_server + 128 * MB)
-                spread = n_memory_servers > 1
-                for index, tier in enumerate(plan.extension):
-                    if tier.medium != "remote":
-                        continue
-                    file = yield from fs.create(
-                        tier.name, tier.capacity_pages * PAGE_SIZE, spread=spread
-                    )
-                    yield from file.open()
-                    ext_stores[index] = RemotePageFile(
-                        _ext_file_id(index), file, capacity_pages=tier.capacity_pages
-                    )
-                if plan.tempdb.medium == "remote":
-                    file = yield from fs.create(
-                        "tempdb", tempdb_pages * PAGE_SIZE, spread=spread
-                    )
-                    yield from file.open()
-                    return RemotePageFile(
-                        TEMPDB_FILE_ID, file, capacity_pages=tempdb_pages
-                    )
-                return None
+                yield from node.open_remote_stores(
+                    plan, file_name=lambda store: store, spread=n_memory_servers > 1
+                )
 
-            tempdb_store = setup.run(bootstrap())
-            if tempdb_store is None:
-                tempdb_store = local_tempdb_store()
-
-    extension = build_stack(
-        Tier(
-            name=tier.name, store=store, medium=tier.medium,
-            latency_class=tier.latency_class, promote_on_hit=tier.promote_on_hit,
-        )
-        for tier, store in zip(plan.extension, ext_stores)
-    )
+            setup.run(bootstrap())
 
     total_bp_pages = bp_pages
     if spec.pool_absorbs_extension:
         total_bp_pages += local_memory_bonus_pages
-
-    database = Database(
-        db_server,
-        bp_pages=total_bp_pages,
-        data_device=hdd,
-        log_device=local_media[plan.wal.medium],
-        extension=extension,
-        tempdb_store=tempdb_store,
-        workspace_bytes=workspace_bytes,
+    database = node.build_database(
+        plan, bp_pages=total_bp_pages, workspace_bytes=workspace_bytes
     )
     if setup.reliability is not None:
         database.pool.attach_reliability(setup.reliability)
@@ -357,13 +259,16 @@ def build_database(
     return setup
 
 
-def warm_extension(pool, max_pages: Optional[int] = None) -> int:
-    """Install every base-file page of a BufferPool into its extension.
+def prewarm_extension(target, max_pages: Optional[int] = None) -> int:
+    """Install every base-file page into the BPExt (steady-state setup).
 
-    Pool-level worker shared by the single-node :class:`DbSetup` path
-    and the distributed builders (repro.dist warms each shard's stack).
-    Returns pages installed.
+    Long-running systems reach a state where the extension holds the
+    whole working set; benchmarks call this instead of burning wall
+    clock replaying hours of warm-up traffic.  ``target`` is a
+    :class:`DbSetup` or a :class:`~repro.engine.Database` (repro.dist
+    warms each shard's engine).  Returns pages installed.
     """
+    pool = target.pool
     extension = pool.extension
     if extension is None:
         return 0
@@ -381,8 +286,15 @@ def warm_extension(pool, max_pages: Optional[int] = None) -> int:
     return installed
 
 
-def warm_pool(pool, max_pages: Optional[int] = None) -> int:
-    """Fill a BufferPool with base-file pages; returns pages cached."""
+def prewarm_pool(target, max_pages: Optional[int] = None) -> int:
+    """Fill the buffer pool with base-file pages (steady-state setup).
+
+    Used chiefly for the *Local Memory* design, whose pool is large
+    enough to hold the database: benchmarks measure steady state, not
+    the hours of traffic it takes to get there.  ``target`` as for
+    :func:`prewarm_extension`.  Returns pages cached.
+    """
+    pool = target.pool
     budget = pool.capacity_pages if max_pages is None else min(pool.capacity_pages, max_pages)
     installed = 0
     for store in pool.files.values():
@@ -394,57 +306,27 @@ def warm_pool(pool, max_pages: Optional[int] = None) -> int:
     return installed
 
 
-def prewarm_extension(setup: DbSetup, max_pages: Optional[int] = None) -> int:
-    """Install every base-file page into the BPExt (steady-state setup).
-
-    Long-running systems reach a state where the extension holds the
-    whole working set; benchmarks call this instead of burning wall
-    clock replaying hours of warm-up traffic.  Returns pages installed.
-    """
-    return warm_extension(setup.database.pool, max_pages)
-
-
-def prewarm_pool(setup: DbSetup, max_pages: Optional[int] = None) -> int:
-    """Fill the buffer pool with base-file pages (steady-state setup).
-
-    Used chiefly for the *Local Memory* design, whose pool is large
-    enough to hold the database: benchmarks measure steady state, not
-    the hours of traffic it takes to get there.  Returns pages cached.
-    """
-    return warm_pool(setup.database.pool, max_pages)
-
-
 def rebuild_extension(setup: DbSetup, name: Optional[str] = None):
     """Re-acquire remote memory for the BPExt after a provider crash.
 
-    ``yield from``-able: creates a fresh remote file (new leases, new
-    queue pairs), points the extension at it via
-    :meth:`~repro.engine.bufferpool.BufferPoolExtension.replace_store`,
-    and drops the dead file.  The extension starts empty and re-warms as
-    clean pages are evicted into it — the recovery curve of the
-    fault-injection experiments.  Returns the new store.
+    ``yield from``-able: leases a fresh remote file (new leases, new
+    queue pairs), points the extension's remote level at it
+    (:func:`~repro.harness.node.rebuild_remote_level`) and drops the
+    dead file.  The level starts empty and re-warms as clean pages are
+    evicted into it — the recovery curve of the fault-injection
+    experiments.  Returns the new store.
     """
     extension = setup.database.pool.extension
     if extension is None or setup.remote_fs is None:
         raise ValueError("rebuild_extension needs an NDSPI-plan setup")
-    # A TierStack rebuilds its remote level; a single extension is its
-    # own level.
-    levels = getattr(extension, "levels", None)
-    level = extension if levels is None else next(
-        (lv for lv in levels if isinstance(lv.store, RemotePageFile)), None
-    )
-    if level is None or not isinstance(level.store, RemotePageFile):
+    level = extension.level_for("remote")
+    if level is None:
         raise ValueError("the extension has no remote-memory tier")
-    old_store = level.store
-    old_file = old_store.remote_file
-    file_name = name if name is not None else f"{old_file.name}.r{len(setup.remote_fs.files)}"
-    pages = level.capacity_pages
-    spread = len(setup.memory_servers) > 1
-    new_file = yield from setup.remote_fs.create(
-        file_name, pages * PAGE_SIZE, spread=spread
+    old_file = level.store.remote_file
+    new_store = yield from rebuild_remote_level(
+        setup.remote_fs, extension, level,
+        name if name is not None else f"{old_file.name}.r{len(setup.remote_fs.files)}",
+        level.capacity_pages, spread=len(setup.memory_servers) > 1,
     )
-    yield from new_file.open()
-    new_store = RemotePageFile(old_store.file_id, new_file, capacity_pages=pages)
-    level.replace_store(new_store)
     yield from setup.remote_fs.delete(old_file)
     return new_store

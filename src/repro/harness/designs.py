@@ -13,18 +13,19 @@ Local Memory           HDD         SSD           (not needed)  —
 
 For analytic workloads the paper disables BPExt on the HDD/HDD+SSD
 baselines because redirecting sequential scans to the SSD's random path
-is a loss (Section 5.3); :attr:`DesignConfig.bpext_for_analytics`
-captures that rule.
+is a loss (Section 5.3); :attr:`~repro.tiers.TierSpec.extension_for_analytics`
+captures that rule.  Table 5 keeps the log on the HDD array in every
+design; semantic-cache structures go wherever remote memory is
+available (else the SSD).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from ..tiers import TierDef, TierSpec, spec_for
+from ..tiers import TierDef, TierSpec
 
-__all__ = ["Design", "DesignConfig", "DESIGNS", "REMOTE_DESIGNS", "TIER_SPECS"]
+__all__ = ["Design", "TIER_SPECS"]
 
 
 class Design(enum.Enum):
@@ -39,74 +40,41 @@ class Design(enum.Enum):
     THREE_TIER = "ThreeTier"
 
 
-@dataclass(frozen=True)
-class DesignConfig:
-    design: Design
-    #: Medium for TempDB: "hdd", "ssd" or "remote".
-    tempdb: str
-    #: Medium for the buffer-pool extension (None = disabled).
-    bpext: str | None
-    #: Transport for remote memory: None, "smb", "smbdirect", "ndspi".
-    protocol: str | None
-    #: Whether BPExt stays enabled for sequential/analytic workloads.
-    bpext_for_analytics: bool
-    #: Whether remote I/O is waited on synchronously (spin).
-    sync_remote_io: bool
 
-
-DESIGNS: dict[Design, DesignConfig] = {
-    Design.HDD: DesignConfig(
-        Design.HDD, tempdb="hdd", bpext=None, protocol=None,
-        bpext_for_analytics=False, sync_remote_io=False,
-    ),
-    Design.HDD_SSD: DesignConfig(
-        Design.HDD_SSD, tempdb="ssd", bpext="ssd", protocol=None,
-        bpext_for_analytics=False, sync_remote_io=False,
-    ),
-    Design.SMB_RAMDRIVE: DesignConfig(
-        Design.SMB_RAMDRIVE, tempdb="remote", bpext="remote", protocol="smb",
-        bpext_for_analytics=True, sync_remote_io=False,
-    ),
-    Design.SMBDIRECT_RAMDRIVE: DesignConfig(
-        Design.SMBDIRECT_RAMDRIVE, tempdb="remote", bpext="remote",
-        protocol="smbdirect", bpext_for_analytics=True, sync_remote_io=False,
-    ),
-    Design.CUSTOM: DesignConfig(
-        Design.CUSTOM, tempdb="remote", bpext="remote", protocol="ndspi",
-        bpext_for_analytics=True, sync_remote_io=True,
-    ),
-    Design.LOCAL_MEMORY: DesignConfig(
-        Design.LOCAL_MEMORY, tempdb="ssd", bpext=None, protocol=None,
-        bpext_for_analytics=False, sync_remote_io=False,
-    ),
-}
-
-#: Designs that place TempDB/BPExt in remote memory.
-REMOTE_DESIGNS = (Design.SMB_RAMDRIVE, Design.SMBDIRECT_RAMDRIVE, Design.CUSTOM)
-
-#: Every design compiled to the declarative tier grammar.  The Table-5
-#: rows compile mechanically from their :class:`DesignConfig`; the
-#: builder consumes only these specs, never the configs.
+#: Every design in the declarative tier grammar — the only form the
+#: builder consumes.
 TIER_SPECS: dict[Design, TierSpec] = {
-    design: spec_for(
-        config, pool_absorbs_extension=design is Design.LOCAL_MEMORY
-    )
-    for design, config in DESIGNS.items()
-}
-
-#: The three-tier hierarchy is data, not a code path: a hot SSD tier
-#: absorbs pool evictions, overflow demotes to a larger remote tier,
-#: and remote hits promote back up.  TempDB rides the remote memory.
-TIER_SPECS[Design.THREE_TIER] = TierSpec(
-    name="ThreeTier",
-    extension=(
-        TierDef(medium="ssd", share=1.0),
-        TierDef(medium="remote", share=2.0, promote_on_hit=True),
+    Design.HDD: TierSpec(name="HDD", tempdb="hdd", extension_for_analytics=False),
+    Design.HDD_SSD: TierSpec(
+        name="HDD+SSD", extension=(TierDef(medium="ssd"),), tempdb="ssd",
+        extension_for_analytics=False,
     ),
-    tempdb="remote",
-    wal="hdd",
-    semcache="remote",
-    protocol="ndspi",
-    sync_remote_io=True,
-    extension_for_analytics=True,
-)
+    Design.SMB_RAMDRIVE: TierSpec(
+        name="SMB+RamDrive", extension=(TierDef(medium="remote"),),
+        tempdb="remote", semcache="remote", protocol="smb",
+    ),
+    Design.SMBDIRECT_RAMDRIVE: TierSpec(
+        name="SMBDirect+RamDrive", extension=(TierDef(medium="remote"),),
+        tempdb="remote", semcache="remote", protocol="smbdirect",
+    ),
+    # Only Custom spin-waits on remote completions (Section 4.1.3).
+    Design.CUSTOM: TierSpec(
+        name="Custom", extension=(TierDef(medium="remote"),),
+        tempdb="remote", semcache="remote", protocol="ndspi", sync_remote_io=True,
+    ),
+    Design.LOCAL_MEMORY: TierSpec(
+        name="Local Memory", tempdb="ssd", extension_for_analytics=False,
+        pool_absorbs_extension=True,
+    ),
+    # The three-tier hierarchy is data, not a code path: a hot SSD tier
+    # absorbs pool evictions, overflow demotes to a larger remote tier,
+    # and remote hits promote back up.  TempDB rides the remote memory.
+    Design.THREE_TIER: TierSpec(
+        name="ThreeTier",
+        extension=(
+            TierDef(medium="ssd", share=1.0),
+            TierDef(medium="remote", share=2.0, promote_on_hit=True),
+        ),
+        tempdb="remote", semcache="remote", protocol="ndspi", sync_remote_io=True,
+    ),
+}

@@ -22,7 +22,6 @@ __all__ = [
     "register_cpu",
     "register_pool",
     "register_extension",
-    "register_tier",
     "register_remote_file",
     "register_reliability",
     "register_txn",
@@ -84,35 +83,26 @@ def register_pool(registry: MetricsRegistry, prefix: str, pool: Any) -> None:
 
 
 def register_extension(registry: MetricsRegistry, prefix: str, ext: Any) -> None:
-    """Adopt a single extension *or* a tier stack.
+    """Adopt a :class:`~repro.engine.BufferPoolExtension`.
 
-    Aggregate names stay identical either way (benchmarks read
-    ``bp.ext.hits`` regardless of topology); a stack additionally
-    exposes each level under ``{prefix}.tier.<name>.*`` plus its
-    demotion/promotion counters.
+    Aggregates over the hierarchy sit directly under ``prefix``
+    (benchmarks read ``bp.ext.hits`` whatever the topology); each level
+    exposes the same accounting under ``{prefix}.tier.<name>.*``.
     """
-    registry.register(f"{prefix}.read_latency", ext.read_latency)
-    for attr in ("hits", "misses", "failures", "transient_failures", "quarantine_skips"):
+    scopes = [(prefix, ext)]
+    scopes += [(f"{prefix}.tier.{level.name}", level) for level in ext.levels]
+    for scope, obj in scopes:
+        registry.register(f"{scope}.read_latency", obj.read_latency)
+        for attr in (
+            "hits", "misses", "failures", "transient_failures",
+            "quarantine_skips", "pages_lost_to_faults",
+            "parked_pages", "capacity_pages",
+        ):
+            _gauge_attr(registry, f"{scope}.{attr}", obj, attr)
+    for attr in ("demotions", "demotions_failed", "promotions"):
         _gauge_attr(registry, f"{prefix}.{attr}", ext, attr)
-    if getattr(ext, "bytes_series", None) is not None:
+    if ext.bytes_series is not None:
         registry.register(f"{prefix}.bytes", ext.bytes_series)
-    levels = getattr(ext, "levels", None)
-    if levels:
-        _gauge_attr(registry, f"{prefix}.demotions", ext, "demotions")
-        _gauge_attr(registry, f"{prefix}.promotions", ext, "promotions")
-        for level in levels:
-            register_tier(registry, f"{prefix}.tier.{level.tier.name}", level)
-
-
-def register_tier(registry: MetricsRegistry, prefix: str, level: Any) -> None:
-    """One level of a tier stack: per-tier accounting and occupancy."""
-    registry.register(f"{prefix}.read_latency", level.read_latency)
-    for attr in (
-        "hits", "misses", "failures", "transient_failures",
-        "quarantine_skips", "pages_lost_to_faults",
-        "parked_pages", "capacity_pages",
-    ):
-        _gauge_attr(registry, f"{prefix}.{attr}", level, attr)
 
 
 def register_remote_file(registry: MetricsRegistry, prefix: str, file: Any) -> None:

@@ -1,19 +1,20 @@
-"""Declarative memory hierarchy: tiers, stacks and design specs.
+"""Declarative memory hierarchy: tiers and design specs.
 
 The paper's six Table-5 design alternatives — and its Section-8
 future-work three-tier hierarchy — are one idea: a page can live in
 local DRAM, on the SSD, or in remote memory behind a protocol.  This
 package makes that topology *configuration*:
 
-* :class:`Tier` — a page store plus capacity/latency-class metadata;
-* :class:`TierStack` — placement, promotion/demotion and per-tier
-  eviction over an ordered list of tiers;
+* :class:`Tier` — one level: a page store plus its latency-class and
+  placement metadata, slot map and counters.  An ordered list of them
+  is what :class:`~repro.engine.BufferPoolExtension` runs placement,
+  promotion/demotion and per-tier eviction over;
 * :class:`TierSpec` / :class:`TierPlan` — the declarative grammar a
-  design compiles to, consumed by the harness builder.
+  design is written in, consumed by the node assembler
+  (:mod:`repro.harness.node`).
 """
 
-from .spec import ResolvedTier, TierDef, TierPlan, TierSpec, spec_for
-from .stack import TierStack, build_stack
+from .spec import ResolvedTier, TierDef, TierPlan, TierSpec
 from .tier import LATENCY_CLASSES, Tier, latency_class_for
 
 __all__ = [
@@ -23,8 +24,5 @@ __all__ = [
     "TierDef",
     "TierPlan",
     "TierSpec",
-    "TierStack",
-    "build_stack",
     "latency_class_for",
-    "spec_for",
 ]

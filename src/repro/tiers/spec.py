@@ -25,7 +25,7 @@ from typing import Optional
 
 from .tier import latency_class_for
 
-__all__ = ["TierDef", "TierSpec", "ResolvedTier", "TierPlan", "spec_for"]
+__all__ = ["TierDef", "TierSpec", "ResolvedTier", "TierPlan"]
 
 #: Media a tier may live on.
 MEDIA = ("hdd", "ssd", "remote")
@@ -157,41 +157,9 @@ class TierPlan:
         return self.spec.protocol
 
     @property
-    def sync_remote_io(self) -> bool:
-        return self.spec.sync_remote_io
-
-    @property
-    def semcache(self) -> str:
-        return self.spec.semcache
-
-    @property
     def needs_remote(self) -> bool:
         """Whether any placed store lives behind the remote protocol."""
         return self.protocol is not None
 
     def remote_extension_tiers(self) -> tuple[ResolvedTier, ...]:
         return tuple(tier for tier in self.extension if tier.medium == "remote")
-
-
-def spec_for(config, pool_absorbs_extension: bool = False) -> TierSpec:
-    """Compile a Table-5 :class:`~repro.harness.DesignConfig` to a spec.
-
-    Mechanical: one optional extension tier on ``config.bpext``, TempDB
-    on ``config.tempdb``, WAL on the HDD array (Table 5 keeps the log
-    local in every design), semantic cache wherever remote memory is
-    available (else the SSD).
-    """
-    extension: tuple[TierDef, ...] = ()
-    if config.bpext is not None:
-        extension = (TierDef(medium=config.bpext),)
-    return TierSpec(
-        name=config.design.value,
-        extension=extension,
-        tempdb=config.tempdb,
-        wal="hdd",
-        semcache="remote" if config.protocol is not None else "ssd",
-        protocol=config.protocol,
-        sync_remote_io=config.sync_remote_io,
-        extension_for_analytics=config.bpext_for_analytics,
-        pool_absorbs_extension=pool_absorbs_extension,
-    )

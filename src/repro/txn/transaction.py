@@ -339,18 +339,10 @@ class TransactionManager:
         self.dooms = 0
         self.retries = 0
         self.exhausted = 0
-        self._subscribe_loss(db.pool.extension)
+        if db.pool.extension is not None:
+            db.pool.extension.loss_listeners.append(self._on_media_loss)
 
     # -- fault coupling ----------------------------------------------------
-
-    def _subscribe_loss(self, extension: Optional[object]) -> None:
-        if extension is None:
-            return
-        levels = getattr(extension, "levels", None)
-        for level in levels if levels is not None else [extension]:
-            listeners = getattr(level, "loss_listeners", None)
-            if listeners is not None:
-                listeners.append(self._on_media_loss)
 
     def _on_media_loss(self, provider: Optional[str], lost: list) -> None:
         """Extension pages evaporated: doom every in-flight transaction."""

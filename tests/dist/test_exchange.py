@@ -4,32 +4,34 @@ import pytest
 
 from repro.dist import (
     BroadcastExchange,
-    DistQuery,
     DistSpec,
     build_dist,
-    execute_query,
+    execute_plan,
     load_tpch_partitioned,
     prewarm_dist,
 )
 from repro.engine import TableScan
 from repro.faults import FaultEngine, FaultPlan
 from repro.net import RdmaError
+from repro.plan import Join, Project, Scan, TopN
 from repro.sim.kernel import AllOf, SimulationError
 from repro.storage import MB
 from repro.workloads import TpchScale, generate_tpch_rows
 
 SMALL = TpchScale(orders=400, lines_per_order=2, customers=100, parts=80, suppliers=20)
 
-CUST_ORDERS = DistQuery(
-    name="cust_orders",
-    build_table="customer", build_key="custkey",
-    probe_table="orders", probe_key="custkey",
-    build_filter=("acctbal", "<", 60.0),
-    probe_filter=("orderdate", "<", 1500),
-    projection=(("build", "custkey"), ("build", "acctbal"),
-                ("probe", "orderkey"), ("probe", "totalprice")),
-    top_n=300,
-)
+CUST_ORDERS = TopN(Project(
+    Join(
+        Scan("customer", conditions=(("acctbal", "<", 60.0),)),
+        Scan("orders", conditions=(("orderdate", "<", 1500),)),
+        "customer.custkey", "orders.custkey",
+    ),
+    ("customer.custkey", "customer.acctbal", "orders.orderkey", "orders.totalprice"),
+), 300)
+
+
+def run_cust_orders(setup):
+    return execute_plan(setup, CUST_ORDERS, name="cust_orders")
 
 
 def partitioned_setup(n=2, seed=5, **overrides):
@@ -64,13 +66,14 @@ class TestEdgeCases:
     def test_zero_row_partitions(self):
         """A probe filter that drops everything still terminates cleanly."""
         setup = partitioned_setup()
-        empty = DistQuery(
-            name="empty", build_table="customer", build_key="custkey",
-            probe_table="orders", probe_key="custkey",
-            probe_filter=("orderdate", "<", -1),
-            projection=(("probe", "orderkey"),), top_n=10,
-        )
-        result = execute_query(setup, empty)
+        empty = TopN(Project(
+            Join(
+                Scan("customer"), Scan("orders", conditions=(("orderdate", "<", -1),)),
+                "customer.custkey", "orders.custkey",
+            ),
+            ("orders.orderkey",),
+        ), 10)
+        result = execute_plan(setup, empty, name="empty")
         assert result.rows == []
         # Only EOS control batches crossed the wire.
         shuffle = setup.runtime.stats["empty.run.shuffle"]
@@ -80,26 +83,26 @@ class TestEdgeCases:
     def test_single_server_degenerate_topology(self):
         """fragments=1: everything self-ships, zero wire traffic."""
         setup = partitioned_setup(n=1)
-        result = execute_query(setup, CUST_ORDERS)
+        result = run_cust_orders(setup)
         assert len(result.rows) > 0
         assert result.metrics["exchange_bytes"] == 0
         assert setup.runtime.channels == {}
         # Same answer as a 2-server run of the same data.
-        two = execute_query(partitioned_setup(n=2), CUST_ORDERS)
+        two = run_cust_orders(partitioned_setup(n=2))
         assert result.rows == two.rows
 
     def test_seeded_merge_determinism(self):
         """Two identical runs produce bit-identical rows and metrics."""
-        first = execute_query(partitioned_setup(), CUST_ORDERS)
-        second = execute_query(partitioned_setup(), CUST_ORDERS)
+        first = run_cust_orders(partitioned_setup())
+        second = run_cust_orders(partitioned_setup())
         assert first.rows == second.rows
         assert first.metrics == second.metrics
         assert first.elapsed_us == second.elapsed_us
 
     def test_merge_invariant_to_credit_budget(self):
         """Credits change timing, never the merged row order."""
-        plenty = execute_query(partitioned_setup(credits=8), CUST_ORDERS)
-        starved = execute_query(partitioned_setup(credits=1), CUST_ORDERS)
+        plenty = run_cust_orders(partitioned_setup(credits=8))
+        starved = run_cust_orders(partitioned_setup(credits=1))
         assert plenty.rows == starved.rows
         assert starved.elapsed_us >= plenty.elapsed_us
 
@@ -121,7 +124,7 @@ class TestEdgeCases:
 class TestCreditStarvation:
     def test_degraded_link_stalls_credits_but_not_correctness(self):
         """Reuses the faults link-degradation injector on a receiver."""
-        baseline = execute_query(partitioned_setup(credits=1), CUST_ORDERS)
+        baseline = run_cust_orders(partitioned_setup(credits=1))
 
         setup = partitioned_setup(credits=1)
         engine = FaultEngine(
@@ -133,7 +136,7 @@ class TestCreditStarvation:
             latency_multiplier=50.0,
         )
         engine.run_plan(plan)
-        degraded = execute_query(setup, CUST_ORDERS)
+        degraded = run_cust_orders(setup)
         assert degraded.rows == baseline.rows
         assert (
             degraded.metrics["credit_stalls_us"]
@@ -152,7 +155,7 @@ class TestCreditStarvation:
                 at_us=setup.sim.now, server="db1", duration_us=60e6,
                 latency_multiplier=50.0, drop_probability=0.05,
             ))
-            result = execute_query(setup, CUST_ORDERS)
+            result = run_cust_orders(setup)
             return result.rows, result.elapsed_us, result.metrics
 
         assert once() == once()
@@ -175,7 +178,7 @@ class TestStagingRevocation:
 
             setup.sim.spawn(revoke())
             with pytest.raises((RdmaError, SimulationError)) as exc_info:
-                execute_query(setup, CUST_ORDERS)
+                run_cust_orders(setup)
             exc = exc_info.value
             cause = exc.__cause__ if isinstance(exc, SimulationError) else exc
             assert isinstance(cause, RdmaError)

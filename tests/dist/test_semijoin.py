@@ -4,13 +4,13 @@ import pytest
 
 from repro.dist import (
     BloomFilter,
-    DistQuery,
     DistSpec,
     build_dist,
-    execute_query,
+    execute_plan,
     load_tpch_partitioned,
     prewarm_dist,
 )
+from repro.plan import Join, PlanNode, Project, Scan, TopN
 from repro.workloads import TpchScale
 
 SMALL = TpchScale(orders=400, lines_per_order=2, customers=100, parts=80, suppliers=20)
@@ -57,15 +57,13 @@ class TestBloomFilter:
         assert "orderkey" in bloom and 42 in bloom
 
 
-def _query(semijoin: bool) -> DistQuery:
-    return DistQuery(
-        name="semi", build_table="customer", build_key="custkey",
-        probe_table="orders", probe_key="custkey",
-        build_filter=("acctbal", "<", 60.0),
-        projection=(("build", "custkey"), ("probe", "orderkey"),
-                    ("probe", "totalprice")),
-        top_n=400, semijoin=semijoin,
+def _query(semijoin: bool) -> PlanNode:
+    join = Join(
+        Scan("customer", conditions=(("acctbal", "<", 60.0),)), Scan("orders"),
+        "customer.custkey", "orders.custkey", semijoin=semijoin,
     )
+    columns = ("customer.custkey", "orders.orderkey", "orders.totalprice")
+    return TopN(Project(join, columns), 400)
 
 
 def _run(semijoin: bool, tag: str):
@@ -75,7 +73,7 @@ def _run(semijoin: bool, tag: str):
     ))
     load_tpch_partitioned(setup, scale=SMALL, seed=7)
     prewarm_dist(setup)
-    result = execute_query(setup, _query(semijoin), tag=tag)
+    result = execute_plan(setup, _query(semijoin), name="semi", tag=tag)
     return result, setup
 
 

@@ -1,28 +1,26 @@
 """Dist telemetry: exchange gauges, tracing invariance, trace export."""
 
 from repro.dist import (
-    DistQuery,
     DistSpec,
     Strategy,
     build_strategy,
-    compile_fragments,
-    execute_query,
+    compile_plan_fragments,
+    execute_plan,
 )
+from repro.plan import Join, Project, Scan, TopN
 from repro.telemetry import install, to_chrome_trace, validate_chrome_trace
 from repro.telemetry.attach import register_dist
 from repro.workloads import TpchScale
 
 SMALL = TpchScale(orders=300, lines_per_order=2, customers=80, parts=60, suppliers=15)
 
-CUST_ORDERS = DistQuery(
-    name="cust_orders",
-    build_table="customer", build_key="custkey",
-    probe_table="orders", probe_key="custkey",
-    build_filter=("acctbal", "<", 50.0),
-    projection=(("build", "custkey"), ("build", "acctbal"),
-                ("probe", "orderkey"), ("probe", "totalprice")),
-    top_n=250, semijoin=True,
-)
+CUST_ORDERS = TopN(Project(
+    Join(
+        Scan("customer", conditions=(("acctbal", "<", 50.0),)), Scan("orders"),
+        "customer.custkey", "orders.custkey", semijoin=True,
+    ),
+    ("customer.custkey", "customer.acctbal", "orders.orderkey", "orders.totalprice"),
+), 250)
 
 SPEC = DistSpec(name="ttest", db_servers=2, bp_pages=400, tempdb_pages=256,
                 data_spindles=2, db_cores=4)
@@ -32,7 +30,7 @@ def _fingerprint(trace: bool):
     setup = build_strategy(Strategy.QUERY, SPEC, total_ext_pages=0,
                            scale=SMALL, seed=6)
     tracer = install(setup.sim) if trace else None
-    result = execute_query(setup, CUST_ORDERS)
+    result = execute_plan(setup, CUST_ORDERS, name="cust_orders")
     fingerprint = (
         setup.sim.now,
         result.elapsed_us,
@@ -48,7 +46,7 @@ class TestRegisterDist:
                                scale=SMALL, seed=6)
         # Compiling declares the exchange ids eagerly; binding then sees
         # them even before the query runs.
-        compile_fragments(CUST_ORDERS, setup, tag="bind")
+        compile_plan_fragments(CUST_ORDERS, setup, name="cust_orders", tag="bind")
         register_dist(setup.metrics, "dist", setup.runtime)
         for tag in ("shuffle", "gather", "bloom"):
             name = f"dist.exchange.cust_orders.bind.{tag}.bytes"
@@ -64,7 +62,7 @@ class TestRegisterDist:
         register_dist(setup.metrics, "dist", setup.runtime)
         total_rows = setup.metrics.get("dist.exchange.total.rows")
         assert total_rows.read() == 0.0
-        execute_query(setup, CUST_ORDERS)
+        execute_plan(setup, CUST_ORDERS, name="cust_orders")
         expected = sum(stats.rows for stats in setup.runtime.stats.values())
         assert expected > 0
         assert total_rows.read() == float(expected)
@@ -73,7 +71,7 @@ class TestRegisterDist:
     def test_gauges_track_execution(self):
         setup = build_strategy(Strategy.QUERY, SPEC, total_ext_pages=0,
                                scale=SMALL, seed=6)
-        result = execute_query(setup, CUST_ORDERS)
+        result = execute_plan(setup, CUST_ORDERS, name="cust_orders")
         register_dist(setup.metrics, "dist", setup.runtime)
         shuffle = setup.runtime.stats["cust_orders.run.shuffle"]
         prefix = "dist.exchange.cust_orders.run.shuffle"

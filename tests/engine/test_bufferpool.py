@@ -5,10 +5,13 @@ import pytest
 from repro.engine.bufferpool import BufferPool, BufferPoolExtension
 from repro.engine.files import DevicePageFile, RemotePageFile
 from repro.engine.page import Page
+from repro.tiers import Tier
 
 
 def make_pool(rig, capacity=8, extension_store=None, file_device=None):
-    extension = BufferPoolExtension(extension_store) if extension_store else None
+    extension = (
+        BufferPoolExtension([Tier("bpext", extension_store)]) if extension_store else None
+    )
     pool = BufferPool(rig.db, capacity_pages=capacity, extension=extension)
     device = file_device if file_device is not None else rig.hdd
     data = DevicePageFile(1, rig.db, device)
@@ -237,12 +240,12 @@ class TestExtensionFaultHooks:
         for n in range(5):  # park page 0
             rig.run(pool.get_page(1, n))
         assert ext.contains((1, 0))
-        slot = ext._slots[(1, 0)]
-        free_before = len(ext._free)
-        ext._on_failure((1, 0), slot)
+        slot = ext.levels[0].slots[(1, 0)]
+        free_before = len(ext.levels[0].free)
+        ext._on_failure(ext.levels[0], (1, 0), slot)
         assert not ext.contains((1, 0))
-        assert slot in ext._free
-        assert len(ext._free) == free_before + 1
+        assert slot in ext.levels[0].free
+        assert len(ext.levels[0].free) == free_before + 1
         assert ext.failures == 1
 
     def test_on_failure_is_idempotent_per_slot(self, rig):
@@ -252,10 +255,10 @@ class TestExtensionFaultHooks:
         ext = pool.extension
         for n in range(5):
             rig.run(pool.get_page(1, n))
-        slot = ext._slots[(1, 0)]
-        ext._on_failure((1, 0), slot)
-        ext._on_failure((1, 0), slot)  # second observer of the same loss
-        assert ext._free.count(slot) == 1
+        slot = ext.levels[0].slots[(1, 0)]
+        ext._on_failure(ext.levels[0], (1, 0), slot)
+        ext._on_failure(ext.levels[0], (1, 0), slot)  # second observer of the same loss
+        assert ext.levels[0].free.count(slot) == 1
 
     def test_failed_page_refaults_from_base_and_reparks(self, rig):
         """Satellite fix: after a remote failure the page re-faults from
@@ -274,7 +277,7 @@ class TestExtensionFaultHooks:
         # Every dead slot was reclaimed, none leaked.
         dead = ext.failures
         assert dead >= 1
-        assert len(ext._free) + len(ext._slots) == ext.capacity_pages
+        assert len(ext.levels[0].free) + len(ext.levels[0].slots) == ext.capacity_pages
 
     def test_fault_listeners_observe_access_time_failures(self, rig):
         pool, _data, _store = self.make_remote_ext_pool(rig)
@@ -292,40 +295,40 @@ class TestExtensionFaultHooks:
         ext = pool.extension
         for n in range(6):
             rig.run(pool.get_page(1, n))
-        parked = len(ext._slots)
+        parked = len(ext.levels[0].slots)
         assert parked >= 1
         # A provider the store does not use loses nothing...
         assert ext.on_fault(provider="mem-elsewhere") == []
-        assert len(ext._slots) == parked
+        assert len(ext.levels[0].slots) == parked
         # ...the real provider loses everything it backs.
         lost = ext.on_fault(provider="mem0")
         assert len(lost) == parked
-        assert len(ext._slots) == 0
+        assert len(ext.levels[0].slots) == 0
         assert ext.pages_lost_to_faults == parked
-        assert len(ext._free) == ext.capacity_pages
+        assert len(ext.levels[0].free) == ext.capacity_pages
 
     def test_on_fault_without_provider_sweeps_everything(self, rig):
         pool, _data, _store = self.make_remote_ext_pool(rig)
         ext = pool.extension
         for n in range(6):
             rig.run(pool.get_page(1, n))
-        parked = len(ext._slots)
+        parked = len(ext.levels[0].slots)
         lost = ext.on_fault()
-        assert len(lost) == parked and not ext._slots
+        assert len(lost) == parked and not ext.levels[0].slots
 
     def test_replace_store_resets_and_rewarms(self, rig):
         pool, _data, _store = self.make_remote_ext_pool(rig, ext_pages=16)
         ext = pool.extension
         for n in range(5):
             rig.run(pool.get_page(1, n))
-        assert ext._slots
+        assert ext.levels[0].slots
         new_file = rig.make_remote_file("bpext-faults-2", 16 * 8192)
         new_store = RemotePageFile(50, new_file, capacity_pages=16)
-        ext.replace_store(new_store)
-        assert ext.store is new_store
-        assert not ext._slots and len(ext._free) == 16
+        ext.replace_store(ext.levels[0], new_store)
+        assert ext.levels[0].store is new_store
+        assert not ext.levels[0].slots and len(ext.levels[0].free) == 16
         assert ext.enabled
         # The extension re-warms through normal eviction traffic.
         for n in range(8, 13):
             rig.run(pool.get_page(1, n))
-        assert ext._slots  # fresh pages parked in the new store
+        assert ext.levels[0].slots  # fresh pages parked in the new store

@@ -9,6 +9,7 @@ RamDrive behind SMB.
 import pytest
 
 from repro.engine.bufferpool import BufferPoolExtension
+from repro.tiers import Tier
 from repro.engine.errors import PageNotFound
 from repro.engine.files import DevicePageFile, PageStore, RemotePageFile, SmbPageFile
 from repro.engine.page import PAGE_SIZE, Page
@@ -205,7 +206,7 @@ class TestProviderQuarantine:
     POLICY = ReliabilityPolicy(breaker_failure_threshold=3, breaker_open_us=10_000.0)
 
     def make_ext(self, rig, store):
-        ext = BufferPoolExtension(store)
+        ext = BufferPoolExtension([Tier("bpext", store)])
         ext.reliability = ReliabilityLayer(
             rig.sim, rig.cluster.rng.stream("rel"), self.POLICY
         )

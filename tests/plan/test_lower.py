@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.dist import DistQuery
-from repro.dist.planner import compile_single
 from repro.engine import (
     Column,
     CostModel,
@@ -36,34 +34,31 @@ from repro.workloads import TPCH_SCHEMAS, TpchScale, build_tpch_database
 
 SMALL = TpchScale(orders=200, lines_per_order=2, customers=60, parts=40, suppliers=10)
 
-CUST_ORDERS = DistQuery(
-    name="cust_orders",
-    build_table="customer", build_key="custkey",
-    probe_table="orders", probe_key="custkey",
-    build_filter=("acctbal", "<", 5000.0),
-    projection=(("build", "custkey"), ("build", "acctbal"),
-                ("probe", "orderkey"), ("probe", "totalprice")),
-    top_n=150,
-)
+CUST_ORDERS = TopN(Project(
+    Join(
+        Scan("customer", conditions=(("acctbal", "<", 5000.0),)), Scan("orders"),
+        "customer.custkey", "orders.custkey",
+    ),
+    ("customer.custkey", "customer.acctbal", "orders.orderkey", "orders.totalprice"),
+), 150)
 
 
-class TestLegacyEquivalence:
-    def test_ir_lowering_matches_legacy_compile_single(self, rig):
+class TestTwoTableJoin:
+    def test_lowers_to_a_hash_join_under_a_top_n_sort(self, rig):
         tables = build_tpch_database(rig.database, SMALL, seed=5)
-        legacy = compile_single(CUST_ORDERS, tables)
-        via_ir = lower_single(CUST_ORDERS.to_plan(), tables, TPCH_SCHEMAS)
-        # Identical physical shape...
-        assert explain_physical(via_ir) == explain_physical(legacy)
-        assert isinstance(via_ir, ExternalSort) and via_ir.top_n == 150
-        join = via_ir.child
+        op = lower_single(CUST_ORDERS, tables, TPCH_SCHEMAS)
+        assert isinstance(op, ExternalSort) and op.top_n == 150
+        join = op.child
         assert isinstance(join, HashJoin)
         assert isinstance(join.build, TableScan) and join.build.predicate is not None
         assert isinstance(join.probe, TableScan) and join.probe.predicate is None
-        # ...and identical rows.  (Bit-identical virtual-time cost is
-        # asserted end-to-end by the BENCH_dist goldens.)
-        first = rig.execute(via_ir)
-        second = rig.execute(compile_single(CUST_ORDERS, tables))
-        assert first.rows == second.rows
+        # Lowering is pure: a second lowering has the same shape and rows.
+        # (Bit-identical virtual-time cost is asserted end-to-end by the
+        # BENCH_dist goldens.)
+        again = lower_single(CUST_ORDERS, tables, TPCH_SCHEMAS)
+        assert explain_physical(again) == explain_physical(op)
+        first = rig.execute(op)
+        assert first.rows == rig.execute(again).rows
         assert len(first.rows) == 150
 
 
@@ -91,7 +86,7 @@ class TestFusion:
 
     def test_project_over_join_fuses_into_combine(self, rig):
         tables = build_tpch_database(rig.database, SMALL, seed=5)
-        op = lower_single(CUST_ORDERS.to_plan(), tables, TPCH_SCHEMAS)
+        op = lower_single(CUST_ORDERS, tables, TPCH_SCHEMAS)
         # No ProjectRows anywhere: the join's combine emits projected tuples.
         assert "ProjectRows" not in explain_physical(op)
 

@@ -8,9 +8,10 @@ the tests free of remote-memory bootstrap.
 
 import pytest
 
+from repro.engine import BufferPoolExtension
 from repro.engine.files import DevicePageFile
 from repro.engine.page import Page
-from repro.tiers import Tier, build_stack
+from repro.tiers import Tier
 from tests.engine.conftest import EngineRig
 
 
@@ -27,7 +28,7 @@ def make_stack(rig, cap_hot=2, cap_cold=8, promote=False):
     """SSD-over-HDD stack; ``promote`` pulls cold-tier hits back up."""
     hot = DevicePageFile(900, rig.db, rig.ssd, capacity_pages=cap_hot)
     cold = DevicePageFile(910, rig.db, rig.hdd, capacity_pages=cap_cold)
-    return build_stack(
+    return BufferPoolExtension(
         [
             Tier("bpext.ssd", hot, medium="ssd"),
             Tier("bpext.hdd", cold, medium="hdd", promote_on_hit=promote),

@@ -2,8 +2,19 @@
 
 import pytest
 
-from repro.harness import DESIGNS, TIER_SPECS, Design
-from repro.tiers import TierDef, TierSpec, latency_class_for, spec_for
+from repro.harness import TIER_SPECS, Design
+from repro.tiers import TierDef, TierSpec, latency_class_for
+
+#: Table 5, row by row: (TempDB, BPExt medium, protocol, BPExt kept for
+#: analytic workloads, synchronous remote I/O).
+TABLE_5 = {
+    Design.HDD: ("hdd", None, None, False, False),
+    Design.HDD_SSD: ("ssd", "ssd", None, False, False),
+    Design.SMB_RAMDRIVE: ("remote", "remote", "smb", True, False),
+    Design.SMBDIRECT_RAMDRIVE: ("remote", "remote", "smbdirect", True, False),
+    Design.CUSTOM: ("remote", "remote", "ndspi", True, True),
+    Design.LOCAL_MEMORY: ("ssd", None, None, False, False),
+}
 
 
 class TestValidation:
@@ -94,20 +105,18 @@ class TestResolve:
 
 
 class TestSpecCompilation:
-    @pytest.mark.parametrize("design", list(DESIGNS))
-    def test_spec_for_matches_design_config(self, design):
-        config = DESIGNS[design]
-        spec = spec_for(config)
+    @pytest.mark.parametrize("design", list(TABLE_5))
+    def test_spec_matches_table_5(self, design):
+        tempdb, bpext, protocol, bpext_for_analytics, sync_remote_io = TABLE_5[design]
+        spec = TIER_SPECS[design]
         assert spec.name == design.value
-        assert spec.tempdb == config.tempdb
-        assert spec.protocol == config.protocol
-        assert spec.sync_remote_io == config.sync_remote_io
-        assert spec.extension_for_analytics == config.bpext_for_analytics
-        if config.bpext is None:
-            assert spec.extension == ()
-        else:
-            assert [t.medium for t in spec.extension] == [config.bpext]
-        assert spec.semcache == ("remote" if config.protocol else "ssd")
+        assert spec.tempdb == tempdb
+        assert spec.wal == "hdd"  # Table 5 keeps the log local in every design
+        assert spec.protocol == protocol
+        assert spec.sync_remote_io == sync_remote_io
+        assert spec.extension_for_analytics == bpext_for_analytics
+        assert [t.medium for t in spec.extension] == ([] if bpext is None else [bpext])
+        assert spec.semcache == ("remote" if protocol else "ssd")
 
     def test_tier_specs_cover_every_design(self):
         assert set(TIER_SPECS) == set(Design)

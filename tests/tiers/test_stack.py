@@ -1,40 +1,51 @@
-"""TierStack semantics: placement, demotion, promotion, aggregation."""
+"""Multi-tier extension semantics: placement, demotion, promotion, aggregation."""
 
 import pytest
 
-from repro.engine.bufferpool import BufferPoolExtension
-from repro.engine.errors import PageNotFound
+from repro.engine import BufferPoolExtension
+from repro.engine.errors import EngineError, PageNotFound
 from repro.engine.files import DevicePageFile
-from repro.tiers import Tier, TierStack, build_stack
+from repro.harness import Design, build_database
+from repro.tiers import Tier
 from tests.tiers.conftest import make_page, make_stack
 
 
-class TestBuildStack:
-    def test_no_tiers_means_no_extension(self):
-        assert build_stack([]) is None
+class TestLevels:
+    def test_an_extension_needs_a_tier(self):
+        with pytest.raises(EngineError):
+            BufferPoolExtension([])
 
-    def test_single_tier_is_a_plain_extension(self, rig):
-        store = DevicePageFile(900, rig.db, rig.ssd, capacity_pages=4)
-        ext = build_stack([Tier("bpext", store, medium="ssd")])
-        assert isinstance(ext, BufferPoolExtension)
-        assert not isinstance(ext, TierStack)
-        assert ext.tier.name == "bpext"
+    def test_a_one_tier_plan_builds_one_level(self):
+        assert build_database(Design.HDD, bp_pages=64).database.pool.extension is None
+        ext = build_database(
+            Design.HDD_SSD, bp_pages=64, bpext_pages=128
+        ).database.pool.extension
+        assert [(lv.name, lv.medium, lv.capacity_pages) for lv in ext.levels] == [
+            ("bpext", "ssd", 128)
+        ]
+        # One tier, one recorder: the aggregate is the level's own.
+        assert ext.read_latency is ext.levels[0].read_latency
+
+    def test_one_tier_keeps_its_last_victim_out(self, rig):
+        store = DevicePageFile(900, rig.db, rig.ssd, capacity_pages=2)
+        ext = BufferPoolExtension([Tier("bpext", store, medium="ssd")])
+        for n in range(3):
+            rig.run(ext.put(make_page(n)))
+        assert not ext.contains((1, 0))  # nowhere to demote to: dropped
+        assert (ext.demotions, ext.demotions_failed) == (0, 0)
 
     def test_two_tiers_compose_a_stack(self, rig):
         stack = make_stack(rig)
-        assert isinstance(stack, TierStack)
-        assert [tier.name for tier in stack.tiers] == ["bpext.ssd", "bpext.hdd"]
-        # Every level except the last has a demotion path.
-        assert stack.levels[0].demote_sink is not None
-        assert stack.levels[1].demote_sink is None
+        assert [lv.name for lv in stack.levels] == ["bpext.ssd", "bpext.hdd"]
+        assert stack.read_latency is not stack.levels[0].read_latency
 
 
 class TestPlacement:
     def test_put_lands_in_the_fastest_tier(self, rig):
         stack = make_stack(rig)
         rig.run(stack.put(make_page(0)))
-        assert stack.levels[0].contains((1, 0))
-        assert not stack.levels[1].contains((1, 0))
+        assert (1, 0) in stack.levels[0].slots
+        assert (1, 0) not in stack.levels[1].slots
 
     def test_overflow_demotes_the_coldest_page(self, rig):
         stack = make_stack(rig, cap_hot=2)
@@ -43,10 +54,35 @@ class TestPlacement:
         assert stack.demotions == 1
         # Page 0 was evicted from the hot tier into the cold tier, not
         # dropped; the two newest pages stay hot.
-        assert stack.levels[1].contains((1, 0))
-        assert stack.levels[0].contains((1, 1))
-        assert stack.levels[0].contains((1, 2))
+        assert (1, 0) in stack.levels[1].slots
+        assert (1, 1) in stack.levels[0].slots
+        assert (1, 2) in stack.levels[0].slots
         assert stack.contains((1, 0))
+
+    def test_failed_demotion_read_is_counted_not_silent(self, rig):
+        stack = make_stack(rig, cap_hot=2)
+        for n in range(2):
+            rig.run(stack.put(make_page(n)))
+        hot = stack.levels[0]
+        hot.store.discard(hot.slots[(1, 0)])  # the victim's image vanishes
+        rig.run(stack.put(make_page(2)))
+        assert (stack.demotions, stack.demotions_failed) == (0, 1)
+        assert not stack.contains((1, 0))  # lost from the cache, not demoted
+        assert (1, 2) in hot.slots  # the slot was still reused
+
+    def test_unexpected_demotion_errors_propagate(self, rig):
+        stack = make_stack(rig, cap_hot=2)
+        for n in range(2):
+            rig.run(stack.put(make_page(n)))
+
+        def broken_read(slot, background=False):
+            raise RuntimeError("not a cache-miss condition")
+            yield
+
+        stack.levels[0].store.read_page = broken_read
+        with pytest.raises(RuntimeError):
+            rig.run(stack.put(make_page(2)))
+        assert stack.demotions_failed == 0
 
     def test_put_skips_pages_a_lower_tier_already_holds(self, rig):
         stack = make_stack(rig, cap_hot=2)
@@ -57,7 +93,7 @@ class TestPlacement:
         # The cold copy is current (updates invalidate every level), so
         # re-parking it up top would double-cache and churn demotions.
         assert stack.levels[0].parked_pages == parked_hot
-        assert not stack.levels[0].contains((1, 0))
+        assert (1, 0) not in stack.levels[0].slots
         assert stack.demotions == 1
 
     def test_adopt_fills_fastest_first(self, rig):
@@ -92,8 +128,8 @@ class TestFetch:
         page = rig.run(stack.get((1, 0)))
         assert page.page_no == 0
         assert stack.promotions == 1
-        assert stack.levels[0].contains((1, 0))
-        assert not stack.levels[1].contains((1, 0))
+        assert (1, 0) in stack.levels[0].slots
+        assert (1, 0) not in stack.levels[1].slots
         # The hot tier was full: the promotion demoted another victim.
         assert stack.demotions == 2
 
@@ -103,11 +139,11 @@ class TestFetch:
             rig.run(stack.put(make_page(n)))
         rig.run(stack.get((1, 0)))
         assert stack.promotions == 0
-        assert stack.levels[1].contains((1, 0))
+        assert (1, 0) in stack.levels[1].slots
 
 
-class TestExtensionSurface:
-    """The stack mirrors BufferPoolExtension, so the pool never branches."""
+class TestAggregates:
+    """What the pool, telemetry and faults read off the whole hierarchy."""
 
     def test_aggregates_sum_over_levels(self, rig):
         stack = make_stack(rig, cap_hot=2, cap_cold=8)
@@ -141,13 +177,6 @@ class TestExtensionSurface:
         stack.enabled = True
         assert stack.contains((1, 0))
 
-    def test_clear_empties_the_hierarchy(self, rig):
-        stack = make_stack(rig, cap_hot=2)
-        for n in range(3):
-            rig.run(stack.put(make_page(n)))
-        stack.clear()
-        assert stack.parked_pages == 0
-
     def test_on_fault_sweeps_every_level(self, rig):
         # Device stores name no provider, so a provider-targeted sweep
         # conservatively invalidates both tiers.
@@ -165,14 +194,13 @@ class TestExtensionSurface:
         stack.fault_listeners.append(seen.append)
         rig.run(stack.put(make_page(0)))
         level = stack.levels[0]
-        level._on_failure((1, 0), level._slots[(1, 0)])
+        stack._on_failure(level, (1, 0), level.slots[(1, 0)])
         assert seen == [(1, 0)]
         assert stack.failures == 1
 
     def test_shared_bytes_series(self, rig):
         stack = make_stack(rig)
         series = stack.track_throughput()
-        assert all(level.bytes_series is series for level in stack.levels)
         assert stack.bytes_series is series
         rig.run(stack.put(make_page(0)))
         rig.run(stack.get((1, 0)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import DESIGNS, Design, build_database, prewarm_extension
+from repro.harness import TIER_SPECS, Design, build_database, prewarm_extension
 from repro.harness.dbbench import prewarm_pool
 from repro.workloads import (
     DEFAULT_MIX,
@@ -25,16 +25,21 @@ from repro.workloads.tpch import TPCH_QUERIES
 
 class TestDesignTable:
     def test_all_six_designs_defined(self):
-        assert len(DESIGNS) == 6
+        # Table 5's six rows plus the spec-only three-tier hierarchy.
+        assert set(TIER_SPECS) == set(Design)
+        assert len(TIER_SPECS) == 6 + 1
 
     def test_remote_designs_have_protocols(self):
-        assert DESIGNS[Design.CUSTOM].protocol == "ndspi"
-        assert DESIGNS[Design.SMB_RAMDRIVE].protocol == "smb"
-        assert DESIGNS[Design.SMBDIRECT_RAMDRIVE].protocol == "smbdirect"
-        assert DESIGNS[Design.HDD].protocol is None
+        assert TIER_SPECS[Design.CUSTOM].protocol == "ndspi"
+        assert TIER_SPECS[Design.SMB_RAMDRIVE].protocol == "smb"
+        assert TIER_SPECS[Design.SMBDIRECT_RAMDRIVE].protocol == "smbdirect"
+        assert TIER_SPECS[Design.HDD].protocol is None
 
     def test_only_custom_is_synchronous(self):
-        sync = [d for d, c in DESIGNS.items() if c.sync_remote_io]
+        sync = [
+            d for d, spec in TIER_SPECS.items()
+            if spec.sync_remote_io and d is not Design.THREE_TIER
+        ]
         assert sync == [Design.CUSTOM]
 
 
