@@ -28,6 +28,7 @@ from .partition import (
     partition_rows,
     prewarm_dist,
     stable_hash,
+    stable_hashes,
 )
 from .planner import (
     FragmentLowering,
@@ -68,4 +69,5 @@ __all__ = [
     "partition_rows",
     "prewarm_dist",
     "stable_hash",
+    "stable_hashes",
 ]

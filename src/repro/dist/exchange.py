@@ -304,12 +304,6 @@ class ExchangeRuntime:
 # ---------------------------------------------------------------------------
 
 
-def _default_owner(value: Any, n: int) -> int:
-    from .partition import stable_hash
-
-    return stable_hash(value) % n
-
-
 def _send_partitions(
     runtime: ExchangeRuntime,
     exchange_id: str,
@@ -340,11 +334,13 @@ def _send_partitions(
 
 
 class ShuffleExchange(Operator):
-    """Hash-repartition the child's rows across all fragments.
+    """Repartition the child's rows across all fragments.
 
-    Each row is routed by ``owner(key(row), fragments)`` — by default
-    the stable hash that also places table shards, so rows land on the
-    fragment whose co-partitioned build side holds their join partner.
+    The rows' keys are routed a batch at a time by
+    ``owners(keys, fragments)`` — a
+    :meth:`~repro.dist.partition.PartitionSpec.owners`, the map that also
+    places table shards, so rows land on the fragment whose
+    co-partitioned build side holds their join partner.
     ``filter_slot`` (a :class:`~repro.dist.semijoin.FilterSlot`) applies
     a Bloom semi-join filter *before* the wire, dropping probe rows
     that cannot join.
@@ -356,7 +352,7 @@ class ShuffleExchange(Operator):
         key: Callable[[tuple], Any],
         runtime: ExchangeRuntime,
         exchange_id: str,
-        owner: Optional[Callable[[Any, int], int]] = None,
+        owners: Callable[[list, int], list],
         filter_slot: Any = None,
         batch_rows: int = 512,
     ):
@@ -364,7 +360,7 @@ class ShuffleExchange(Operator):
         self.key = key
         self.runtime = runtime
         self.exchange_id = exchange_id
-        self.owner = owner or _default_owner
+        self.owners = owners
         self.filter_slot = filter_slot
         self.batch_rows = batch_rows
         self.row_bytes = child.row_bytes
@@ -380,8 +376,9 @@ class ShuffleExchange(Operator):
         # Route each row to its owning fragment.
         yield from ctx.cpu.compute(len(rows) * PER_ROW_SCAN_CPU_US)
         parts: list[list] = [[] for _ in range(ctx.fragments)]
-        for row in rows:
-            parts[self.owner(self.key(row), ctx.fragments)].append(row)
+        keys = list(map(self.key, rows))
+        for owner, row in zip(self.owners(keys, ctx.fragments), rows):
+            parts[owner].append(row)
         per_batch = max(
             1, min(self.batch_rows, self.runtime.slot_bytes // max(1, self.row_bytes))
         )

@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Optional
+
+import numpy as np
 
 from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
@@ -48,6 +51,7 @@ __all__ = [
     "DistSetup",
     "TPCH_PARTITIONING",
     "stable_hash",
+    "stable_hashes",
     "partition_rows",
     "build_dist",
     "load_tpch_single",
@@ -68,6 +72,25 @@ def stable_hash(value: Any) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return (x ^ (x >> 31)) & 0xFFFFFFFFFFFFFFFF
+
+
+def stable_hashes(values: list) -> np.ndarray:
+    """:func:`stable_hash` of every value, as one ``uint64`` array.
+
+    All-integer input inside 64 bits is mixed in one vectorised pass:
+    ``uint64`` arithmetic wraps exactly as the masked Python arithmetic
+    does (and a negative ``int64`` reinterprets as its two's complement,
+    which is what ``& 0xFFFF...`` yields).  Anything else — ``str``,
+    ``float``, ``bool``, mixed or wider keys — is hashed value by value
+    (a non-``int`` first value decides that without building an array).
+    """
+    x = np.asarray(values) if values and type(values[0]) is int else None
+    if x is None or x.dtype.kind not in "iu":
+        return np.fromiter(map(stable_hash, values), dtype=np.uint64, count=len(values))
+    x = x.astype(np.uint64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 @dataclass(frozen=True)
@@ -106,15 +129,22 @@ class PartitionSpec:
                 return index
         return n - 1
 
+    def owners(self, values: list, n: int) -> list[int]:
+        """:meth:`owner` of every value — the contract exchanges and
+        loaders route by: one call per batch, never one per row."""
+        if n > 1 and self.method == "hash":
+            return (stable_hashes(values) % np.uint64(n)).tolist()
+        return [self.owner(value, n) for value in values]
+
 
 def partition_rows(
     rows: list, schema: Schema, spec: PartitionSpec, n: int
 ) -> list[list]:
     """Split one table's rows into ``n`` shards by the spec's key."""
-    key_index = schema.index_of(spec.key)
+    keys = list(map(itemgetter(schema.index_of(spec.key)), rows))
     shards: list[list] = [[] for _ in range(n)]
-    for row in rows:
-        shards[spec.owner(row[key_index], n)].append(row)
+    for owner, row in zip(spec.owners(keys, n), rows):
+        shards[owner].append(row)
     return shards
 
 

@@ -283,10 +283,10 @@ class FragmentLowering(Lowering):
                 exchange_id=self.names.assign("gather"), root=0,
             )
         key = self.schema_of(node.child).extractor(node.key)
-        owner = node.spec.owner if node.spec is not None else None
+        spec = node.spec or PartitionSpec(table="*", key=node.key)
         return ShuffleExchange(
             child, key=key, runtime=self.runtime,
-            exchange_id=self.names.assign("shuffle"), owner=owner,
+            exchange_id=self.names.assign("shuffle"), owners=spec.owners,
         )
 
     def decorate_join_inputs(self, node, build_op, probe_op, left_schema, right_schema):

@@ -64,6 +64,12 @@ class BTree:
         self._next_page_no += 1
         return page_no
 
+    @property
+    def page_count(self) -> int:
+        """Pages ever allocated; the tree owns its file, so no slot at or
+        past this number exists (where scans stop reading ahead)."""
+        return self._next_page_no
+
     def bulk_build(self, rows: Iterable[tuple]) -> None:
         """Build bottom-up from rows already sorted by key.
 

@@ -21,6 +21,7 @@ Faithfully modelled details:
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from itertools import filterfalse, islice, repeat
 from typing import Callable, Iterable, Optional
 
 from ..cluster import Server
@@ -404,6 +405,9 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self.extension = extension
         self.files: dict[int, PageStore] = {}
+        # Rule for the next three maps: code that takes a page out of one
+        # of them without having put it into another first bumps
+        # ``_losses`` — ``prefetch`` remembers which pages it found here.
         self._frames: OrderedDict[PageId, Frame] = OrderedDict()
         #: Reads in flight: page_id -> completion event (dedup + prefetch).
         self._inflight: dict[PageId, object] = {}
@@ -420,6 +424,16 @@ class BufferPool:
         self.base_reads = 0
         self.prefetches = 0
         self._prefetch_active = 0
+        #: Bumped wherever a page can drop out of ``_frames``, ``_inflight``
+        #: and ``_pending_writes`` altogether (and, harmlessly, at some
+        #: places where it only moves between them): ``_evict_one``, a
+        #: failed ``_fault``, a short ``fetch_group``, the lazy writer's
+        #: ``pop`` and ``drop_all``.
+        self._losses = 0
+        #: file_id -> (losses, lo, hi): pages ``lo <= n < hi`` were each in
+        #: one of those three maps when a read-ahead window was last
+        #: filtered, and still are while ``_losses`` has not moved.
+        self._prefetch_known: dict[int, tuple[int, int, int]] = {}
         #: Optional reliability layer: hedged reads + quarantine routing.
         self.reliability: ReliabilityLayer | None = None
         #: End-to-end latency of demand page faults (whatever medium
@@ -521,6 +535,9 @@ class BufferPool:
             if not background:
                 self.fault_latency.record(self.server.sim.now - start)
             return page
+        except BaseException:
+            self._losses += 1  # claimed in ``_inflight``, never landed
+            raise
         finally:
             span.close()
             del self._inflight[page_id]
@@ -614,10 +631,12 @@ class BufferPool:
             # One large read for a contiguous group: engines issue
             # 256K+ read-ahead I/Os, which is what lets the HDD array
             # stream during scans.
+            landed = 0
             try:
                 pages = yield from store.read_batch(start, len(claims))
                 for page in pages:
                     yield from self._insert(page)
+                    landed += 1
             except PageNotFound:
                 pass
             finally:
@@ -625,31 +644,37 @@ class BufferPool:
                     if self._inflight.get(page_id) is done:
                         del self._inflight[page_id]
                     done.succeed()
+                if landed < len(claims):
+                    self._losses += 1  # claimed in ``_inflight``, never landed
                 self._prefetch_active -= len(claims)
 
         store = self.files.get(file_id)
         if store is None:
             return
-        # This runs once per scanned leaf over a full read-ahead window
-        # (the window slides by one page per leaf, so nearly every probe
-        # is a repeat): keep the filter loop tight.
         budget = PREFETCH_CONCURRENCY - self._prefetch_active
         if budget <= 0:
             return
-        frames = self._frames
-        inflight = self._inflight
-        pending = self._pending_writes
-        contains = store.contains
-        wanted: list[int] = []
-        for page_no in page_nos:
-            page_id = (file_id, page_no)
-            if page_id in frames or page_id in inflight or page_id in pending:
-                continue
-            if not contains(page_no):
-                continue
-            wanted.append(page_no)
-            if len(wanted) >= budget:
-                break
+        # This runs once per scanned leaf over a full read-ahead window
+        # that slides by one page per leaf, so nearly every probe would
+        # repeat the previous call's: a scan's ``range`` window skips
+        # the prefix already known to be resident or on its way.
+        known_from = None
+        if type(page_nos) is range and page_nos.step == 1:
+            losses, known_from, known_to = self._prefetch_known.get(file_id, (-1, 0, 0))
+            if losses != self._losses or not known_from <= page_nos.start <= known_to:
+                known_from = known_to = page_nos.start
+            if known_to >= page_nos.stop:
+                return
+            page_nos = range(known_to, page_nos.stop)
+        absent = zip(repeat(file_id), page_nos)
+        for held in (self._frames, self._inflight, self._pending_writes):
+            absent = filterfalse(held.__contains__, absent)
+        absent = [page_no for _file_id, page_no in absent]
+        if known_from is not None:
+            self._prefetch_known[file_id] = (
+                self._losses, known_from, absent[0] if absent else page_nos.stop
+            )
+        wanted = list(islice(filter(store.contains, absent), budget))
         if not wanted:
             return
         # Split into extension-resident pages (fetched individually —
@@ -777,6 +802,7 @@ class BufferPool:
         if victim_id is None:
             raise EngineError("all frames pinned; cannot evict")
         frame = self._frames.pop(victim_id)
+        self._losses += 1
         if frame.dirty:
             # Park the image in pending_writes *before* any yield so the
             # page stays visible to readers throughout the hand-off.
@@ -821,6 +847,7 @@ class BufferPool:
                     if self.extension is not None:
                         yield from self.extension.put(page)
                     self._pending_writes.pop(page.page_id, None)
+                    self._losses += 1
             while self._queue_waiters and len(self._write_queue) < WRITE_QUEUE_LIMIT:
                 self._queue_waiters.popleft().succeed()
 
@@ -838,6 +865,7 @@ class BufferPool:
     def drop_all(self) -> None:
         """Empty the pool without I/O (cold restart, priming target)."""
         self._frames.clear()
+        self._losses += 1
 
     def cached_pages(self) -> list[Page]:
         """Snapshot of resident pages, hottest last (priming source)."""

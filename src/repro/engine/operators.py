@@ -12,7 +12,9 @@ from __future__ import annotations
 import abc
 import heapq
 import math
+import operator as _op
 from dataclasses import dataclass, field, fields
+from functools import reduce
 from typing import Any, Callable, Optional
 
 from ..sim.kernel import ProcessGenerator
@@ -190,29 +192,30 @@ class TableScan(Operator):
     def run(self, ctx: ExecContext) -> ProcessGenerator:
         tree: BTree = self.table.clustered
         pool = tree.pool
+        file_id = tree.store.file_id
+        predicate, project = self.predicate, self.project
+        per_row_us = PER_ROW_SCAN_CPU_US + self.extra_cpu_per_row_us
         leaf = yield from tree._descend(_NEG_INF)
         out: list[tuple] = []
         while leaf is not None:
             # Bulk-built leaves are physically sequential: issue
-            # read-ahead so the scan streams at device bandwidth.
+            # read-ahead so the scan streams at device bandwidth.  The
+            # window stops at the last page the tree ever allocated.
+            ahead = leaf.page_no + 1
             pool.prefetch(
-                tree.store.file_id,
-                range(leaf.page_no + 1, leaf.page_no + 1 + self.READAHEAD_PAGES),
+                file_id, range(ahead, min(ahead + self.READAHEAD_PAGES, tree.page_count))
             )
-            yield from ctx.cpu.compute(
-                PER_PAGE_CPU_US
-                + len(leaf.rows) * (PER_ROW_SCAN_CPU_US + self.extra_cpu_per_row_us)
-            )
-            if self.predicate is None and self.project is None:
-                out.extend(leaf.rows)
-            else:
-                for row in leaf.rows:
-                    if self.predicate is None or self.predicate(row):
-                        out.append(self.project(row) if self.project else row)
+            yield from ctx.cpu.compute(PER_PAGE_CPU_US + len(leaf.rows) * per_row_us)
+            rows = leaf.rows
+            if predicate is not None:
+                rows = filter(predicate, rows)
+            if project is not None:
+                rows = map(project, rows)
+            out.extend(rows)
             next_no = leaf.meta.get("next")
             if next_no is None:
                 break
-            leaf = yield from pool.get_page(tree.store.file_id, next_no)
+            leaf = yield from pool.get_page(file_id, next_no)
         ctx.metrics.rows_out += len(out)
         return out
 
@@ -259,7 +262,7 @@ class IndexRangeScan(Operator):
         rows = yield from self.tree.range_scan(self.low, self.high, limit=self.limit)
         yield from ctx.cpu.compute(len(rows) * PER_ROW_SCAN_CPU_US)
         if self.predicate is not None:
-            rows = [row for row in rows if self.predicate(row)]
+            rows = list(filter(self.predicate, rows))
         ctx.metrics.rows_out += len(rows)
         return rows
 
@@ -293,7 +296,7 @@ class HashJoin(Operator):
         probe: Operator,
         build_key: Callable[[tuple], Any],
         probe_key: Callable[[tuple], Any],
-        combine: Callable[[tuple, tuple], tuple] = lambda b, p: b + p,
+        combine: Callable[[tuple, tuple], tuple] = _op.add,
     ):
         self.build = build
         self.probe = probe
@@ -316,14 +319,15 @@ class HashJoin(Operator):
 
     def _join_in_memory(self, ctx, build_rows, probe_rows) -> ProcessGenerator:
         yield from ctx.cpu.compute(len(build_rows) * PER_ROW_HASH_BUILD_CPU_US)
-        table: dict[Any, list[tuple]] = {}
-        for row in build_rows:
-            table.setdefault(self.build_key(row), []).append(row)
+        table = _group_rows(self.build_key, build_rows)
         yield from ctx.cpu.compute(len(probe_rows) * PER_ROW_HASH_PROBE_CPU_US)
-        out: list[tuple] = []
-        for probe_row in probe_rows:
-            for build_row in table.get(self.probe_key(probe_row), ()):
-                out.append(self.combine(build_row, probe_row))
+        combine = self.combine
+        matches = map(table.get, map(self.probe_key, probe_rows))
+        out = [
+            combine(build_row, probe_row)
+            for probe_row, matched in zip(probe_rows, matches) if matched
+            for build_row in matched
+        ]
         yield from ctx.cpu.compute(len(out) * PER_ROW_OUTPUT_CPU_US)
         return out
 
@@ -333,11 +337,11 @@ class HashJoin(Operator):
         build_parts: list[list[tuple]] = [[] for _ in range(fanout)]
         probe_parts: list[list[tuple]] = [[] for _ in range(fanout)]
         yield from ctx.cpu.compute(len(build_rows) * PER_ROW_HASH_BUILD_CPU_US)
-        for row in build_rows:
-            build_parts[hash(self.build_key(row)) % fanout].append(row)
+        for key, row in zip(map(self.build_key, build_rows), build_rows):
+            build_parts[hash(key) % fanout].append(row)
         yield from ctx.cpu.compute(len(probe_rows) * PER_ROW_HASH_PROBE_CPU_US)
-        for row in probe_rows:
-            probe_parts[hash(self.probe_key(row)) % fanout].append(row)
+        for key, row in zip(map(self.probe_key, probe_rows), probe_rows):
+            probe_parts[hash(key) % fanout].append(row)
         build_rows.clear()
         probe_rows.clear()
         # Phase 1: spill both sides.
@@ -414,11 +418,12 @@ class ExternalSort(Operator):
     def __init__(
         self,
         child: Operator,
-        key: Callable[[tuple], Any],
+        key: Optional[Callable[[tuple], Any]],
         reverse: bool = False,
         top_n: Optional[int] = None,
     ):
         self.child = child
+        #: ``None``: the row is its own key (total order over the tuple).
         self.key = key
         self.reverse = reverse
         self.top_n = top_n
@@ -464,6 +469,7 @@ class ExternalSort(Operator):
 
     def _merge(self, ctx, tempdb, runs) -> ProcessGenerator:
         sign = -1 if self.reverse else 1
+        key = self.key
 
         cursors = []
         for run in runs:
@@ -477,7 +483,7 @@ class ExternalSort(Operator):
         for index, cursor in enumerate(cursors):
             if cursor["rows"]:
                 row = cursor["rows"][0]
-                heap.append((_sort_token(self.key(row), sign), index))
+                heap.append((_sort_token(row if key is None else key(row), sign), index))
         heapq.heapify(heap)
         out: list[tuple] = []
         compares = 0
@@ -506,7 +512,8 @@ class ExternalSort(Operator):
                     cursor["rows"] = []
             if cursor["rows"]:
                 next_row = cursor["rows"][cursor["pos"]]
-                heapq.heappush(heap, (_sort_token(self.key(next_row), sign), index))
+                token = _sort_token(next_row if key is None else key(next_row), sign)
+                heapq.heappush(heap, (token, index))
         yield from ctx.cpu.compute(compares * SORT_COMPARE_CPU_US)
         return out
 
@@ -536,7 +543,7 @@ class FilterRows(Operator):
     def run(self, ctx: ExecContext) -> ProcessGenerator:
         rows = yield from self.child.run(ctx)
         yield from ctx.cpu.compute(len(rows) * PER_ROW_SCAN_CPU_US)
-        out = [row for row in rows if self.predicate(row)]
+        out = list(filter(self.predicate, rows))
         ctx.metrics.rows_out += len(out)
         return out
 
@@ -557,40 +564,58 @@ class ProjectRows(Operator):
     def run(self, ctx: ExecContext) -> ProcessGenerator:
         rows = yield from self.child.run(ctx)
         yield from ctx.cpu.compute(len(rows) * PER_ROW_OUTPUT_CPU_US)
-        out = [self.project(row) for row in rows]
+        out = list(map(self.project, rows))
         ctx.metrics.rows_out += len(out)
         return out
 
 
 class HashAggregate(Operator):
     """Group-by with a hash table (assumed to fit the grant; groups are
-    few in the workloads reproduced here)."""
+    few in the workloads reproduced here).
+
+    Rows are grouped first (references, in arrival order), then each
+    group is folded once: by ``fold(group)`` — what the plan lowering
+    compiles, C-level per row — or else by ``update`` from ``init()``,
+    row by row in the same left-to-right order.
+    """
 
     def __init__(
         self,
         child: Operator,
         group_key: Callable[[tuple], Any],
-        init: Callable[[], Any],
-        update: Callable[[Any, tuple], Any],
+        init: Optional[Callable[[], Any]] = None,
+        update: Optional[Callable[[Any, tuple], Any]] = None,
         finalize: Callable[[Any, Any], tuple] = lambda key, acc: (key, acc),
+        fold: Optional[Callable[[list], Any]] = None,
     ):
+        if fold is None:
+            if init is None or update is None:
+                raise PlanError("HashAggregate needs fold, or init and update")
+            fold = lambda group: reduce(update, group, init())  # noqa: E731
         self.child = child
         self.group_key = group_key
-        self.init = init
-        self.update = update
+        self.fold = fold
         self.finalize = finalize
         self.row_bytes = 32
 
     def run(self, ctx: ExecContext) -> ProcessGenerator:
         rows = yield from self.child.run(ctx)
         yield from ctx.cpu.compute(len(rows) * PER_ROW_AGG_CPU_US)
-        groups: dict[Any, Any] = {}
-        for row in rows:
-            key = self.group_key(row)
-            if key not in groups:
-                groups[key] = self.init()
-            groups[key] = self.update(groups[key], row)
-        out = [self.finalize(key, acc) for key, acc in groups.items()]
+        fold, finalize = self.fold, self.finalize
+        groups = _group_rows(self.group_key, rows)
+        out = [finalize(key, fold(group)) for key, group in groups.items()]
         yield from ctx.cpu.compute(len(out) * PER_ROW_OUTPUT_CPU_US)
         ctx.metrics.rows_out += len(out)
         return out
+
+
+def _group_rows(key: Callable[[tuple], Any], rows: list) -> dict[Any, list[tuple]]:
+    """``key(row) -> [rows]``: groups in first-seen order, rows in input order."""
+    groups: dict[Any, list[tuple]] = {}
+    for value, row in zip(map(key, rows), rows):
+        group = groups.get(value)
+        if group is None:
+            groups[value] = [row]
+        else:
+            group.append(row)
+    return groups

@@ -25,6 +25,7 @@ output schema.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Optional
 
 from ..engine.catalog import Column, Schema
@@ -99,8 +100,7 @@ class PlanSchema:
         return self.fields[self.index_of(ref)]
 
     def extractor(self, ref: str):
-        position = self.index_of(ref)
-        return lambda row: row[position]
+        return itemgetter(self.index_of(ref))
 
     def concat(self, other: "PlanSchema") -> "PlanSchema":
         return PlanSchema(self.fields + other.fields)

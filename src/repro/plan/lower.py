@@ -29,7 +29,8 @@ unified IR: one set of lowering rules, exercised by both paths.
 from __future__ import annotations
 
 import operator as _op
-from typing import Callable, Optional
+from functools import reduce
+from typing import Any, Callable, Optional
 
 from ..engine.catalog import Schema
 from ..engine.operators import (
@@ -95,34 +96,30 @@ def compile_predicate(schema: PlanSchema, conditions) -> Optional[Callable]:
     return lambda row: all(compare(row[i], value) for i, compare, value in compiled)
 
 
+def _row_getter(slots: tuple) -> Callable[[tuple], tuple]:
+    """C-level ``row -> tuple(row[i] for i in slots)`` over tuple rows.
+
+    ``itemgetter`` returns a bare value for one index and takes no fewer,
+    so the one- and zero-column getters are slices (of a tuple: a tuple).
+    """
+    if len(slots) > 1:
+        return _op.itemgetter(*slots)
+    return _op.itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0))
+
+
 def compile_projector(schema: PlanSchema, columns) -> Callable[[tuple], tuple]:
     """Row function keeping ``columns`` (resolved against ``schema``)."""
-    slots = tuple(schema.index_of(ref) for ref in columns)
-    return lambda row: tuple(row[i] for i in slots)
+    return _row_getter(tuple(schema.index_of(ref) for ref in columns))
 
 
 def _join_projector(
     left: PlanSchema, right: PlanSchema, columns
 ) -> Callable[[tuple, tuple], tuple]:
-    """Combine function for a join with a fused projection.
-
-    Each projected ref resolves against the concatenated schema
-    (left-first, same as schema derivation), then maps to a
-    (side, index) slot — exactly the legacy planner's projector.
-    """
-    concat = left.concat(right)
-    n_left = len(left)
-    slots = []
-    for ref in columns:
-        position = concat.index_of(ref)
-        slots.append((0, position) if position < n_left else (1, position - n_left))
-    slots = tuple(slots)
-
-    def combine(build_row, probe_row):
-        sides = (build_row, probe_row)
-        return tuple(sides[which][index] for which, index in slots)
-
-    return combine
+    """Combine function for a join with a fused projection: each ref
+    resolves against the concatenated schema (left-first, same as
+    schema derivation) and one getter picks them off the joined row."""
+    project = compile_projector(left.concat(right), columns)
+    return lambda build_row, probe_row: project(build_row + probe_row)
 
 
 def estimate_rows(node: PlanNode, tables: dict, schemas: dict[str, Schema]) -> float:
@@ -149,125 +146,67 @@ def estimate_rows(node: PlanNode, tables: dict, schemas: dict[str, Schema]) -> f
 # ---------------------------------------------------------------------------
 
 
-def _acc_init(agg: Agg):
+def _summed(value: Callable) -> Callable[[list], Any]:
+    """Left-to-right sum of ``value`` over a group.  ``reduce``, not the
+    builtin ``sum``: that one is compensated for floats on Python >= 3.12,
+    which would move results between interpreters."""
+    return lambda group: reduce(_op.add, map(value, group), 0)
+
+
+def _agg_columns(agg: Agg, phase: str, value: Optional[Callable], count: Callable) -> list:
+    """Per-group folds producing one aggregate's output column(s).
+
+    ``value`` extracts the aggregated value from an input row and
+    ``count`` counts the input rows of a group; for the final phase the
+    input rows are partial rows, so both read partial components.
+    """
     if agg.fn == "count":
-        return 0
-    if agg.fn == "avg":
-        return (0, 0)
-    if agg.fn == "sum":
-        return 0
-    return None  # min / max
-
-
-def _acc_update(agg: Agg, extract: Optional[Callable]):
-    if agg.fn == "count":
-        return lambda acc, row: acc + 1
-    if agg.fn == "sum":
-        return lambda acc, row: acc + extract(row)
+        return [count]
     if agg.fn == "min":
-        return lambda acc, row: extract(row) if acc is None else min(acc, extract(row))
+        return [lambda group: min(map(value, group))]
     if agg.fn == "max":
-        return lambda acc, row: extract(row) if acc is None else max(acc, extract(row))
-    # avg: exact integer partials merge exactly at the final phase.
-    return lambda acc, row: (acc[0] + extract(row), acc[1] + 1)
-
-
-def _acc_merge(agg: Agg):
-    """Merge one partial component tuple into an accumulator (final phase)."""
-    if agg.fn in ("count", "sum"):
-        return lambda acc, comps: acc + comps[0]
-    if agg.fn == "min":
-        return lambda acc, comps: comps[0] if acc is None else min(acc, comps[0])
-    if agg.fn == "max":
-        return lambda acc, comps: comps[0] if acc is None else max(acc, comps[0])
-    return lambda acc, comps: (acc[0] + comps[0], acc[1] + comps[1])
-
-
-def _acc_final(agg: Agg):
-    if agg.fn == "avg":
-        return lambda acc: acc[0] / acc[1]
-    return lambda acc: acc
-
-
-def _partial_width(agg: Agg) -> int:
-    return 2 if agg.fn == "avg" else 1
-
-
-def _flatten(agg: Agg, acc) -> tuple:
-    return tuple(acc) if agg.fn == "avg" else (acc,)
+        return [lambda group: max(map(value, group))]
+    total = _summed(value)
+    if agg.fn == "sum":
+        return [total]
+    # avg: exact (sum, count) partials merge exactly; divide once, last.
+    if phase == "partial":
+        return [total, count]
+    return [lambda group: total(group) / count(group)]
 
 
 def compile_aggregate(node: Aggregate, child_schema: PlanSchema) -> dict:
-    """Compile an Aggregate node into HashAggregate closures.
+    """Compile an Aggregate node into HashAggregate callables.
 
-    Returns ``group_key``, ``init``, ``update`` and ``finalize``
-    appropriate for the node's phase:
+    Returns ``group_key``, ``fold`` (a group's row list -> its aggregate
+    columns) and ``finalize`` appropriate for the node's phase:
 
-    * ``single`` — accumulate raw rows, finalize to result rows;
-    * ``partial`` — accumulate raw rows, finalize to *partial* rows
-      (group cols + flattened accumulator components);
+    * ``single`` — fold raw rows into result columns;
+    * ``partial`` — fold raw rows into *partial* columns (avg carries
+      its sum and count);
     * ``final`` — child rows are partial rows: group on the leading
-      group columns, merge components, finalize to result rows.
+      group columns, merge the components into result columns.
     """
-    aggs = node.aggs
+    columns: list = []
     if node.phase == "final":
-        n_group = len(node.group_by)
-        offsets = []
-        at = n_group
-        for agg in aggs:
-            width = _partial_width(agg)
-            offsets.append((at, at + width))
+        n_group = at = len(node.group_by)
+        group_key = _op.itemgetter(slice(n_group))
+        for agg in node.aggs:
+            # Partial layout: the value, then (avg only) the row count.
+            width = 2 if agg.fn == "avg" else 1
+            count = _summed(_op.itemgetter(at + width - 1))
+            columns += _agg_columns(agg, node.phase, _op.itemgetter(at), count)
             at += width
-        merges = tuple(_acc_merge(agg) for agg in aggs)
-        finals = tuple(_acc_final(agg) for agg in aggs)
-
-        def group_key(row):
-            return row[:n_group]
-
-        def init():
-            return tuple(_acc_init(agg) for agg in aggs)
-
-        def update(acc, row):
-            return tuple(
-                merge(a, row[lo:hi])
-                for merge, a, (lo, hi) in zip(merges, acc, offsets)
-            )
-
-        def finalize(key, acc):
-            return key + tuple(final(a) for final, a in zip(finals, acc))
-
-        return {"group_key": group_key, "init": init,
-                "update": update, "finalize": finalize}
-
-    group_slots = tuple(child_schema.index_of(ref) for ref in node.group_by)
-    extracts = tuple(
-        child_schema.extractor(agg.column) if agg.column is not None else None
-        for agg in aggs
-    )
-    updates = tuple(_acc_update(agg, ex) for agg, ex in zip(aggs, extracts))
-    finals = tuple(_acc_final(agg) for agg in aggs)
-
-    def group_key(row):
-        return tuple(row[i] for i in group_slots)
-
-    def init():
-        return tuple(_acc_init(agg) for agg in aggs)
-
-    def update(acc, row):
-        return tuple(up(a, row) for up, a in zip(updates, acc))
-
-    if node.phase == "partial":
-        def finalize(key, acc):
-            out = key
-            for agg, a in zip(aggs, acc):
-                out = out + _flatten(agg, a)
-            return out
     else:
-        def finalize(key, acc):
-            return key + tuple(final(a) for final, a in zip(finals, acc))
+        group_key = compile_projector(child_schema, node.group_by)
+        for agg in node.aggs:
+            value = child_schema.extractor(agg.column) if agg.column is not None else None
+            columns += _agg_columns(agg, node.phase, value, len)
 
-    return {"group_key": group_key, "init": init,
-            "update": update, "finalize": finalize}
+    def fold(group):
+        return tuple(column(group) for column in columns)
+
+    return {"group_key": group_key, "fold": fold, "finalize": _op.add}
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +238,7 @@ class Lowering:
 
     def lower(self, node: PlanNode) -> Operator:
         if isinstance(node, TopN):
-            return ExternalSort(self.lower(node.child), key=lambda row: row, top_n=node.n)
+            return ExternalSort(self.lower(node.child), key=None, top_n=node.n)
         if isinstance(node, Project):
             return self.lower_project(node)
         if isinstance(node, Join):
@@ -361,7 +300,7 @@ class Lowering:
         if project_columns is not None:
             combine = _join_projector(left_schema, right_schema, project_columns)
         else:
-            combine = lambda b, p: b + p  # noqa: E731
+            combine = _op.add
         inlj = self._inlj_choice(node, left_schema)
         if inlj is not None:
             outer = self.lower(node.left)

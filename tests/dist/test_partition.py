@@ -1,6 +1,8 @@
 """Partitioning grammar: stable hashing, ownership, sharding."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dist import (
     TPCH_PARTITIONING,
@@ -11,6 +13,7 @@ from repro.dist import (
     load_tpch_single,
     partition_rows,
     stable_hash,
+    stable_hashes,
 )
 from repro.workloads import TPCH_SCHEMAS, TpchScale, generate_tpch_rows
 
@@ -61,6 +64,54 @@ class TestPartitionSpec:
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError):
             PartitionSpec("orders", "orderkey", method="range", bounds=(200, 100))
+
+
+#: Keys the vectorised splitmix64 takes (ints inside 64 bits), and the
+#: ones it must hand to the per-value path: wider ints, bool, float, str.
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+KEYS = st.one_of(
+    INT64, st.integers(min_value=2**63, max_value=2**70), st.booleans(),
+    st.floats(min_value=-1e15, max_value=1e15), st.text(max_size=6),
+)
+KEY_LISTS = st.one_of(
+    st.lists(INT64, max_size=40),
+    st.lists(st.integers(min_value=2**63, max_value=2**64 - 1), max_size=10),
+    st.lists(st.booleans(), max_size=10),
+    st.lists(KEYS, max_size=40),  # mixed
+)
+
+
+class TestBatchOwners:
+    """The batch contract is the scalar one, value for value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=KEY_LISTS, n=st.integers(min_value=1, max_value=9))
+    def test_hash_owners_equal_owner_per_value(self, values, n):
+        spec = PartitionSpec("t", "k")
+        assert stable_hashes(values).tolist() == [stable_hash(v) for v in values]
+        owners = spec.owners(values, n)
+        assert owners == [spec.owner(v, n) for v in values]
+        assert all(type(owner) is int for owner in owners)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=-500, max_value=500), max_size=40),
+        bounds=st.lists(st.integers(min_value=-400, max_value=400), max_size=5).map(sorted),
+    )
+    def test_range_owners_equal_owner_per_value(self, values, bounds):
+        spec = PartitionSpec("t", "k", method="range", bounds=tuple(bounds))
+        n = len(bounds) + 1
+        assert spec.owners(values, n) == [spec.owner(v, n) for v in values]
+
+    def test_empty_input_and_single_server(self):
+        spec = PartitionSpec("t", "k")
+        assert spec.owners([], 4) == []
+        assert spec.owners([7, "x", 2.5], 1) == [0, 0, 0]
+
+    def test_range_owners_need_matching_bounds(self):
+        spec = PartitionSpec("t", "k", method="range", bounds=(100,))
+        with pytest.raises(ValueError):
+            spec.owners([5], 3)
 
 
 class TestPartitionRows:

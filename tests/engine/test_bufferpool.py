@@ -1,8 +1,10 @@
 """Tests for the buffer pool, eviction, lazy writer and BPExt."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.engine.bufferpool import BufferPool, BufferPoolExtension
+from repro.engine.bufferpool import PREFETCH_CONCURRENCY, BufferPool, BufferPoolExtension
 from repro.engine.files import DevicePageFile, RemotePageFile
 from repro.engine.page import Page
 from repro.tiers import Tier
@@ -222,6 +224,170 @@ class TestPrefetch:
         pool.register_file(data2)
         pool.prefetch(2, list(range(PREFETCH_CONCURRENCY * 2)))
         assert pool._prefetch_active <= PREFETCH_CONCURRENCY
+
+
+def unmemoised_claims(pool, file_id, window):
+    """The page-by-page filter ``prefetch`` ran before it kept a memo."""
+    budget = PREFETCH_CONCURRENCY - pool._prefetch_active
+    store = pool.files[file_id]
+    wanted = []
+    for page_no in window:
+        page_id = (file_id, page_no)
+        if page_id in pool._frames or page_id in pool._inflight:
+            continue
+        if page_id in pool._pending_writes or not store.contains(page_no):
+            continue
+        if len(wanted) < budget:
+            wanted.append(page_id)
+    return wanted
+
+
+def claims(pool, window):
+    """Page ids one ``prefetch`` call over ``window`` claims."""
+    before = set(pool._inflight)
+    pool.prefetch(1, window)
+    return sorted(set(pool._inflight) - before)
+
+
+class TestPrefetchMemo:
+    """Each way a page leaves the pool must make the window memo forget it.
+
+    Every scenario first lets ``prefetch`` see pages 0..3 as resident,
+    in flight or pending (so it may remember them), then takes page 0 or
+    2 away, and checks the next call over the same window claims it.
+    """
+
+    def warm(self, rig, capacity=4):
+        pool, data = make_pool(rig, capacity=capacity)
+        for n in range(4):
+            rig.run(pool.get_page(1, n))
+        return pool, data
+
+    def test_eviction(self, rig):
+        pool, _data = self.warm(rig)
+        assert claims(pool, range(0, 4)) == []
+        rig.run(pool.put_page(Page.build(1, 40, [(40, "new")])))  # evicts 0; nothing lands
+        assert claims(pool, range(0, 4)) == [(1, 0)]
+
+    def test_drop_all(self, rig):
+        pool, _data = self.warm(rig)
+        assert claims(pool, range(0, 4)) == []
+        pool.drop_all()
+        assert claims(pool, range(0, 4)) == [(1, n) for n in range(4)]
+
+    def test_dirty_page_written_back(self, rig):
+        pool, _data = make_pool(rig, capacity=4)
+        rig.run(pool.update_page(1, 0, lambda page: None))
+        for n in range(1, 5):
+            rig.run(pool.get_page(1, n))  # the last one evicts dirty page 0
+        assert (1, 0) in pool._pending_writes
+        assert claims(pool, range(0, 4)) == []  # 0 pending, 2 and 3 resident
+        rig.sim.run(until=rig.sim.now + 1e6)  # the lazy writer flushes and forgets it
+        assert not pool.is_cached((1, 0))
+        assert claims(pool, range(0, 4))[0] == (1, 0)
+
+    def test_claimed_page_that_never_lands(self, rig):
+        pool, data = make_pool(rig, capacity=8)
+        assert claims(pool, range(0, 4)) == [(1, n) for n in range(4)]
+        data.discard(2)  # vanishes while its group read is in flight
+        assert claims(pool, range(0, 4)) == []
+        rig.sim.run(until=rig.sim.now + 1e6)
+        data.install(Page.build(1, 2, [(2, "late")]))
+        assert claims(pool, range(0, 4)) == [(1, 2)]
+
+    def test_group_read_that_lands_whole_keeps_the_memo(self, rig):
+        pool, _data = make_pool(rig, capacity=8)
+        assert claims(pool, range(0, 4)) == [(1, n) for n in range(4)]
+        losses = pool._losses
+        rig.sim.run(until=rig.sim.now + 1e6)
+        assert all(pool.is_cached((1, n)) for n in range(4))
+        assert pool._losses == losses  # in flight -> resident: nothing left
+        assert claims(pool, range(0, 4)) == []
+
+    def test_interrupted_demand_fault(self, rig):
+        from repro.sim.kernel import Interrupt
+
+        def reader():
+            try:
+                yield from pool.get_page(1, 2)
+            except Interrupt:
+                pass
+
+        pool, _data = make_pool(rig, capacity=8)
+        process = rig.sim.spawn(reader())
+        rig.sim.run(until=rig.sim.now + 5.0)
+        assert (1, 2) in pool._inflight
+        assert claims(pool, range(2, 3)) == []
+        process.interrupt(cause="killed mid-read")
+        rig.sim.run(until=rig.sim.now + 1e6)
+        assert claims(pool, range(2, 3)) == [(1, 2)]
+
+    def test_a_hole_ends_the_remembered_prefix(self, rig):
+        pool, data = make_pool(rig, capacity=8)
+        data.discard(2)
+        rig.run(pool.get_page(1, 0))
+        rig.run(pool.get_page(1, 1))
+        assert claims(pool, range(0, 4)) == [(1, 3)]
+        data.install(Page.build(1, 2, [(2, "late")]))  # filled behind the pool's back
+        assert claims(pool, range(0, 4)) == [(1, 2)]
+
+
+PAGE_NOS = st.integers(min_value=0, max_value=63)
+DISTURBANCES = st.one_of(
+    st.tuples(st.just("get"), PAGE_NOS),
+    st.tuples(st.just("update"), PAGE_NOS),
+    st.tuples(st.just("put"), PAGE_NOS),  # evicts without any read landing
+    st.tuples(st.just("advance"), st.sampled_from([5.0, 200.0, 5e3, 2e5])),
+    # Holes opened and filled behind the pool's back, reads in flight or not.
+    st.tuples(st.just("discard"), PAGE_NOS),
+    st.tuples(st.just("install"), PAGE_NOS),
+    st.tuples(st.just("drop"), st.just(0)),
+)
+#: A scan: before each leaf something may disturb the pool, then the
+#: read-ahead window slides — by one page mostly, sometimes it jumps.
+SCAN_STEPS = st.lists(
+    st.tuples(st.lists(DISTURBANCES, max_size=2), st.sampled_from([1, 1, 1, 1, 0, 2, -5, 23])),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    steps=SCAN_STEPS, window=st.integers(min_value=1, max_value=24),
+    capacity=st.sampled_from([4, 12, 48]),
+)
+def test_prefetch_memo_claims_what_the_unmemoised_filter_would(steps, window, capacity):
+    """Property: under interleaved demand reads, evictions, dirty
+    write-back, pool drops and pages vanishing or appearing in the file,
+    the memoised window filter claims exactly what the full filter would."""
+    from repro.engine.errors import PageNotFound
+    from tests.engine.conftest import EngineRig
+
+    def quietly(access):
+        try:
+            yield from access
+        except PageNotFound:  # a hole, while it is one
+            pass
+
+    rig = EngineRig()
+    pool, data = make_pool(rig, capacity=capacity)
+    disturb = {
+        "get": lambda n: rig.sim.spawn(quietly(pool.get_page(1, n))),
+        "update": lambda n: rig.sim.spawn(quietly(pool.update_page(1, n, lambda page: None))),
+        "put": lambda n: rig.sim.spawn(pool.put_page(Page.build(1, n, [(n, "new")]), dirty=True)),
+        "advance": lambda us: rig.sim.run(until=rig.sim.now + us),
+        "discard": data.discard,
+        "install": lambda n: data.install(Page.build(1, n, [(n, "late")])),
+        "drop": lambda _: pool.drop_all(),
+    }
+    start = 0
+    for disturbances, slide in steps:
+        for op, arg in disturbances:
+            disturb[op](arg)
+        start = max(0, min(70, start + slide))  # the file ends at page 63
+        ahead = range(start, start + window)
+        expected = unmemoised_claims(pool, 1, ahead)
+        assert claims(pool, ahead) == expected
 
 
 class TestExtensionFaultHooks:

@@ -16,6 +16,7 @@ from repro.engine import (
     TableScan,
 )
 from repro.engine.files import DevicePageFile
+from repro.engine.operators import Operator
 from repro.engine.tempdb import EXTENT_PAGES
 from repro.storage import MB
 
@@ -150,6 +151,21 @@ class TestExternalSort:
         assert [r[1] for r in result.rows] == all_sorted[:100]
 
 
+    def test_no_key_sorts_by_the_whole_row_in_memory_and_spilled(self, rig):
+        db = make_db(rig, workspace_bytes=32 * 1024)
+        rows = [((i * 31) % 50, -i) for i in range(3000)]
+        table = db.create_table("t", TWO_COL, rows)
+        for memory, reverse in ((16 * MB, False), (32 * 1024, False), (32 * 1024, True)):
+            plan = ExternalSort(
+                TableScan(table, project=lambda r: (r[0] % 7, r[1])), key=None,
+                reverse=reverse, top_n=500,
+            )
+            result = rig.run(db.execute(plan, requested_memory_bytes=memory))
+            expected = sorted(((k % 7, v) for k, v in rows), reverse=reverse)[:500]
+            assert result.rows == expected
+        assert result.metrics.spilled_runs > 1
+
+
 class TestOtherOperators:
     def test_inlj_matches_hash_join(self, rig):
         db = make_db(rig)
@@ -200,6 +216,46 @@ def test_sort_spill_invariant(n_rows, workspace_kb):
     plan = ExternalSort(TableScan(table), key=lambda r: r[1])
     result = rig.run(db.execute(plan, requested_memory_bytes=workspace_kb * 1024))
     assert [r[1] for r in result.rows] == sorted((r[1] for r in rows))
+
+
+class _Rows(Operator):
+    """Leaf operator handing back a fixed row list."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def run(self, ctx):
+        yield from ctx.cpu.compute(0.0)
+        return list(self.rows)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.lists(
+    st.tuples(st.integers(0, 4), st.floats(min_value=-1e9, max_value=1e9)), max_size=60,
+))
+def test_hash_aggregate_folds_like_the_row_at_a_time_loop(rows):
+    """Property: ``init``/``update`` sites get the groups, the first-seen
+    group order and the left-to-right accumulation the row loop gave."""
+    from tests.engine.conftest import EngineRig
+
+    def init():
+        return (0, 0.0, ())
+
+    def update(acc, row):  # float sum and a trail: both order-sensitive
+        return (acc[0] + 1, acc[1] + row[1], acc[2] + (row[1],))
+
+    expected: dict = {}
+    for row in rows:
+        if row[0] not in expected:
+            expected[row[0]] = init()
+        expected[row[0]] = update(expected[row[0]], row)
+
+    rig = EngineRig()
+    plan = HashAggregate(_Rows(rows), group_key=lambda r: r[0], init=init, update=update)
+    result = rig.run(make_db(rig).execute(plan))
+    assert [(key, repr(acc)) for key, acc in result.rows] == [
+        (key, repr(acc)) for key, acc in expected.items()
+    ]
 
 
 class TestGrantSharing:
