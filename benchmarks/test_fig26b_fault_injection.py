@@ -16,7 +16,7 @@ from repro.faults import FaultEngine, FaultPlan, RecoveryMonitor
 from repro.harness import Design, build_database, format_table, prewarm_extension
 from repro.harness.dbbench import rebuild_extension
 from repro.workloads import RangeScanConfig, build_customer_table
-from repro.workloads.rangescan import _read_query
+from repro.workloads.rangescan import read_query
 
 from conftest import FULL
 
@@ -83,7 +83,7 @@ def run_experiment(inject_fault: bool, use_extension: bool = True):
         for query_index in range(config.queries_per_worker):
             start_key = int(starts[base + query_index])
             yield from db.server.cpu.compute(db.query_setup_cpu_us)
-            value = yield from _read_query(db, table, start_key, RANGE_SIZE)
+            value = yield from read_query(db, table, start_key, RANGE_SIZE)
             if value != expected_sum(start_key):
                 wrong_results += 1
             completions.append(sim.now)

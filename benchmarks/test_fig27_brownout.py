@@ -24,7 +24,7 @@ from repro.harness import Design, build_database, format_table, prewarm_extensio
 from repro.harness.dbbench import rebuild_extension
 from repro.reliability import ReliabilityPolicy
 from repro.workloads import RangeScanConfig, build_customer_table
-from repro.workloads.rangescan import _read_query, _start_keys
+from repro.workloads.rangescan import _start_keys, read_query
 
 from conftest import FULL
 
@@ -146,7 +146,7 @@ def run_experiment(reliability: bool, storm: bool, use_extension: bool = True):
             start_key = int(starts[base + query_index])
             query_begin = sim.now
             yield from db.server.cpu.compute(db.query_setup_cpu_us)
-            value = yield from _read_query(db, table, start_key, RANGE_SIZE)
+            value = yield from read_query(db, table, start_key, RANGE_SIZE)
             if value != expected_sum(start_key):
                 wrong_results += 1
             completions.append(sim.now - begin)

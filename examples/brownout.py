@@ -30,7 +30,7 @@ from repro.faults import FaultEngine, FaultPlan
 from repro.harness import Design, build_database, format_table, prewarm_extension
 from repro.reliability import ReliabilityPolicy
 from repro.workloads import RangeScanConfig, build_customer_table
-from repro.workloads.rangescan import _read_query, _start_keys
+from repro.workloads.rangescan import _start_keys, read_query
 
 N_ROWS = 20_000
 RANGE_SIZE = 100
@@ -99,7 +99,7 @@ def run(with_layer: bool):
         for query_index in range(config.queries_per_worker):
             start_key = int(starts[base + query_index])
             yield from db.server.cpu.compute(db.query_setup_cpu_us)
-            value = yield from _read_query(db, table, start_key, RANGE_SIZE)
+            value = yield from read_query(db, table, start_key, RANGE_SIZE)
             if value != expected_sum(start_key):
                 wrong_results += 1
             completions.append(sim.now - begin)

@@ -138,7 +138,7 @@ class BTree:
 
     # -- traversal -------------------------------------------------------------
 
-    def _descend(self, key: Any) -> ProcessGenerator:
+    def seek(self, key: Any) -> ProcessGenerator:
         """Walk root -> leftmost leaf that can contain ``key``.
 
         Uses ``bisect_left`` so duplicate keys spanning several leaves
@@ -158,7 +158,7 @@ class BTree:
 
     def search(self, key: Any) -> ProcessGenerator:
         """Point lookup: all rows with exactly ``key`` (across leaves)."""
-        leaf = yield from self._descend(key)
+        leaf = yield from self.seek(key)
         result: list[tuple] = []
         key_fn = self.key_fn
         while leaf is not None:
@@ -182,7 +182,7 @@ class BTree:
 
     def range_scan(self, low: Any, high: Any, limit: Optional[int] = None) -> ProcessGenerator:
         """All rows with ``low <= key < high`` (optionally first ``limit``)."""
-        leaf = yield from self._descend(low)
+        leaf = yield from self.seek(low)
         result: list[tuple] = []
         while leaf is not None:
             keys = [self.key_fn(row) for row in leaf.rows]
@@ -200,53 +200,58 @@ class BTree:
             leaf = yield from self.pool.get_page(self.store.file_id, next_no)
         return result
 
-    def leaf_page_numbers(self) -> ProcessGenerator:
-        """Page numbers of every leaf, left to right (no pool churn)."""
-        if self.root_page_no is None:
-            return []
-        page = yield from self.pool.get_page(self.store.file_id, self.root_page_no)
-        while page.kind is PageKind.BTREE_INTERNAL:
-            first_child = page.meta["children"][0]
-            page = yield from self.pool.get_page(self.store.file_id, first_child)
-        numbers = []
-        while page is not None:
-            numbers.append(page.page_no)
-            next_no = page.meta.get("next")
-            if next_no is None:
-                break
-            page = yield from self.pool.get_page(self.store.file_id, next_no)
-        return numbers
-
     # -- mutation ----------------------------------------------------------------
 
-    def update_where(self, key: Any, mutate: Callable[[tuple], tuple], lsn: int = 0) -> ProcessGenerator:
-        """Replace every row with ``key`` by ``mutate(row)``; returns count."""
-        leaf = yield from self._descend(key)
+    def _rewrite(
+        self, leaf: Optional[Page], low: Any, high: Any, upper: Callable,
+        rewrite: Optional[Callable[[tuple], tuple]], lsn: int,
+    ) -> ProcessGenerator:
+        """The one leaf rewriter: replace every row from ``low`` up to
+        ``high`` by ``rewrite(row)`` (``None`` deletes); returns the count.
+
+        ``upper`` is ``bisect_right`` to include ``high``, ``bisect_left``
+        to stop short of it.  ``leaf`` is where an earlier :meth:`seek` of
+        ``low`` ended, if the caller made one; it is only a hint, because
+        every leaf is changed through ``pool.modify``.
+        """
+        key_fn = self.key_fn
         changed = 0
-        while leaf is not None:
-            leaf_changed = 0
-            exhausted = False
-            new_rows = []
-            for row in leaf.rows:
-                row_key = self.key_fn(row)
-                if row_key == key:
-                    new_rows.append(mutate(row))
-                    leaf_changed += 1
-                else:
-                    new_rows.append(row)
-                    if row_key > key:
-                        exhausted = True
-            if leaf_changed:
-                leaf.rows[:] = new_rows
-                yield from self.pool.mark_dirty(leaf, lsn=lsn)
-                changed += leaf_changed
-            if exhausted:
-                break
+        exhausted = False
+
+        def visit(page: Page):
+            nonlocal changed, exhausted
+            rows = page.rows
+            first = bisect.bisect_left(rows, low, key=key_fn)
+            last = upper(rows, high, first, key=key_fn)
+            exhausted = last < len(rows)
+            if first == last:
+                return False
+            rows[first:last] = [rewrite(row) for row in rows[first:last]] if rewrite else ()
+            changed += last - first
+
+        if leaf is None:
+            leaf = yield from self.seek(low)
+        while True:
+            leaf = yield from self.pool.modify(leaf, visit, lsn)
             next_no = leaf.meta.get("next")
-            if next_no is None:
-                break
+            if exhausted or next_no is None:
+                return changed
             leaf = yield from self.pool.get_page(self.store.file_id, next_no)
-        return changed
+
+    def update_where(
+        self, key: Any, mutate: Callable[[tuple], tuple], lsn: int = 0
+    ) -> ProcessGenerator:
+        """Replace every row with ``key`` by ``mutate(row)``; returns count."""
+        return self._rewrite(None, key, key, bisect.bisect_right, mutate, lsn)
+
+    def update_range(
+        self, low: Any, high: Any, mutate: Callable[[tuple], tuple], lsn: int = 0,
+        start: Optional[Page] = None,
+    ) -> ProcessGenerator:
+        """Replace every row with ``low <= key < high`` by ``mutate(row)``,
+        starting from the leaf a :meth:`seek` of ``low`` returned (if one
+        was made, say before a log wait); returns count."""
+        return self._rewrite(start, low, high, bisect.bisect_left, mutate, lsn)
 
     def insert(self, row: tuple, lsn: int = 0) -> ProcessGenerator:
         """Insert one row, splitting leaves (and parents) as needed."""
@@ -254,12 +259,12 @@ class BTree:
         yield self._write_latch.request()
         try:
             path = yield from self._descend_with_path(key)
-            leaf = path[-1]
-            keys = [self.key_fn(r) for r in leaf.rows]
-            position = bisect.bisect_right(keys, key)
-            leaf.rows.insert(position, row)
-            yield from self.pool.mark_dirty(leaf, lsn=lsn)
-            if len(leaf.rows) > self.leaf_capacity:
+
+            def place(leaf: Page) -> None:
+                leaf.rows.insert(bisect.bisect_right(leaf.rows, key, key=self.key_fn), row)
+
+            path[-1] = yield from self.pool.modify(path[-1], place, lsn)
+            if len(path[-1].rows) > self.leaf_capacity:
                 yield from self._split(path, lsn)
         finally:
             self._write_latch.release()
@@ -268,27 +273,9 @@ class BTree:
         """Delete all rows with ``key`` (no rebalancing, like many engines)."""
         yield self._write_latch.request()
         try:
-            removed = yield from self._delete_locked(key, lsn)
+            removed = yield from self._rewrite(None, key, key, bisect.bisect_right, None, lsn)
         finally:
             self._write_latch.release()
-        return removed
-
-    def _delete_locked(self, key: Any, lsn: int) -> ProcessGenerator:
-        leaf = yield from self._descend(key)
-        removed = 0
-        while leaf is not None:
-            before = len(leaf.rows)
-            exhausted = any(self.key_fn(row) > key for row in leaf.rows)
-            leaf.rows[:] = [row for row in leaf.rows if self.key_fn(row) != key]
-            if len(leaf.rows) != before:
-                yield from self.pool.mark_dirty(leaf, lsn=lsn)
-                removed += before - len(leaf.rows)
-            if exhausted:
-                break
-            next_no = leaf.meta.get("next")
-            if next_no is None:
-                break
-            leaf = yield from self.pool.get_page(self.store.file_id, next_no)
         return removed
 
     def _descend_with_path(self, key: Any) -> ProcessGenerator:
@@ -307,55 +294,56 @@ class BTree:
 
     def _split(self, path: list[Page], lsn: int) -> ProcessGenerator:
         """Split the overflowing tail node of ``path`` upward."""
-        node = path[-1]
-        parents = path[:-1]
-        while True:
-            if node.kind is PageKind.BTREE_LEAF:
-                mid = len(node.rows) // 2
+        node, parents = path[-1], path[:-1]
+        file_id = self.store.file_id
+        right = separator = None
+
+        def halve(page: Page) -> None:
+            nonlocal right, separator
+            meta = page.meta
+            if page.kind is PageKind.BTREE_LEAF:
+                mid = len(page.rows) // 2
                 right = Page(
-                    page_id=(self.store.file_id, self._new_page_no()),
+                    page_id=(file_id, self._new_page_no()),
                     kind=PageKind.BTREE_LEAF,
-                    rows=node.rows[mid:],
-                    meta={"next": node.meta.get("next")},
+                    rows=page.rows[mid:],
+                    meta={"next": meta.get("next")},
                 )
                 separator = self.key_fn(right.rows[0])
-                node.rows[:] = node.rows[:mid]
-                node.meta["next"] = right.page_no
+                page.rows[:] = page.rows[:mid]
+                meta["next"] = right.page_no
                 self.leaf_count += 1
             else:
-                mid = len(node.meta["children"]) // 2
-                separator = node.meta["keys"][mid - 1]
+                mid = len(meta["children"]) // 2
+                separator = meta["keys"][mid - 1]
                 right = Page(
-                    page_id=(self.store.file_id, self._new_page_no()),
+                    page_id=(file_id, self._new_page_no()),
                     kind=PageKind.BTREE_INTERNAL,
                     rows=[],
-                    meta={
-                        "keys": node.meta["keys"][mid:],
-                        "children": node.meta["children"][mid:],
-                    },
+                    meta={"keys": meta["keys"][mid:], "children": meta["children"][mid:]},
                 )
-                node.meta["keys"] = node.meta["keys"][: mid - 1]
-                node.meta["children"] = node.meta["children"][:mid]
+                meta["keys"] = meta["keys"][: mid - 1]
+                meta["children"] = meta["children"][:mid]
+
+        def link(parent: Page) -> None:
+            child_index = parent.meta["children"].index(node.page_no)
+            parent.meta["keys"].insert(child_index, separator)
+            parent.meta["children"].insert(child_index + 1, right.page_no)
+
+        while True:
+            node = yield from self.pool.modify(node, halve, lsn)
             yield from self.pool.put_page(right, dirty=True)
-            yield from self.pool.mark_dirty(node, lsn=lsn)
-            if parents:
-                parent = parents.pop()
-                child_index = parent.meta["children"].index(node.page_no)
-                parent.meta["keys"].insert(child_index, separator)
-                parent.meta["children"].insert(child_index + 1, right.page_no)
-                yield from self.pool.mark_dirty(parent, lsn=lsn)
-                overflow = len(parent.meta["children"]) > INTERNAL_FANOUT
-                if not overflow:
-                    return
-                node = parent
-            else:
-                new_root = Page(
-                    page_id=(self.store.file_id, self._new_page_no()),
-                    kind=PageKind.BTREE_INTERNAL,
-                    rows=[],
-                    meta={"keys": [separator], "children": [node.page_no, right.page_no]},
-                )
-                yield from self.pool.put_page(new_root, dirty=True)
-                self.root_page_no = new_root.page_no
-                self.height += 1
+            if not parents:
+                break
+            node = yield from self.pool.modify(parents.pop(), link, lsn)
+            if len(node.meta["children"]) <= INTERNAL_FANOUT:
                 return
+        new_root = Page(
+            page_id=(file_id, self._new_page_no()),
+            kind=PageKind.BTREE_INTERNAL,
+            rows=[],
+            meta={"keys": [separator], "children": [node.page_no, right.page_no]},
+        )
+        yield from self.pool.put_page(new_root, dirty=True)
+        self.root_page_no = new_root.page_no
+        self.height += 1

@@ -45,12 +45,11 @@ PREFETCH_CONCURRENCY = 256
 
 
 class Frame:
-    __slots__ = ("page", "dirty", "pin_count")
+    __slots__ = ("page", "dirty")
 
     def __init__(self, page: Page):
         self.page = page
         self.dirty = False
-        self.pin_count = 0
 
 
 class BufferPoolExtension:
@@ -84,6 +83,17 @@ class BufferPoolExtension:
         self.demotions_failed = 0
         #: Pages pulled up after a hit at a slower tier.
         self.promotions = 0
+        #: Write-behinds and demotion reads in flight: page_id -> their
+        #: tokens.  ``invalidate`` takes the page's entry away, and a park
+        #: that finds its token gone does not map its slot.
+        self._parking: dict[PageId, set] = {}
+        #: Parks dropped because the page was invalidated, or mapped by
+        #: another park, while the write-behind was in flight — or because
+        #: other parks in flight held every slot of the tier.
+        self.parks_cancelled = 0
+        #: Reads whose slot was freed (and perhaps re-used for another
+        #: page) under them.  Served as a miss.
+        self.stale_slot_reads = 0
         #: Observers called with the page id whenever a remote failure is
         #: detected on the access path (fault-detection latency probes).
         self.fault_listeners: list[Callable[[PageId], None]] = []
@@ -169,37 +179,42 @@ class BufferPoolExtension:
             # the mapping), so the extension copy is current: no I/O.
             slots.move_to_end(page_id)
             return
-        if level.free:
-            slot = level.free.pop()
-        else:
-            _old_id, slot = slots.popitem(last=False)
-            if index + 1 < len(self.levels):
-                # Hand the victim to the tier below before its slot is
-                # reused.
-                yield from self._demote(level, slot, index + 1)
-            level.store.discard(slot)
-        layer = self.reliability
-        if layer is not None:
-            provider = level.store.slot_provider(slot)
-            if provider is not None and not layer.breakers.routable(provider):
-                # Don't park pages at a quarantined provider: give the
-                # slot back and let the page age out of the pool.
-                level.quarantine_skips += 1
-                level.free.append(slot)
-                return
-
-        def _write_aborted(level=level, slots=slots, page_id=page_id, slot=slot):
-            # The write-behind transfer died after put() returned (the
-            # provider crashed or a write deadline cut it short): the
-            # remote bytes are unknown, so the mapping made below must
-            # not survive.  The store already discarded its slot state.
-            level.transient_failures += 1
-            if slots.get(page_id) == slot:
-                del slots[page_id]
-                level.free.append(slot)
-
-        sim = self.sim
+        token = self._park_begins(page_id)
         try:
+            if level.free:
+                slot = level.free.pop()
+            elif not slots:
+                # Every slot of the tier is in transit under another park.
+                self.parks_cancelled += 1
+                return
+            else:
+                old_id, slot = slots.popitem(last=False)
+                if index + 1 < len(self.levels):
+                    # Hand the victim to the tier below before its slot is
+                    # reused.
+                    yield from self._demote(level, old_id, slot, index + 1)
+                level.store.discard(slot)
+            layer = self.reliability
+            if layer is not None:
+                provider = level.store.slot_provider(slot)
+                if provider is not None and not layer.breakers.routable(provider):
+                    # Don't park pages at a quarantined provider: give the
+                    # slot back and let the page age out of the pool.
+                    level.quarantine_skips += 1
+                    level.free.append(slot)
+                    return
+
+            def _write_aborted(level=level, slots=slots, page_id=page_id, slot=slot):
+                # The write-behind transfer died after put() returned (the
+                # provider crashed or a write deadline cut it short): the
+                # remote bytes are unknown, so the mapping made below must
+                # not survive.  The store already discarded its slot state.
+                level.transient_failures += 1
+                if slots.get(page_id) == slot:
+                    del slots[page_id]
+                    level.free.append(slot)
+
+            sim = self.sim
             if sim.tracer.enabled:
                 with sim.tracer.span("bpext.put", slot=slot, tier=level.name):
                     yield from level.store.write_page(
@@ -221,18 +236,48 @@ class BufferPoolExtension:
         except RemoteMemoryUnavailable:
             self._on_failure(level, page_id, slot)
             return
+        finally:
+            current = self._park_ends(page_id, token)
+        if not current or page_id in slots:
+            # Stale by now, or a concurrent park of the page got there
+            # first: never serve this copy.
+            self.parks_cancelled += 1
+            level.store.discard(slot)
+            level.free.append(slot)
+            return
         # Map only once the slot actually holds the page; readers that
         # race the write simply miss to the base file (correct, slower).
         slots[page_id] = slot
 
-    def _demote(self, level: Tier, slot: int, below: int) -> ProcessGenerator:
+    def _park_begins(self, page_id: PageId) -> object:
+        token = object()
+        self._parking.setdefault(page_id, set()).add(token)
+        return token
+
+    def _park_ends(self, page_id: PageId, token: object) -> bool:
+        """``False`` if the page was invalidated since ``_park_begins``."""
+        tokens = self._parking.get(page_id, ())
+        if token not in tokens:
+            return False
+        tokens.remove(token)
+        if not tokens:
+            del self._parking[page_id]
+        return True
+
+    def _demote(self, level: Tier, page_id: PageId, slot: int, below: int) -> ProcessGenerator:
         # Best-effort: read the victim image (timed — demotion costs a
         # real read) and park it one tier down.  A failed read just
         # loses the cached copy, but is counted where tests can see it.
+        token = self._park_begins(page_id)
         try:
             page = yield from level.store.read_page(slot, background=True)
         except (PageNotFound, RemoteMemoryUnavailable, DeadlineExceeded):
             self.demotions_failed += 1
+            return
+        finally:
+            current = self._park_ends(page_id, token)
+        if not current:
+            self.parks_cancelled += 1  # invalidated while it was being read
             return
         self.demotions += 1
         yield from self.put(page, below)
@@ -284,6 +329,12 @@ class BufferPoolExtension:
                 self._on_failure(level, page_id, slot)
                 level.misses += 1
                 continue
+            if slots.get(page_id) != slot or page.page_id != page_id:
+                # The slot was freed while the read was in flight, and
+                # perhaps re-used: what came back may be another page.
+                self.stale_slot_reads += 1
+                level.misses += 1
+                continue
             elapsed = sim.now - start
             level.read_latency.record(elapsed)
             if level.read_latency is not self.read_latency:
@@ -328,6 +379,7 @@ class BufferPoolExtension:
             level.free.append(slot)
 
     def invalidate(self, page_id: PageId) -> None:
+        self._parking.pop(page_id, None)
         for level in self.levels:
             self._drop(level, page_id)
 
@@ -423,12 +475,13 @@ class BufferPool:
         self.ext_hits = 0
         self.base_reads = 0
         self.prefetches = 0
+        #: ``modify`` calls whose handle had been evicted (re-fetched).
+        self.stale_handles = 0
         self._prefetch_active = 0
         #: Bumped wherever a page can drop out of ``_frames``, ``_inflight``
         #: and ``_pending_writes`` altogether (and, harmlessly, at some
-        #: places where it only moves between them): ``_evict_one``, a
-        #: failed ``_fault``, a short ``fetch_group``, the lazy writer's
-        #: ``pop`` and ``drop_all``.
+        #: places where it only moves between them): ``_park``, a failed
+        #: ``_fault``, a short ``fetch_group`` and ``drop_all``.
         self._losses = 0
         #: file_id -> (losses, lo, hi): pages ``lo <= n < hi`` were each in
         #: one of those three maps when a read-ahead window was last
@@ -712,48 +765,33 @@ class BufferPool:
                 fetch_group(store, group[0], claims), name="bp.prefetch"
             )
 
-    def update_page(self, file_id: int, page_no: int, mutate, lsn: int = 0) -> ProcessGenerator:
-        """Fault in a page, apply ``mutate(page)``, mark it dirty.
+    def modify(
+        self, page: Page, mutate: Callable[[Page], object], lsn: int = 0
+    ) -> ProcessGenerator:
+        """The one way to change a page: run ``mutate`` on its resident image.
 
-        The mutation happens atomically (no simulation yield between the
-        lookup and the dirty marking).
+        Hand the pool a function, not a mutated handle.  ``page`` is the
+        image the caller fetched and only a hint: if it is no longer the
+        resident frame's image (evicted across a yield) the current one
+        is faulted in first.  ``mutate``, the dirty flag and the
+        extension invalidation then happen with no yield in between, so a
+        stale image can never be written back.  ``mutate`` may return
+        ``False`` to say it changed nothing, which leaves the page as
+        clean as it was.  Returns the image ``mutate`` ran on.
         """
-        page = yield from self.get_page(file_id, page_no)
-        mutate(page)
-        if lsn:
-            page.lsn = max(page.lsn, lsn)
-        frame = self._frames.get((file_id, page_no))
-        if frame is None:  # evicted during fault-in by a concurrent worker
-            yield from self._insert(page, dirty=True)
-            frame = self._frames.get((file_id, page_no))
-            if frame is not None:
-                frame.page = page
-        else:
+        page_id = page.page_id
+        frame = self._frames.get(page_id)
+        while frame is None or frame.page is not page:
+            self.stale_handles += 1
+            page = yield from self.get_page(*page_id)
+            frame = self._frames.get(page_id)
+        if mutate(page) is not False:
+            if lsn:
+                page.lsn = max(page.lsn, lsn)
             frame.dirty = True
-        # The extension copy (if any) is now stale.
-        if self.extension is not None:
-            self.extension.invalidate((file_id, page_no))
+            if self.extension is not None:
+                self.extension.invalidate(page_id)
         return page
-
-    def mark_dirty(self, page: Page, lsn: int = 0) -> ProcessGenerator:
-        """Flag an already-fetched page as modified.
-
-        Safe in cooperative simulation code as long as no simulation
-        yield happened between the ``get_page`` and this call; if the
-        frame was concurrently evicted the image is re-installed.
-        """
-        if lsn:
-            page.lsn = max(page.lsn, lsn)
-        frame = self._frames.get(page.page_id)
-        if frame is None or frame.page is not page:
-            yield from self._insert(page, dirty=True)
-            frame = self._frames.get(page.page_id)
-            if frame is not None:
-                frame.page = page
-        else:
-            frame.dirty = True
-        if self.extension is not None:
-            self.extension.invalidate(page.page_id)
 
     def adopt(self, page: Page) -> bool:
         """Install a clean frame without I/O or eviction (pool priming).
@@ -791,31 +829,60 @@ class BufferPool:
         self._frames[page.page_id] = frame
         self._frames.move_to_end(page.page_id)
         while len(self._frames) > self.capacity_pages:
-            yield from self._evict_one()
+            victim = self._frames.popitem(last=False)[1]
+            if victim.dirty:
+                yield from self._write_behind(victim.page)
+            else:
+                yield from self._park(victim.page, flushed=False)
 
-    def _evict_one(self) -> ProcessGenerator:
-        victim_id = None
-        for page_id, frame in self._frames.items():
-            if frame.pin_count == 0:
-                victim_id = page_id
-                break
-        if victim_id is None:
-            raise EngineError("all frames pinned; cannot evict")
-        frame = self._frames.pop(victim_id)
-        self._losses += 1
-        if frame.dirty:
-            # Park the image in pending_writes *before* any yield so the
-            # page stays visible to readers throughout the hand-off.
-            self._pending_writes[victim_id] = frame.page.copy()
-            # Lazy-writer backpressure when flooded.
-            while len(self._write_queue) >= WRITE_QUEUE_LIMIT:
-                waiter = self.server.sim.event()
-                self._queue_waiters.append(waiter)
-                yield waiter
-            self._write_queue.append(victim_id)
-            self._writer_signal.put(victim_id)
-        if self.extension is not None and not frame.dirty:
-            yield from self.extension.put(frame.page)
+    def _write_behind(self, page: Page) -> ProcessGenerator:
+        """Hand a snapshot of a dirty image to the lazy writers."""
+        page_id = page.page_id
+        pending = self._pending_writes
+        replaces = page_id in pending
+        # In pending_writes *before* any yield so the page stays visible
+        # to readers throughout the hand-off.
+        pending[page_id] = page.copy()
+        if replaces:
+            # An older snapshot is queued or being flushed.  Whoever
+            # retires it finds this one and queues the page again: two
+            # flushes of one page in flight could land out of order.
+            return
+        # Lazy-writer backpressure when flooded.
+        while len(self._write_queue) >= WRITE_QUEUE_LIMIT:
+            waiter = self.server.sim.event()
+            self._queue_waiters.append(waiter)
+            yield waiter
+        self._write_queue.append(page_id)
+        self._writer_signal.put(page_id)
+
+    def _park(self, page: Page, flushed: bool) -> ProcessGenerator:
+        """Hand a clean image from the pool to the extension: an evicted
+        frame's, or (``flushed``) a snapshot a lazy writer just wrote.
+
+        One rule: an image is parked, and a pending snapshot forgotten,
+        only while it is still the page's newest image in the pool.  A
+        resident frame or a later snapshot of the page (it was read back
+        and re-dirtied while this one was on its way to the file) owns
+        the page instead, and leaves through here in its turn.
+        """
+        page_id = page.page_id
+        pending = self._pending_writes
+        self._losses += 1  # an evicted frame left ``_frames`` before the yield below
+        if (
+            self.extension is not None
+            and page_id not in self._frames
+            and pending.get(page_id) is (page if flushed else None)
+        ):
+            yield from self.extension.put(page)
+        if not flushed:
+            return
+        if pending[page_id] is page:
+            del pending[page_id]
+            self._losses += 1
+        else:  # replaced during its own flush: the page goes round again
+            self._write_queue.append(page_id)
+            self._writer_signal.put(page_id)
 
     def _lazy_writer(self) -> ProcessGenerator:
         while True:
@@ -828,9 +895,7 @@ class BufferPool:
                 batch.append(self._write_queue.popleft())
             by_file: dict[int, list] = {}
             for page_id in batch:
-                page = self._pending_writes.get(page_id)
-                if page is not None:
-                    by_file.setdefault(page_id[0], []).append(page)
+                by_file.setdefault(page_id[0], []).append(self._pending_writes[page_id])
             with self.server.sim.tracer.span("bp.writeback", pages=len(batch)):
                 for file_id, pages in by_file.items():
                     store = self.files.get(file_id)
@@ -842,23 +907,19 @@ class BufferPool:
                         for page in pages:
                             yield from store.write_page(page)
             # After the flush, the clean images can go to the extension.
-            for file_id, pages in by_file.items():
+            for pages in by_file.values():
                 for page in pages:
-                    if self.extension is not None:
-                        yield from self.extension.put(page)
-                    self._pending_writes.pop(page.page_id, None)
-                    self._losses += 1
+                    yield from self._park(page, flushed=True)
             while self._queue_waiters and len(self._write_queue) < WRITE_QUEUE_LIMIT:
                 self._queue_waiters.popleft().succeed()
 
     def flush_all(self) -> ProcessGenerator:
         """Write every dirty frame through to its file (checkpoint)."""
-        for page_id, frame in list(self._frames.items()):
-            if frame.dirty:
-                store = self.files.get(page_id[0])
-                if store is not None:
-                    yield from store.write_page(frame.page)
+        for page_id in list(self._frames):
+            frame = self._frames.get(page_id)  # may be evicted by now: queued there
+            if frame is not None and frame.dirty:
                 frame.dirty = False
+                yield from self._write_behind(frame.page)
         while self._pending_writes:
             yield self.server.sim.timeout(100.0)
 

@@ -206,27 +206,20 @@ class Database:
         self.queries_executed += 1
         return QueryResult(rows, ctx.metrics, self.sim.now - start)
 
-    # -- DML (single-statement transactions) -----------------------------------
+    # -- DML (the one autocommit statement) ------------------------------------
 
-    def update_by_key(
-        self, table: Table, key: Any, mutate: Callable[[tuple], tuple]
+    def update_range(
+        self, table: Table, low: Any, high: Any, mutate: Callable[[tuple], tuple]
     ) -> ProcessGenerator:
-        """UPDATE ... WHERE key = ?: log, apply, group-commit."""
-        record = yield from self.wal.log_update(table.name, key, None, LogRecordKind.UPDATE)
-        changed = yield from table.clustered.update_where(key, mutate, lsn=record.lsn)
-        yield from self.wal.log_update(table.name, key, None, LogRecordKind.COMMIT)
+        """UPDATE ... WHERE low <= key < high: seek, log, apply, group-commit.
+
+        Returns the number of rows changed.  Anything that needs
+        isolation, undo, inserts or deletes goes through
+        :meth:`transactions`.
+        """
+        tree = table.clustered
+        position = yield from tree.seek(low)
+        record = yield from self.wal.log_update(table.name, low, None, LogRecordKind.UPDATE)
+        changed = yield from tree.update_range(low, high, mutate, record.lsn, start=position)
+        yield from self.wal.log_update(table.name, low, None, LogRecordKind.COMMIT)
         return changed
-
-    def insert_row(self, table: Table, row: tuple) -> ProcessGenerator:
-        key = table.key_of(row)
-        record = yield from self.wal.log_update(table.name, key, row, LogRecordKind.INSERT)
-        yield from table.clustered.insert(row, lsn=record.lsn)
-        table.stats.row_count += 1
-        yield from self.wal.log_update(table.name, key, None, LogRecordKind.COMMIT)
-
-    def delete_by_key(self, table: Table, key: Any) -> ProcessGenerator:
-        record = yield from self.wal.log_update(table.name, key, None, LogRecordKind.DELETE)
-        removed = yield from table.clustered.delete(key, lsn=record.lsn)
-        table.stats.row_count -= removed
-        yield from self.wal.log_update(table.name, key, None, LogRecordKind.COMMIT)
-        return removed

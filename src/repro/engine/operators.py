@@ -195,7 +195,7 @@ class TableScan(Operator):
         file_id = tree.store.file_id
         predicate, project = self.predicate, self.project
         per_row_us = PER_ROW_SCAN_CPU_US + self.extra_cpu_per_row_us
-        leaf = yield from tree._descend(_NEG_INF)
+        leaf = yield from tree.seek(_NEG_INF)
         out: list[tuple] = []
         while leaf is not None:
             # Bulk-built leaves are physically sequential: issue

@@ -104,7 +104,6 @@ class _TenantAccount:
     runtime: "TenantRuntime"
     signal: Optional[DemandSignal] = None
     last_resize_us: float = field(default=-1e18)
-    revocations: int = 0
 
 
 class Marketplace:
@@ -158,12 +157,8 @@ class Marketplace:
             )
 
     def _on_revoked(self, account: _TenantAccount, lease: Lease) -> None:
-        account.revocations += 1
         self.revocations_seen += 1
         account.runtime.on_lease_revoked(lease)
-
-    def tenant_revocations(self, name: str) -> int:
-        return self._accounts[name].revocations
 
     # -- demand ------------------------------------------------------------
 

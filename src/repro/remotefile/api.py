@@ -112,6 +112,17 @@ def _guarded(generator: ProcessGenerator) -> ProcessGenerator:
         return _ABORTED
 
 
+_OVERTOOK = object()
+
+
+def _behind(write, read: ProcessGenerator) -> ProcessGenerator:
+    """Run a read posted after ``write``, a fire-and-forget transfer to
+    the same extent: ``_OVERTOOK`` if the read completed first, having
+    sampled what the extent held before."""
+    value = yield from read
+    return _OVERTOOK if write.is_alive else value
+
+
 class RemoteFile:
     """A file materialized over leased remote memory regions."""
 
@@ -141,6 +152,12 @@ class RemoteFile:
             self._offsets.append(cursor)
             cursor += lease.region.size
         self._qps: dict[str, Any] = {}
+        #: Fire-and-forget writes still on their way: (region, offset) ->
+        #: transfer.  A reliable connection orders a read after the
+        #: writes posted before it; here a read can overtake a write
+        #: queued on a busy NIC and return what the extent held before,
+        #: so a read that did is repeated once the write has landed.
+        self._landing: dict[tuple, Any] = {}
         self.is_open = False
         self.reads = 0
         self.writes = 0
@@ -448,10 +465,11 @@ class RemoteFile:
         )
         try:
             slots = yield from self.staging.acquire(length)
-            transfer = sim.spawn(
-                _guarded(qp.read(lease.region, mr_offset, length, opaque=opaque, nodata=nodata)),
-                name=f"{self.name}.rdma_read",
-            )
+            read = qp.read(lease.region, mr_offset, length, opaque=opaque, nodata=nodata)
+            landing = self._landing.get((lease.region, mr_offset))
+            if landing is not None:
+                read = _behind(landing, read)
+            transfer = sim.spawn(_guarded(read), name=f"{self.name}.rdma_read")
             lease.region.server.nic.track_inflight(transfer)
             issued_at = sim.now
             transfer.add_callback(
@@ -477,6 +495,11 @@ class RemoteFile:
                 self.staging.release(slots)
             if ticket is not None:
                 ticket.release()
+        if value is _OVERTOOK:
+            yield landing
+            value = yield from self._transfer_read_once(
+                lease, mr_offset, length, opaque, nodata=nodata, background=background
+            )
         return value
 
     def _transfer_write(
@@ -584,8 +607,12 @@ class RemoteFile:
                 # write-behind naturally.
                 released = True
                 provider = lease.provider
+                extent = (lease.region, mr_offset)
+                self._landing[extent] = transfer
 
                 def _complete(_e, slots=slots, ticket=ticket):
+                    if self._landing.get(extent) is transfer:
+                        del self._landing[extent]
                     self.staging.release(slots)
                     if ticket is not None:
                         ticket.release()

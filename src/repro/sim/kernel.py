@@ -681,14 +681,6 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule_at(self, when: float, event: Event) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, event))
-
-    def _push_triggered(self, event: Event) -> None:
-        self._seq += 1
-        self._nowq.append((self._seq, event))
-
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` at the current instant, after already-queued events."""
         self._seq += 1

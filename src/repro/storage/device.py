@@ -121,14 +121,6 @@ class BlockDevice(abc.ABC):
         if self.throughput_series is not None:
             self.throughput_series.add(self.sim.now, size)
 
-    def reset_stats(self) -> None:
-        self.read_latency.reset()
-        self.write_latency.reset()
-        self.bytes_read = self.bytes_written = 0
-        self.reads = self.writes = 0
-        if self.throughput_series is not None:
-            self.throughput_series.reset()
-
 
 class DramDevice(BlockDevice):
     """Local DRAM treated as a block device (the *Local Memory* design).

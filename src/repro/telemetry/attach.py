@@ -75,7 +75,7 @@ def register_cpu(registry: MetricsRegistry, prefix: str, cpu: Any) -> None:
 def register_pool(registry: MetricsRegistry, prefix: str, pool: Any) -> None:
     """Adopt a :class:`~repro.engine.BufferPool`'s instruments."""
     registry.register(f"{prefix}.fault_latency", pool.fault_latency)
-    for attr in ("hits", "misses", "ext_hits", "base_reads", "prefetches"):
+    for attr in ("hits", "misses", "ext_hits", "base_reads", "prefetches", "stale_handles"):
         _gauge_attr(registry, f"{prefix}.{attr}", pool, attr)
     registry.gauge(f"{prefix}.hit_ratio", lambda: float(pool.hit_ratio))
     if pool.extension is not None:
@@ -99,7 +99,10 @@ def register_extension(registry: MetricsRegistry, prefix: str, ext: Any) -> None
             "parked_pages", "capacity_pages",
         ):
             _gauge_attr(registry, f"{scope}.{attr}", obj, attr)
-    for attr in ("demotions", "demotions_failed", "promotions"):
+    for attr in (
+        "demotions", "demotions_failed", "promotions",
+        "parks_cancelled", "stale_slot_reads",
+    ):
         _gauge_attr(registry, f"{prefix}.{attr}", ext, attr)
     if ext.bytes_series is not None:
         registry.register(f"{prefix}.bytes", ext.bytes_series)

@@ -278,12 +278,6 @@ class TraceRecorder:
     def find(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
 
-    def by_sid(self, sid: int) -> Optional[Span]:
-        for span in self.spans:
-            if span.sid == sid:
-                return span
-        return None
-
     def depth_of(self, span: Span) -> int:
         """Parent-chain length: 0 for roots (cross-process aware)."""
         index = {s.sid: s for s in self.spans}

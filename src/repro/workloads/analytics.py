@@ -29,6 +29,21 @@ class QuerySpec:
     factory: Callable[[Database, dict, np.random.Generator], tuple[Operator, int, int]]
 
 
+class WithScanLeg(Operator):
+    """Run a side scan (EXISTS / anti-join / correlated-subquery leg)
+    before the main child, passing the child's rows through unchanged."""
+
+    def __init__(self, child, scan):
+        self.child = child
+        self.scan = scan
+        self.row_bytes = child.row_bytes
+
+    def run(self, ctx):
+        yield from self.scan.run(ctx)
+        rows = yield from self.child.run(ctx)
+        return rows
+
+
 @dataclass
 class StreamReport:
     """Results of running query streams to completion."""

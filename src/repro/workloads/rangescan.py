@@ -98,7 +98,7 @@ def _start_keys(config: RangeScanConfig, rng: np.random.Generator, count: int) -
     return keys
 
 
-def _read_query(db: Database, table: Table, start_key: int, range_size: int) -> ProcessGenerator:
+def read_query(db: Database, table: Table, start_key: int, range_size: int) -> ProcessGenerator:
     """Seek + scan + SUM(acctbal)."""
     rows = yield from table.clustered.range_scan(start_key, start_key + range_size)
     yield from db.server.cpu.compute(len(rows) * PER_ROW_AGG_CPU_US)
@@ -106,42 +106,19 @@ def _read_query(db: Database, table: Table, start_key: int, range_size: int) -> 
     return sum(row[balance_index] for row in rows)
 
 
-def _update_query(db: Database, table: Table, start_key: int, range_size: int) -> ProcessGenerator:
-    """UPDATE acctbal over the range: log + mutate leaves + commit."""
-    from ..engine.wal import LogRecordKind
+def _bump_balance(balance_index: int):
+    def bump(row: tuple) -> tuple:
+        new_row = list(row)
+        new_row[balance_index] = row[balance_index] + 1.0
+        return tuple(new_row)
 
-    tree = table.clustered
-    balance_index = table.schema.index_of("acctbal")
-    leaf = yield from tree._descend(start_key)
-    high = start_key + range_size
-    touched = 0
-    record = yield from db.wal.log_update(table.name, start_key, None, LogRecordKind.UPDATE)
-    while leaf is not None:
-        changed = False
-        for index, row in enumerate(leaf.rows):
-            key = tree.key_fn(row)
-            if start_key <= key < high:
-                new_row = list(row)
-                new_row[balance_index] = row[balance_index] + 1.0
-                leaf.rows[index] = tuple(new_row)
-                changed = True
-                touched += 1
-        if changed:
-            yield from db.pool.mark_dirty(leaf, lsn=record.lsn)
-        if leaf.rows and tree.key_fn(leaf.rows[-1]) >= high:
-            break
-        next_no = leaf.meta.get("next")
-        if next_no is None:
-            break
-        leaf = yield from db.pool.get_page(tree.store.file_id, next_no)
-    yield from db.wal.log_update(table.name, start_key, None, LogRecordKind.COMMIT)
-    return touched
+    return bump
 
 
-# Public aliases: other drivers (the fleet tenant workloads) multiplex
-# single queries without going through a whole RangeScanConfig run.
-read_query = _read_query
-update_query = _update_query
+def update_query(db: Database, table: Table, start_key: int, range_size: int) -> ProcessGenerator:
+    """UPDATE acctbal over the range, as one autocommit statement."""
+    bump = _bump_balance(table.schema.index_of("acctbal"))
+    return db.update_range(table, start_key, start_key + range_size, bump)
 
 
 def txn_update_query(txn, table: Table, start_key: int, range_size: int) -> ProcessGenerator:
@@ -154,13 +131,7 @@ def txn_update_query(txn, table: Table, start_key: int, range_size: int) -> Proc
     Customer table's keys are dense in ``[0, n_rows)``, so every key in
     the window exists.
     """
-    balance_index = table.schema.index_of("acctbal")
-
-    def bump(row: tuple) -> tuple:
-        new_row = list(row)
-        new_row[balance_index] = row[balance_index] + 1.0
-        return tuple(new_row)
-
+    bump = _bump_balance(table.schema.index_of("acctbal"))
     for key in range(start_key, start_key + range_size):
         yield from txn.update(table, key, bump)
     return range_size
@@ -188,10 +159,10 @@ def launch_rangescan(db: Database, table: Table, config: RangeScanConfig,
             query_begin = sim.now
             yield from db.server.cpu.compute(db.query_setup_cpu_us)
             if updates[position]:
-                yield from _update_query(db, table, start_key, config.range_size)
+                yield from update_query(db, table, start_key, config.range_size)
                 report.update_latency.record(sim.now - query_begin)
             else:
-                yield from _read_query(db, table, start_key, config.range_size)
+                yield from read_query(db, table, start_key, config.range_size)
             report.latency.record(sim.now - query_begin)
             report.queries += 1
 

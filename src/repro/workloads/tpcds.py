@@ -26,11 +26,10 @@ from ..engine import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexRangeScan,
-    Operator,
     Schema,
     TableScan,
 )
-from .analytics import QuerySpec
+from .analytics import QuerySpec, WithScanLeg
 
 __all__ = ["TpcdsScale", "TPCDS_QUERIES", "build_tpcds_database", "tpcds_query_specs"]
 
@@ -147,21 +146,6 @@ def _reporting_scan(db, tables, rng, fraction: float):
     return plan, 1 * _MB, 1
 
 
-class _WithScanLeg(Operator):
-    """Run a side scan (EXISTS / correlated-subquery leg) before the
-    main child, passing the child's rows through unchanged."""
-
-    def __init__(self, child, scan):
-        self.child = child
-        self.scan = scan
-        self.row_bytes = child.row_bytes
-
-    def run(self, ctx):
-        yield from self.scan.run(ctx)
-        rows = yield from self.child.run(ctx)
-        return rows
-
-
 def _date_window_join(db, tables, rng, days: int):
     """Date-window fact slice + dimension hash join (2-10x).
 
@@ -173,7 +157,7 @@ def _date_window_join(db, tables, rng, days: int):
     date_index = tables["_indexes"]["ss.sold_date_sk"]
     start = int(rng.integers(0, max(1, DATE_SPAN - days)))
     entries = IndexRangeScan(date_index, start, start + days, row_bytes=24)
-    entries = _WithScanLeg(
+    entries = WithScanLeg(
         entries,
         TableScan(sales, predicate=lambda row: False, extra_cpu_per_row_us=0.5),
     )

@@ -30,12 +30,11 @@ from ..engine import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexRangeScan,
-    Operator,
     Schema,
     TableScan,
 )
 from ..plan import Agg, Aggregate, Join, PlanNode, Project, Scan, TopN
-from .analytics import QuerySpec
+from .analytics import QuerySpec, WithScanLeg
 
 __all__ = [
     "TpchScale",
@@ -279,21 +278,6 @@ _KB = 1024
 _MB = 1024 * _KB
 
 
-class _WithScanLeg(Operator):
-    """Run a side scan (EXISTS / anti-join leg) before the main child,
-    passing the child's rows through unchanged."""
-
-    def __init__(self, child, scan):
-        self.child = child
-        self.scan = scan
-        self.row_bytes = child.row_bytes
-
-    def run(self, ctx):
-        yield from self.scan.run(ctx)
-        rows = yield from self.child.run(ctx)
-        return rows
-
-
 def _scan_aggregate(db, tables, rng, fraction: float, cpu_per_row_us: float = 1.6):
     """Q1/Q6 shape: sequential scan + expression-dense aggregate.
 
@@ -332,7 +316,7 @@ def _date_range_lookup_join(db, tables, rng, days: int, with_scan: bool = False)
     # NC index range scan yields (orderdate, orderkey) entries.
     order_entries = IndexRangeScan(date_index, start, start + days, row_bytes=24)
     if with_scan:
-        order_entries = _WithScanLeg(
+        order_entries = WithScanLeg(
             order_entries,
             TableScan(lineitem, predicate=lambda row: False, extra_cpu_per_row_us=0.6),
         )
@@ -413,7 +397,7 @@ def _multiway_join(db, tables, rng, days: int):
     start = int(rng.integers(0, max(1, DATE_SPAN - days)))
     order_entries = IndexRangeScan(date_index, start, start + days, row_bytes=24)
     # Multi-way plans also stream a fact-table leg (supplier/part side).
-    order_entries = _WithScanLeg(
+    order_entries = WithScanLeg(
         order_entries,
         TableScan(lineitem, predicate=lambda row: False, extra_cpu_per_row_us=0.4),
     )

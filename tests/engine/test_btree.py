@@ -64,11 +64,6 @@ class TestSearch:
         rows = rig.run(tree.range_scan(0, 100, limit=7))
         assert len(rows) == 7
 
-    def test_leaf_page_numbers_cover_all_leaves(self, rig):
-        tree, _ = make_tree(rig, [(i, i) for i in range(100)], leaf_capacity=4)
-        numbers = rig.run(tree.leaf_page_numbers())
-        assert len(numbers) == tree.leaf_count
-
 
 class TestMutation:
     def test_insert_then_search(self, rig):
@@ -97,6 +92,14 @@ class TestMutation:
         changed = rig.run(tree.update_where(7, lambda row: (row[0], row[1] + 5)))
         assert changed == 1
         assert rig.run(tree.search(7)) == [(7, 5)]
+
+    def test_update_range_from_a_seek_made_earlier(self, rig):
+        tree, _ = make_tree(rig, [(i, 0) for i in range(50)], leaf_capacity=4)
+        start = rig.run(tree.seek(10))
+        changed = rig.run(tree.update_range(10, 20, lambda row: (row[0], 1), start=start))
+        assert changed == 10
+        rows = rig.run(tree.range_scan(0, 50))
+        assert [row[0] for row in rows if row[1]] == list(range(10, 20))
 
     def test_delete(self, rig):
         tree, _ = make_tree(rig, [(i, i) for i in range(50)])
@@ -140,6 +143,53 @@ def test_btree_matches_sorted_reference(keys, leaf_capacity):
         found = rig.run(tree.search(key))
         assert all(r[0] == key for r in found)
         assert len(found) == keys.count(key)
+
+
+KEYS = st.integers(min_value=0, max_value=12)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    keys=st.lists(KEYS, max_size=60),
+    statements=st.lists(
+        st.one_of(
+            st.tuples(st.just("update_where"), KEYS, KEYS),
+            st.tuples(st.just("update_range"), KEYS, KEYS),
+            st.tuples(st.just("delete"), KEYS, KEYS),
+        ),
+        max_size=8,
+    ),
+    leaf_capacity=st.integers(min_value=2, max_value=5),
+)
+def test_leaf_rewriter_matches_a_list(keys, statements, leaf_capacity):
+    """Property: ``update_where``, ``update_range`` and ``delete`` — one
+    leaf rewriter — change exactly the rows a list comprehension would,
+    with duplicate keys spanning leaves and leaves emptied by deletes."""
+    from tests.engine.conftest import EngineRig
+
+    rig = EngineRig()
+    model = [(key, 0) for key in sorted(keys)]
+    tree, _ = make_tree(rig, model, leaf_capacity=leaf_capacity)
+
+    def bump(row):
+        return (row[0], row[1] + 1)
+
+    for op, low, other in statements:
+        if op == "update_where":
+            hit = [row[0] == low for row in model]
+            changed = rig.run(tree.update_where(low, bump))
+        elif op == "update_range":
+            hit = [low <= row[0] < other for row in model]
+            changed = rig.run(tree.update_range(low, other, bump))
+        else:
+            hit = [row[0] == low for row in model]
+            changed = rig.run(tree.delete(low))
+        assert changed == sum(hit)
+        model = [
+            bump(row) if was_hit else row
+            for row, was_hit in zip(model, hit) if not (was_hit and op == "delete")
+        ]
+        assert rig.run(tree.range_scan(-1, 100)) == model
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

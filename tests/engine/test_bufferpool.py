@@ -1,7 +1,7 @@
 """Tests for the buffer pool, eviction, lazy writer and BPExt."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.bufferpool import PREFETCH_CONCURRENCY, BufferPool, BufferPoolExtension
@@ -20,6 +20,12 @@ def make_pool(rig, capacity=8, extension_store=None, file_device=None):
     data.preload([Page.build(1, n, [(n, f"row{n}")]) for n in range(64)])
     pool.register_file(data)
     return pool, data
+
+
+def update(pool, page_no, mutate):
+    """Fetch a page of file 1 and change it the one way there is."""
+    page = yield from pool.get_page(1, page_no)
+    yield from pool.modify(page, mutate)
 
 
 class TestBasicCaching:
@@ -67,7 +73,7 @@ class TestDirtyPages:
         def bump(page):
             page.rows[0] = (0, "updated")
 
-        rig.run(pool.update_page(1, 0, bump))
+        rig.run(update(pool, 0, bump))
         page = rig.run(pool.get_page(1, 0))
         assert page.rows[0] == (0, "updated")
 
@@ -77,7 +83,7 @@ class TestDirtyPages:
         def bump(page):
             page.rows[0] = (0, "updated")
 
-        rig.run(pool.update_page(1, 0, bump))
+        rig.run(update(pool, 0, bump))
         for n in range(1, 6):  # push page 0 out
             rig.run(pool.get_page(1, n))
         rig.sim.run(until=rig.sim.now + 1e6)  # let the lazy writer drain
@@ -89,7 +95,7 @@ class TestDirtyPages:
         def bump(page):
             page.rows[0] = (0, "updated")
 
-        rig.run(pool.update_page(1, 0, bump))
+        rig.run(update(pool, 0, bump))
         for n in range(1, 6):
             rig.run(pool.get_page(1, n))
         # Do not wait for the writer: the page image must still be correct.
@@ -103,7 +109,7 @@ class TestDirtyPages:
             page.rows[0] = ("flushed",)
 
         for n in range(3):
-            rig.run(pool.update_page(1, n, bump))
+            rig.run(update(pool, n, bump))
         rig.run(pool.flush_all())
         for n in range(3):
             assert data._pages[n].rows[0] == ("flushed",)
@@ -158,7 +164,7 @@ class TestExtension:
         def bump(page):
             page.rows[0] = (0, "v2")
 
-        rig.run(pool.update_page(1, 0, bump))
+        rig.run(update(pool, 0, bump))
         # Fresh read after another round of eviction must see v2.
         for n in range(1, 6):
             rig.run(pool.get_page(1, n))
@@ -177,6 +183,196 @@ class TestExtension:
         page = rig.run(pool.get_page(1, 0))
         assert page.rows == [(0, "row0")]  # served from the data file
         assert pool.extension.failures >= 1
+
+
+def tag(value):
+    """A mutation that records ``value`` in the page's first row."""
+
+    def mutate(page):
+        page.rows[0] = page.rows[0] + (value,)
+
+    return mutate
+
+
+class TestWriteRaces:
+    """One regression per way the write path used to lose an update.
+
+    Every page starts as ``[(n, "rown")]``; ``tag`` appends to that row,
+    so a lost update shows as a missing tag.
+    """
+
+    def remote_ext_pool(self, rig, ext_pages=16, lazy_writers=4):
+        remote_file = rig.make_remote_file("bpext-races", ext_pages * 8192)
+        store = RemotePageFile(50, remote_file, capacity_pages=ext_pages)
+        pool = BufferPool(
+            rig.db, capacity_pages=4, lazy_writers=lazy_writers,
+            extension=BufferPoolExtension([Tier("bpext", store)]),
+        )
+        data = DevicePageFile(1, rig.db, rig.hdd)
+        data.preload([Page.build(1, n, [(n, f"row{n}")]) for n in range(64)])
+        pool.register_file(data)
+        return pool, data
+
+    def evict_all(self, rig, pool, start):
+        """Push every resident page out without reading anything."""
+        for n in range(start, start + 4):
+            rig.run(pool.put_page(Page.build(1, n, [(n, "filler")])))
+
+    def test_flushed_image_is_not_parked_under_a_redirtied_copy(self, rig):
+        """(a) Flushed while a re-dirtied copy is resident, then read back
+        after that copy was flushed too."""
+        pool, _data = self.remote_ext_pool(rig)
+        rig.run(update(pool, 0, tag("v1")))
+        self.evict_all(rig, pool, 64)  # snapshot v1 starts for the HDD
+        assert (1, 0) in pool._pending_writes
+        rig.run(update(pool, 0, tag("v2")))  # read back from the snapshot, re-dirtied
+        rig.sim.run(until=rig.sim.now + 1e6)  # v1 lands while v2 is resident
+        assert not pool._pending_writes
+        self.evict_all(rig, pool, 68)  # now v2 goes out and lands
+        rig.sim.run(until=rig.sim.now + 1e6)
+        assert not pool.is_cached((1, 0))
+        page = rig.run(pool.get_page(1, 0))
+        assert page.rows[0] == (0, "row0", "v1", "v2")
+
+    def test_snapshot_replaced_during_its_own_flush_is_written_too(self, rig):
+        """(b) Re-dirtied *and* re-evicted while its older snapshot is
+        still being flushed, with every lazy writer busy."""
+        pool, data = self.remote_ext_pool(rig, lazy_writers=1)
+        rig.run(update(pool, 0, tag("v1")))
+        self.evict_all(rig, pool, 64)
+        rig.run(update(pool, 0, tag("v2")))
+        self.evict_all(rig, pool, 68)  # replaces the snapshot in flight
+        assert pool._pending_writes[(1, 0)].rows[0] == (0, "row0", "v1", "v2")
+        rig.sim.run(until=rig.sim.now + 1e6)
+        rig.run(pool.flush_all())
+        assert data.peek(0).rows[0] == (0, "row0", "v1", "v2")
+
+    def test_park_in_flight_is_cancelled_when_the_page_is_dirtied(self, rig):
+        """(c) A clean victim is re-read and dirtied while its
+        write-behind to the extension is still waiting for a staging
+        slot; the late mapping must not survive."""
+        pool, _data = self.remote_ext_pool(rig)
+        rig.run(pool.get_page(1, 0))
+        rig.run(update(pool, 1, tag("dirty")))  # the *next* victim: no park needed
+        rig.run(pool.get_page(1, 2))
+        rig.run(pool.get_page(1, 3))
+        staging = rig.fs.staging
+        held = rig.run(staging.acquire(staging.slots.capacity * 8192))
+        rig.sim.spawn(pool.put_page(Page.build(1, 64, [(64, "filler")])))  # evicts clean 0
+        rig.sim.run(until=rig.sim.now + 10.0)
+        assert not pool.is_cached((1, 0)) and not pool.extension.contains((1, 0))
+        rig.run(update(pool, 0, tag("v1")))  # from the base file, while the park waits
+        staging.release(held)
+        rig.sim.run(until=rig.sim.now + 1e6)
+        self.evict_all(rig, pool, 65)
+        rig.sim.run(until=rig.sim.now + 1e6)
+        page = rig.run(pool.get_page(1, 0))
+        assert page.rows[0] == (0, "row0", "v1")
+        assert pool.extension.parks_cancelled == 1
+
+    def test_demotion_in_flight_is_cancelled_when_the_page_is_dirtied(self, rig):
+        """(c) one level down: the victim of a full top tier is dirtied
+        while its image is being read for demotion."""
+        top = DevicePageFile(50, rig.db, rig.hdd, capacity_pages=2)  # slow to read back
+        bottom = DevicePageFile(51, rig.db, rig.ssd, capacity_pages=8)
+        pool = BufferPool(
+            rig.db, capacity_pages=4,
+            extension=BufferPoolExtension([Tier("top", top), Tier("bottom", bottom)]),
+        )
+        data = DevicePageFile(1, rig.db, rig.ssd)
+        data.preload([Page.build(1, n, [(n, f"row{n}")]) for n in range(64)])
+        pool.register_file(data)
+        for n in range(6):  # parks pages 0 and 1: the top tier is full
+            rig.run(update(pool, n, tag("dirty")) if n == 3 else pool.get_page(1, n))
+        ext = pool.extension
+        assert list(ext.levels[0].slots) == [(1, 0), (1, 1)]
+        rig.sim.spawn(pool.put_page(Page.build(1, 64, [(64, "filler")])))  # page 2 pushes 0 down
+        rig.sim.run(until=rig.sim.now + 10.0)
+        assert not ext.contains((1, 0)) and ext.demotions == 0  # its image is being read
+        rig.run(update(pool, 0, tag("v1")))  # evicts dirty page 3: no park in its way
+        rig.sim.run(until=rig.sim.now + 1e6)
+        self.evict_all(rig, pool, 65)
+        rig.sim.run(until=rig.sim.now + 1e6)
+        assert not pool.is_cached((1, 0))
+        page = rig.run(pool.get_page(1, 0))
+        assert page.rows[0] == (0, "row0", "v1")
+        assert ext.parks_cancelled == 1
+
+    def test_park_is_dropped_when_every_slot_is_in_transit(self, rig):
+        pool, _data = self.remote_ext_pool(rig, ext_pages=1)
+        for n in range(4):
+            rig.run(pool.get_page(1, n))
+        staging = rig.fs.staging
+        held = rig.run(staging.acquire(staging.slots.capacity * 8192))
+        for n in (64, 65):  # evict 0, then 1 while 0 still waits for a staging slot
+            rig.sim.spawn(pool.put_page(Page.build(1, n, [(n, "filler")])))
+        rig.sim.run(until=rig.sim.now + 10.0)
+        staging.release(held)
+        rig.sim.run(until=rig.sim.now + 1e6)
+        ext = pool.extension
+        assert ext.contains((1, 0)) and not ext.contains((1, 1))
+        assert ext.parks_cancelled == 1
+
+    def test_slot_reused_under_a_read_in_flight_is_a_miss(self, rig):
+        """(d) The slot a read is aimed at is freed and given to another
+        page before the read completes."""
+        pool, _data = self.remote_ext_pool(rig)
+        for n in range(5):
+            rig.run(pool.get_page(1, n))
+        rig.sim.run(until=rig.sim.now + 1e3)  # page 0's write-behind lands
+        ext = pool.extension
+        assert ext.contains((1, 0))
+        reader = rig.sim.spawn(pool.get_page(1, 0))
+        rig.sim.run(until=rig.sim.now + 2.0)
+        assert (1, 0) in pool._inflight  # the RDMA read is on its way
+        ext.invalidate((1, 0))
+        assert ext.adopt(Page.build(1, 40, [(40, "other")]))  # takes the slot just freed
+        page = rig.sim.run_until_complete(reader)
+        assert page.page_id == (1, 0) and page.rows == [(0, "row0")]
+        assert (ext.stale_slot_reads, pool.ext_hits) == (1, 0)
+
+    def test_read_does_not_overtake_the_write_behind_it_follows(self, rig):
+        """(d) from the other side: the slot is re-used for a newer image
+        of the page it held before, the write-behind queues on a busy
+        NIC, and a read issued after it must not return the old image."""
+        remote_file = rig.make_remote_file("bpext-raw", 64 * 8192)
+        store = RemotePageFile(50, remote_file, capacity_pages=16)
+        ext = BufferPoolExtension([Tier("bpext", store)])
+        rig.run(ext.put(Page.build(1, 0, [(0, "v1")])))
+        rig.sim.run(until=rig.sim.now + 1e3)
+        slot = ext.levels[0].slots[(1, 0)]
+        ext.invalidate((1, 0))  # the page was updated: its slot is free again
+
+        def burst():  # forty write-behinds elsewhere in the file keep the NIC busy
+            for n in range(20, 60):
+                yield from remote_file.write_object(
+                    n * 8192, 8192, Page.build(9, n, []), background=True
+                )
+
+        rig.run(burst())
+        rig.run(ext.put(Page.build(1, 0, [(0, "v2")])))
+        assert ext.levels[0].slots[(1, 0)] == slot
+        page = rig.run(ext.get((1, 0)))
+        assert page.rows == [(0, "v2")]
+
+    def test_modify_refetches_a_handle_evicted_across_a_yield(self, rig):
+        """(e) A writer holds its page across a long wait; the page is
+        evicted and another worker updates the fresh copy."""
+        pool, _data = self.remote_ext_pool(rig)
+
+        def slow_writer():
+            page = yield from pool.get_page(1, 0)
+            yield rig.sim.timeout(1e6)  # a log wait, say
+            yield from pool.modify(page, tag("slow"))
+
+        writer = rig.sim.spawn(slow_writer())
+        rig.sim.run(until=rig.sim.now + 1e5)
+        self.evict_all(rig, pool, 64)
+        rig.run(update(pool, 0, tag("fast")))
+        rig.sim.run_until_complete(writer)
+        page = rig.run(pool.get_page(1, 0))
+        assert page.rows[0] == (0, "row0", "fast", "slow")
+        assert pool.stale_handles == 1
 
 
 class TestPrefetch:
@@ -277,7 +473,7 @@ class TestPrefetchMemo:
 
     def test_dirty_page_written_back(self, rig):
         pool, _data = make_pool(rig, capacity=4)
-        rig.run(pool.update_page(1, 0, lambda page: None))
+        rig.run(update(pool, 0, lambda page: None))
         for n in range(1, 5):
             rig.run(pool.get_page(1, n))  # the last one evicts dirty page 0
         assert (1, 0) in pool._pending_writes
@@ -373,7 +569,7 @@ def test_prefetch_memo_claims_what_the_unmemoised_filter_would(steps, window, ca
     pool, data = make_pool(rig, capacity=capacity)
     disturb = {
         "get": lambda n: rig.sim.spawn(quietly(pool.get_page(1, n))),
-        "update": lambda n: rig.sim.spawn(quietly(pool.update_page(1, n, lambda page: None))),
+        "update": lambda n: rig.sim.spawn(quietly(update(pool, n, lambda page: None))),
         "put": lambda n: rig.sim.spawn(pool.put_page(Page.build(1, n, [(n, "new")]), dirty=True)),
         "advance": lambda us: rig.sim.run(until=rig.sim.now + us),
         "discard": data.discard,
@@ -388,6 +584,71 @@ def test_prefetch_memo_claims_what_the_unmemoised_filter_would(steps, window, ca
         ahead = range(start, start + window)
         expected = unmemoised_claims(pool, 1, ahead)
         assert claims(pool, ahead) == expected
+
+
+#: Counting updates: a worker fetches a page, waits (a log flush, say),
+#: then bumps the page's counter through ``modify``.
+BUMP_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("bump"), st.integers(0, 7), st.sampled_from([0.0, 3.0, 40.0, 3e3])),
+        st.tuples(st.just("get"), st.integers(0, 15), st.just(0.0)),
+        st.tuples(st.just("advance"), st.just(0), st.sampled_from([1.0, 15.0, 300.0, 6e3])),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    steps=BUMP_STEPS, capacity=st.sampled_from([2, 3, 5]),
+    ext_pages=st.sampled_from([1, 3, 16]), lazy_writers=st.sampled_from([1, 4]),
+    device=st.sampled_from(["hdd", "ssd"]),
+)
+@example(  # two writers' handles evicted across their waits
+    steps=[("bump", 0, 3.0), ("bump", 3, 3.0), ("bump", 1, 0.0)],
+    capacity=2, ext_pages=1, lazy_writers=1, device="ssd",
+)
+def test_counting_updates_are_conserved(steps, capacity, ext_pages, lazy_writers, device):
+    """Property: whatever the schedule of fetches, waits, bumps, evictions,
+    write-behinds and extension parks, the newest images add up to the
+    bumps applied — read back through the pool, and in the file after a
+    checkpoint."""
+    from tests.engine.conftest import EngineRig
+
+    rig = EngineRig()
+    remote_file = rig.make_remote_file("bpext", ext_pages * 8192)
+    store = RemotePageFile(50, remote_file, capacity_pages=ext_pages)
+    pool = BufferPool(
+        rig.db, capacity_pages=capacity, lazy_writers=lazy_writers,
+        extension=BufferPoolExtension([Tier("bpext", store)]),
+    )
+    data = DevicePageFile(1, rig.db, getattr(rig, device))
+    data.preload([Page.build(1, n, [(n, 0)]) for n in range(16)])
+    pool.register_file(data)
+    applied = 0
+
+    def bump(page):
+        nonlocal applied
+        page.rows[0] = (page.rows[0][0], page.rows[0][1] + 1)
+        applied += 1
+
+    def worker(page_no, wait):
+        page = yield from pool.get_page(1, page_no)
+        if wait:
+            yield rig.sim.timeout(wait)
+        yield from pool.modify(page, bump)
+
+    for op, page_no, us in steps:
+        if op == "bump":
+            rig.sim.spawn(worker(page_no, us))
+        elif op == "get":
+            rig.sim.spawn(pool.get_page(1, page_no))
+        else:
+            rig.sim.run(until=rig.sim.now + us)
+    rig.sim.run(until=rig.sim.now + 1e6)
+    assert sum(rig.run(pool.get_page(1, n)).rows[0][1] for n in range(16)) == applied
+    rig.run(pool.flush_all())
+    assert sum(data.peek(n).rows[0][1] for n in range(16)) == applied
 
 
 class TestExtensionFaultHooks:

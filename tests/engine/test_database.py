@@ -51,24 +51,36 @@ class TestDdl:
 
 
 class TestDml:
+    """Autocommit has one statement, ``update_range``; inserts and
+    deletes are one-statement transactions."""
+
     def test_insert_then_visible(self, rig):
         db = make_db(rig)
         table = db.create_table("t", SCHEMA, [(k, "x") for k in range(10)])
-        rig.run(db.insert_row(table, (42, "new")))
+        rig.run(db.transactions().run(lambda txn: txn.insert(table, (42, "new"))))
         assert rig.run(table.clustered.search(42)) == [(42, "new")]
         assert table.stats.row_count == 11
 
     def test_update_by_key(self, rig):
         db = make_db(rig)
         table = db.create_table("t", SCHEMA, [(k, "x") for k in range(10)])
-        changed = rig.run(db.update_by_key(table, 7, lambda row: (row[0], "y")))
+        changed = rig.run(db.update_range(table, 7, 8, lambda row: (row[0], "y")))
         assert changed == 1
         assert rig.run(table.clustered.search(7)) == [(7, "y")]
+
+    def test_update_range_spans_leaves_and_stops_at_the_bound(self, rig):
+        db = make_db(rig)
+        table = db.create_table("t", SCHEMA, [(k, "x") for k in range(2000)])
+        assert table.clustered.leaf_count > 2
+        changed = rig.run(db.update_range(table, 100, 1900, lambda row: (row[0], "y")))
+        assert changed == 1800
+        rows = rig.run(table.clustered.range_scan(0, 2000))
+        assert [row[0] for row in rows if row[1] == "y"] == list(range(100, 1900))
 
     def test_delete_by_key(self, rig):
         db = make_db(rig)
         table = db.create_table("t", SCHEMA, [(k, "x") for k in range(10)])
-        removed = rig.run(db.delete_by_key(table, 4))
+        removed = rig.run(db.transactions().run(lambda txn: txn.delete(table, 4)))
         assert removed == 1
         assert rig.run(table.clustered.search(4)) == []
         assert table.stats.row_count == 9
@@ -76,8 +88,8 @@ class TestDml:
     def test_dml_is_logged_and_committed(self, rig):
         db = make_db(rig)
         table = db.create_table("t", SCHEMA, [(1, "a")])
-        rig.run(db.insert_row(table, (2, "b")))
-        rig.run(db.update_by_key(table, 1, lambda row: (1, "a2")))
+        rig.run(db.transactions().run(lambda txn: txn.insert(table, (2, "b"))))
+        rig.run(db.update_range(table, 1, 2, lambda row: (1, "a2")))
         kinds = [record.kind for record in db.wal.records]
         assert kinds.count(LogRecordKind.INSERT) == 1
         assert kinds.count(LogRecordKind.UPDATE) == 1

@@ -123,6 +123,50 @@ class TestRangeScan:
         assert sum(row[balance_index] for row in rows) > original_total
 
 
+    @pytest.mark.parametrize("design", [Design.CUSTOM, Design.HDD_SSD, Design.THREE_TIER],
+                             ids=lambda design: design.value)
+    @pytest.mark.parametrize("n_rows, bp_pages, ext_pages, workers, fraction, seed", [
+        (12_000, 64, 300, 32, 0.5, 1),
+        (12_000, 32, 150, 32, 0.5, 1),
+        (12_000, 64, 600, 40, 0.3, 2),
+        (6_000, 32, 120, 24, 0.5, 3),
+    ])
+    def test_no_row_update_is_lost(self, design, n_rows, bp_pages, ext_pages, workers,
+                                   fraction, seed):
+        """Final-balance conservation under hard eviction: a pool of a few
+        dozen pages, dozens of writers, the log on four spindles — every
+        leaf is evicted, flushed, parked and re-read while it is being
+        updated.  Each update bumps ``range_size`` balances by one."""
+        from repro.txn.checker import committed_row_images
+
+        setup = build_database(design, bp_pages=bp_pages, bpext_pages=ext_pages,
+                               tempdb_pages=256, data_spindles=4, seed=seed)
+        db = setup.database
+        table = build_customer_table(db, n_rows)
+        prewarm_extension(setup)
+        prewarm_pool(setup)
+        config = RangeScanConfig(n_rows=n_rows, workers=workers, queries_per_worker=12,
+                                 update_fraction=fraction, seed=seed)
+        report = run_rangescan(db, table, config)
+        # Checkpoint first: committed_row_images does not see write-behind
+        # images still on their way to the data file.
+        setup.run(db.pool.flush_all())
+        images = committed_row_images(db, [table])
+        balance = table.schema.index_of("acctbal")
+        final = [images[("row", table.name, key)][balance] for key in range(n_rows)]
+        initial = [1000 + key % 9000 for key in range(n_rows)]
+        assert report.update_latency.count > 0.2 * fraction * report.queries
+        assert all(after >= before and after == int(after)
+                   for before, after in zip(initial, final))
+        bumps = report.update_latency.count * config.range_size
+        assert sum(final) - sum(initial) == bumps
+        # What the best-effort paths dropped on the way is on the registry.
+        gauges = setup.metrics.flat("bp")
+        assert gauges["bp.stale_handles"] == db.pool.stale_handles
+        assert gauges["bp.ext.parks_cancelled"] == db.pool.extension.parks_cancelled
+        assert gauges["bp.ext.stale_slot_reads"] == db.pool.extension.stale_slot_reads
+
+
 class TestAnalyticsWorkloads:
     def test_tpch_queries_all_run(self):
         setup = build_database(Design.CUSTOM, bp_pages=256, bpext_pages=2600,
