@@ -184,16 +184,17 @@ class BTree:
         """All rows with ``low <= key < high`` (optionally first ``limit``)."""
         leaf = yield from self.seek(low)
         result: list[tuple] = []
+        key_fn = self.key_fn
         while leaf is not None:
-            keys = [self.key_fn(row) for row in leaf.rows]
-            start = bisect.bisect_left(keys, low)
-            for row in leaf.rows[start:]:
-                key = self.key_fn(row)
-                if key >= high:
-                    return result
-                result.append(row)
-                if limit is not None and len(result) >= limit:
-                    return result
+            rows = leaf.rows
+            first = bisect.bisect_left(rows, low, key=key_fn)
+            last = bisect.bisect_left(rows, high, first, key=key_fn)
+            result += rows[first:last]
+            if limit is not None and len(result) >= limit:
+                del result[limit:]
+                return result
+            if last < len(rows):
+                return result
             next_no = leaf.meta.get("next")
             if next_no is None:
                 break

@@ -9,6 +9,7 @@ harness realizes each Table-5 design alternative.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from ..cluster import Server
@@ -100,7 +101,7 @@ class Database:
             name=f"{name}.clustered",
             pool=self.pool,
             store=store,
-            key_fn=schema.key_of,
+            key_fn=itemgetter(schema.key_index),  # C-level: bisect calls it per probe
             leaf_capacity=schema.rows_per_page,
         )
         tree.bulk_build(ordered)

@@ -25,12 +25,13 @@ Fault hooks (used by :mod:`repro.faults`):
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
 
 from ..cluster import Server
 from ..sim import Resource, Simulator
-from ..sim.kernel import Process, ProcessGenerator
+from ..sim.kernel import Process, ProcessGenerator, Timeout
 from ..storage import GB
+from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
 
 __all__ = ["Network", "NetworkDown", "NicPort"]
 
@@ -184,64 +185,53 @@ class NicPort:
         if not peer.alive or not peer.server.alive:
             raise NetworkDown(f"{peer.server.name}: NIC is down")
 
-    def _engine(self, engine: Resource, timing: Callable[[], float]) -> ProcessGenerator:
-        """Hold one engine slot, interrupt-safely.
-
-        ``timing`` is evaluated when the slot is *granted*, not when the
-        transfer enqueues: link degradation applies to transfers being
-        serviced while the link is sick, and a backlog queued during a
-        brown-out drains at healthy speed once the link restores.
-        """
-        sim = self.network.sim
-        if engine.try_acquire():
-            # Idle engine: granted inline, no scheduler round-trip.
-            try:
-                if not sim.tracer.enabled:
-                    yield sim.timeout(timing())
-                else:
-                    with sim.tracer.span("nic.xmit", cat="net", engine=engine.name):
-                        yield sim.timeout(timing())
-            finally:
-                engine.release()
-            return
-        request = engine.request()
-        try:
-            if not sim.tracer.enabled:
-                yield request
-                yield sim.timeout(timing())
-            else:
-                with sim.tracer.span("nic.queue", cat="queue", engine=engine.name):
-                    yield request
-                with sim.tracer.span("nic.xmit", cat="net", engine=engine.name):
-                    yield sim.timeout(timing())
-        finally:
-            engine.cancel(request)
-
     def transfer(self, dst: "NicPort", size: int) -> ProcessGenerator:
         """Move ``size`` payload bytes from this port to ``dst``.
 
         Pipelined: TX engine, propagation, RX engine.  Returns total µs.
+        An engine's service time is computed when its slot is *granted*,
+        not when the transfer enqueues: link degradation applies to
+        transfers serviced while the link is sick, and a backlog queued
+        during a brown-out drains at healthy speed once it restores.
         """
         self._check_alive(dst)
         sim = self.network.sim
+        tracer = sim.tracer
+        traced = tracer.enabled
         start = sim.now
-        if sim.tracer.enabled:
-            with sim.tracer.span(
+        outer = _NOOP_SPAN  # closed, not entered: ``with`` on the no-op is two calls
+        if traced:
+            outer = tracer.span(
                 "nic.transfer", cat="net", src=self.server.name, dst=dst.server.name, size=size
-            ):
-                yield from self._pipeline(dst, size, sim)
-        else:
-            yield from self._pipeline(dst, size, sim)
+            )
+        try:
+            for port, engine in ((self, self.tx), (dst, dst.rx)):
+                name = engine.name
+                if engine is dst.rx:
+                    yield Timeout(sim, self.network.propagation_us + self.profile.processing_us)
+                    self._check_alive(dst)
+                if engine.try_acquire():  # idle: granted inline, no scheduler round-trip
+                    span = tracer.span("nic.xmit", "net", engine=name) if traced else _NOOP_SPAN
+                    try:
+                        yield Timeout(sim, port._engine_time(size))
+                    finally:
+                        span.close()
+                        engine.release()
+                else:
+                    span = tracer.span("nic.queue", "queue", engine=name) if traced else _NOOP_SPAN
+                    hold = engine.hold(partial(port._engine_time, size))
+                    try:
+                        yield hold
+                    finally:
+                        hold.finish()
+                        if traced:
+                            span.split(hold.granted_at, "nic.xmit", "net", engine=name).close()
+        finally:
+            outer.close()
         self.bytes_sent += size
         self.messages_sent += 1
         dst.bytes_received += size
         return sim.now - start
-
-    def _pipeline(self, dst: "NicPort", size: int, sim) -> ProcessGenerator:
-        yield from self._engine(self.tx, lambda: self._engine_time(size))
-        yield sim.timeout(self.network.propagation_us + self.profile.processing_us)
-        self._check_alive(dst)
-        yield from self._engine(dst.rx, lambda: dst._engine_time(size))
 
     def send_control(self, dst: "NicPort") -> ProcessGenerator:
         """A small control message (request packet, ack, doorbell)."""
@@ -252,9 +242,12 @@ class NicPort:
             + self.network.propagation_us
             + self.profile.processing_us
         )
-        if sim.tracer.enabled:
-            with sim.tracer.span("nic.control", cat="net", dst=dst.server.name):
-                yield sim.timeout(delay)
-        else:
-            yield sim.timeout(delay)
+        tracer = sim.tracer
+        span = _NOOP_SPAN
+        if tracer.enabled:
+            span = tracer.span("nic.control", cat="net", dst=dst.server.name)
+        try:
+            yield Timeout(sim, delay)
+        finally:
+            span.close()
         self.messages_sent += 1

@@ -23,8 +23,9 @@ import math
 from typing import Any
 
 from ..cluster import Server
-from ..sim.kernel import ProcessGenerator
+from ..sim.kernel import ProcessGenerator, Timeout
 from ..storage import GB, KB
+from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
 from .fabric import NicPort
 
 __all__ = ["MemoryRegion", "RdmaRegistrar", "QueuePair", "RdmaError", "MR_REGISTER_BASE_US"]
@@ -241,17 +242,24 @@ class QueuePair:
         """
         self._require_connected(region)
         sim = self.initiator.sim
+        tracer = sim.tracer
         src: NicPort = self.initiator.nic
         dst: NicPort = self.target.nic
         epoch = self._epoch
         region.inflight += 1
+        span = _NOOP_SPAN
+        if tracer.enabled:
+            span = tracer.span("rdma.read", provider=self.target.name, size=size)
         try:
-            if sim.tracer.enabled:
-                with sim.tracer.span("rdma.read", provider=self.target.name, size=size):
-                    yield from self._read_path(sim, src, dst, size)
-            else:
-                yield from self._read_path(sim, src, dst, size)
+            # Post the read work request and send it to the target NIC.
+            yield Timeout(sim, POST_CPU_US)
+            yield from src.send_control(dst)
+            # Target NIC DMAs the data and streams it back — no target CPU.
+            yield from dst.transfer(src, size)
+            # Completion-queue entry processed at the initiator.
+            yield Timeout(sim, POST_CPU_US)
         finally:
+            span.close()
             region.inflight -= 1
         # The transfer suspended us: the QP or region may be gone now.
         self._require_resumed(region, epoch)
@@ -279,17 +287,22 @@ class QueuePair:
             raise RdmaError("write needs payload bytes or (size, obj)")
         length = len(payload) if payload is not None else int(size)  # type: ignore[arg-type]
         sim = self.initiator.sim
+        tracer = sim.tracer
         src: NicPort = self.initiator.nic
         dst: NicPort = self.target.nic
         epoch = self._epoch
         region.inflight += 1
+        span = _NOOP_SPAN
+        if tracer.enabled:
+            span = tracer.span("rdma.write", provider=self.target.name, size=length)
         try:
-            if sim.tracer.enabled:
-                with sim.tracer.span("rdma.write", provider=self.target.name, size=length):
-                    yield from self._write_path(sim, src, dst, length)
-            else:
-                yield from self._write_path(sim, src, dst, length)
+            yield Timeout(sim, POST_CPU_US)
+            yield from src.transfer(dst, length)
+            # Hardware ack from the target NIC.
+            yield from dst.send_control(src)
+            yield Timeout(sim, POST_CPU_US)
         finally:
+            span.close()
             region.inflight -= 1
         self._require_resumed(region, epoch)
         if not nodata:
@@ -299,19 +312,3 @@ class QueuePair:
                 region.put_object(offset, length, obj)
         self.writes += 1
         return length
-
-    def _read_path(self, sim, src: NicPort, dst: NicPort, size: int) -> ProcessGenerator:
-        # Post the read work request and send it to the target NIC.
-        yield sim.timeout(POST_CPU_US)
-        yield from src.send_control(dst)
-        # Target NIC DMAs the data and streams it back — no target CPU.
-        yield from dst.transfer(src, size)
-        # Completion-queue entry processed at the initiator.
-        yield sim.timeout(POST_CPU_US)
-
-    def _write_path(self, sim, src: NicPort, dst: NicPort, length: int) -> ProcessGenerator:
-        yield sim.timeout(POST_CPU_US)
-        yield from src.transfer(dst, length)
-        # Hardware ack from the target NIC.
-        yield from dst.send_control(src)
-        yield sim.timeout(POST_CPU_US)

@@ -28,6 +28,7 @@ never affected (Section 4.1.5).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from typing import Any, Iterable
 
 from ..broker import BrokerUnavailable, Lease, MemoryBroker
@@ -161,6 +162,8 @@ class RemoteFile:
         self.is_open = False
         self.reads = 0
         self.writes = 0
+        self._read_name = f"{name}.rdma_read"  # process names: built once, not per I/O
+        self._write_name = f"{name}.rdma_write"
         #: Pure transfer latency of reads (RDMA completion time), as a
         #: hardware/issuing-scheduler view: excludes any wait for a core
         #: in the simulation's scheduling model.
@@ -208,11 +211,9 @@ class RemoteFile:
         segments = []
         remaining = size
         cursor = offset
-        index = 0
-        # Find the first lease containing `cursor` (regions are uniform
-        # in practice, but support mixed sizes).
-        while index + 1 < len(self._offsets) and self._offsets[index + 1] <= cursor:
-            index += 1
+        # The lease containing `cursor` (regions are uniform in practice,
+        # but mixed sizes are supported).
+        index = bisect_right(self._offsets, cursor) - 1
         while remaining > 0:
             lease = self.leases[index]
             mr_offset = cursor - self._offsets[index]
@@ -469,7 +470,7 @@ class RemoteFile:
             landing = self._landing.get((lease.region, mr_offset))
             if landing is not None:
                 read = _behind(landing, read)
-            transfer = sim.spawn(_guarded(read), name=f"{self.name}.rdma_read")
+            transfer = sim.spawn(_guarded(read), name=self._read_name)
             lease.region.server.nic.track_inflight(transfer)
             issued_at = sim.now
             transfer.add_callback(
@@ -589,17 +590,10 @@ class RemoteFile:
             # is reusable immediately after the memcpy (Section 4.2).
             yield from cpu.compute(self.staging.memcpy_us(length))
             if payload is not None:
-                transfer = sim.spawn(
-                    _guarded(qp.write(lease.region, mr_offset, payload=payload)),
-                    name=f"{self.name}.rdma_write",
-                )
+                write = qp.write(lease.region, mr_offset, payload=payload)
             else:
-                transfer = sim.spawn(
-                    _guarded(
-                        qp.write(lease.region, mr_offset, size=length, obj=obj, nodata=nodata)
-                    ),
-                    name=f"{self.name}.rdma_write",
-                )
+                write = qp.write(lease.region, mr_offset, size=length, obj=obj, nodata=nodata)
+            transfer = sim.spawn(_guarded(write), name=self._write_name)
             lease.region.server.nic.track_inflight(transfer)
             if fire_and_forget:
                 # The staging slots stay reserved until the RDMA write

@@ -15,6 +15,7 @@ options the paper contrasts:
 
 from __future__ import annotations
 
+from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
 from .kernel import Event, ProcessGenerator, Resource, Simulator, Timeout
 from .stats import TimeSeries
 
@@ -95,14 +96,12 @@ class Cpu:
         if self.cores.try_acquire():
             return  # free core: granted inline, no scheduler round-trip
         request = self.cores.request()
+        tracer = self.sim.tracer
         try:
-            if not self.sim.tracer.enabled:
+            # Only an actual wait gets a span — an immediate grant
+            # would just litter the trace with zero-width events.
+            with tracer.span("cpu.runq", cat="queue") if tracer.enabled else _NOOP_SPAN:
                 yield request
-            else:
-                # Only an actual wait gets a span — an immediate grant
-                # would just litter the trace with zero-width events.
-                with self.sim.tracer.span("cpu.runq", cat="queue"):
-                    yield request
         except BaseException:
             self.cores.cancel(request)
             raise
@@ -110,40 +109,37 @@ class Cpu:
     def compute(self, duration_us: float) -> ProcessGenerator:
         """Occupy one core for ``duration_us`` of pure computation.
 
-        This is the kernel's hottest instrumentation site (one call per
-        modelled CPU slice), so ``acquire_core`` is inlined and the
-        span machinery is bypassed entirely under the no-op tracer.
+        The kernel's hottest site (one call per modelled CPU slice).  A
+        free core is taken inline; a busy CPU is one kernel-advanced
+        hold, which resumes this generator once, after the slice, and
+        tells it where ``cpu.runq`` ended and ``cpu.compute`` began.
         """
         if duration_us <= 0:
             return
         sim = self.sim
-        cores = self.cores
         tracer = sim.tracer
-        if not cores.try_acquire():
-            request = cores.request()
+        if not self.cores.try_acquire():
+            span = tracer.span("cpu.runq", cat="queue") if tracer.enabled else _NOOP_SPAN
+            hold = self.cores.hold(duration_us)
             try:
-                if not tracer.enabled:
-                    yield request
-                else:
-                    # Only an actual wait gets a span — an immediate
-                    # grant would just litter the trace with
-                    # zero-width events.
-                    with tracer.span("cpu.runq", cat="queue"):
-                        yield request
-            except BaseException:
-                cores.cancel(request)
-                raise
+                yield hold
+            finally:
+                hold.finish()
+                start = hold.granted_at
+                if tracer.enabled:
+                    span.split(start, "cpu.compute", cat="cpu").close()
+                if start is not None and self.busy_series is not None:
+                    self._record_busy(start, sim.now - start)
+            return
         start = sim.now
+        span = tracer.span("cpu.compute", cat="cpu") if tracer.enabled else _NOOP_SPAN
         try:
-            if tracer.enabled:
-                with tracer.span("cpu.compute", cat="cpu"):
-                    yield Timeout(sim, duration_us)
-            else:
-                yield Timeout(sim, duration_us)
+            yield Timeout(sim, duration_us)
         finally:
+            span.close()
             if self.busy_series is not None:
                 self._record_busy(start, sim.now - start)
-            cores.release()
+            self.cores.release()
 
     def sync_wait(self, event: Event) -> ProcessGenerator:
         """Spin on a core until ``event`` fires (no context switch).
@@ -152,43 +148,45 @@ class Cpu:
         synchronous model cheap in latency but expensive in CPU, exactly
         the trade-off in Section 4.1.3.
         """
-        yield from self.acquire_core()
         sim = self.sim
+        tracer = sim.tracer
+        if not self.cores.try_acquire():
+            span = tracer.span("cpu.runq", cat="queue") if tracer.enabled else _NOOP_SPAN
+            hold = self.cores.hold(event)
+            try:
+                return (yield hold)
+            finally:
+                hold.finish()
+                start = hold.granted_at
+                if tracer.enabled:
+                    span.split(start, "cpu.spin", cat="cpu").close()
+                if start is not None and self.busy_series is not None:
+                    self._record_busy(start, sim.now - start)
         start = sim.now
+        span = tracer.span("cpu.spin", cat="cpu") if tracer.enabled else _NOOP_SPAN
         try:
-            if sim.tracer.enabled:
-                with sim.tracer.span("cpu.spin", cat="cpu"):
-                    yield event
-            else:
-                yield event
+            return (yield event)
         finally:
-            self._record_busy(start, sim.now - start)
+            span.close()
+            if self.busy_series is not None:
+                self._record_busy(start, sim.now - start)
             self.cores.release()
-        return event.value
 
     def async_wait(self, event: Event) -> ProcessGenerator:
         """Yield the core, wait for ``event``, pay the switch-in penalty."""
         yield event
         self.context_switches += 1
         sim = self.sim
-        if sim.tracer.enabled:
-            with sim.tracer.span("cpu.switchin", cat="cpu"):
-                yield from self._switch_in(sim)
-        else:
-            yield from self._switch_in(sim)
-        return event.value
-
-    def _switch_in(self, sim: Simulator) -> ProcessGenerator:
-        """Reschedule lag, then a core slice for the switch-in itself."""
-        yield sim.timeout(self.reschedule_delay_us)
-        # Switch-in consumes a slice of CPU (and may queue behind others).
-        yield from self.acquire_core()
-        start = sim.now
+        tracer = sim.tracer
+        span = tracer.span("cpu.switchin", cat="cpu") if tracer.enabled else _NOOP_SPAN
         try:
-            yield sim.timeout(self.context_switch_us)
+            # Reschedule lag, then a core slice for the switch-in itself
+            # (which may queue behind others).
+            yield sim.timeout(self.reschedule_delay_us)
+            yield from self.compute(self.context_switch_us)
         finally:
-            self._record_busy(start, sim.now - start)
-            self.cores.release()
+            span.close()
+        return event.value
 
     def background_load(self, per_event_us: float, event_stream_period_us: float):
         """Generator simulating kernel work (e.g. TCP interrupt handling).

@@ -219,7 +219,8 @@ class Process(Event):
         self._throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        self._interrupts: deque[Interrupt] = deque()
+        #: Allocated by the first :meth:`interrupt`; most processes get none.
+        self._interrupts: Optional[deque[Interrupt]] = None
         # Causal link for tracing: the child inherits the spawner's
         # innermost open span (short-circuited under the no-op tracer).
         if sim.tracer.enabled:
@@ -236,6 +237,8 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self._triggered:
             return
+        if self._interrupts is None:
+            self._interrupts = deque()
         self._interrupts.append(Interrupt(cause))
         target = self._target
         if target is not None and not target._processed:
@@ -393,11 +396,74 @@ class _Request(Event):
         self.amount = amount
 
 
+class _Hold(_Request):
+    """A :meth:`Resource.hold`: the grant *and* the service time as one event.
+
+    The grant keeps its now-queue slot as a bare thunk (:meth:`_arm`)
+    that starts the clock instead of waking the waiter: every ``seq`` is
+    allocated where ``request()`` + ``timeout()`` allocate them, and the
+    waiter is resumed once, not twice (DESIGN §10, "Kernel-advanced holds").
+    """
+
+    __slots__ = ("timing", "granted_at")
+
+    def _arm(self) -> None:
+        """The grant's now-queue slot: start the clock, wake nobody.
+
+        ``timing`` is evaluated here, where a woken waiter would have
+        evaluated it: state-dependent service times (link degradation,
+        seeded drop draws) see the same state in the same order.
+        """
+        if not self.callbacks:
+            return  # the waiter was interrupted before this slot: nobody to serve
+        sim = self.sim
+        self.granted_at = sim.now
+        timing = self.timing
+        if timing.__class__ is not float:
+            if isinstance(timing, Event):
+                timing.add_callback(self._relay)
+                return
+            if callable(timing):
+                timing = timing()
+        if timing < 0:
+            raise SimulationError(f"negative hold: {timing}")
+        sim._seq += 1
+        heapq.heappush(sim._heap, (sim.now + timing, sim._seq, self))
+
+    def _relay(self, event: Event) -> None:
+        """The awaited event fired: wake our waiter in its callback slot."""
+        self._value = event._value
+        self._exception = event._exception
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+    def finish(self) -> None:
+        """The one exit, interrupt-safe and idempotent: leave the queue /
+        give back a grant whose thunk has not run (it then does nothing) /
+        release, served out or interrupted midway / no-op once finished."""
+        resource = self.resource
+        if resource is None:
+            return
+        self.resource = None
+        if not self._triggered:
+            resource._queue.remove(self)
+            return
+        if not self._processed and isinstance(self.timing, Event):
+            try:
+                self.timing.callbacks.remove(self._relay)
+            except ValueError:
+                pass
+        resource.release(self.amount)
+
+
 class Resource:
     """Capacity-limited server with a FIFO wait queue.
 
     ``request()`` returns an event that fires when capacity is granted;
     the holder must call ``release()`` exactly once per grant.
+    ``hold(x)`` is the grant and a service time ``x`` in one event.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = ""):
@@ -437,31 +503,59 @@ class Resource:
     def request(self, amount: int = 1) -> Event:
         if amount > self.capacity:
             raise SimulationError("request exceeds resource capacity")
-        sim = self.sim
-        req = _Request(sim, self, amount)
-        if not self._queue and self.in_use + amount <= self.capacity:
-            # Fast path: immediately grantable (the queue head is never
-            # grantable while queued, so a non-empty queue means wait).
-            now = sim.now
-            self._busy_area += self.in_use * (now - self._last_change)
-            self._last_change = now
-            self.in_use += amount
-            req._triggered = True
-            sim._seq += 1
-            sim._nowq.append((sim._seq, req))
-        else:
-            self._queue.append(req)
+        req = _Request(self.sim, self, amount)
+        queue = self._queue
+        queue.append(req)
+        if len(queue) == 1 and self.in_use + amount <= self.capacity:
+            self.release(0)  # free capacity, nobody ahead: granted in this instant
         return req
 
+    def hold(self, timing: Any, amount: int = 1) -> _Hold:
+        """Queue FIFO for ``amount`` units, then keep them for ``timing``.
+
+        ``timing`` is a duration, a callable returning one (evaluated at
+        the grant) or an :class:`Event` (keep the units until it fires;
+        its value or failure is delivered).  Yield the returned event
+        and call its ``finish()`` in a ``finally``: that releases on
+        every path, an interrupt while still queued included.  The
+        schedule (``seq`` order, ``events_processed``) is exactly that of
+        ``request()``, ``timeout()``/the event, ``release()``.
+        """
+        if amount > self.capacity:
+            raise SimulationError("request exceeds resource capacity")
+        hold = _Hold(self.sim, self, amount)
+        hold.timing = timing
+        hold.granted_at = None  # when the clock started; None until then
+        queue = self._queue
+        queue.append(hold)
+        if len(queue) == 1 and self.in_use + amount <= self.capacity:
+            self.release(0)  # as in request()
+        return hold
+
     def release(self, amount: int = 1) -> None:
-        now = self.sim.now
+        """Give ``amount`` units back and grant every queue head that now fits.
+
+        A grant only *schedules* (the loop pops the entry later), so no
+        release interleaves with the batch.  A hold's entry is a thunk
+        allocated here: owned by the hold it would be a cycle per slice.
+        """
+        sim = self.sim
+        now = sim.now
         self._busy_area += self.in_use * (now - self._last_change)
         self._last_change = now
-        self.in_use -= amount
-        if self.in_use < 0:
+        in_use = self.in_use - amount
+        if in_use < 0:
             raise SimulationError(f"resource {self.name!r} over-released")
-        if self._queue:
-            self._grant()
+        queue = self._queue
+        while queue and in_use + queue[0].amount <= self.capacity:
+            waiter = queue.popleft()
+            in_use += waiter.amount
+            waiter._triggered = True
+            sim._seq += 1
+            sim._nowq.append(
+                (sim._seq, _Soon(waiter._arm) if waiter.__class__ is _Hold else waiter)
+            )
+        self.in_use = in_use
 
     def cancel(self, request: Event) -> None:
         """Abandon a grant request (interrupt-safe teardown).
@@ -480,33 +574,6 @@ class Resource:
             self._queue.remove(request)
         except ValueError:
             pass
-
-    def _grant(self) -> None:
-        """Grant every queue-head request that fits, in one batch.
-
-        Accounting is settled once up front: all grants in the batch
-        happen at the same instant, so per-grant accounting would add
-        zero-width slices.  ``succeed`` only *schedules* the waiters
-        (callbacks run when the loop pops them), so no release can
-        interleave with the batch.
-        """
-        queue = self._queue
-        if not queue or self.in_use + queue[0].amount > self.capacity:
-            return
-        sim = self.sim
-        now = sim.now
-        self._busy_area += self.in_use * (now - self._last_change)
-        self._last_change = now
-        in_use = self.in_use
-        capacity = self.capacity
-        nowq = sim._nowq
-        while queue and in_use + queue[0].amount <= capacity:
-            req = queue.popleft()
-            in_use += req.amount
-            req._triggered = True
-            sim._seq += 1
-            nowq.append((sim._seq, req))
-        self.in_use = in_use
 
     def _account(self) -> None:
         now = self.sim.now
@@ -569,17 +636,13 @@ class Resource:
             )
         return area
 
-    def acquire(self, amount: int = 1) -> ProcessGenerator:
-        """``yield from`` helper: waits for the grant."""
-        yield self.request(amount)
-
     def use(self, duration: float, amount: int = 1) -> ProcessGenerator:
         """Hold ``amount`` units for ``duration`` microseconds."""
-        yield self.request(amount)
+        hold = self.hold(duration, amount)
         try:
-            yield self.sim.timeout(duration)
+            yield hold
         finally:
-            self.release(amount)
+            hold.finish()
 
 
 class _Get(Event):

@@ -108,6 +108,19 @@ class Span:
         if self.end_us is None:
             self._tracer._close(self)
 
+    def split(self, at_us, name: str, cat: Optional[str] = None, **args: Any) -> "Span":
+        """End this span at ``at_us`` and open its successor there: for a
+        wait whose second phase began while its process was not running (a
+        queued ``Resource.hold`` granted at ``at_us``), called by that
+        process when it next runs.  ``None`` splits nothing."""
+        if at_us is None:
+            return self
+        self.close()
+        self.end_us = at_us
+        successor = self._tracer.span(name, cat, **args)
+        successor.start_us = at_us
+        return successor
+
     def __enter__(self) -> "Span":
         return self
 

@@ -15,6 +15,7 @@ or a hotspot distribution (priming experiments: 99 % of queries hit
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -102,8 +103,7 @@ def read_query(db: Database, table: Table, start_key: int, range_size: int) -> P
     """Seek + scan + SUM(acctbal)."""
     rows = yield from table.clustered.range_scan(start_key, start_key + range_size)
     yield from db.server.cpu.compute(len(rows) * PER_ROW_AGG_CPU_US)
-    balance_index = table.schema.index_of("acctbal")
-    return sum(row[balance_index] for row in rows)
+    return sum(map(itemgetter(table.schema.index_of("acctbal")), rows))
 
 
 def _bump_balance(balance_index: int):

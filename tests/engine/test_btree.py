@@ -160,11 +160,14 @@ KEYS = st.integers(min_value=0, max_value=12)
         max_size=8,
     ),
     leaf_capacity=st.integers(min_value=2, max_value=5),
+    limit=st.one_of(st.none(), st.integers(min_value=0, max_value=20)),
 )
-def test_leaf_rewriter_matches_a_list(keys, statements, leaf_capacity):
+def test_leaf_rewriter_matches_a_list(keys, statements, leaf_capacity, limit):
     """Property: ``update_where``, ``update_range`` and ``delete`` — one
     leaf rewriter — change exactly the rows a list comprehension would,
-    with duplicate keys spanning leaves and leaves emptied by deletes."""
+    and ``range_scan(low, high, limit)`` returns exactly the list's
+    slice, with duplicate keys spanning leaves and leaves emptied by
+    deletes."""
     from tests.engine.conftest import EngineRig
 
     rig = EngineRig()
@@ -190,6 +193,8 @@ def test_leaf_rewriter_matches_a_list(keys, statements, leaf_capacity):
             for row, was_hit in zip(model, hit) if not (was_hit and op == "delete")
         ]
         assert rig.run(tree.range_scan(-1, 100)) == model
+        window = [row for row in model if low <= row[0] < other]
+        assert rig.run(tree.range_scan(low, other, limit)) == window[:limit]
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 from repro.broker import MemoryBroker, MemoryProxy
 from repro.cluster import Cluster
 from repro.net import Network
-from repro.remotefile import RemoteMemoryFilesystem, StagingPool
+from types import SimpleNamespace
+
+import pytest
+
+from repro.remotefile import RemoteFile, RemoteFileError, RemoteMemoryFilesystem, StagingPool
 from repro.storage import GB, MB
 
 
@@ -80,6 +84,29 @@ def test_locate_covers_exact_range(offset, size):
         assert mr_offset + length <= lease.region.size
         cursor += length
     assert cursor == offset + size
+
+
+def test_locate_bisects_mixed_size_leases():
+    """Offset translation over leases of unequal sizes: both ends of
+    every lease, a range spanning two, and the range check."""
+    sizes = [3 * MB, 1 * MB, 5 * MB, 2 * MB]
+    leases = [SimpleNamespace(region=SimpleNamespace(size=size)) for size in sizes]
+    file = RemoteFile("mixed", owner=None, leases=leases, staging=None)
+    start = 0
+    for lease, size in zip(leases, sizes):
+        assert file._locate(start, 1) == [(lease, 0, 1)]
+        assert file._locate(start + size - 1, 1) == [(lease, size - 1, 1)]
+        start += size
+    # From the last 10 bytes of lease 1 through lease 2 into lease 3.
+    assert file._locate(4 * MB - 10, 5 * MB + 20) == [
+        (leases[1], 1 * MB - 10, 10),
+        (leases[2], 0, 5 * MB),
+        (leases[3], 0, 10),
+    ]
+    assert file._locate(file.size, 0) == []
+    for offset, size in ((-1, 1), (file.size, 1), (file.size - 1, 2)):
+        with pytest.raises(RemoteFileError, match="outside file"):
+            file._locate(offset, size)
 
 
 @settings(max_examples=15, deadline=None,

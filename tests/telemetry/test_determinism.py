@@ -6,10 +6,11 @@ bit-identical results and final virtual clocks.  These tests run real
 workloads twice and compare exact floats, not approximations.
 """
 
-from repro.harness import Design, build_database, build_io_target
+from repro.harness import Design, build_database, build_io_target, prewarm_extension
 from repro.telemetry import install
 from repro.workloads import RANDOM_8K, run_sqlio
 from repro.workloads.analytics import run_query_streams
+from repro.workloads.rangescan import RangeScanConfig, build_customer_table, run_rangescan
 from repro.workloads.tpch import TPCH_QUERIES, build_tpch_database
 
 
@@ -24,6 +25,7 @@ def _sqlio_fingerprint(trace: bool):
     )
     fingerprint = (
         sim.now,
+        sim.events_processed,
         result.elapsed_us,
         result.total_bytes,
         tuple(result.latency.samples),
@@ -43,12 +45,32 @@ def _query_fingerprint(trace: bool):
     )
     fingerprint = (
         setup.sim.now,
+        setup.sim.events_processed,
         report.elapsed_us,
         report.queries,
         tuple(
             (name, tuple(recorder.samples))
             for name, recorder in sorted(report.per_query.items())
         ),
+    )
+    return fingerprint, tracer
+
+
+def _rangescan_fingerprint(trace: bool):
+    """80 clients on 4 cores, a pool far smaller than the table: cores
+    and NIC engines queue, so ``Resource.hold`` does the waiting."""
+    setup = build_database(Design.CUSTOM, bp_pages=64, bpext_pages=2000, db_cores=4, seed=7)
+    tracer = install(setup.sim) if trace else None
+    table = build_customer_table(setup.database, 20_000)
+    prewarm_extension(setup)
+    config = RangeScanConfig(n_rows=20_000, workers=80, queries_per_worker=3, seed=7)
+    report = run_rangescan(setup.database, table, config)
+    assert setup.pool.misses > 0 and setup.remote_fs.files  # faults, served remotely
+    fingerprint = (
+        setup.sim.now,
+        setup.sim.events_processed,
+        report.elapsed_us,
+        tuple(report.latency.samples),
     )
     return fingerprint, tracer
 
@@ -67,6 +89,28 @@ def test_tpch_identical_with_tracing_on_and_off():
     # The instrumented stack produced deep causal chains while at it:
     # query -> operator -> fault -> transfer -> NIC.
     assert tracer.max_depth() >= 4
+
+
+def test_contended_rangescan_identical_with_tracing_on_and_off():
+    off, _ = _rangescan_fingerprint(trace=False)
+    on, tracer = _rangescan_fingerprint(trace=True)
+    assert on == off
+    # The waits the kernel advanced still show as queue -> service pairs,
+    # split where the grant happened, under the span that was open.
+    by_sid = {span.sid: span for span in tracer.spans}
+    for queued, served in (("cpu.runq", "cpu.compute"), ("cpu.runq", "cpu.spin"),
+                           ("nic.queue", "nic.xmit")):
+        waits = [s for s in tracer.spans if s.name == queued and s.duration_us > 0]
+        assert waits
+        successors = {
+            (s.tid, s.parent_id, s.start_us) for s in tracer.spans if s.name == served
+        }
+        hits = [w for w in waits if (w.tid, w.parent_id, w.end_us) in successors]
+        assert hits, f"no {queued} span is followed by a {served} span"
+    assert all(
+        by_sid[s.parent_id].name == "nic.transfer"
+        for s in tracer.spans if s.name in ("nic.queue", "nic.xmit")
+    )
 
 
 def test_two_traced_runs_are_identical():
