@@ -53,9 +53,9 @@ class MemoryProxy:
         before re-admitting it.  Raises :class:`NetworkDown` when either
         endpoint is dark, like any other traffic.
         """
-        yield from initiator.nic.send_control(self.server.nic)
+        yield initiator.nic.send_control(self.server.nic)
         yield from self.server.cpu.compute(1.0)
-        yield from self.server.nic.send_control(initiator.nic)
+        yield self.server.nic.send_control(initiator.nic)
         return True
 
     def offer_available(self, limit_bytes: int | None = None) -> ProcessGenerator:

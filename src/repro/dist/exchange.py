@@ -211,7 +211,7 @@ class ExchangeRuntime:
                 f"exchange {exchange_id}: channel to {channel.receiver.name}"
                 f" broke while serializing ({channel.broken})"
             )
-        yield from channel.qp.write(
+        yield channel.qp.write(
             channel.region, slot, size=max(1, nbytes),
             obj=(ctx.fragment_index, exchange_id, payload, nrows),
         )
@@ -235,7 +235,7 @@ class ExchangeRuntime:
                 )
                 self.inbox(exchange_id, dst, sender).put(payload)
                 # Credit-return control message rides the reverse path.
-                yield from channel.receiver.nic.send_control(channel.sender.nic)
+                yield channel.receiver.nic.send_control(channel.sender.nic)
                 channel.credits.put(slot)
         except (RdmaError, NetworkDown, Interrupt) as exc:
             channel.broken = str(exc) or type(exc).__name__

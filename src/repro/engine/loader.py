@@ -110,7 +110,7 @@ def parallel_load(
         loaded_bytes = int(sum(s.size_bytes for s in assignments[server.name]) * 0.6)
         if loaded_bytes:
             copy_jobs.append(
-                sim.spawn(server.nic.transfer(destination.nic, loaded_bytes))
+                server.nic.transfer(destination.nic, loaded_bytes, spawn="transfer")
             )
     if copy_jobs:
         yield AllOf(sim, copy_jobs)

@@ -85,7 +85,7 @@ def prime_push(src: Database, dst: Database, batch_bytes: int = 1 * MB) -> Proce
     for begin in range(0, len(pages), batch_pages):
         batch = pages[begin : begin + batch_pages]
         yield from src.server.cpu.compute(len(batch) * _SERIALIZE_CPU_US)
-        yield from src.server.nic.transfer(dst.server.nic, len(batch) * PAGE_SIZE)
+        yield src.server.nic.transfer(dst.server.nic, len(batch) * PAGE_SIZE)
         yield from dst.server.cpu.compute(len(batch) * _SERIALIZE_CPU_US)
         for page in batch:
             yield from dst.pool.put_page(page.copy())

@@ -12,12 +12,25 @@ transfer from A to B occupies A's TX engine, the (negligible) wire, and
 B's RX engine in a pipeline — so saturation can occur at either side,
 which is exactly what Figures 5 and 6 probe.
 
+A message has no control flow — check the ports, take an engine, wait,
+take the next — so it is not a generator but a :class:`Wire`, a
+kernel-stepped :class:`~repro.sim.Chain`: :meth:`NicPort.transfer` and
+:meth:`NicPort.send_control` return an event to ``yield``, whose stages
+the event loop advances with plain calls (DESIGN §10, "Kernel-stepped
+chains").  The stage functions at the bottom of this module are the one
+body every caller shares: SMB Direct, priming, the loader, and through
+:mod:`repro.net.rdma` the one-sided verbs, hence remote files and
+exchanges.  Same checks, same counters, same spans (``nic.control``;
+``nic.transfer`` › ``nic.xmit``, after ``nic.queue`` when the engine was
+busy), same events in the same order as the generators they replaced.
+
 Fault hooks (used by :mod:`repro.faults`):
 
 * :meth:`NicPort.fail` / :meth:`NicPort.restore` — the port goes dark
-  when its server crashes; in-flight transfers registered through
-  :meth:`NicPort.track_inflight` are aborted with the kernel's
-  :class:`~repro.sim.Interrupt`.
+  when its server crashes; the posted verbs against it (they list
+  themselves in ``_inflight``) are aborted with ``interrupt()`` and
+  complete with :data:`~repro.sim.ABORTED`, and whoever yields a message
+  gets :class:`NetworkDown` at its next check.
 * :meth:`NicPort.degrade` / :meth:`NicPort.restore_link` — transient
   link degradation: a latency multiplier plus a seeded packet-loss
   probability paid as retransmissions.
@@ -28,12 +41,10 @@ from __future__ import annotations
 from functools import partial
 
 from ..cluster import Server
-from ..sim import Resource, Simulator
-from ..sim.kernel import Process, ProcessGenerator, Timeout
+from ..sim import Chain, Resource, Simulator
 from ..storage import GB
-from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
 
-__all__ = ["Network", "NetworkDown", "NicPort"]
+__all__ = ["Network", "NetworkDown", "NicPort", "Wire"]
 
 #: Retransmission attempts are bounded: past this the message is
 #: delivered anyway (link-layer retry exhaustion is modelled as success
@@ -97,10 +108,11 @@ class NicPort:
         self.drop_probability = 0.0
         self.retransmits = 0
         self._link_rng = None
-        #: Transfer processes that touch this port, abortable on crash.
-        #: Insertion-ordered so abort order (and hence replay) is
-        #: deterministic — a set would iterate in address order.
-        self._inflight: dict[Process, None] = {}
+        #: Spawned verbs against this port (they enter themselves and
+        #: leave when they complete), abortable on crash.  Insertion-
+        #: ordered so abort order (and hence replay) is deterministic —
+        #: a set would iterate in address order.
+        self._inflight: dict[Chain, None] = {}
 
     # -- fault hooks -------------------------------------------------------
 
@@ -109,8 +121,8 @@ class NicPort:
         if not self.alive:
             return
         self.alive = False
-        for process in list(self._inflight):
-            process.interrupt(cause=f"{self.server.name}: NIC down")
+        for verb in list(self._inflight):
+            verb.interrupt(cause=f"{self.server.name}: NIC down")
         self._inflight.clear()
 
     def restore(self) -> None:
@@ -142,11 +154,6 @@ class NicPort:
         self.latency_multiplier = 1.0
         self.drop_probability = 0.0
         self._link_rng = None
-
-    def track_inflight(self, process: Process) -> None:
-        """Register a transfer process for abort-on-crash semantics."""
-        self._inflight[process] = None
-        process.add_callback(lambda _e: self._inflight.pop(process, None))
 
     # -- observability -----------------------------------------------------
 
@@ -185,69 +192,173 @@ class NicPort:
         if not peer.alive or not peer.server.alive:
             raise NetworkDown(f"{peer.server.name}: NIC is down")
 
-    def transfer(self, dst: "NicPort", size: int) -> ProcessGenerator:
+    def transfer(self, dst: "NicPort", size: int, spawn: str | None = None) -> "Wire":
         """Move ``size`` payload bytes from this port to ``dst``.
 
-        Pipelined: TX engine, propagation, RX engine.  Returns total µs.
-        An engine's service time is computed when its slot is *granted*,
-        not when the transfer enqueues: link degradation applies to
-        transfers serviced while the link is sick, and a backlog queued
-        during a brown-out drains at healthy speed once it restores.
+        Pipelined: TX engine, propagation, RX engine.  The event's value
+        is the total µs.  An engine's service time is computed when its
+        slot is *granted*, not when the transfer enqueues: link
+        degradation applies to transfers serviced while the link is sick,
+        and a backlog queued during a brown-out drains at healthy speed
+        once it restores.  Yield the event; ``spawn=name`` runs it as a
+        process of its own instead (see :class:`~repro.sim.Chain`).
         """
-        self._check_alive(dst)
-        sim = self.network.sim
-        tracer = sim.tracer
-        traced = tracer.enabled
-        start = sim.now
-        outer = _NOOP_SPAN  # closed, not entered: ``with`` on the no-op is two calls
-        if traced:
-            outer = tracer.span(
-                "nic.transfer", cat="net", src=self.server.name, dst=dst.server.name, size=size
-            )
-        try:
-            for port, engine in ((self, self.tx), (dst, dst.rx)):
-                name = engine.name
-                if engine is dst.rx:
-                    yield Timeout(sim, self.network.propagation_us + self.profile.processing_us)
-                    self._check_alive(dst)
-                if engine.try_acquire():  # idle: granted inline, no scheduler round-trip
-                    span = tracer.span("nic.xmit", "net", engine=name) if traced else _NOOP_SPAN
-                    try:
-                        yield Timeout(sim, port._engine_time(size))
-                    finally:
-                        span.close()
-                        engine.release()
-                else:
-                    span = tracer.span("nic.queue", "queue", engine=name) if traced else _NOOP_SPAN
-                    hold = engine.hold(partial(port._engine_time, size))
-                    try:
-                        yield hold
-                    finally:
-                        hold.finish()
-                        if traced:
-                            span.split(hold.granted_at, "nic.xmit", "net", engine=name).close()
-        finally:
-            outer.close()
-        self.bytes_sent += size
-        self.messages_sent += 1
-        dst.bytes_received += size
-        return sim.now - start
+        return Wire(self.network.sim, TRANSFER, spawn, self, dst, size)
 
-    def send_control(self, dst: "NicPort") -> ProcessGenerator:
+    def send_control(self, dst: "NicPort") -> "Wire":
         """A small control message (request packet, ack, doorbell)."""
-        self._check_alive(dst)
-        sim = self.network.sim
-        delay = (
-            self.profile.per_message_us * self.latency_multiplier
-            + self.network.propagation_us
-            + self.profile.processing_us
+        return Wire(self.network.sim, CONTROL, None, None, None, 0, self, dst)
+
+
+class Wire(Chain):
+    """A message on the fabric as a kernel-stepped chain: a payload of
+    ``size`` bytes from ``src`` to ``dst``, a control message from
+    ``ctl_src`` to ``ctl_dst``, or a one-sided verb made of both against
+    ``region`` (:mod:`repro.net.rdma` sets the fields after it and
+    supplies those stages).  The stage functions below are shared by all
+    three, as the generator ``transfer`` was by every caller.
+
+    One class for all three on purpose: CPython keys its attribute caches
+    on the type, and an exchange alternates verbs and control messages —
+    as two classes through the same ``Chain._step`` a chain cost a fifth
+    more (DESIGN §10).
+    """
+
+    __slots__ = ("src", "dst", "size", "ctl_src", "ctl_dst", "started_at", "spans", "engine_span",
+                 "region", "qp", "offset", "payload", "obj", "opaque", "nodata", "behind",
+                 "epoch", "latency", "posted_at")
+
+    def __init__(
+        self,
+        sim: Simulator,
+        program: tuple,
+        spawn: str | None,
+        src: NicPort | None,
+        dst: NicPort | None,
+        size: int | None,
+        ctl_src: NicPort | None = None,
+        ctl_dst: NicPort | None = None,
+        verb: tuple | None = None,
+        absorb: tuple = (),
+    ):
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.ctl_src = ctl_src
+        self.ctl_dst = ctl_dst
+        #: Tracing only: the open spans around the stage in progress,
+        #: outermost first, and the span of the engine it occupies.
+        self.spans = self.engine_span = None
+        if sim.tracer.enabled:
+            self.spans = []
+        if verb is None:
+            self.region = None
+        else:
+            (self.qp, self.region, self.offset, self.payload, self.obj, self.opaque,
+             self.nodata, self.behind, self.latency) = verb
+            #: None until posted: there is nothing to take back before that.
+            self.epoch = None
+            if spawn is not None:
+                # Posted: the target port can abort it, a read is timed.
+                self.qp.target.nic._inflight[self] = None
+                self.posted_at = sim.now
+        Chain.__init__(self, sim, program, spawn, absorb)
+
+    def _unwind(self) -> None:
+        spans = self.spans
+        if spans is not None:
+            _close_engine_span(self)
+            while spans:
+                spans.pop().close()
+        if self.region is not None and self.epoch is not None:
+            self.region.inflight -= 1  # posted, never reaped
+
+    def _finish(self, value) -> None:
+        if self.region is not None and self._spawned:
+            self.qp.target.nic._inflight.pop(self, None)
+            if self.latency is not None:
+                self.latency.record(self.sim.now - self.posted_at)
+        Chain._finish(self, value)
+
+
+def _control(wire: Wire) -> float:
+    src, dst = wire.ctl_src, wire.ctl_dst
+    src._check_alive(dst)
+    network = src.network
+    delay = (
+        src.profile.per_message_us * src.latency_multiplier
+        + network.propagation_us
+        + src.profile.processing_us
+    )
+    if wire.spans is not None:
+        wire.spans.append(network.sim.tracer.span("nic.control", cat="net", dst=dst.server.name))
+    return delay
+
+
+def _control_sent(wire: Wire) -> None:
+    if wire.spans is not None:
+        wire.spans.pop().close()
+    wire.ctl_src.messages_sent += 1
+
+
+def _serve_engine(wire: Wire, port: NicPort, engine: Resource) -> float | bool:
+    wait = wire.serve(engine, partial(port._engine_time, wire.size))
+    if wire.spans is not None:
+        name, cat = ("nic.xmit", "net") if wire._hold is None else ("nic.queue", "queue")
+        wire.engine_span = port.network.sim.tracer.span(name, cat, engine=engine.name)
+    return wait
+
+
+def _close_engine_span(wire: Wire) -> None:
+    """End the span of the engine stage just left; one that queued splits
+    into ``nic.queue`` then ``nic.xmit`` at the instant of its grant."""
+    span = wire.engine_span
+    if span is not None:
+        wire.engine_span = None
+        if span.name == "nic.queue":
+            span = span.split(wire._hold.granted_at, "nic.xmit", "net", **span.args)
+        span.close()
+
+
+def _transmit(wire: Wire) -> float | bool:
+    src, dst = wire.src, wire.dst
+    src._check_alive(dst)
+    sim = src.network.sim
+    wire.started_at = sim.now
+    if wire.spans is not None:
+        wire.spans.append(
+            sim.tracer.span(
+                "nic.transfer", cat="net", src=src.server.name, dst=dst.server.name,
+                size=wire.size,
+            )
         )
-        tracer = sim.tracer
-        span = _NOOP_SPAN
-        if tracer.enabled:
-            span = tracer.span("nic.control", cat="net", dst=dst.server.name)
-        try:
-            yield Timeout(sim, delay)
-        finally:
-            span.close()
-        self.messages_sent += 1
+    return _serve_engine(wire, src, src.tx)
+
+
+def _propagate(wire: Wire) -> float:
+    if wire.spans is not None:
+        _close_engine_span(wire)
+    src = wire.src
+    return src.network.propagation_us + src.profile.processing_us
+
+
+def _receive(wire: Wire) -> float | bool:
+    dst = wire.dst
+    wire.src._check_alive(dst)
+    return _serve_engine(wire, dst, dst.rx)
+
+
+def _delivered(wire: Wire) -> None:
+    if wire.spans is not None:
+        _close_engine_span(wire)
+        wire.spans.pop().close()
+    src, size = wire.src, wire.size
+    src.bytes_sent += size
+    src.messages_sent += 1
+    wire.dst.bytes_received += size
+    wire.result = src.network.sim.now - wire.started_at
+
+
+#: ``NicPort.send_control`` and ``NicPort.transfer`` as stage programs.
+CONTROL = (_control, _control_sent)
+TRANSFER = (_transmit, _propagate, _receive, _delivered)

@@ -15,6 +15,17 @@ design uses (Section 4.2).  Faithfully modelled properties:
 * **Memory regions carry real bytes** so integrity is testable
   end-to-end.  An object-extent overlay lets higher layers move Python
   objects with identical timing but without per-transfer serialization.
+* **A verb has no control flow**: post, a control message and a payload
+  on the two NICs' engines, reap.  :meth:`QueuePair.read` and
+  :meth:`QueuePair.write` therefore return a
+  :class:`~repro.net.fabric.Wire` — a kernel-stepped
+  :class:`~repro.sim.Chain` running :mod:`repro.net.fabric`'s stage
+  functions between this module's — not a generator.  ``yield``
+  it and it is part of the caller (an exchange's batch write: errors
+  raise into the sender); pass ``spawn=name`` and it is a posted work
+  request with a process's schedule (a remote file's page I/O: the
+  provider's port can abort it, faults become
+  :data:`~repro.sim.ABORTED`, the queue pair times the reads).
 """
 
 from __future__ import annotations
@@ -23,12 +34,19 @@ import math
 from typing import Any
 
 from ..cluster import Server
-from ..sim.kernel import ProcessGenerator, Timeout
+from ..sim.kernel import ProcessGenerator
+from ..sim.stats import LatencyRecorder
 from ..storage import GB, KB
-from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
-from .fabric import NicPort
+from .fabric import CONTROL, TRANSFER, NetworkDown, NicPort, Wire
 
-__all__ = ["MemoryRegion", "RdmaRegistrar", "QueuePair", "RdmaError", "MR_REGISTER_BASE_US"]
+__all__ = [
+    "MemoryRegion",
+    "RdmaRegistrar",
+    "QueuePair",
+    "RdmaError",
+    "OVERTOOK",
+    "MR_REGISTER_BASE_US",
+]
 
 #: Fixed cost of a registration call (kernel transition, pinning setup).
 MR_REGISTER_BASE_US = 45.0
@@ -183,7 +201,9 @@ POST_CPU_US = 0.3
 class QueuePair:
     """A reliable connection between two servers for one-sided verbs."""
 
-    def __init__(self, initiator: Server, target: Server):
+    def __init__(
+        self, initiator: Server, target: Server, read_latency: LatencyRecorder | None = None
+    ):
         if initiator.nic is None or target.nic is None:
             raise RdmaError("both servers must be attached to the network")
         self.initiator = initiator
@@ -191,6 +211,8 @@ class QueuePair:
         self.connected = True
         self.reads = 0
         self.writes = 0
+        #: Post-to-completion time of every *spawned* read, aborted or not.
+        self.read_latency = read_latency
         #: Bumped by disconnect() so verbs in flight across the break
         #: can tell this connection's teardown from a later reconnect.
         self._epoch = 0
@@ -225,6 +247,13 @@ class QueuePair:
         self._epoch += 1
 
     # -- one-sided verbs --------------------------------------------------
+    #
+    # Yielded, a verb is part of the caller and raises into it.  With
+    # ``spawn=name`` it is a posted work request with a process's schedule:
+    # the target port can abort it when it goes dark (:meth:`NicPort.fail`),
+    # its value is then :data:`~repro.sim.ABORTED` — as it is when an
+    # endpoint or the region is found gone along the way — and a read's
+    # post-to-completion time goes to ``read_latency``.
 
     def read(
         self,
@@ -233,42 +262,27 @@ class QueuePair:
         size: int,
         opaque: bool = False,
         nodata: bool = False,
-    ) -> ProcessGenerator:
-        """One-sided RDMA read; returns bytes (or the stored object).
+        behind: Any = None,
+        spawn: str | None = None,
+    ) -> Wire:
+        """One-sided RDMA read; the value is bytes (or the stored object).
 
         ``nodata=True`` performs the full timing path without touching
         the region's backing store (used by I/O micro-benchmarks that
-        sweep spans far larger than host RAM).
+        sweep spans far larger than host RAM).  ``behind`` is a write
+        posted earlier to the same extent: if it is still in flight when
+        the read completes, the read sampled what the extent held before
+        and its value is :data:`OVERTOOK`.
         """
-        self._require_connected(region)
-        sim = self.initiator.sim
-        tracer = sim.tracer
-        src: NicPort = self.initiator.nic
-        dst: NicPort = self.target.nic
-        epoch = self._epoch
-        region.inflight += 1
-        span = _NOOP_SPAN
-        if tracer.enabled:
-            span = tracer.span("rdma.read", provider=self.target.name, size=size)
-        try:
-            # Post the read work request and send it to the target NIC.
-            yield Timeout(sim, POST_CPU_US)
-            yield from src.send_control(dst)
-            # Target NIC DMAs the data and streams it back — no target CPU.
-            yield from dst.transfer(src, size)
-            # Completion-queue entry processed at the initiator.
-            yield Timeout(sim, POST_CPU_US)
-        finally:
-            span.close()
-            region.inflight -= 1
-        # The transfer suspended us: the QP or region may be gone now.
-        self._require_resumed(region, epoch)
-        self.reads += 1
-        if nodata:
-            return None
-        if opaque:
-            return region.get_object(offset)
-        return region.read_bytes(offset, size)
+        latency = self.read_latency if spawn is not None else None
+        state = (self, region, offset, None, None, opaque, nodata, behind, latency)
+        initiator: NicPort = self.initiator.nic
+        target: NicPort = self.target.nic
+        # Request to the target; its NIC DMAs the data back — no target CPU.
+        return Wire(
+            self.initiator.sim, READ, spawn, target, initiator, size, initiator, target,
+            state, _FAULTS,
+        )
 
     def write(
         self,
@@ -278,37 +292,84 @@ class QueuePair:
         size: int | None = None,
         obj: Any = None,
         nodata: bool = False,
-    ) -> ProcessGenerator:
-        """One-sided RDMA write of ``payload`` bytes or an opaque object."""
-        self._require_connected(region)
-        if payload is None and size is None:
+        spawn: str | None = None,
+    ) -> Wire:
+        """One-sided RDMA write of ``payload`` bytes or an opaque object;
+        the value is the length written."""
+        state = (self, region, offset, payload, obj, False, nodata, None, None)
+        initiator: NicPort = self.initiator.nic
+        target: NicPort = self.target.nic
+        # Data to the target; hardware ack from its NIC.
+        return Wire(
+            self.initiator.sim, WRITE, spawn, initiator, target, size, target, initiator,
+            state, _FAULTS,
+        )
+
+
+#: Value of a read that completed before the write it was posted behind.
+OVERTOOK = object()
+
+#: Faults a posted verb completes with ``ABORTED`` for.
+_FAULTS = (NetworkDown, RdmaError)
+
+
+def _post(verb: Wire) -> float:
+    qp, region = verb.qp, verb.region
+    qp._require_connected(region)
+    name = "rdma.read"
+    if verb._program is WRITE:
+        name = "rdma.write"
+        payload = verb.payload
+        if payload is None and verb.size is None:
             raise RdmaError("write needs payload bytes or an explicit size")
-        if payload is None and obj is None and not nodata:
+        if payload is None and verb.obj is None and not verb.nodata:
             raise RdmaError("write needs payload bytes or (size, obj)")
-        length = len(payload) if payload is not None else int(size)  # type: ignore[arg-type]
-        sim = self.initiator.sim
-        tracer = sim.tracer
-        src: NicPort = self.initiator.nic
-        dst: NicPort = self.target.nic
-        epoch = self._epoch
-        region.inflight += 1
-        span = _NOOP_SPAN
-        if tracer.enabled:
-            span = tracer.span("rdma.write", provider=self.target.name, size=length)
-        try:
-            yield Timeout(sim, POST_CPU_US)
-            yield from src.transfer(dst, length)
-            # Hardware ack from the target NIC.
-            yield from dst.send_control(src)
-            yield Timeout(sim, POST_CPU_US)
-        finally:
-            span.close()
-            region.inflight -= 1
-        self._require_resumed(region, epoch)
-        if not nodata:
-            if payload is not None:
-                region.write_bytes(offset, payload)
-            else:
-                region.put_object(offset, length, obj)
-        self.writes += 1
-        return length
+        verb.size = len(payload) if payload is not None else int(verb.size)
+    verb.epoch = qp._epoch
+    region.inflight += 1
+    if verb.spans is not None:
+        tracer = qp.initiator.sim.tracer
+        verb.spans.append(tracer.span(name, provider=qp.target.name, size=verb.size))
+    return POST_CPU_US  # post the work request
+
+
+def _reap(verb: Wire) -> float:
+    return POST_CPU_US  # completion-queue entry processed at the initiator
+
+
+def _settle(verb: Wire) -> None:
+    if verb.spans is not None:
+        verb.spans.pop().close()
+    region = verb.region
+    region.inflight -= 1
+    epoch, verb.epoch = verb.epoch, None
+    # Time has passed since the post: the QP or region may be gone now.
+    verb.qp._require_resumed(region, epoch)
+
+
+def _read_done(verb: Wire) -> None:
+    _settle(verb)
+    verb.qp.reads += 1
+    if verb.nodata:
+        value = None
+    elif verb.opaque:
+        value = verb.region.get_object(verb.offset)
+    else:
+        value = verb.region.read_bytes(verb.offset, verb.size)
+    behind = verb.behind
+    verb.result = OVERTOOK if behind is not None and behind.is_alive else value
+
+
+def _write_done(verb: Wire) -> None:
+    _settle(verb)
+    if not verb.nodata:
+        if verb.payload is not None:
+            verb.region.write_bytes(verb.offset, verb.payload)
+        else:
+            verb.region.put_object(verb.offset, verb.size, verb.obj)
+    verb.qp.writes += 1
+    verb.result = verb.size
+
+
+READ = (_post, *CONTROL, *TRANSFER, _reap, _read_done)
+WRITE = (_post, *TRANSFER, *CONTROL, _reap, _write_done)

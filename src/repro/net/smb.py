@@ -127,13 +127,13 @@ class SmbDirectClient:
             yield sim.timeout(self.PER_MESSAGE_US)
         finally:
             self._stack.release()
-        yield from self.client.nic.send_control(server.nic)
+        yield self.client.nic.send_control(server.nic)
         yield from self.file_server.serve(op, offset, size, self.SERVER_REQUEST_CPU_US)
         # Payload rides NIC DMA engines: no per-byte CPU on either side.
         if op is IoOp.WRITE:
-            yield from self.client.nic.transfer(server.nic, size)
+            yield self.client.nic.transfer(server.nic, size)
         else:
-            yield from server.nic.transfer(self.client.nic, size)
+            yield server.nic.transfer(self.client.nic, size)
 
     def read(self, offset: int, size: int) -> ProcessGenerator:
         yield from self.io(IoOp.READ, offset, size)

@@ -33,12 +33,11 @@ from typing import Any, Iterable
 
 from ..broker import BrokerUnavailable, Lease, MemoryBroker
 from ..cluster import Server
-from ..net.fabric import NetworkDown
-from ..net.rdma import RdmaError
+from ..net.rdma import OVERTOOK, QueuePair
 from ..reliability import DeadlineExceeded, ReliabilityLayer
-from ..sim import Cpu, Interrupt, LatencyRecorder
-from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
+from ..sim import ABORTED, Cpu, Interrupt, LatencyRecorder
 from ..sim.kernel import Event, ProcessGenerator
+from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
 from .staging import StagingPool
 
 __all__ = [
@@ -93,37 +92,6 @@ class AccessPolicy(enum.Enum):
 #: Spin budget for the adaptive policy before yielding the core.
 ADAPTIVE_SPIN_US = 25.0
 
-#: Sentinel returned by an aborted transfer process (provider crashed or
-#: the NIC interrupted it mid-flight); surfaced as RemoteMemoryUnavailable.
-_ABORTED = object()
-
-
-def _guarded(generator: ProcessGenerator) -> ProcessGenerator:
-    """Run a transfer, converting fault aborts into the sentinel.
-
-    Transfers run as spawned processes; an exception escaping a process
-    would crash the simulation loop, so fault-induced failures (kernel
-    Interrupt from a dying NIC, NetworkDown, RDMA errors from a revoked
-    region) are absorbed here and re-raised as
-    :class:`RemoteMemoryUnavailable` by the waiting side.
-    """
-    try:
-        return (yield from generator)
-    except (Interrupt, NetworkDown, RdmaError):
-        return _ABORTED
-
-
-_OVERTOOK = object()
-
-
-def _behind(write, read: ProcessGenerator) -> ProcessGenerator:
-    """Run a read posted after ``write``, a fire-and-forget transfer to
-    the same extent: ``_OVERTOOK`` if the read completed first, having
-    sampled what the extent held before."""
-    value = yield from read
-    return _OVERTOOK if write.is_alive else value
-
-
 class RemoteFile:
     """A file materialized over leased remote memory regions."""
 
@@ -156,8 +124,8 @@ class RemoteFile:
         #: Fire-and-forget writes still on their way: (region, offset) ->
         #: transfer.  A reliable connection orders a read after the
         #: writes posted before it; here a read can overtake a write
-        #: queued on a busy NIC and return what the extent held before,
-        #: so a read that did is repeated once the write has landed.
+        #: queued on a busy NIC and return what the extent held before
+        #: (``OVERTOOK``), so it is repeated once the write has landed.
         self._landing: dict[tuple, Any] = {}
         self.is_open = False
         self.reads = 0
@@ -173,14 +141,14 @@ class RemoteFile:
 
     def open(self) -> ProcessGenerator:
         """Connect an RDMA flow to every provider server."""
-        from ..net.rdma import QueuePair
-
         for lease in self.leases:
             provider = lease.region.server
             if provider.name not in self._qps:
                 # Connection setup: one control round trip per provider.
-                yield from self.owner.nic.send_control(provider.nic)
-                self._qps[provider.name] = QueuePair(self.owner, provider)
+                yield self.owner.nic.send_control(provider.nic)
+                self._qps[provider.name] = QueuePair(
+                    self.owner, provider, read_latency=self.io_latency
+                )
         self.is_open = True
         return self
 
@@ -395,19 +363,11 @@ class RemoteFile:
                 raise RemoteMemoryUnavailable(
                     f"{self.name}: provider {provider} is quarantined (circuit open)"
                 )
+            span = _NOOP_SPAN
+            if sim.tracer.enabled:
+                span = sim.tracer.span("rfile.attempt", provider=provider, attempt=attempt)
             try:
-                if sim.tracer.enabled:
-                    with sim.tracer.span("rfile.attempt", provider=provider, attempt=attempt):
-                        value = yield from layer.with_deadline(
-                            self._transfer_read_once(
-                                lease, mr_offset, length, opaque, nodata=nodata,
-                                background=background,
-                            ),
-                            layer.policy.read_deadline_us,
-                            family="read",
-                            name=f"{self.name}.read@{provider}",
-                        )
-                else:
+                with span:  # entered, unlike the hot-path spans: an error is noted on it
                     value = yield from layer.with_deadline(
                         self._transfer_read_once(
                             lease, mr_offset, length, opaque, nodata=nodata,
@@ -465,19 +425,18 @@ class RemoteFile:
             else _NOOP_SPAN
         )
         try:
-            slots = yield from self.staging.acquire(length)
-            read = qp.read(lease.region, mr_offset, length, opaque=opaque, nodata=nodata)
+            slots = self.staging.try_acquire(length)
+            if slots is None:
+                slots = yield from self.staging.acquire(length)
+            # Posted: the provider's port can abort it, the queue pair
+            # times it into ``io_latency``.
             landing = self._landing.get((lease.region, mr_offset))
-            if landing is not None:
-                read = _behind(landing, read)
-            transfer = sim.spawn(_guarded(read), name=self._read_name)
-            lease.region.server.nic.track_inflight(transfer)
-            issued_at = sim.now
-            transfer.add_callback(
-                lambda _e: self.io_latency.record(sim.now - issued_at)
+            transfer = qp.read(
+                lease.region, mr_offset, length, opaque=opaque, nodata=nodata,
+                behind=landing, spawn=self._read_name,
             )
             value = yield from self._wait(cpu, transfer, background=background)
-            if value is _ABORTED:
+            if value is ABORTED:
                 raise RemoteMemoryUnavailable(
                     f"{self.name}: read aborted, provider {lease.provider} failed"
                 )
@@ -496,7 +455,7 @@ class RemoteFile:
                 self.staging.release(slots)
             if ticket is not None:
                 ticket.release()
-        if value is _OVERTOOK:
+        if value is OVERTOOK:
             yield landing
             value = yield from self._transfer_read_once(
                 lease, mr_offset, length, opaque, nodata=nodata, background=background
@@ -585,16 +544,21 @@ class RemoteFile:
             else _NOOP_SPAN
         )
         try:
-            slots = yield from self.staging.acquire(length)
+            slots = self.staging.try_acquire(length)
+            if slots is None:
+                slots = yield from self.staging.acquire(length)
             # Copy the page into the staging MR first; the source buffer
             # is reusable immediately after the memcpy (Section 4.2).
             yield from cpu.compute(self.staging.memcpy_us(length))
             if payload is not None:
-                write = qp.write(lease.region, mr_offset, payload=payload)
+                transfer = qp.write(
+                    lease.region, mr_offset, payload=payload, spawn=self._write_name
+                )
             else:
-                write = qp.write(lease.region, mr_offset, size=length, obj=obj, nodata=nodata)
-            transfer = sim.spawn(_guarded(write), name=self._write_name)
-            lease.region.server.nic.track_inflight(transfer)
+                transfer = qp.write(
+                    lease.region, mr_offset, size=length, obj=obj, nodata=nodata,
+                    spawn=self._write_name,
+                )
             if fire_and_forget:
                 # The staging slots stay reserved until the RDMA write
                 # completes; a bounded slot pool throttles runaway
@@ -610,7 +574,7 @@ class RemoteFile:
                     self.staging.release(slots)
                     if ticket is not None:
                         ticket.release()
-                    aborted = transfer.value is _ABORTED
+                    aborted = transfer.value is ABORTED
                     if layer is not None:
                         if aborted:
                             layer.breakers.record_failure(provider)
@@ -639,7 +603,7 @@ class RemoteFile:
                     sim.spawn(_watchdog(), name=f"{self.name}.write_watchdog")
                 return
             value = yield from self._wait(cpu, transfer)
-            if value is _ABORTED:
+            if value is ABORTED:
                 raise RemoteMemoryUnavailable(
                     f"{self.name}: write aborted, provider {lease.provider} failed"
                 )

@@ -61,8 +61,17 @@ class StagingPool:
     def memcpy_us(self, size: int) -> float:
         return size / MEMCPY_BYTES_PER_US
 
+    def try_acquire(self, size: int) -> int | None:
+        """Reserve the slots for ``size`` bytes inline if they are free —
+        no generator, no event — and return their number; else None."""
+        if not self._initialized:
+            raise RuntimeError("staging pool used before initialize()")
+        slots = self.slots_for(size)
+        return slots if self.slots.try_acquire(slots) else None
+
     def acquire(self, size: int) -> ProcessGenerator:
-        """Reserve staging slots for a transfer of ``size`` bytes.
+        """Reserve staging slots for a transfer of ``size`` bytes,
+        queueing for them (callers take :meth:`try_acquire` first).
 
         Interrupt-safe: a transfer torn down while *queued* for slots
         (provider crash, NIC failure, reliability deadline) cancels its
@@ -70,11 +79,10 @@ class StagingPool:
         granted to a dead process and leak the slots forever, eventually
         exhausting the pool.
         """
-        if not self._initialized:
-            raise RuntimeError("staging pool used before initialize()")
-        slots = self.slots_for(size)
-        if self.slots.try_acquire(slots):
+        slots = self.try_acquire(size)
+        if slots is not None:
             return slots  # free slots: granted inline, no scheduler round-trip
+        slots = self.slots_for(size)
         request = self.slots.request(slots)
         try:
             if not self.server.sim.tracer.enabled:

@@ -2,8 +2,10 @@
 
 from .cpu import Cpu
 from .kernel import (
+    ABORTED,
     AllOf,
     AnyOf,
+    Chain,
     Event,
     Interrupt,
     Process,
@@ -17,8 +19,10 @@ from .rng import RngRegistry
 from .stats import Counter, LatencyRecorder, TimeSeries, summarize
 
 __all__ = [
+    "ABORTED",
     "AllOf",
     "AnyOf",
+    "Chain",
     "Counter",
     "Cpu",
     "Event",

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..telemetry.tracer import NOOP_TRACER
@@ -44,6 +45,8 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Chain",
+    "ABORTED",
     "AllOf",
     "AnyOf",
     "Interrupt",
@@ -67,6 +70,9 @@ class Interrupt(Exception):
     def __init__(self, cause: Any = None):
         super().__init__(cause)
         self.cause = cause
+        #: The inline :class:`Chain` the process was waiting on: it stood
+        #: for generator frames of that process, so it unwinds with them.
+        self.abandoned: Optional["Chain"] = None
 
 
 class Event:
@@ -155,13 +161,12 @@ class Event:
 
 
 class _Soon:
-    """A bare ``call_soon`` entry: a function, not a full event."""
+    """A bare ``call_soon`` entry: a function ``fn``, not a full event.
+    (No ``__init__``: one is allocated per grant and per chain, and a
+    Python-level constructor doubles the cost of that.)"""
 
     __slots__ = ("fn",)
     _cancelled = False
-
-    def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
 
 
 class Timeout(Event):
@@ -239,7 +244,8 @@ class Process(Event):
             return
         if self._interrupts is None:
             self._interrupts = deque()
-        self._interrupts.append(Interrupt(cause))
+        interrupt = Interrupt(cause)
+        self._interrupts.append(interrupt)
         target = self._target
         if target is not None and not target._processed:
             # Detach from the event we were waiting on and wake up now.
@@ -248,6 +254,9 @@ class Process(Event):
             except ValueError:
                 pass
             self._target = None
+            if isinstance(target, Chain) and not target._spawned:
+                target._detach()
+                interrupt.abandoned = target
             wake = Event(self.sim)
             wake.callbacks.append(self._resume)
             wake.succeed()
@@ -264,7 +273,11 @@ class Process(Event):
         try:
             try:
                 if self._interrupts:
-                    step = self._throw(self._interrupts.popleft())
+                    interrupt = self._interrupts.popleft()
+                    if interrupt.abandoned is not None:
+                        # Innermost frames unwind first: so does the chain.
+                        interrupt.abandoned._abandon()
+                    step = self._throw(interrupt)
                 elif event._exception is not None:
                     step = self._throw(event._exception)
                 else:
@@ -551,10 +564,12 @@ class Resource:
             waiter = queue.popleft()
             in_use += waiter.amount
             waiter._triggered = True
+            entry = waiter
+            if waiter.__class__ is _Hold:
+                entry = _Soon()
+                entry.fn = waiter._arm
             sim._seq += 1
-            sim._nowq.append(
-                (sim._seq, _Soon(waiter._arm) if waiter.__class__ is _Hold else waiter)
-            )
+            sim._nowq.append((sim._seq, entry))
         self.in_use = in_use
 
     def cancel(self, request: Event) -> None:
@@ -643,6 +658,237 @@ class Resource:
             yield hold
         finally:
             hold.finish()
+
+
+#: Value of a spawned :class:`Chain` that did not run to its end: it was
+#: interrupted, or a stage raised one of its ``absorb`` exceptions.
+ABORTED = object()
+
+
+class Chain(Event):
+    """A straight-line sequence of stages that the event loop advances.
+
+    For work with no control flow — an RDMA verb is six service times in
+    a row — a generator is resumed through every ``yield from`` frame
+    above it only to arm the next timer.  A chain is that work as data:
+    ``program`` is a tuple of functions ``stage(chain)``, run in order.  A
+    stage does its inline checks and accounting and returns what to wait
+    for: a delay, ``chain.serve(resource, timing)``, or nothing — then the
+    next stage follows at once.  The loop runs each stage with
+    one plain call from the timer (or grant) that ended the stage before
+    it, and every ``seq`` is allocated where the generator spelling
+    allocated it (DESIGN §10, "Kernel-stepped chains").
+
+    A chain stands for one of two things, and keeps that one's schedule:
+
+    * *inline* (``spawn=None``) — generator frames of the process that
+      yields it, as ``yield from`` ran them: the first stage runs in the
+      constructor (and raises from it), the last one resumes the waiter
+      in its own slot, a failing stage throws into the waiter there, and
+      when the waiter is interrupted the chain unwinds with it.  It must
+      wait at least once, and be yielded where it is built.
+    * *spawned* (``spawn=name``) — a :class:`Process` of that name:
+      bootstrap slot first, completion slot last, :meth:`interrupt` takes
+      a wake-up slot, ``sim._active_process`` during a step, and the
+      tracer's ``on_spawn``/``on_finish``.  An interrupt, or a stage
+      raising one of the ``absorb`` exceptions, completes it with
+      :data:`ABORTED`; anything else escapes into the event loop, as it
+      did from a process.
+
+    A subclass keeps its state in slots, set before ``Chain.__init__``;
+    ``result`` becomes the value, ``_unwind`` undoes what stages did
+    when the chain is cut short (the generator's ``finally`` blocks).
+    """
+
+    __slots__ = ("name", "result", "_program", "_pc", "_spawned", "_absorb", "_thunk",
+                 "_release", "_hold", "_caller")
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        program: tuple,
+        spawn: Optional[str] = None,
+        absorb: tuple = (),
+    ):
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._exception = None
+        self._triggered = False
+        self._processed = False
+        self.result = None
+        self._program = program
+        #: Next stage; -1 once finished or cut short (stale timers then no-op).
+        self._pc = 0
+        #: Gives back what the stage in progress holds, if anything;
+        #: ``_hold`` is then the queued hold behind it (None: served inline).
+        self._release: Optional[Callable[[], None]] = None
+        # One thunk for every slot this chain takes.  It is a cycle
+        # (chain -> thunk -> step -> chain), cut when the chain ends.
+        self._thunk = thunk = _Soon()
+        thunk.fn = self._step
+        traced = sim.tracer.enabled
+        if traced:
+            #: Whom an inline chain steps as (tracing only).
+            self._caller = sim._active_process
+            thunk.fn = partial(self._as_actor, thunk.fn)
+        if spawn is None:
+            self._spawned = False
+            self.name = "chain"
+            self._step()
+        else:
+            self._spawned = True
+            self._absorb = absorb
+            self.name = spawn
+            if traced:
+                sim.tracer.on_spawn(self)
+            sim._seq += 1
+            sim._nowq.append((sim._seq, thunk))
+
+    @property
+    def is_alive(self) -> bool:
+        return not self._triggered
+
+    # -- stepping ----------------------------------------------------------
+
+    def serve(self, resource: "Resource", timing: Any) -> Any:
+        """For a stage to return: queue FIFO for a unit of ``resource``, keep
+        it for ``timing`` — a duration, or a callable evaluated at the
+        grant — and give it back when the next stage starts.  A free unit
+        is taken inline, as ``try_acquire`` and a timer were; a busy one
+        is a :meth:`Resource.hold`."""
+        if resource.try_acquire():
+            self._hold = None
+            self._release = resource.release
+            return timing() if callable(timing) else timing
+        hold = self._hold = resource.hold(timing)
+        hold.callbacks.append(self._thunk.fn)
+        self._release = hold.finish
+        return True
+
+    def _step(self, _event: Optional[Event] = None) -> None:
+        """Run stages up to the next wait: the loop's one call per stage."""
+        pc = self._pc
+        if pc < 0:
+            return  # the timer an aborted chain left behind: one retired event
+        try:
+            release = self._release
+            if release is not None:
+                self._release = None
+                release()
+            program = self._program
+            end = len(program)
+            while pc < end:
+                wait = program[pc](self)
+                pc += 1
+                if wait is None:
+                    continue  # inline step: checks, accounting
+                self._pc = pc
+                if wait is not True:  # a delay: one seq, one heap entry, as a Timeout
+                    if wait < 0:
+                        raise SimulationError(f"negative timeout: {wait}")
+                    sim = self.sim
+                    sim._seq += 1
+                    heapq.heappush(sim._heap, (sim.now + wait, sim._seq, self._thunk))
+                return
+        except Exception as exc:
+            self._detach()
+            self._abandon()
+            if not self._spawned:
+                if not self.callbacks:
+                    raise  # still in the constructor: nobody else to tell
+                self._exception = exc
+                self._finish(None)
+            elif isinstance(exc, self._absorb):
+                self._finish(ABORTED)
+            else:
+                raise
+            return
+        self._finish(self.result)
+
+    def _as_actor(self, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn`` as the process this chain stands for (tracing only)."""
+        sim = self.sim
+        previous = sim._active_process
+        sim._active_process = self if self._spawned else self._caller
+        try:
+            fn(*args)
+        finally:
+            sim._active_process = previous
+
+    def _finish(self, value: Any) -> None:
+        """Complete: in a slot of its own when spawned, in this one inline."""
+        self._pc = -1
+        self._thunk = None
+        self._triggered = True
+        self._value = value
+        sim = self.sim
+        if self._spawned:
+            if sim.tracer.enabled:
+                sim.tracer.on_finish(self)
+            sim._seq += 1
+            sim._nowq.append((sim._seq, self))
+            return
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
+
+    # -- cutting it short --------------------------------------------------
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Abort at the current instant; a no-op once finished or aborting.
+
+        Spawned, exactly as a process whose generator turned the
+        interrupt into a return value: detach now, unwind and complete
+        with :data:`ABORTED` in a wake-up slot — or in the bootstrap slot
+        when that has not run yet (a process died there with ``None``,
+        its ``try`` never entered).  Inline, waiters get the
+        :class:`Interrupt` at once.
+        """
+        if self._pc < 0:
+            return
+        sim = self.sim
+        if not self._spawned:
+            self._detach()
+            self._abandon()
+            self._exception = Interrupt(cause)
+            self._finish(None)
+        elif self._pc == 0:
+            self._program = ()
+            self.result = ABORTED
+        else:
+            wake = _Soon()
+            wake.fn = self._abort
+            if sim.tracer.enabled:
+                wake.fn = partial(self._as_actor, wake.fn)
+            self._detach()
+            sim._seq += 1
+            sim._nowq.append((sim._seq, wake))
+
+    def _abort(self) -> None:
+        self._abandon()
+        self._finish(ABORTED)
+
+    def _detach(self) -> None:
+        """Stop listening, where an interrupted process stopped: a timer
+        left behind pops as nothing, a hold granted from now on sees no
+        waiter and never starts its clock."""
+        self._pc = -1
+        self._thunk = None
+        if self._release is not None and self._hold is not None:
+            self._hold.callbacks.clear()
+
+    def _abandon(self) -> None:
+        """Unwind, where the generator's ``finally`` blocks ran."""
+        release = self._release
+        if release is not None:
+            self._release = None
+            release()
+        self._unwind()
+
+    def _unwind(self) -> None:
+        """Undo what the stages run so far left open (subclass hook)."""
 
 
 class _Get(Event):
@@ -746,8 +992,10 @@ class Simulator:
 
     def call_soon(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` at the current instant, after already-queued events."""
+        soon = _Soon()
+        soon.fn = fn
         self._seq += 1
-        self._nowq.append((self._seq, _Soon(fn)))
+        self._nowq.append((self._seq, soon))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.net import Network, SmbClient, SmbDirectClient, SmbFileServer, TcpChannel
+from repro.sim import Event
 from repro.storage import KB, MB, RamDrive
 
 
@@ -17,8 +18,9 @@ def make_pair():
     return cluster, client, server
 
 
-def complete(sim, generator):
-    return sim.run_until_complete(sim.spawn(generator))
+def complete(sim, work):
+    """Run a generator — or a verb / transfer, which is an event — to its end."""
+    return sim.run_until_complete(work if isinstance(work, Event) else sim.spawn(work))
 
 
 class TestTcp:
@@ -124,7 +126,7 @@ class TestNicPort:
         done = []
 
         def sender(tag):
-            yield from a.nic.transfer(b.nic, 1 * MB)
+            yield a.nic.transfer(b.nic, 1 * MB)
             done.append((tag, sim.now))
 
         sim.spawn(sender(0))

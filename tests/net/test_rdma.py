@@ -7,10 +7,12 @@ from repro.net import (
     MR_MAX_SIZE,
     MemoryRegion,
     Network,
+    NetworkDown,
     QueuePair,
     RdmaError,
     RdmaRegistrar,
 )
+from repro.sim import ABORTED, Event, LatencyRecorder
 from repro.storage import KB, MB
 
 
@@ -24,8 +26,9 @@ def make_pair():
     return cluster, db, mem
 
 
-def complete(sim, generator):
-    return sim.run_until_complete(sim.spawn(generator))
+def complete(sim, work):
+    """Run a generator — or a verb / transfer, which is an event — to its end."""
+    return sim.run_until_complete(work if isinstance(work, Event) else sim.spawn(work))
 
 
 class TestRegistration:
@@ -175,7 +178,7 @@ class TestInFlightRaces:
 
         def reader():
             try:
-                outcome["value"] = yield from qp.read(region, 0, size)
+                outcome["value"] = yield qp.read(region, 0, size)
             except RdmaError as exc:
                 outcome["error"] = exc
 
@@ -211,7 +214,7 @@ class TestInFlightRaces:
 
         def writer():
             try:
-                yield from qp.write(region, 0, payload=b"y" * (1 * MB))
+                yield qp.write(region, 0, payload=b"y" * (1 * MB))
             except RdmaError as exc:
                 outcome["error"] = exc
 
@@ -302,3 +305,128 @@ class TestInFlightRaces:
         complete(sim, qp.write(region, 0, payload=b"ok"))
         assert complete(sim, qp.read(region, 0, 2)) == b"ok"
         assert region.inflight == 0
+
+
+class TestPostedVerbsCutShort:
+    """A spawned verb is a kernel-stepped chain; whatever cuts it short —
+    and wherever along its six service times — it completes with the abort
+    sentinel and leaves nothing behind: no in-flight count on the region,
+    no NIC engine held or queued for, no entry in the port's abort list."""
+
+    SIZE = 1 * MB
+
+    def _posted(self, contended=False):
+        cluster, db, mem = make_pair()
+        sim = cluster.sim
+        self.registrar = RdmaRegistrar(mem)
+        region = complete(sim, self.registrar.register(4 * MB))
+        region.write_bytes(0, b"x" * 1024)
+        qp = QueuePair(db, mem, read_latency=LatencyRecorder("reads"))
+        if contended:
+            # Someone else's payload occupies both engines of the read's
+            # path first, so the verb queues for them (a Resource.hold).
+            sim.spawn(self._other_traffic(mem, db))
+        return cluster, db, mem, region, qp
+
+    def _other_traffic(self, src, dst):
+        try:
+            yield src.nic.transfer(dst.nic, self.SIZE)
+        except NetworkDown:
+            pass  # yielded, not posted: the crash raises into its caller
+
+    def _assert_nothing_left(self, sim, db, mem, region, verb):
+        sim.run()
+        assert verb.value is ABORTED
+        assert region.inflight == 0
+        for port in (db.nic, mem.nic):
+            assert port.tx.in_use == port.rx.in_use == 0
+            assert port.tx.queue_length == port.rx.queue_length == 0
+            assert not port._inflight
+
+    @classmethod
+    def _stage_instants(cls, db):
+        """One instant inside each of an unloaded 1 MB read's six stages."""
+        profile, network = db.nic.profile, db.nic.network
+        post = 0.3
+        control = profile.per_message_us + network.propagation_us + profile.processing_us
+        engine = profile.per_message_us + cls.SIZE / profile.bandwidth_bytes_per_us
+        wire = network.propagation_us + profile.processing_us
+        ends, clock = [], 0.0
+        for length in (post, control, engine, wire, engine, post):
+            ends.append((clock, clock + length))
+            clock += length
+        return [(begin + end) / 2 for begin, end in ends], clock
+
+    @pytest.mark.parametrize("stage", range(6))
+    @pytest.mark.parametrize("contended", [False, True])
+    def test_provider_nic_fails_at_each_stage_of_a_read(self, stage, contended):
+        cluster, db, mem, region, qp = self._posted(contended)
+        sim = cluster.sim
+        instants, _ = self._stage_instants(db)
+        verb = qp.read(region, 0, self.SIZE, spawn="read")
+        assert list(mem.nic._inflight) == [verb] and region.inflight == 0  # not posted yet
+
+        def crash():
+            yield sim.timeout(instants[stage])
+            assert region.inflight == 1
+            mem.nic.fail()
+
+        sim.spawn(crash())
+        self._assert_nothing_left(sim, db, mem, region, verb)
+        assert qp.reads == 0
+        # Aborted reads are timed too (the registration above took a while).
+        assert qp.read_latency.samples == [pytest.approx(instants[stage])]
+
+    def test_unloaded_read_takes_the_six_stages(self):
+        cluster, db, mem, region, qp = self._posted()
+        _, total = self._stage_instants(db)
+        posted_at = cluster.sim.now
+        verb = qp.read(region, 0, self.SIZE, spawn="read")
+        assert len(complete(cluster.sim, verb)) == self.SIZE
+        assert cluster.sim.now - posted_at == pytest.approx(total)
+        assert qp.read_latency.samples == [cluster.sim.now - posted_at]
+        assert not mem.nic._inflight
+
+    def test_region_doomed_mid_read(self):
+        cluster, db, mem, region, qp = self._posted()
+        sim = cluster.sim
+        verb = qp.read(region, 0, self.SIZE, spawn="read")
+
+        def revoker():
+            yield sim.timeout(100.0)
+            yield from self.registrar.deregister(region, force=True)
+
+        sim.spawn(revoker())
+        self._assert_nothing_left(sim, db, mem, region, verb)
+        assert region.doomed and qp.reads == 0
+
+    def test_queue_pair_disconnected_mid_write(self):
+        cluster, db, mem, region, qp = self._posted()
+        sim = cluster.sim
+        verb = qp.write(region, 0, payload=b"y" * self.SIZE, spawn="write")
+
+        def breaker():
+            yield sim.timeout(100.0)
+            qp.disconnect()
+
+        sim.spawn(breaker())
+        self._assert_nothing_left(sim, db, mem, region, verb)
+        assert qp.writes == 0
+        assert bytes(region.data[:4]) == b"xxxx"  # the payload never landed
+
+    def test_dead_target_aborts_a_posted_verb_at_its_first_step(self):
+        cluster, db, mem, region, qp = self._posted()
+        mem.nic.alive = False
+        posted_at = cluster.sim.now
+        verb = qp.read(region, 0, self.SIZE, spawn="read")
+        self._assert_nothing_left(cluster.sim, db, mem, region, verb)
+        # Posted, then the control message found the port dark.
+        assert cluster.sim.now - posted_at == pytest.approx(0.3)
+
+    def test_yielded_verb_raises_where_a_posted_one_aborts(self):
+        cluster, db, mem, region, qp = self._posted()
+        qp.disconnect()
+        with pytest.raises(RdmaError, match="disconnected"):
+            qp.read(region, 0, self.SIZE)
+        verb = qp.read(region, 0, self.SIZE, spawn="read")
+        self._assert_nothing_left(cluster.sim, db, mem, region, verb)

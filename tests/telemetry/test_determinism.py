@@ -6,6 +6,8 @@ bit-identical results and final virtual clocks.  These tests run real
 workloads twice and compare exact floats, not approximations.
 """
 
+import zlib
+
 from repro.harness import Design, build_database, build_io_target, prewarm_extension
 from repro.telemetry import install
 from repro.workloads import RANDOM_8K, run_sqlio
@@ -111,6 +113,55 @@ def test_contended_rangescan_identical_with_tracing_on_and_off():
         by_sid[s.parent_id].name == "nic.transfer"
         for s in tracer.spans if s.name in ("nic.queue", "nic.xmit")
     )
+
+
+def _span_digest(tracer):
+    """Size and CRC of the span *multiset*: each span as (names from the
+    root down, start, end, thread name, depth, args), sorted — the order
+    of ``tracer.spans`` and the sid/tid numbering are free to change."""
+    by_sid = {span.sid: span for span in tracer.spans}
+
+    def path(span):
+        names = [span.name]
+        while span.parent_id:
+            span = by_sid[span.parent_id]
+            names.append(span.name)
+        return "/".join(reversed(names))
+
+    rows = sorted(
+        repr((path(s), s.start_us, s.end_us, tracer.thread_names[s.tid], s.depth,
+              sorted((s.args or {}).items())))
+        for s in tracer.spans
+    )
+    return len(rows), zlib.crc32("\n".join(rows).encode())
+
+
+def _traced_example_query():
+    """The query of ``examples/trace_a_query.py``, set up as it is there."""
+    setup = build_database(
+        Design.CUSTOM, bp_pages=256, bpext_pages=2600,
+        tempdb_pages=49152, analytic=True, seed=7,
+    )
+    tables = build_tpch_database(setup.database)
+    prewarm_extension(setup)
+    tracer = install(setup.sim)
+    spec = next(s for s in TPCH_QUERIES if s.name == "Q5")
+    plan, memory, consumers = spec.factory(
+        setup.database, tables, setup.cluster.rng.stream("trace-example")
+    )
+    setup.run(setup.database.execute(plan, memory, consumers))
+    return tracer
+
+
+def test_span_multisets_are_those_of_the_generator_verbs():
+    """Verbs and NIC transfers are kernel-stepped chains since PR 22; the
+    tracer must not be able to tell.  Pinned to what commit c83cf9d — one
+    process and three nested generators per verb — recorded: every
+    ``rdma.read`` › ``nic.control`` / ``nic.transfer`` › ``nic.xmit`` |
+    ``nic.queue`` span with its ancestors, times, thread, depth and args."""
+    _, tracer = _rangescan_fingerprint(trace=True)
+    assert _span_digest(tracer) == (17150, 424821052)
+    assert _span_digest(_traced_example_query()) == (23145, 3425224474)
 
 
 def test_two_traced_runs_are_identical():
