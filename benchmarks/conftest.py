@@ -10,8 +10,11 @@ set ``REPRO_BENCH_FULL=1`` for larger configurations.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
+from pathlib import Path
+from typing import Any, Optional
 
 import pytest
 
@@ -28,6 +31,72 @@ def once(benchmark):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return runner
+
+
+# ---------------------------------------------------------------------------
+# Virtual-time goldens
+# ---------------------------------------------------------------------------
+
+
+def check_golden(
+    path: Path,
+    observed: dict,
+    section: Optional[str] = None,
+    description: Optional[str] = None,
+) -> None:
+    """Hold every cell of ``observed`` to the golden JSON file at ``path``.
+
+    The file maps cell names to recorded values, either at its top level
+    or under ``section``.  Virtual time is exact, so a missing file or
+    cell fails and a recorded cell must match field for field; the
+    failure names the differing fields and the refresh command.  A
+    ``section`` belongs to one run, so it must also hold no cell that
+    run no longer produces.  The top level is shared by several runs
+    (one per parametrised case), so there only the observed cells count.
+
+    ``REPRO_UPDATE_BENCH=1`` is the one refresh switch: it writes
+    ``observed`` (and ``description``) into the file instead, replacing
+    the whole ``section`` or, at the top level, just the observed cells.
+    """
+    test_file = os.environ.get("PYTEST_CURRENT_TEST", "").split("::")[0]
+    refresh = f"REPRO_UPDATE_BENCH=1 PYTHONPATH=src python -m pytest {test_file} -o testpaths="
+    golden = json.loads(path.read_text()) if path.exists() else {}
+    if os.environ.get("REPRO_UPDATE_BENCH", "") == "1":
+        if description is not None:
+            golden["description"] = description
+        if section:
+            golden[section] = observed
+        else:
+            golden.update(observed)
+        path.write_text(json.dumps(golden, indent=2) + "\n")
+        return
+    assert path.exists(), f"golden {path.name} is missing; record it with {refresh}"
+    cells = golden.get(section, {}) if section else golden
+    if section:
+        stale = sorted(set(cells) - set(observed))
+        assert not stale, (
+            f"{path.name}[{section!r}] has cells the run no longer produces: {stale} "
+            f"— if the change is deliberate, refresh with {refresh}"
+        )
+    for name, value in observed.items():
+        assert name in cells, f"{path.name} has no cell {name!r}; record it with {refresh}"
+        drift = _drift(cells[name], value)
+        assert not drift, (
+            f"{path.name}[{name!r}] drifted from its golden (field: (golden, observed)): "
+            f"{drift} — if the change is deliberate, refresh with {refresh}"
+        )
+
+
+def _drift(golden: Any, observed: Any, field: str = "") -> dict:
+    """``{field path: (golden, observed)}`` for every leaf that differs."""
+    if isinstance(golden, dict) and isinstance(observed, dict):
+        drift = {}
+        for key in {**golden, **observed}:
+            drift.update(_drift(
+                golden.get(key), observed.get(key), f"{field}/{key}" if field else str(key)
+            ))
+        return drift
+    return {} if golden == observed else {field: (golden, observed)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,27 +9,30 @@ golden numbers — **bit-identical**, not approximate.  The simulation is
 deterministic by construction, so any difference means a refactor
 changed engine behavior, not just code structure.
 
-Regenerating goldens (only when a *deliberate* cost-model change lands):
+A missing golden fails like a drifted one.  Recording goldens (only
+when a *deliberate* cost-model change lands, or a design is added)::
 
-    REPRO_UPDATE_GOLDENS=force PYTHONPATH=src \
+    REPRO_UPDATE_BENCH=1 PYTHONPATH=src \
         python -m pytest benchmarks/test_design_parity.py -q -o testpaths=
 
-``REPRO_UPDATE_GOLDENS=1`` writes only entries missing from the file
-(used when a new design is added), leaving existing goldens untouched.
+rewrites the cells of the designs it runs (select some with ``-k``) and
+leaves the others untouched.
 """
 
 from __future__ import annotations
 
 import json
-import os
+from pathlib import Path
 
 import pytest
+
+from conftest import check_golden
 
 from repro.harness import Design, build_database, prewarm_extension
 from repro.harness.dbbench import prewarm_pool
 from repro.workloads import RangeScanConfig, build_customer_table, run_rangescan
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_parity.json")
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_parity.json"
 
 #: Deliberately small: the point is determinism, not the paper's shape.
 N_ROWS = 24_000
@@ -90,40 +93,47 @@ def run_parity_case(design: Design, workload: str) -> dict:
     }
 
 
-def _load_goldens() -> dict:
-    if not os.path.exists(GOLDEN_PATH):
-        return {}
-    with open(GOLDEN_PATH) as fh:
-        return json.load(fh)
-
-
-def _case_key(design: Design, workload: str) -> str:
-    return f"{design.value}/{workload}"
-
-
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("design", PARITY_DESIGNS, ids=lambda d: d.value)
 def test_design_parity(design: Design, workload: str):
-    mode = os.environ.get("REPRO_UPDATE_GOLDENS", "")
-    goldens = _load_goldens()
-    key = _case_key(design, workload)
-    observed = run_parity_case(design, workload)
-    if mode == "force" or (mode == "1" and key not in goldens):
-        goldens[key] = observed
-        with open(GOLDEN_PATH, "w") as fh:
-            json.dump(goldens, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return
-    assert key in goldens, (
-        f"no golden for {key}; run with REPRO_UPDATE_GOLDENS=1 to record it"
-    )
-    expected = goldens[key]
-    mismatches = {
-        field: (expected[field], observed.get(field))
-        for field in expected
-        if observed.get(field) != expected[field]
-    }
-    assert not mismatches, (
-        f"{key}: virtual-time results drifted from golden "
-        f"(field: (golden, observed)): {mismatches}"
-    )
+    check_golden(GOLDEN_PATH, {f"{design.value}/{workload}": run_parity_case(design, workload)})
+
+
+def test_check_golden(tmp_path, monkeypatch):
+    """The golden helper every virtual-time benchmark uses: a missing
+    file or cell fails, drift fails naming the field, a section with a
+    cell the run no longer produces fails, and only
+    ``REPRO_UPDATE_BENCH=1`` writes — replacing a whole section, but
+    merging cells at the shared top level."""
+    monkeypatch.delenv("REPRO_UPDATE_BENCH", raising=False)
+    path = tmp_path / "golden.json"
+    cell = {"clock_us": 1.5, "nested": {"hits": 3}}
+    observed = {"cell": cell, "stale": {}}
+    with pytest.raises(AssertionError, match="missing; record it with REPRO_UPDATE_BENCH=1"):
+        check_golden(path, observed, section="results")
+    assert not path.exists()
+
+    monkeypatch.setenv("REPRO_UPDATE_BENCH", "1")
+    check_golden(path, observed, section="results", description="a test golden")
+    assert json.loads(path.read_text()) == {"results": observed, "description": "a test golden"}
+    monkeypatch.delenv("REPRO_UPDATE_BENCH")
+    check_golden(path, observed, section="results")
+
+    with pytest.raises(AssertionError, match=r"no longer produces: \['stale'\]"):
+        check_golden(path, {"cell": cell}, section="results")
+    with pytest.raises(AssertionError, match="no cell 'other'; record it"):
+        check_golden(path, {**observed, "other": {}}, section="results")
+    drifted = {"cell": {"clock_us": 1.5, "nested": {"hits": 4}}, "stale": {}}
+    with pytest.raises(AssertionError, match=r"'nested/hits': \(3, 4\)"):
+        check_golden(path, drifted, section="results")
+
+    monkeypatch.setenv("REPRO_UPDATE_BENCH", "1")
+    check_golden(path, {"cell": cell}, section="results")
+    assert json.loads(path.read_text())["results"] == {"cell": cell}
+
+    flat = tmp_path / "flat.json"
+    check_golden(flat, {"a": 1, "b": 2})
+    check_golden(flat, {"b": 3})
+    assert json.loads(flat.read_text()) == {"a": 1, "b": 3}
+    monkeypatch.delenv("REPRO_UPDATE_BENCH")
+    check_golden(flat, {"a": 1})

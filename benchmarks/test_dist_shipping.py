@@ -20,10 +20,10 @@ refresh::
 
 from __future__ import annotations
 
-import json
-import os
 import zlib
 from pathlib import Path
+
+from conftest import check_golden
 
 from repro.dist import DistSpec, Strategy, build_strategy, execute_plan
 from repro.harness import format_table
@@ -32,7 +32,6 @@ from repro.storage import MB
 from repro.workloads import TpchScale, tpch_returnflag_agg_plan, tpch_star_join_plan
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_dist.json"
-UPDATE = os.environ.get("REPRO_UPDATE_BENCH", "") == "1"
 
 SCALE = TpchScale(orders=400, lines_per_order=2, customers=100, parts=80, suppliers=20)
 CLUSTER_SIZES = (2, 4)
@@ -206,17 +205,10 @@ def test_dist_shipping_axis(once):
         < cells["star_join/2/query"]["exchange_rows"] / 10
     )
 
-    if UPDATE or not BENCH_PATH.exists():
-        BENCH_PATH.write_text(json.dumps({
-            "description": "page vs query vs hybrid shipping: 2 TPC-H joins "
-                           "x 2 cluster sizes x 3 strategies + semi-join "
-                           "pushdown + IR-plan star join and two-phase "
-                           "aggregation; virtual-time exact golden",
-            "results": cells,
-        }, indent=2) + "\n")
-        return
-    recorded = json.loads(BENCH_PATH.read_text())["results"]
-    assert cells == recorded, (
-        "distributed shipping benchmark drifted from BENCH_dist.json — if "
-        "the change is deliberate, refresh with REPRO_UPDATE_BENCH=1"
+    check_golden(
+        BENCH_PATH, cells, section="results",
+        description="page vs query vs hybrid shipping: 2 TPC-H joins "
+                    "x 2 cluster sizes x 3 strategies + semi-join "
+                    "pushdown + IR-plan star join and two-phase "
+                    "aggregation; virtual-time exact golden",
     )

@@ -34,6 +34,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from conftest import check_golden
+
 from repro.faults import FaultPlan
 from repro.fleet import (
     DiurnalShape,
@@ -48,7 +50,6 @@ from repro.fleet import (
 from repro.telemetry import install, validate_chrome_trace, write_chrome_trace
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
-UPDATE = os.environ.get("REPRO_UPDATE_BENCH", "") == "1"
 TRACE_DIR = Path(os.environ.get("REPRO_TRACE_DIR", tempfile.gettempdir()))
 
 POLICY = MarketplacePolicy(period_us=1e6, cooldown_us=4e6, min_delta_pages=256)
@@ -167,15 +168,8 @@ def test_fleet_marketplace():
         for tenant, record in scenarios["failure-storm"][mode]["tenants"].items():
             assert record["queries"] > 0, f"{tenant} starved during the storm ({mode})"
 
-    if UPDATE or not BENCH_PATH.exists():
-        BENCH_PATH.write_text(json.dumps({
-            "description": "static partitioning vs marketplace rebalancing; "
-                           "virtual-time exact golden",
-            "scenarios": scenarios,
-        }, indent=2) + "\n")
-        return
-    recorded = json.loads(BENCH_PATH.read_text())["scenarios"]
-    assert scenarios == recorded, (
-        "fleet benchmark drifted from BENCH_fleet.json — if the change is "
-        "deliberate, refresh with REPRO_UPDATE_BENCH=1"
+    check_golden(
+        BENCH_PATH, scenarios, section="scenarios",
+        description="static partitioning vs marketplace rebalancing; "
+                    "virtual-time exact golden",
     )

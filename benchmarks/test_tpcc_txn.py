@@ -21,9 +21,9 @@ refresh::
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
+
+from conftest import check_golden
 
 from repro.faults import FaultEngine, FaultPlan, RecoveryMonitor
 from repro.harness import (
@@ -37,7 +37,6 @@ from repro.txn import check_serializable, committed_row_images
 from repro.workloads import TpccConfig, TpccScale, build_tpcc_database, run_tpcc
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_tpcc_txn.json"
-UPDATE = os.environ.get("REPRO_UPDATE_BENCH", "") == "1"
 
 SCALE = TpccScale(warehouses=4, items=200, history_orders=40)
 DESIGNS = [Design.HDD_SSD, Design.SMB_RAMDRIVE, Design.CUSTOM]
@@ -194,16 +193,9 @@ def test_tpcc_txn_conflict_axis(once):
     assert chaos["locks_idle"]
     assert chaos["serializable"]
 
-    if UPDATE or not BENCH_PATH.exists():
-        BENCH_PATH.write_text(json.dumps({
-            "description": "TPC-C under strict 2PL: throughput + abort rate "
-                           "vs conflict rate x design; virtual-time exact "
-                           "golden",
-            "results": results,
-        }, indent=2) + "\n")
-        return
-    recorded = json.loads(BENCH_PATH.read_text())["results"]
-    assert results == recorded, (
-        "transactional TPC-C benchmark drifted from BENCH_tpcc_txn.json — if "
-        "the change is deliberate, refresh with REPRO_UPDATE_BENCH=1"
+    check_golden(
+        BENCH_PATH, results, section="results",
+        description="TPC-C under strict 2PL: throughput + abort rate "
+                    "vs conflict rate x design; virtual-time exact "
+                    "golden",
     )

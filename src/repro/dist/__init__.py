@@ -10,7 +10,6 @@ credit-flow-controlled RDMA exchange operators
 
 from .exchange import (
     EOS_BYTES,
-    BroadcastExchange,
     ExchangeError,
     ExchangeRuntime,
     ExchangeStats,
@@ -44,7 +43,6 @@ from .semijoin import BloomBuild, BloomFilter, FilterSlot
 __all__ = [
     "BloomBuild",
     "BloomFilter",
-    "BroadcastExchange",
     "DistSetup",
     "DistSpec",
     "EOS_BYTES",

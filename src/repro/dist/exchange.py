@@ -1,4 +1,4 @@
-"""Exchange operators: RDMA shuffle / broadcast / gather between shards.
+"""Exchange operators: RDMA shuffle / gather between shards.
 
 The data path follows the staging-buffer discipline the paper uses for
 pages (Section 4.1.4), applied to tuple batches:
@@ -43,13 +43,13 @@ from ..engine.operators import ExecContext, Operator
 from ..net import QueuePair, RdmaError, RdmaRegistrar
 from ..net.fabric import NetworkDown
 from ..sim.kernel import Interrupt, ProcessGenerator, Store
+from ..telemetry.tracer import NOOP_SPAN
 
 __all__ = [
     "ExchangeError",
     "ExchangeStats",
     "ExchangeRuntime",
     "ShuffleExchange",
-    "BroadcastExchange",
     "GatherExchange",
     "EOS_BYTES",
 ]
@@ -168,54 +168,44 @@ class ExchangeRuntime:
             ctx.record_exchange(nrows, 0)
             return
         channel = self.channels[(source, dest)]
-        if self.sim.tracer.enabled:
-            with self.sim.tracer.span(
+        tracer = self.sim.tracer
+        span = (
+            tracer.span(
                 "dist.exchange.send", cat="dist",
                 exchange=exchange_id, dest=self.servers[dest].name,
                 rows=nrows, size=nbytes,
-            ):
-                yield from self._send_remote(ctx, channel, exchange_id, payload, nrows, nbytes)
-        else:
-            yield from self._send_remote(ctx, channel, exchange_id, payload, nrows, nbytes)
+            )
+            if tracer.enabled else NOOP_SPAN
+        )
+        with span:
+            if channel.broken:
+                raise ExchangeError(
+                    f"exchange {exchange_id}: channel to {channel.receiver.name}"
+                    f" is broken ({channel.broken})"
+                )
+            stall_from = self.sim.now
+            slot = yield channel.credits.get()
+            stalled = self.sim.now - stall_from
+            if stalled > 0:
+                stats.credit_stalls_us += stalled
+                ctx.metrics.credit_stalls_us += stalled
+            yield from ctx.cpu.compute(
+                EXCHANGE_BATCH_CPU_US + nrows * PER_ROW_SERIALIZE_CPU_US
+            )
+            if channel.broken:
+                raise ExchangeError(
+                    f"exchange {exchange_id}: channel to {channel.receiver.name}"
+                    f" broke while serializing ({channel.broken})"
+                )
+            yield channel.qp.write(
+                channel.region, slot, size=max(1, nbytes),
+                obj=(ctx.fragment_index, exchange_id, payload, nrows),
+            )
+            channel.landed.put(slot)
         stats.batches += 1
         stats.rows += nrows
         stats.bytes += nbytes
         ctx.record_exchange(nrows, nbytes)
-
-    def _send_remote(
-        self,
-        ctx: ExecContext,
-        channel: _Channel,
-        exchange_id: str,
-        payload: Optional[list],
-        nrows: int,
-        nbytes: int,
-    ) -> ProcessGenerator:
-        if channel.broken:
-            raise ExchangeError(
-                f"exchange {exchange_id}: channel to {channel.receiver.name}"
-                f" is broken ({channel.broken})"
-            )
-        stats = self.stat(exchange_id)
-        stall_from = self.sim.now
-        slot = yield channel.credits.get()
-        stalled = self.sim.now - stall_from
-        if stalled > 0:
-            stats.credit_stalls_us += stalled
-            ctx.metrics.credit_stalls_us += stalled
-        yield from ctx.cpu.compute(
-            EXCHANGE_BATCH_CPU_US + nrows * PER_ROW_SERIALIZE_CPU_US
-        )
-        if channel.broken:
-            raise ExchangeError(
-                f"exchange {exchange_id}: channel to {channel.receiver.name}"
-                f" broke while serializing ({channel.broken})"
-            )
-        yield channel.qp.write(
-            channel.region, slot, size=max(1, nbytes),
-            obj=(ctx.fragment_index, exchange_id, payload, nrows),
-        )
-        channel.landed.put(slot)
 
     def _drain(self, channel: _Channel, src: int, dst: int) -> ProcessGenerator:
         """Perpetual receiver-side process: staging slot -> inbox.
@@ -389,38 +379,6 @@ class ShuffleExchange(Operator):
         )
         merged = yield from self.runtime.receive_rows(ctx, self.exchange_id)
         yield sender  # join: re-raise a failed send
-        return merged
-
-
-class BroadcastExchange(Operator):
-    """Replicate the child's rows to every fragment (small build sides)."""
-
-    def __init__(
-        self,
-        child: Operator,
-        runtime: ExchangeRuntime,
-        exchange_id: str,
-        batch_rows: int = 512,
-    ):
-        self.child = child
-        self.runtime = runtime
-        self.exchange_id = exchange_id
-        self.batch_rows = batch_rows
-        self.row_bytes = child.row_bytes
-
-    def run(self, ctx: ExecContext) -> ProcessGenerator:
-        rows = yield from self.child.run(ctx)
-        parts = [list(rows) for _ in range(ctx.fragments)]
-        per_batch = max(
-            1, min(self.batch_rows, self.runtime.slot_bytes // max(1, self.row_bytes))
-        )
-        sender = ctx.db.sim.spawn(
-            _send_partitions(
-                self.runtime, self.exchange_id, ctx, parts, per_batch, self.row_bytes
-            )
-        )
-        merged = yield from self.runtime.receive_rows(ctx, self.exchange_id)
-        yield sender
         return merged
 
 

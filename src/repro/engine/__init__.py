@@ -5,7 +5,7 @@ from .btree import BTree
 from .catalog import Catalog, Column, Schema, Table, TableStats
 from .database import Database, QueryResult
 from .errors import EngineError, GrantTimeout, PageNotFound, PlanError
-from .files import DevicePageFile, PageStore, RemotePageFile, SmbPageFile
+from .files import DevicePageFile, PageStore, RemotePageFile
 from .grants import Grant, GrantManager
 from .operators import (
     ExecContext,
@@ -78,7 +78,6 @@ __all__ = [
     "QueryResult",
     "RemotePageFile",
     "Schema",
-    "SmbPageFile",
     "SpillRun",
     "Table",
     "TableScan",

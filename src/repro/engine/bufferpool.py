@@ -215,12 +215,12 @@ class BufferPoolExtension:
                     level.free.append(slot)
 
             sim = self.sim
-            if sim.tracer.enabled:
-                with sim.tracer.span("bpext.put", slot=slot, tier=level.name):
-                    yield from level.store.write_page(
-                        page, slot=slot, background=True, on_abort=_write_aborted
-                    )
-            else:
+            tracer = sim.tracer
+            span = (
+                tracer.span("bpext.put", slot=slot, tier=level.name)
+                if tracer.enabled else _NOOP_SPAN
+            )
+            with span:
                 yield from level.store.write_page(
                     page, slot=slot, background=True, on_abort=_write_aborted
                 )
@@ -313,11 +313,13 @@ class BufferPoolExtension:
             # to evict the slot we are about to read.
             slots.move_to_end(page_id)
             start = sim.now
+            tracer = sim.tracer
+            span = (
+                tracer.span("bpext.read", slot=slot, tier=level.name)
+                if tracer.enabled else _NOOP_SPAN
+            )
             try:
-                if sim.tracer.enabled:
-                    with sim.tracer.span("bpext.read", slot=slot, tier=level.name):
-                        page = yield from level.store.read_page(slot, background=background)
-                else:
+                with span:
                     page = yield from level.store.read_page(slot, background=background)
             except DeadlineExceeded:
                 # Transient: the remote image is still there, only slow.

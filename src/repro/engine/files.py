@@ -2,16 +2,16 @@
 
 Every store is slot-addressed (slot = 8K page position within the file)
 and exposes the same generator API, so the buffer pool, BPExt, TempDB
-and log writer can be pointed at:
+and log writer can be pointed at a medium mounted one of two ways:
 
-* :class:`DevicePageFile`  — a local block device (HDD array, SSD);
-  waited on *asynchronously*, like any disk I/O in a classic engine.
+* :class:`DevicePageFile`  — a :class:`~repro.storage.BlockDevice`:
+  a local HDD array or SSD, or a RamDrive on a remote server behind an
+  SMB / SMB Direct client (itself a device).  Stock engines treat the
+  remote RamDrive as a regular data file, so every I/O is waited on
+  *asynchronously*, with the context-switch overheads of Figure 11c.
 * :class:`RemotePageFile`  — the paper's Custom design: a lightweight
   remote-memory file accessed via RDMA; the wait policy (sync spin vs
   async) is the file's :class:`~repro.remotefile.AccessPolicy`.
-* :class:`SmbPageFile`     — a RamDrive on a remote server behind SMB
-  or SMB Direct; stock engines treat it as a regular file, i.e. an
-  asynchronous I/O with context-switch overheads (the Figure 11c gap).
 
 Stores keep the authoritative *disk image* of their pages (snapshots,
 isolated from buffer-pool mutation) so correctness is testable
@@ -36,7 +36,6 @@ __all__ = [
     "PageStore",
     "DevicePageFile",
     "RemotePageFile",
-    "SmbPageFile",
     "RemoteMemoryUnavailable",
 ]
 
@@ -134,24 +133,57 @@ class PageStore(abc.ABC):
             )
 
 
-class LocalImagePageFile(PageStore):
-    """A store whose page images live in a host-side dictionary.
+class DevicePageFile(PageStore):
+    """Pages on a block device: a local disk, or an SMB client's remote
+    RamDrive (mount those with ``chunk_pages=None``: a linear file).
 
-    The image is authoritative for *content*; the medium only decides
-    what one I/O of ``count`` pages at ``slot`` costs, which is the single
-    hook subclasses provide (:meth:`_io`).  Every I/O is waited on
-    asynchronously, like any disk I/O in a classic engine.
+    The page images live in a host-side dictionary, authoritative for
+    *content*; the device only decides what one I/O of ``count`` pages at
+    ``slot`` costs (:meth:`_io`).  Every I/O is waited on asynchronously,
+    like any disk I/O in a classic engine.
     """
 
-    def __init__(self, file_id: int, server: Server, capacity_pages: Optional[int] = None):
+    #: Pages per allocation chunk: contiguous on disk within a chunk,
+    #: chunks scattered across the volume.  This reproduces full-scale
+    #: disk geometry on a scaled-down database: scans still stream
+    #: (one seek per 2 MB), while random page lookups land far apart.
+    #: Pass ``chunk_pages=None`` for linear files (TempDB, log), which
+    #: real engines preallocate contiguously.
+    CHUNK_PAGES = 256
+
+    def __init__(
+        self,
+        file_id: int,
+        server: Server,
+        device: BlockDevice,
+        capacity_pages: Optional[int] = None,
+        base_offset: int = 0,
+        chunk_pages: Optional[int] = CHUNK_PAGES,
+    ):
         super().__init__(file_id, capacity_pages)
         self.server = server
+        self.device = device
+        self.base_offset = base_offset
+        self.chunk_pages = chunk_pages
         self._pages: dict[int, Page] = {}
 
-    @abc.abstractmethod
+    def _offset(self, slot: int) -> int:
+        if self.chunk_pages is None:
+            return self.base_offset + slot * PAGE_SIZE
+        chunk, within = divmod(slot, self.chunk_pages)
+        # Deterministic pseudo-random chunk placement over a ~8 TB
+        # virtual region (multiplicative hashing; file id salts it).
+        spread = (chunk * 2654435761 + self.file_id * 40503) % (1 << 22)
+        return (
+            self.base_offset
+            + spread * self.chunk_pages * PAGE_SIZE
+            + within * PAGE_SIZE
+        )
+
     def _io(self, op: IoOp, slot: int, count: int):
         """Issue one ``count``-page transfer at ``slot``; returns the
         event that fires on completion."""
+        return self.device.submit(op, self._offset(slot), count * PAGE_SIZE)
 
     def read_page(self, slot: int, background: bool = False) -> ProcessGenerator:
         self._check_slot(slot)
@@ -190,65 +222,6 @@ class LocalImagePageFile(PageStore):
         return [self._pages[slot + index].copy() for index in range(count)
                 if slot + index in self._pages]
 
-    def contains(self, slot: int) -> bool:
-        return slot in self._pages
-
-    def discard(self, slot: int) -> None:
-        self._pages.pop(slot, None)
-
-    def iter_pages(self) -> "Iterator[tuple[int, Page]]":
-        return iter(self._pages.items())
-
-    def install(self, page: Page, slot: Optional[int] = None) -> None:
-        self._pages[page.page_no if slot is None else slot] = page.copy()
-
-    def peek(self, slot: int) -> Page:
-        if slot not in self._pages:
-            raise PageNotFound(f"file {self.file_id}: no page at slot {slot}")
-        return self._pages[slot]
-
-
-class DevicePageFile(LocalImagePageFile):
-    """Pages on a local block device."""
-
-    #: Pages per allocation chunk: contiguous on disk within a chunk,
-    #: chunks scattered across the volume.  This reproduces full-scale
-    #: disk geometry on a scaled-down database: scans still stream
-    #: (one seek per 2 MB), while random page lookups land far apart.
-    #: Pass ``chunk_pages=None`` for linear files (TempDB, log), which
-    #: real engines preallocate contiguously.
-    CHUNK_PAGES = 256
-
-    def __init__(
-        self,
-        file_id: int,
-        server: Server,
-        device: BlockDevice,
-        capacity_pages: Optional[int] = None,
-        base_offset: int = 0,
-        chunk_pages: Optional[int] = CHUNK_PAGES,
-    ):
-        super().__init__(file_id, server, capacity_pages)
-        self.device = device
-        self.base_offset = base_offset
-        self.chunk_pages = chunk_pages
-
-    def _offset(self, slot: int) -> int:
-        if self.chunk_pages is None:
-            return self.base_offset + slot * PAGE_SIZE
-        chunk, within = divmod(slot, self.chunk_pages)
-        # Deterministic pseudo-random chunk placement over a ~8 TB
-        # virtual region (multiplicative hashing; file id salts it).
-        spread = (chunk * 2654435761 + self.file_id * 40503) % (1 << 22)
-        return (
-            self.base_offset
-            + spread * self.chunk_pages * PAGE_SIZE
-            + within * PAGE_SIZE
-        )
-
-    def _io(self, op: IoOp, slot: int, count: int):
-        return self.device.submit(op, self._offset(slot), count * PAGE_SIZE)
-
     def write_scattered(self, pages: list[Page]) -> ProcessGenerator:
         """Checkpoint-style write of non-contiguous pages.
 
@@ -265,6 +238,23 @@ class DevicePageFile(LocalImagePageFile):
         for page in ordered:
             self._pages[page.page_no] = page.copy()
         self.page_writes += len(ordered)
+
+    def contains(self, slot: int) -> bool:
+        return slot in self._pages
+
+    def discard(self, slot: int) -> None:
+        self._pages.pop(slot, None)
+
+    def iter_pages(self) -> "Iterator[tuple[int, Page]]":
+        return iter(self._pages.items())
+
+    def install(self, page: Page, slot: Optional[int] = None) -> None:
+        self._pages[page.page_no if slot is None else slot] = page.copy()
+
+    def peek(self, slot: int) -> Page:
+        if slot not in self._pages:
+            raise PageNotFound(f"file {self.file_id}: no page at slot {slot}")
+        return self._pages[slot]
 
 
 class RemotePageFile(PageStore):
@@ -387,20 +377,3 @@ class RemotePageFile(PageStore):
         lease.region.put_object(mr_offset, length, page.copy())
         self._present.add(slot)
 
-
-class SmbPageFile(LocalImagePageFile):
-    """Pages on a remote RamDrive behind SMB / SMB Direct.
-
-    The transport client models the protocol; page *content* is kept
-    here (it physically lives in the RamDrive on the memory server).
-    Stock engines issue these as asynchronous I/Os — the context-switch
-    cost on completion is what Figure 11(c) measures against Custom.
-    """
-
-    def __init__(self, file_id: int, server: Server, client, capacity_pages: Optional[int] = None):
-        super().__init__(file_id, server, capacity_pages)
-        self.client = client
-
-    def _io(self, op: IoOp, slot: int, count: int):
-        transfer = self.client.read if op is IoOp.READ else self.client.write
-        return self.server.sim.spawn(transfer(slot * PAGE_SIZE, count * PAGE_SIZE))

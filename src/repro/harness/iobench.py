@@ -14,7 +14,7 @@ from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
 from ..net import Network, SmbClient, SmbDirectClient, SmbFileServer
 from ..remotefile import AccessPolicy, RemoteFile, RemoteMemoryFilesystem, StagingPool
-from ..storage import GB, MB, BlockDevice, RamDrive, Raid0Array, SsdDevice
+from ..storage import GB, MB, RamDrive, Raid0Array, SsdDevice
 from ..telemetry import MetricsRegistry
 from ..telemetry.attach import register_cluster, register_remote_file
 
@@ -43,6 +43,8 @@ class IoTarget:
     name: str
     cluster: Cluster
     span_bytes: int
+    #: Anything with ``read``/``write(offset, size)`` generators: a
+    #: :class:`~repro.storage.BlockDevice` or a remote-file adapter.
     _reader: object
     db_server: Server | None = None
     memory_servers: tuple[Server, ...] = ()
@@ -58,7 +60,10 @@ class IoTarget:
 
 
 class _RemoteFileAdapter:
-    """Presents a RemoteFile as a (offset, size) target (timing-only)."""
+    """Presents a RemoteFile as a (offset, size) target (timing-only).
+
+    Block devices (local disks, SMB clients) are targets as they are.
+    """
 
     def __init__(self, file: RemoteFile):
         self.file = file
@@ -68,19 +73,6 @@ class _RemoteFileAdapter:
 
     def write(self, offset: int, size: int):
         yield from self.file.write_nodata(offset, size)
-
-
-class _DeviceAdapter:
-    """Local block device target."""
-
-    def __init__(self, device: BlockDevice):
-        self.device = device
-
-    def read(self, offset: int, size: int):
-        yield from self.device.read(offset, size)
-
-    def write(self, offset: int, size: int):
-        yield from self.device.write(offset, size)
 
 
 def _bind_metrics(target: IoTarget) -> IoTarget:
@@ -112,16 +104,12 @@ def build_io_target(design: str, span_bytes: int = DEFAULT_SPAN, seed: int = 0) 
         device = Raid0Array(sim, spindles=spindles, name=design,
                             rng=cluster.rng.stream("hdd"))
         db.attach_device("data", device)
-        return _bind_metrics(
-            IoTarget(design, cluster, span_bytes, _DeviceAdapter(device), db_server=db)
-        )
+        return _bind_metrics(IoTarget(design, cluster, span_bytes, device, db_server=db))
 
     if design == "SSD":
         device = SsdDevice(sim, name="ssd")
         db.attach_device("ssd", device)
-        return _bind_metrics(
-            IoTarget(design, cluster, span_bytes, _DeviceAdapter(device), db_server=db)
-        )
+        return _bind_metrics(IoTarget(design, cluster, span_bytes, device, db_server=db))
 
     mem = cluster.add_server("mem0", memory_bytes=max(384 * GB, span_bytes + 64 * GB))
     network.attach(mem)

@@ -30,7 +30,6 @@ from ..engine import (
     DevicePageFile,
     PageStore,
     RemotePageFile,
-    SmbPageFile,
 )
 from ..engine.page import PAGE_SIZE
 from ..net import Network, SmbFileServer
@@ -163,10 +162,11 @@ class Node:
                     f"remote store {tier.name!r} was neither opened over NDSPI"
                     " nor given an SMB file server"
                 )
+            # The remote RamDrive is an ordinary data file behind the client.
             file_server, client_cls = self._smb
-            return SmbPageFile(
+            return DevicePageFile(
                 file_id, self.server, client_cls(self.server, file_server),
-                capacity_pages=tier.capacity_pages,
+                capacity_pages=tier.capacity_pages, chunk_pages=None,
             )
         # Linear files are preallocated contiguously, away from the data files.
         layout = {"base_offset": 512 * GB, "chunk_pages": None} if linear else {}

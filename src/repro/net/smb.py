@@ -12,9 +12,14 @@ These are the two off-the-shelf baselines of Table 5:
   dispatch, which caps small-I/O rates well below raw verbs — the
   ~3.4x random-I/O gap between SMB Direct and Custom in Figure 3.
 
-Both serve a :class:`~repro.storage.BlockDevice` (the RamDrive); the
-client object exposes the same read/write generator interface as a local
-device so the engine can mount either transparently.
+Both serve a :class:`~repro.storage.BlockDevice` (the RamDrive), and
+both clients *are* block devices: the protocol stack is their service
+time (``_service``), and they inherit the accounting, the
+``{name}.{op}`` disk span and ``submit``.  The engine therefore mounts a
+remote RamDrive as SQL Server does, as an ordinary data file (a
+:class:`~repro.engine.DevicePageFile` over the client), and the I/O
+benchmark drives a client as it drives a local disk.  A client is never
+attached to a server, so ``submit`` never refuses.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class SmbFileServer:
         self.requests_served += 1
 
 
-class SmbClient:
+class SmbClient(BlockDevice):
     """SMB over TCP: client half, one connection per (client, server)."""
 
     #: Client-side SMB/file-system stack CPU per request.
@@ -62,16 +67,13 @@ class SmbClient:
     SERVER_REQUEST_CPU_US = 45.0
 
     def __init__(self, client: Server, file_server: SmbFileServer):
+        super().__init__(client.sim, "smb")
         self.client = client
         self.file_server = file_server
         self._to_server = TcpChannel(client, file_server.server)
         self._from_server = TcpChannel(file_server.server, client)
 
-    def io(self, op: IoOp, offset: int, size: int) -> ProcessGenerator:
-        with self.client.sim.tracer.span("smb.io", op=op.value, size=size):
-            yield from self._io(op, offset, size)
-
-    def _io(self, op: IoOp, offset: int, size: int) -> ProcessGenerator:
+    def _service(self, op: IoOp, offset: int, size: int) -> ProcessGenerator:
         yield from self.client.cpu.compute(self.CLIENT_STACK_CPU_US)
         if op is IoOp.WRITE:
             # Payload travels with the request.
@@ -83,14 +85,8 @@ class SmbClient:
             yield from self.file_server.serve(op, offset, size, self.SERVER_REQUEST_CPU_US)
             yield from self._from_server.send(_REQUEST_BYTES + size)
 
-    def read(self, offset: int, size: int) -> ProcessGenerator:
-        yield from self.io(IoOp.READ, offset, size)
 
-    def write(self, offset: int, size: int) -> ProcessGenerator:
-        yield from self.io(IoOp.WRITE, offset, size)
-
-
-class SmbDirectClient:
+class SmbDirectClient(BlockDevice):
     """SMB 3.0 over RDMA: DMA data path, but still a file protocol.
 
     The serialized client-stack cost (`PER_MESSAGE_US`) models the SMB
@@ -108,25 +104,17 @@ class SmbDirectClient:
     def __init__(self, client: Server, file_server: SmbFileServer):
         if client.nic is None or file_server.server.nic is None:
             raise ValueError("SMB Direct requires RDMA-attached servers")
+        super().__init__(client.sim, "smbd")
         self.client = client
         self.file_server = file_server
         self._stack = Resource(client.sim, capacity=1, name=f"{client.name}.smbd.stack")
 
-    def io(self, op: IoOp, offset: int, size: int) -> ProcessGenerator:
-        with self.client.sim.tracer.span("smbd.io", op=op.value, size=size):
-            yield from self._io(op, offset, size)
-
-    def _io(self, op: IoOp, offset: int, size: int) -> ProcessGenerator:
-        sim = self.client.sim
+    def _service(self, op: IoOp, offset: int, size: int) -> ProcessGenerator:
         server = self.file_server.server
         yield from self.client.cpu.compute(self.CLIENT_CPU_US)
         # Request passes through the serialized client stack, then the
         # RDMA-transported request reaches the server.
-        yield self._stack.request()
-        try:
-            yield sim.timeout(self.PER_MESSAGE_US)
-        finally:
-            self._stack.release()
+        yield from self._stack.use(self.PER_MESSAGE_US)
         yield self.client.nic.send_control(server.nic)
         yield from self.file_server.serve(op, offset, size, self.SERVER_REQUEST_CPU_US)
         # Payload rides NIC DMA engines: no per-byte CPU on either side.
@@ -134,9 +122,3 @@ class SmbDirectClient:
             yield self.client.nic.transfer(server.nic, size)
         else:
             yield server.nic.transfer(self.client.nic, size)
-
-    def read(self, offset: int, size: int) -> ProcessGenerator:
-        yield from self.io(IoOp.READ, offset, size)
-
-    def write(self, offset: int, size: int) -> ProcessGenerator:
-        yield from self.io(IoOp.WRITE, offset, size)

@@ -19,6 +19,7 @@ from ..cluster import Server
 from ..sim import Resource
 from ..sim.kernel import ProcessGenerator
 from ..storage import GB
+from ..telemetry.tracer import NOOP_SPAN
 
 __all__ = ["TcpEndpoint", "TcpChannel", "attach_tcp"]
 
@@ -76,42 +77,35 @@ class TcpChannel:
 
     def send(self, size: int) -> ProcessGenerator:
         """Transmit ``size`` bytes src -> dst, charging both CPUs."""
-        with self.sim.tracer.span(
-            "tcp.send", cat="net", src=self.src.server.name,
-            dst=self.dst.server.name, size=size,
-        ):
-            return (yield from self._send(size))
-
-    def _send(self, size: int) -> ProcessGenerator:
-        profile = self.src.profile
-        src_server = self.src.server
-        dst_server = self.dst.server
-        # Sender: syscall plus copy into kernel buffers.
-        yield from src_server.cpu.compute(
-            profile.per_message_cpu_us + size / profile.copy_bytes_per_us
-        )
-        # Wire/protocol pipe, sender side.
-        yield self.src.tx.request()
-        try:
-            yield self.sim.timeout(
-                self.src.latency_multiplier * size / profile.bandwidth_bytes_per_us
+        src, dst = self.src, self.dst
+        profile = src.profile
+        tracer = self.sim.tracer
+        span = (
+            tracer.span(
+                "tcp.send", cat="net", src=src.server.name, dst=dst.server.name, size=size,
             )
-        finally:
-            self.src.tx.release()
-        yield self.sim.timeout(profile.stack_latency_us)
-        # Receiver pipe.
-        yield self.dst.rx.request()
-        try:
-            yield self.sim.timeout(
-                self.dst.latency_multiplier * size / self.dst.profile.bandwidth_bytes_per_us
-            )
-        finally:
-            self.dst.rx.release()
-        # Receiver: interrupt handling plus copy out to user space —
-        # this is the remote-CPU involvement RDMA avoids.
-        yield from dst_server.cpu.compute(
-            profile.per_message_cpu_us + size / profile.copy_bytes_per_us
+            if tracer.enabled else NOOP_SPAN
         )
-        self.src.bytes_sent += size
-        self.dst.bytes_received += size
+        with span:
+            # Sender: syscall plus copy into kernel buffers.
+            yield from src.server.cpu.compute(
+                profile.per_message_cpu_us + size / profile.copy_bytes_per_us
+            )
+            # Wire/protocol pipe, sender side, then the receiver's.  Each
+            # pipe time is read at its grant: a degrade() that lands while
+            # this send queues applies to it.
+            yield from src.tx.use(
+                lambda: src.latency_multiplier * size / profile.bandwidth_bytes_per_us
+            )
+            yield self.sim.timeout(profile.stack_latency_us)
+            yield from dst.rx.use(
+                lambda: dst.latency_multiplier * size / dst.profile.bandwidth_bytes_per_us
+            )
+            # Receiver: interrupt handling plus copy out to user space —
+            # this is the remote-CPU involvement RDMA avoids.
+            yield from dst.server.cpu.compute(
+                profile.per_message_cpu_us + size / profile.copy_bytes_per_us
+            )
+            src.bytes_sent += size
+            dst.bytes_received += size
         return size

@@ -24,7 +24,6 @@ from .ir import (
     TopN,
     count_nodes,
     output_schema,
-    to_engine_schema,
     walk,
 )
 from .lower import (
@@ -60,6 +59,5 @@ __all__ = [
     "explain_physical",
     "lower_single",
     "output_schema",
-    "to_engine_schema",
     "walk",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Optional
 
-from ..engine.catalog import Column, Schema
+from ..engine.catalog import Schema
 
 __all__ = [
     "PlanError",
@@ -387,12 +387,3 @@ def count_nodes(node: PlanNode, *kinds) -> int:
     """How many nodes of the given classes the tree contains."""
     return sum(1 for n in walk(node) if isinstance(n, kinds))
 
-
-#: Default Column kinds for synthesized fields, re-exported so lowering
-#: code can build engine Schemas from PlanSchemas when needed.
-def to_engine_schema(schema: PlanSchema, key: Optional[str] = None) -> Schema:
-    """Best-effort engine Schema from a derived plan schema."""
-    columns = tuple(
-        Column(f.name.replace(".", "_"), f.kind, f.width) for f in schema.fields
-    )
-    return Schema(columns=columns, key=key or columns[0].name)

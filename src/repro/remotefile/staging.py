@@ -18,6 +18,7 @@ from ..net.rdma import RdmaRegistrar
 from ..sim import Resource
 from ..sim.kernel import ProcessGenerator
 from ..storage import GB, KB, MB
+from ..telemetry.tracer import NOOP_SPAN
 
 __all__ = ["StagingPool", "MEMCPY_BYTES_PER_US"]
 
@@ -84,13 +85,15 @@ class StagingPool:
             return slots  # free slots: granted inline, no scheduler round-trip
         slots = self.slots_for(size)
         request = self.slots.request(slots)
+        tracer = self.server.sim.tracer
+        # Slot-pool backpressure: make the wait visible as queueing.
+        span = (
+            tracer.span("staging.wait", cat="queue", slots=slots)
+            if tracer.enabled else NOOP_SPAN
+        )
         try:
-            if not self.server.sim.tracer.enabled:
+            with span:
                 yield request
-            else:
-                # Slot-pool backpressure: make the wait visible as queueing.
-                with self.server.sim.tracer.span("staging.wait", cat="queue", slots=slots):
-                    yield request
         except BaseException:
             self.slots.cancel(request)
             raise

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from ..telemetry.tracer import NOOP_TRACER
 
@@ -651,8 +651,11 @@ class Resource:
             )
         return area
 
-    def use(self, duration: float, amount: int = 1) -> ProcessGenerator:
-        """Hold ``amount`` units for ``duration`` microseconds."""
+    def use(
+        self, duration: Union[float, Callable[[], float]], amount: int = 1
+    ) -> ProcessGenerator:
+        """Hold ``amount`` units for ``duration`` microseconds: a duration,
+        or a callable evaluated at the grant (see :meth:`hold`)."""
         hold = self.hold(duration, amount)
         try:
             yield hold
@@ -967,6 +970,17 @@ class Store:
         return len(self._items)
 
 
+class _Never:
+    """``run()``'s stop condition: it never triggers."""
+
+    __slots__ = ()
+    _triggered = False
+
+
+_NEVER = _Never()
+_INF = float("inf")
+
+
 class Simulator:
     """Owns the virtual clock (microseconds) and runs the event loop."""
 
@@ -1019,106 +1033,47 @@ class Simulator:
         return Store(self, name)
 
     # -- main loop -------------------------------------------------------
-    #
-    # The loop bodies in ``step``/``run``/``run_until_complete`` are
-    # deliberately inlined copies of one another: the kernel spends the
-    # whole simulation inside them, and a shared per-event helper call
-    # costs ~10 % of the loop.  Keep the three in sync.
-
-    def step(self) -> None:
-        """Pop and process exactly one event (public single-step API)."""
-        nowq = self._nowq
-        heap = self._heap
-        if nowq and not (heap and heap[0][0] <= self.now and heap[0][1] < nowq[0][0]):
-            _seq, event = nowq.popleft()
-        else:
-            when, _seq, event = heapq.heappop(heap)
-            if when < self.now:
-                raise SimulationError("time ran backwards")
-            self.now = when
-        self.events_processed += 1
-        if event._cancelled:
-            return
-        if event.__class__ is _Soon:
-            event.fn()
-            return
-        event._processed = True
-        callbacks = event.callbacks
-        if callbacks:
-            event.callbacks = []
-            for callback in callbacks:
-                callback(event)
-        elif event._exception is not None:
-            raise SimulationError(
-                f"failed event died unobserved: {event._exception!r}"
-            ) from event._exception
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queues drain or the clock passes ``until``."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        heappop = heapq.heappop
-        nowq = self._nowq
-        heap = self._heap
-        events = 0
         try:
-            while nowq or heap:
-                if nowq and not (heap and heap[0][0] <= self.now and heap[0][1] < nowq[0][0]):
-                    _seq, event = nowq.popleft()
-                else:
-                    if until is not None and heap[0][0] > until:
-                        self.now = until
-                        return
-                    when, _seq, event = heappop(heap)
-                    if when < self.now:
-                        raise SimulationError("time ran backwards")
-                    self.now = when
-                events += 1
-                if event._cancelled:
-                    continue
-                if event.__class__ is _Soon:
-                    event.fn()
-                    continue
-                event._processed = True
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
-                elif event._exception is not None:
-                    raise SimulationError(
-                        f"failed event died unobserved: {event._exception!r}"
-                    ) from event._exception
+            self._loop(_NEVER, _INF if until is None else until)
             if until is not None and until > self.now:
                 self.now = until
         finally:
-            self.events_processed += events
             self._running = False
 
     def run_until_complete(self, process: Process, limit: float = 1e15) -> Any:
         """Run until ``process`` finishes and return its value."""
+        if not self._loop(process, limit):
+            if self._heap:
+                raise SimulationError(f"process {process.name!r} exceeded time limit")
+            raise SimulationError(f"deadlock: process {process.name!r} cannot complete")
+        return process.value
+
+    def _loop(self, stop: Any, horizon: float) -> bool:
+        """Retire events in ``(when, seq)`` order until ``stop`` has
+        triggered (True), or the queues drain or the next timer lies past
+        ``horizon`` (False).  The one event loop: the kernel spends the
+        whole simulation in it, so its per-event path is inlined."""
         heappop = heapq.heappop
         nowq = self._nowq
         heap = self._heap
         events = 0
         try:
-            while not process._triggered:
+            while not stop._triggered:
                 if nowq and not (heap and heap[0][0] <= self.now and heap[0][1] < nowq[0][0]):
                     _seq, event = nowq.popleft()
-                elif heap:
-                    if heap[0][0] > limit:
-                        raise SimulationError(
-                            f"process {process.name!r} exceeded time limit"
-                        )
+                else:
+                    if not heap or heap[0][0] > horizon:
+                        return False
                     when, _seq, event = heappop(heap)
                     if when < self.now:
                         raise SimulationError("time ran backwards")
                     self.now = when
-                else:
-                    raise SimulationError(
-                        f"deadlock: process {process.name!r} cannot complete"
-                    )
                 events += 1
                 if event._cancelled:
                     continue
@@ -1135,6 +1090,6 @@ class Simulator:
                     raise SimulationError(
                         f"failed event died unobserved: {event._exception!r}"
                     ) from event._exception
+            return True
         finally:
             self.events_processed += events
-        return process.value

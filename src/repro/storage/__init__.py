@@ -7,7 +7,6 @@ from .device import (
     PAGE_SIZE,
     BlockDevice,
     DeviceUnavailable,
-    DramDevice,
     IoOp,
     RamDrive,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "PAGE_SIZE",
     "BlockDevice",
     "DeviceUnavailable",
-    "DramDevice",
     "HDD_PROFILE",
     "HddSpindle",
     "IoOp",

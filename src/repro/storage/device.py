@@ -1,15 +1,21 @@
-"""Block-device abstraction shared by every storage medium.
+"""Block-device abstraction: the one contract for every medium that
+serves ``(op, offset, size)`` below the engine.
 
 A device accepts read/write requests of ``(offset, size)`` and completes
-them after a modelled service time.  All devices expose the same two
-entry points:
+them after a modelled service time (:meth:`BlockDevice._service`, the
+one hook a medium provides).  Local media (HDD array, SSD, the RamDrive)
+and the SMB / SMB Direct clients that reach a remote RamDrive
+(:mod:`repro.net.smb`) are all devices, so the engine mounts any of them
+as a :class:`~repro.engine.DevicePageFile` and the I/O benchmark drives
+any of them directly.  All expose the same entry points:
 
 * :meth:`BlockDevice.submit` — returns an :class:`~repro.sim.Event` that
   fires when the I/O completes (value = latency in µs), and
-* :meth:`BlockDevice.io` — a ``yield from``-able generator wrapper.
+* :meth:`BlockDevice.io` (and ``read``/``write``) — ``yield from``-able
+  generators.
 
 Devices also keep counters used by the drill-down figures (bytes moved,
-per-operation latencies).
+per-operation latencies) and open one ``{name}.{op}`` disk span per I/O.
 """
 
 from __future__ import annotations
@@ -19,12 +25,12 @@ from enum import Enum
 
 from ..sim import Event, LatencyRecorder, Simulator, TimeSeries
 from ..sim.kernel import ProcessGenerator
+from ..telemetry.tracer import NOOP_SPAN
 
 __all__ = [
     "IoOp",
     "BlockDevice",
     "DeviceUnavailable",
-    "DramDevice",
     "RamDrive",
     "KB",
     "MB",
@@ -87,13 +93,16 @@ class BlockDevice(abc.ABC):
             raise ValueError(f"I/O size must be positive, got {size}")
         if offset < 0:
             raise ValueError(f"I/O offset must be >= 0, got {offset}")
-        start = self.sim.now
-        if self.sim.tracer.enabled:
-            with self.sim.tracer.span(self._span_names[op], cat="disk", size=size):
-                yield from self._service(op, offset, size)
-        else:
+        sim = self.sim
+        start = sim.now
+        tracer = sim.tracer
+        span = (
+            tracer.span(self._span_names[op], cat="disk", size=size)
+            if tracer.enabled else NOOP_SPAN
+        )
+        with span:
             yield from self._service(op, offset, size)
-        latency = self.sim.now - start
+        latency = sim.now - start
         self._account(op, size, latency)
         return latency
 
@@ -122,29 +131,6 @@ class BlockDevice(abc.ABC):
             self.throughput_series.add(self.sim.now, size)
 
 
-class DramDevice(BlockDevice):
-    """Local DRAM treated as a block device (the *Local Memory* design).
-
-    Access cost is ~0.1 µs plus a very high-bandwidth copy; effectively
-    two orders of magnitude faster than remote memory, as the paper
-    notes in Section 6.
-    """
-
-    ACCESS_US = 0.1
-    BANDWIDTH_BYTES_PER_US = 30 * GB / 1e6  # ~30 GB/s memcpy bandwidth
-
-    def __init__(self, sim: Simulator, name: str = "dram"):
-        super().__init__(sim, name)
-        self._pipe = sim.resource(capacity=8, name=f"{name}.channels")
-
-    def _service(self, op: IoOp, offset: int, size: int) -> ProcessGenerator:
-        yield self._pipe.request()
-        try:
-            yield self.sim.timeout(self.ACCESS_US + size / self.BANDWIDTH_BYTES_PER_US)
-        finally:
-            self._pipe.release()
-
-
 class RamDrive(BlockDevice):
     """A RAM-backed drive mounted on a (remote) server.
 
@@ -161,8 +147,4 @@ class RamDrive(BlockDevice):
         self._pipe = sim.resource(capacity=4, name=f"{name}.pipe")
 
     def _service(self, op: IoOp, offset: int, size: int) -> ProcessGenerator:
-        yield self._pipe.request()
-        try:
-            yield self.sim.timeout(self.ACCESS_US + size / self.BANDWIDTH_BYTES_PER_US)
-        finally:
-            self._pipe.release()
+        yield from self._pipe.use(self.ACCESS_US + size / self.BANDWIDTH_BYTES_PER_US)

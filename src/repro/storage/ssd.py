@@ -52,10 +52,6 @@ class SsdDevice(BlockDevice):
         pipe_time = profile.per_op_us + size / profile.bandwidth_bytes_per_us
         if op is IoOp.WRITE:
             pipe_time *= profile.write_penalty
-        yield self._pipe.request()
-        try:
-            yield self.sim.timeout(pipe_time)
-        finally:
-            self._pipe.release()
+        yield from self._pipe.use(pipe_time)
         if not access.processed:
             yield access

@@ -3,20 +3,17 @@
 import pytest
 
 from repro.dist import (
-    BroadcastExchange,
     DistSpec,
     build_dist,
     execute_plan,
     load_tpch_partitioned,
     prewarm_dist,
 )
-from repro.engine import TableScan
 from repro.faults import FaultEngine, FaultPlan
 from repro.net import RdmaError
 from repro.plan import Join, Project, Scan, TopN
-from repro.sim.kernel import AllOf, SimulationError
-from repro.storage import MB
-from repro.workloads import TpchScale, generate_tpch_rows
+from repro.sim.kernel import SimulationError
+from repro.workloads import TpchScale
 
 SMALL = TpchScale(orders=400, lines_per_order=2, customers=100, parts=80, suppliers=20)
 
@@ -41,25 +38,6 @@ def partitioned_setup(n=2, seed=5, **overrides):
     load_tpch_partitioned(setup, scale=SMALL, seed=seed)
     prewarm_dist(setup)
     return setup
-
-
-def run_fragments(setup, plans, memory_bytes=2 * MB):
-    sim = setup.sim
-    results = [None] * len(plans)
-
-    def fragment(index, plan):
-        results[index] = yield from setup.databases[index].execute(
-            plan, requested_memory_bytes=memory_bytes,
-            fragment_index=index, fragments=len(plans),
-        )
-
-    processes = [sim.spawn(fragment(i, p)) for i, p in enumerate(plans)]
-
-    def waiter():
-        yield AllOf(sim, processes)
-
-    setup.run(waiter())
-    return results
 
 
 class TestEdgeCases:
@@ -105,20 +83,6 @@ class TestEdgeCases:
         starved = run_cust_orders(partitioned_setup(credits=1))
         assert plenty.rows == starved.rows
         assert starved.elapsed_us >= plenty.elapsed_us
-
-    def test_broadcast_replicates_to_every_fragment(self):
-        setup = partitioned_setup()
-        runtime = setup.runtime
-        plans = [
-            BroadcastExchange(
-                TableScan(tables["supplier"]), runtime, "bcast.suppliers"
-            )
-            for tables in setup.tables
-        ]
-        results = run_fragments(setup, plans)
-        full = sorted(generate_tpch_rows(SMALL, seed=5)["supplier"])
-        for result in results:
-            assert sorted(result.rows) == full
 
 
 class TestCreditStarvation:

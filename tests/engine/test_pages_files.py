@@ -124,30 +124,34 @@ class TestRemotePageFile:
 
 
 class TestSmbPageFile:
+    """A RamDrive behind SMB is mounted as an ordinary data file: a
+    linear :class:`DevicePageFile` over the client, itself a device."""
+
     def test_roundtrip_via_smb(self, rig):
-        from repro.engine.files import SmbPageFile
         from repro.net import SmbDirectClient, SmbFileServer
         from repro.storage import RamDrive
 
         drive = rig.mem.attach_device("ramdrive", RamDrive(rig.sim))
         file_server = SmbFileServer(rig.mem, drive)
         client = SmbDirectClient(rig.db, file_server)
-        store = SmbPageFile(33, rig.db, client, capacity_pages=64)
+        store = DevicePageFile(33, rig.db, client, capacity_pages=64, chunk_pages=None)
         page = Page.build(33, 5, [(1, "via smb")])
         rig.run(store.write_page(page))
         got = rig.run(store.read_page(5))
         assert got.rows == [(1, "via smb")]
+        assert (client.writes, client.reads) == (1, 1)
 
     def test_batch_roundtrip(self, rig):
-        from repro.engine.files import SmbPageFile
         from repro.net import SmbClient, SmbFileServer
         from repro.storage import RamDrive
 
         drive = rig.mem.attach_device("ramdrive2", RamDrive(rig.sim))
         file_server = SmbFileServer(rig.mem, drive)
         client = SmbClient(rig.db, file_server)
-        store = SmbPageFile(34, rig.db, client, capacity_pages=64)
+        store = DevicePageFile(34, rig.db, client, capacity_pages=64, chunk_pages=None)
         pages = [Page.build(34, n, [(n,)]) for n in range(8)]
         rig.run(store.write_batch(0, pages))
         back = rig.run(store.read_batch(0, 8))
         assert [p.rows for p in back] == [[(n,)] for n in range(8)]
+        # One I/O each way, of the whole extent.
+        assert (client.bytes_written, client.bytes_read) == (8 * PAGE_SIZE, 8 * PAGE_SIZE)

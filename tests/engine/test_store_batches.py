@@ -11,7 +11,7 @@ import pytest
 from repro.engine.bufferpool import BufferPoolExtension
 from repro.tiers import Tier
 from repro.engine.errors import PageNotFound
-from repro.engine.files import DevicePageFile, PageStore, RemotePageFile, SmbPageFile
+from repro.engine.files import DevicePageFile, PageStore, RemotePageFile
 from repro.engine.page import PAGE_SIZE, Page
 from repro.reliability import ReliabilityLayer, ReliabilityPolicy
 from repro.storage import MB
@@ -27,7 +27,10 @@ def make_smb_store(rig, capacity=64):
 
     drive = rig.mem.attach_device("ramdrive", RamDrive(rig.sim))
     file_server = SmbFileServer(rig.mem, drive)
-    return SmbPageFile(33, rig.db, SmbDirectClient(rig.db, file_server), capacity_pages=capacity)
+    return DevicePageFile(
+        33, rig.db, SmbDirectClient(rig.db, file_server),
+        capacity_pages=capacity, chunk_pages=None,
+    )
 
 
 class TestDeviceBatches:

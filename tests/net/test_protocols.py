@@ -3,9 +3,12 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.engine import DevicePageFile
+from repro.engine.page import PAGE_SIZE, Page
 from repro.net import Network, SmbClient, SmbDirectClient, SmbFileServer, TcpChannel
+from repro.net.tcp import TcpProfile
 from repro.sim import Event
-from repro.storage import KB, MB, RamDrive
+from repro.storage import KB, MB, BlockDevice, IoOp, RamDrive
 
 
 def make_pair():
@@ -50,6 +53,36 @@ class TestTcp:
         assert client.tcp.bytes_sent == 1000
         assert server.tcp.bytes_received == 1000
 
+    def test_queued_send_pays_the_link_state_at_its_grant(self):
+        """Two sends reach the sender pipe together; the link degrades 4x
+        while the second queues.  The second pays the degraded pipe time:
+        the time is read when the pipe is granted, not when it is asked for."""
+        cluster, client, server = make_pair()
+        sim = cluster.sim
+        channel = TcpChannel(client, server)
+        profile = TcpProfile()
+        size = 1 * MB
+        cpu = profile.per_message_cpu_us + size / profile.copy_bytes_per_us
+        pipe = size / profile.bandwidth_bytes_per_us
+        done = []
+
+        def sender():
+            yield from channel.send(size)
+            done.append(sim.now)
+
+        def degrade():
+            yield sim.timeout(cpu + pipe / 2)  # the second send is queued now
+            client.tcp.degrade(4.0)
+
+        sim.spawn(sender())
+        sim.spawn(sender())
+        sim.spawn(degrade())
+        sim.run()
+        # First: cpu, pipe, stack, rx pipe, cpu.  Second: its degraded tx
+        # pipe ends at cpu + 5 pipe; then stack, rx pipe, cpu.
+        assert done[0] == pytest.approx(2 * cpu + 2 * pipe + profile.stack_latency_us)
+        assert done[1] == pytest.approx(2 * cpu + 6 * pipe + profile.stack_latency_us)
+
 
 class TestSmb:
     def make_smb(self, direct=False):
@@ -90,6 +123,34 @@ class TestSmb:
         cluster, _client, _server, smb, file_server = self.make_smb()
         complete(cluster.sim, smb.write(4096, 8 * KB))
         assert file_server.device.bytes_written == 8 * KB
+
+    @pytest.mark.parametrize("direct", [False, True], ids=["smb", "smbd"])
+    def test_client_is_a_block_device(self, direct):
+        cluster, _client, _server, smb, file_server = self.make_smb(direct)
+        assert isinstance(smb, BlockDevice)
+        latency = complete(cluster.sim, smb.read(0, 8 * KB))
+        assert (smb.reads, smb.bytes_read) == (1, 8 * KB)
+        assert list(smb.read_latency.samples) == [latency] and latency > 0
+        # Never attached to a server, so submit() never refuses.
+        assert smb.owner is None
+        latency = complete(cluster.sim, smb.submit(IoOp.WRITE, 8 * KB, 16 * KB))
+        assert (smb.writes, smb.bytes_written) == (1, 16 * KB)
+        assert list(smb.write_latency.samples) == [latency]
+        assert file_server.requests_served == 2
+
+    @pytest.mark.parametrize("direct", [False, True], ids=["smb", "smbd"])
+    def test_client_mounts_as_a_page_file(self, direct):
+        cluster, client, _server, smb, _fs = self.make_smb(direct)
+        store = DevicePageFile(7, client, smb, capacity_pages=32, chunk_pages=None)
+        complete(cluster.sim, store.write_page(Page.build(7, 3, [(3, "one")])))
+        assert complete(cluster.sim, store.read_page(3)).rows == [(3, "one")]
+        pages = [Page.build(7, 8 + n, [(n, "batch")]) for n in range(4)]
+        complete(cluster.sim, store.write_batch(8, pages))
+        back = complete(cluster.sim, store.read_batch(8, 4))
+        assert [page.rows for page in back] == [[(n, "batch")] for n in range(4)]
+        # A linear file: one I/O per call, whole extents at slot * PAGE_SIZE.
+        assert (smb.reads, smb.writes) == (2, 2)
+        assert (smb.bytes_read, smb.bytes_written) == (5 * PAGE_SIZE, 5 * PAGE_SIZE)
 
     def test_worker_pool_limits_concurrency(self):
         cluster, _client, _server, smb, file_server = self.make_smb()

@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel: events, processes, resources."""
 
+import random
+
 import pytest
 
 from repro.sim import Interrupt, SimulationError, Simulator
@@ -238,6 +240,68 @@ def test_deadlock_detected():
     process = sim.spawn(stuck())
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_complete(process)
+
+
+def _seeded_scenario(seed=3):
+    """Six workers with seeded delays over a two-unit resource; every
+    step they finish is logged as ``(now, worker, step)``."""
+    sim = Simulator()
+    rng = random.Random(seed)
+    res = sim.resource(capacity=2)
+    log = []
+
+    def worker(tag):
+        for step in range(5):
+            yield sim.timeout(rng.random() * 10)
+            yield from res.use(rng.random() * 3)
+            log.append((sim.now, tag, step))
+
+    workers = [sim.spawn(worker(tag), name=f"w{tag}") for tag in range(6)]
+    return sim, workers[2], log
+
+
+def test_run_and_run_until_complete_share_one_loop():
+    whole, _probe, whole_log = _seeded_scenario()
+    whole.run()
+
+    split, probe, split_log = _seeded_scenario()
+    split.run_until_complete(probe)
+    # Stopped at the probe's last step, with everything up to it retired.
+    assert split.now == max(now for now, tag, _step in split_log if tag == 2)
+    assert split_log == whole_log[:len(split_log)]
+    until = (split.now + whole.now) / 2
+    split.run(until=until)
+    assert split.now == until
+    assert split_log == [entry for entry in whole_log if entry[0] <= until]
+    split.run()
+    assert split_log == whole_log
+    assert (split.now, split.events_processed) == (whole.now, whole.events_processed)
+
+
+def test_loop_errors_keep_their_messages():
+    sim = Simulator()
+
+    def sleeper(delay):
+        yield sim.timeout(delay)
+
+    def stuck():
+        yield sim.event()  # never triggered
+
+    late = sim.spawn(sleeper(100), name="late")
+    with pytest.raises(SimulationError, match="^process 'late' exceeded time limit$"):
+        sim.run_until_complete(late, limit=10)
+    sim.run_until_complete(late)
+    waiter = sim.spawn(stuck(), name="stuck")
+    with pytest.raises(SimulationError, match="^deadlock: process 'stuck' cannot complete$"):
+        sim.run_until_complete(waiter)
+
+    def reenter():
+        yield sim.timeout(1)
+        sim.run()
+
+    sim.spawn(reenter())
+    with pytest.raises(SimulationError, match="^simulator is not reentrant$"):
+        sim.run()
 
 
 def test_yield_non_event_is_error():

@@ -371,21 +371,6 @@ def test_events_processed_counter_advances():
     assert sim.events_processed >= 10
 
 
-def test_step_matches_run_semantics():
-    sim = Simulator()
-    seen = []
-
-    def proc():
-        yield sim.timeout(3)
-        seen.append(sim.now)
-
-    sim.spawn(proc())
-    while sim._nowq or sim._heap:
-        sim.step()
-    assert seen == [3.0]
-    assert sim.now == 3.0
-
-
 # -- unobserved failures ----------------------------------------------------
 
 

@@ -6,7 +6,6 @@ from repro.sim import Simulator
 from repro.storage import (
     KB,
     MB,
-    DramDevice,
     HddSpindle,
     IoOp,
     Raid0Array,
@@ -144,20 +143,11 @@ class TestSsd:
 
 
 class TestRamDevices:
-    def test_dram_is_sub_microsecond_class(self):
+    def test_ramdrive_is_microsecond_class(self):
         sim = Simulator()
-        dram = DramDevice(sim)
-        latency = run_io(dram, IoOp.READ, 0, 8 * KB)
-        assert latency < 1.0
-
-    def test_ramdrive_fast_but_slower_than_dram(self):
-        sim = Simulator()
-        dram = DramDevice(sim)
         drive = RamDrive(sim)
-        dram_latency = run_io(dram, IoOp.READ, 0, 8 * KB)
         drive_latency = run_io(drive, IoOp.READ, 0, 8 * KB)
-        assert drive_latency > dram_latency
-        assert drive_latency < 10
+        assert RamDrive.ACCESS_US < drive_latency < 10
 
     def test_throughput_series_tracking(self):
         sim = Simulator()
