@@ -61,9 +61,7 @@ def run_experiment(inject_fault: bool, use_extension: bool = True):
             setup.sim.now + CRASH_AFTER_US, "mem0", duration_us=CRASH_DURATION_US
         )
         engine.run_plan(plan)
-        monitor.watch_recovery(
-            lambda: extension.hits, threshold_per_s=20_000.0, interval_us=5_000
-        )
+        monitor.watch(lambda: extension.hits, 5_000, recovered_at=20_000.0)
 
     config = RangeScanConfig(n_rows=N_ROWS, workers=WORKERS,
                              queries_per_worker=QUERIES_PER_WORKER, seed=2)

@@ -45,9 +45,7 @@ def run(inject_fault: bool):
             setup.sim.now + CRASH_AFTER_US, "mem0", duration_us=CRASH_DURATION_US
         )
         engine.run_plan(plan)
-        monitor.watch_recovery(
-            lambda: extension.hits, threshold_per_s=5_000.0, interval_us=10_000
-        )
+        monitor.watch(lambda: extension.hits, 10_000, recovered_at=5_000.0)
 
     config = RangeScanConfig(n_rows=N_ROWS, workers=8, queries_per_worker=120, seed=SEED)
     report = run_rangescan(setup.database, table, config)

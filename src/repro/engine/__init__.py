@@ -16,7 +16,6 @@ from .operators import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexRangeScan,
-    IndexSeek,
     Operator,
     ProjectRows,
     TableScan,
@@ -63,7 +62,6 @@ __all__ = [
     "HashJoin",
     "IndexNestedLoopJoin",
     "IndexRangeScan",
-    "IndexSeek",
     "LogRecord",
     "LogRecordKind",
     "Operator",

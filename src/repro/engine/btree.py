@@ -132,8 +132,6 @@ class BTree:
             level = parents
             self.height += 1
         self.root_page_no = level[0].page_no
-        if not hasattr(self.store, "preload"):
-            raise EngineError("bulk_build requires a preloadable store")
         self.store.preload(leaves + internals)
 
     # -- traversal -------------------------------------------------------------

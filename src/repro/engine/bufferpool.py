@@ -903,11 +903,7 @@ class BufferPool:
                     store = self.files.get(file_id)
                     if store is None:
                         continue
-                    if hasattr(store, "write_scattered"):
-                        yield from store.write_scattered(pages)
-                    else:
-                        for page in pages:
-                            yield from store.write_page(page)
+                    yield from store.write_scattered(pages)
             # After the flush, the clean images can go to the extension.
             for pages in by_file.values():
                 for page in pages:

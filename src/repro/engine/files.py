@@ -116,6 +116,12 @@ class PageStore(abc.ABC):
         for index, page in enumerate(pages):
             yield from self.write_page(page, slot=slot + index)
 
+    def write_scattered(self, pages: list[Page]) -> ProcessGenerator:
+        """Write back non-contiguous pages, each at its ``page_no`` (the
+        lazy writer's batch; default: one write per page, in order)."""
+        for page in pages:
+            yield from self.write_page(page)
+
     def read_batch(self, slot: int, count: int) -> ProcessGenerator:
         """Read ``count`` contiguous pages starting at ``slot``."""
         pages = []

@@ -37,7 +37,6 @@ __all__ = [
     "Operator",
     "TableScan",
     "IndexRangeScan",
-    "IndexSeek",
     "HashJoin",
     "IndexNestedLoopJoin",
     "ExternalSort",
@@ -242,41 +241,14 @@ _NEG_INF = _NegInf()
 class IndexRangeScan(Operator):
     """``low <= key < high`` over a B-tree (clustered or secondary)."""
 
-    def __init__(
-        self,
-        tree: BTree,
-        low: Any,
-        high: Any,
-        limit: Optional[int] = None,
-        row_bytes: int = 64,
-        predicate: Optional[Callable[[tuple], bool]] = None,
-    ):
+    def __init__(self, tree: BTree, low: Any, high: Any, row_bytes: int = 64):
         self.tree = tree
         self.low = low
         self.high = high
-        self.limit = limit
-        self.row_bytes = row_bytes
-        self.predicate = predicate
-
-    def run(self, ctx: ExecContext) -> ProcessGenerator:
-        rows = yield from self.tree.range_scan(self.low, self.high, limit=self.limit)
-        yield from ctx.cpu.compute(len(rows) * PER_ROW_SCAN_CPU_US)
-        if self.predicate is not None:
-            rows = list(filter(self.predicate, rows))
-        ctx.metrics.rows_out += len(rows)
-        return rows
-
-
-class IndexSeek(Operator):
-    """Point lookup on a B-tree."""
-
-    def __init__(self, tree: BTree, key: Any, row_bytes: int = 64):
-        self.tree = tree
-        self.key = key
         self.row_bytes = row_bytes
 
     def run(self, ctx: ExecContext) -> ProcessGenerator:
-        rows = yield from self.tree.search(self.key)
+        rows = yield from self.tree.range_scan(self.low, self.high)
         yield from ctx.cpu.compute(len(rows) * PER_ROW_SCAN_CPU_US)
         ctx.metrics.rows_out += len(rows)
         return rows

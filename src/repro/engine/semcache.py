@@ -110,11 +110,7 @@ class SemanticCache:
                 extent = pages[start : start + EXTENT_PAGES]
                 yield from view.store.write_batch(extent[0].page_no, extent)
         else:
-            for page in pages:
-                if hasattr(view.store, "preload"):
-                    view.store.preload([page])
-                else:
-                    yield from view.store.write_page(page)
+            view.store.preload(pages)
         view.row_count = len(rows)
         view.page_count = len(pages)
 

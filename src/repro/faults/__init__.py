@@ -3,11 +3,13 @@
 Scheduled, seeded, virtual-time faults driven through the public fault
 hooks each layer exposes (``Server.fail``, ``NicPort.degrade``,
 ``MemoryBroker.fail_provider`` …), plus the observers that measure how
-the system detects and recovers.  See DESIGN.md ("Fault injection") for
-the architecture and determinism contract.
+the system detects and recovers.  Every schedule is a :class:`FaultPlan`
+(hand-built, or drawn ahead of time by :meth:`FaultPlan.random_storm`),
+and :meth:`FaultEngine.for_setup` aims one at any topology — a
+``DbSetup``, ``DistSetup`` or ``FleetSetup``.  See DESIGN.md ("Fault
+injection") for the architecture and determinism contract.
 """
 
-from .chaos import ChaosMonkey
 from .injectors import (
     BrokerRestartInjector,
     FaultEngine,
@@ -21,7 +23,6 @@ from .schedule import FaultKind, FaultPlan, FaultSpec
 
 __all__ = [
     "BrokerRestartInjector",
-    "ChaosMonkey",
     "FaultEngine",
     "FaultKind",
     "FaultPlan",

@@ -12,7 +12,7 @@ an optional monitor (see :mod:`repro.faults.recovery`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -57,9 +57,9 @@ class MemoryServerCrashInjector(Injector):
     2. ``MemoryProxy.crash()`` — the pinned MRs evaporate;
     3. ``MemoryBroker.fail_provider()`` — leases on the provider are
        revoked (holders are notified), its spare regions forgotten;
-    4. ``BufferPoolExtension.on_fault(provider)`` — parked clean pages
-       on the dead server become invalid and will re-fault from the
-       base file.
+    4. ``BufferPoolExtension.on_fault(provider)`` on every extension
+       the engine sweeps — parked clean pages on the dead server become
+       invalid and will re-fault from the base file.
 
     Restoration brings the server back up and re-offers its memory to
     the broker; re-acquiring leases for the BPExt is left to the
@@ -82,10 +82,11 @@ class MemoryServerCrashInjector(Injector):
         revoked = []
         if engine.broker is not None:
             revoked = yield from engine.broker.fail_provider(spec.target)
-        lost_pages = []
-        if engine.extension is not None:
-            lost_pages = engine.extension.on_fault(provider=spec.target)
-        return {"revoked_leases": len(revoked), "pages_lost": len(lost_pages)}
+        pages_lost = sum(
+            len(extension.on_fault(provider=spec.target))
+            for extension in engine.extensions
+        )
+        return {"revoked_leases": len(revoked), "pages_lost": pages_lost}
 
     def restore(self, spec: FaultSpec) -> ProcessGenerator:
         engine = self.engine
@@ -201,7 +202,7 @@ class FaultEngine:
     Holds references to the *public* fault surface of each layer and a
     seeded RNG for the draws injectors need at fire time (storm subset
     selection, packet-loss draws).  Construct directly from components
-    or via :meth:`for_setup` from a harness ``DbSetup``.
+    or via :meth:`for_setup` from any topology.
     """
 
     def __init__(
@@ -210,7 +211,7 @@ class FaultEngine:
         servers: dict[str, Any],
         broker: Any = None,
         proxies: Optional[dict[str, Any]] = None,
-        extension: Any = None,
+        extensions: Sequence[Any] = (),
         monitor: Any = None,
         rng: Optional[np.random.Generator] = None,
         on_provider_restored: Optional[Callable[[str], Any]] = None,
@@ -219,7 +220,8 @@ class FaultEngine:
         self.servers = servers
         self.broker = broker
         self.proxies = proxies or {}
-        self.extension = extension
+        #: Buffer-pool extensions a crash sweeps, in this order.
+        self.extensions = list(extensions)
         self.monitor = monitor
         self.rng = rng if rng is not None else np.random.default_rng(0)
         #: Called with the provider name after a crashed server is
@@ -245,17 +247,24 @@ class FaultEngine:
         rng: Optional[np.random.Generator] = None,
         on_provider_restored: Optional[Callable[[str], Any]] = None,
     ) -> "FaultEngine":
-        """Build an engine from a harness ``DbSetup`` (duck-typed)."""
-        servers = dict(setup.cluster.servers)
-        extension = setup.database.pool.extension if setup.database is not None else None
+        """Build an engine aimed at a ``DbSetup``, ``DistSetup`` or ``FleetSetup``.
+
+        Every setup exposes ``sim``, ``cluster``, ``broker``, ``proxies``
+        and ``databases``; a crash sweeps the extension of each database
+        that has one, in ``databases`` order.
+        """
         if rng is None:
             rng = setup.cluster.rng.stream("faults")
         return cls(
             sim=setup.sim,
-            servers=servers,
+            servers=dict(setup.cluster.servers),
             broker=setup.broker,
-            proxies=getattr(setup, "proxies", {}),
-            extension=extension,
+            proxies=setup.proxies,
+            extensions=[
+                database.pool.extension
+                for database in setup.databases
+                if database.pool.extension is not None
+            ],
             monitor=monitor,
             rng=rng,
             on_provider_restored=on_provider_restored,

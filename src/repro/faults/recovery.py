@@ -9,8 +9,8 @@ hook, and records one :class:`FaultRecord` per injected fault:
 * ``pages_lost`` — parked pages invalidated at injection;
 * ``refaults`` — accesses that fell back to the base file afterwards;
 * ``restored_at_us`` — when the injected condition was healed;
-* ``recovered_at_us`` — when observed throughput climbed back above a
-  caller-supplied threshold (see :meth:`watch_recovery`).
+* ``recovered_at_us`` — when observed throughput climbed back to a
+  caller-supplied rate (``watch(..., recovered_at=rate)``).
 
 All times are virtual microseconds; a seeded replay produces an
 identical set of records (:meth:`snapshot` returns plain comparable
@@ -160,51 +160,30 @@ class RecoveryMonitor:
     # -- throughput watching ----------------------------------------------
 
     def watch(
-        self, counter: Callable[[], float], interval_us: float, label: str
+        self,
+        counter: Callable[[], float],
+        interval_us: float,
+        label: str = "throughput",
+        recovered_at: Optional[float] = None,
     ) -> None:
         """Sample a cumulative counter forever; stored as a (t, rate) series.
 
         The rate is per second of virtual time over the last interval.
-        """
-        self.series[label] = []
-        self.sim.spawn(self._watcher(counter, interval_us, label), name=f"watch:{label}")
-
-    def _watcher(
-        self, counter: Callable[[], float], interval_us: float, label: str
-    ) -> ProcessGenerator:
-        previous = float(counter())
-        while True:
-            yield self.sim.timeout(interval_us)
-            current = float(counter())
-            rate = (current - previous) / (interval_us / 1e6)
-            self.series[label].append((self.sim.now, rate))
-            previous = current
-
-    def watch_recovery(
-        self,
-        counter: Callable[[], float],
-        threshold_per_s: float,
-        interval_us: float = 50_000.0,
-        label: str = "throughput",
-    ) -> None:
-        """Like :meth:`watch`, and additionally stamps ``recovered_at_us``.
-
-        After a fault has been restored, the first sampling interval
-        whose rate reaches ``threshold_per_s`` marks the fault's record
-        as recovered.
+        With ``recovered_at`` set, the first sampling interval whose rate
+        reaches it after a fault was restored (or after a one-shot fault)
+        stamps that fault's ``recovered_at_us``.
         """
         self.series[label] = []
         self.sim.spawn(
-            self._recovery_watcher(counter, threshold_per_s, interval_us, label),
-            name=f"watch:{label}",
+            self._watcher(counter, interval_us, label, recovered_at), name=f"watch:{label}"
         )
 
-    def _recovery_watcher(
+    def _watcher(
         self,
         counter: Callable[[], float],
-        threshold_per_s: float,
         interval_us: float,
         label: str,
+        recovered_at: Optional[float],
     ) -> ProcessGenerator:
         previous = float(counter())
         while True:
@@ -213,7 +192,7 @@ class RecoveryMonitor:
             rate = (current - previous) / (interval_us / 1e6)
             self.series[label].append((self.sim.now, rate))
             previous = current
-            if rate >= threshold_per_s:
+            if recovered_at is not None and rate >= recovered_at:
                 for record in self.records:
                     if (
                         record.recovered_at_us is None

@@ -340,37 +340,17 @@ class FleetSetup:
     def sim(self):
         return self.cluster.sim
 
+    @property
+    def databases(self) -> list[Database]:
+        """Every replica's database: tenants by name, replicas by index."""
+        return [
+            replica.database
+            for _name, runtime in sorted(self.tenants.items())
+            for replica in runtime.replicas
+        ]
+
     def run(self, generator):
         return self.sim.run_until_complete(self.sim.spawn(generator))
-
-    def fault_engine(self, monitor=None) -> FaultEngine:
-        """A fault engine whose extension surface spans every tenant."""
-        return FaultEngine(
-            sim=self.sim,
-            servers=dict(self.cluster.servers),
-            broker=self.broker,
-            proxies=dict(self.proxies),
-            extension=_FleetExtensionSurface(self),
-            monitor=monitor,
-            rng=self.cluster.rng.stream("fleet.faults"),
-        )
-
-
-class _FleetExtensionSurface:
-    """Fans ``on_fault`` out to every tenant replica's extension."""
-
-    def __init__(self, setup: FleetSetup):
-        self.setup = setup
-
-    def on_fault(self, provider: str | None = None) -> list:
-        lost: list = []
-        for _name, runtime in sorted(self.setup.tenants.items()):
-            for replica in runtime.replicas:
-                extension = replica.database.pool.extension
-                if extension is None:
-                    continue
-                lost.extend(extension.on_fault(provider=provider))
-        return lost
 
 
 def build_fleet(
@@ -520,7 +500,9 @@ def run_fleet(
     if setup.marketplace is not None:
         sim.spawn(setup.marketplace.rebalance_daemon(), name="fleet.marketplace")
     if fault_plan is not None:
-        engine = setup.fault_engine(monitor=monitor)
+        engine = FaultEngine.for_setup(
+            setup, monitor=monitor, rng=setup.cluster.rng.stream("fleet.faults")
+        )
         engine.run_plan(fault_plan)
     begin = sim.now
     processes = [

@@ -77,6 +77,10 @@ class DbSetup:
     def pool(self):
         return self.database.pool
 
+    @property
+    def databases(self) -> list[Database]:
+        return [self.database]
+
     def run(self, generator):
         return self.sim.run_until_complete(self.sim.spawn(generator))
 

@@ -91,10 +91,7 @@ class TestCreditStarvation:
         baseline = run_cust_orders(partitioned_setup(credits=1))
 
         setup = partitioned_setup(credits=1)
-        engine = FaultEngine(
-            sim=setup.sim, servers=dict(setup.cluster.servers),
-            rng=setup.cluster.rng.stream("faults"),
-        )
+        engine = FaultEngine.for_setup(setup)
         plan = FaultPlan().degrade_link(
             at_us=setup.sim.now, server="db1", duration_us=60e6,
             latency_multiplier=50.0,
@@ -111,10 +108,7 @@ class TestCreditStarvation:
     def test_degraded_run_is_deterministic(self):
         def once():
             setup = partitioned_setup(credits=1)
-            engine = FaultEngine(
-                sim=setup.sim, servers=dict(setup.cluster.servers),
-                rng=setup.cluster.rng.stream("faults"),
-            )
+            engine = FaultEngine.for_setup(setup)
             engine.run_plan(FaultPlan().degrade_link(
                 at_us=setup.sim.now, server="db1", duration_us=60e6,
                 latency_multiplier=50.0, drop_probability=0.05,

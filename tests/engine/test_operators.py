@@ -11,7 +11,6 @@ from repro.engine import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexRangeScan,
-    IndexSeek,
     Schema,
     TableScan,
 )
@@ -59,12 +58,6 @@ class TestScans:
         plan = IndexRangeScan(table.clustered, 100, 200)
         result = rig.run(db.execute(plan))
         assert [r[0] for r in result.rows] == list(range(100, 200))
-
-    def test_index_seek(self, rig):
-        db = make_db(rig)
-        table = db.create_table("t", TWO_COL, [(i, i) for i in range(100)])
-        result = rig.run(db.execute(IndexSeek(table.clustered, 42)))
-        assert result.rows == [(42, 42)]
 
 
 class TestHashJoin:

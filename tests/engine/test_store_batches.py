@@ -184,6 +184,7 @@ class TestPrimingApi:
                 yield from ()
 
             def write_page(self, page, slot=None, background=False, on_abort=None):
+                written.append((page.page_no, slot, background))
                 yield from ()
 
             def contains(self, slot):
@@ -192,6 +193,7 @@ class TestPrimingApi:
             def discard(self, slot):
                 pass
 
+        written = []
         store = MinimalStore(7)
         assert list(store.iter_pages()) == []
         assert store.slot_provider(0) is None
@@ -199,6 +201,11 @@ class TestPrimingApi:
             store.install(Page.build(7, 0, []))
         with pytest.raises(PageNotFound):
             store.peek(0)
+        # write_scattered defaults to one foreground write per page, in
+        # the given order (no elevator sort), each at its page_no.
+        pages = [Page.build(7, page_no, []) for page_no in (5, 2, 9)]
+        rig.run(store.write_scattered(pages))
+        assert written == [(5, None, False), (2, None, False), (9, None, False)]
 
 
 class TestProviderQuarantine:

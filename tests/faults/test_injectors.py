@@ -275,3 +275,43 @@ class TestPlanDriver:
         fabric.engine.run_plan(plan)
         fabric.settle(1_000)
         assert fabric.engine.monitor.records[0].injected_at_us == now
+
+
+class TestRandomStormReplay:
+    """Continuous random faults are a pre-drawn ``random_storm`` replayed
+    by ``run_plan``: every drawn fault fires, in virtual time."""
+
+    def test_run_plan_fires_every_storm_fault_within_the_horizon(self):
+        fabric = Fabric()
+        horizon = 3e6
+        plan = FaultPlan.random_storm(
+            np.random.default_rng(5), horizon, mean_interval_us=0.2e6,
+            targets=["mem0", "mem1"], mean_duration_us=0.5e6,
+        )
+        assert len(plan) >= 3
+        end = fabric.sim.now + horizon  # specs already due fire at once
+        fabric.engine.run_plan(plan)
+        fabric.settle(horizon)
+        records = fabric.engine.monitor.records
+        assert fabric.engine.faults_fired == len(records) == len(plan)
+        assert [r.spec for r in records] == plan.sorted_specs()
+        assert all(r.spec.at_us <= r.injected_at_us < end for r in records)
+
+    def test_kinds_without_crash_never_crash_a_server(self):
+        fabric = Fabric()
+        kinds = [
+            FaultKind.LINK_DEGRADATION,
+            FaultKind.LEASE_EXPIRY_STORM,
+            FaultKind.BROKER_RESTART,
+        ]
+        plan = FaultPlan.random_storm(
+            np.random.default_rng(5), 5e6, mean_interval_us=0.1e6,
+            targets=["mem0", "mem1"], kinds=kinds, mean_duration_us=0.5e6,
+        )
+        assert len(plan) >= 10
+        fabric.engine.run_plan(plan)
+        fabric.settle(5e6)
+        fired = [r.spec.kind for r in fabric.engine.monitor.records]
+        assert len(fired) == len(plan)
+        assert FaultKind.MEMORY_SERVER_CRASH not in fired
+        assert all(fabric.cluster.servers[name].alive for name in ("mem0", "mem1"))

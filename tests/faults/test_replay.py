@@ -39,9 +39,7 @@ def run_fault_experiment(seed=42):
         .lease_storm(base + 5_000, fraction=0.5)
     )
     engine.run_plan(plan)
-    monitor.watch_recovery(
-        lambda: extension.hits, threshold_per_s=5_000.0, interval_us=10_000
-    )
+    monitor.watch(lambda: extension.hits, 10_000, recovered_at=5_000.0)
 
     config = RangeScanConfig(n_rows=N_ROWS, workers=8, queries_per_worker=120, seed=seed)
     report = run_rangescan(setup.database, table, config)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.faults import FaultEngine, FaultPlan
 from repro.fleet import (
     DiurnalShape,
     FleetSpec,
@@ -14,6 +14,7 @@ from repro.fleet import (
     build_fleet,
     run_fleet,
 )
+from repro.tiers import TierSpec
 
 
 def two_tenant_spec(**overrides) -> FleetSpec:
@@ -54,6 +55,29 @@ class TestTopology:
         runtime = setup.tenants["acme"]
         assert len(runtime.replicas) == 2
         assert [replica.ext_pages for replica in runtime.replicas] == [512, 512]
+
+    def test_databases_order_and_fault_targets(self):
+        """Tenants by sorted name, replicas by index; a crash sweeps only
+        the replicas that have an extension."""
+        spec = two_tenant_spec(
+            tenants=(
+                TenantSpec(name="zen", replicas=2, ext_pages=1024, bp_pages=48,
+                           peak_queries_per_epoch=30, n_rows=2000),
+                TenantSpec(name="acme", replicas=1, bp_pages=48,
+                           peak_queries_per_epoch=30, n_rows=2000,
+                           tier=TierSpec(name="local")),
+            ),
+        )
+        setup = build_fleet(spec)
+        acme, zen = setup.tenants["acme"], setup.tenants["zen"]
+        expected = [acme.replicas[0], zen.replicas[0], zen.replicas[1]]
+        assert setup.databases == [replica.database for replica in expected]
+        assert acme.replicas[0].database.pool.extension is None
+        engine = FaultEngine.for_setup(setup)
+        assert engine.extensions == [
+            replica.database.pool.extension for replica in zen.replicas
+        ]
+        assert engine.proxies is setup.proxies and engine.broker is setup.broker
 
     def test_duplicate_tenant_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
