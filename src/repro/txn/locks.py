@@ -10,7 +10,10 @@ exclusive requests wait for an empty holder set, and an upgrade
 
 Deadlocks are detected *at wait time*: every blocked request triggers a
 DFS over the wait-for graph (waiter → conflicting holders and
-conflicting requests queued ahead of it).  Victim selection is
+conflicting requests queued ahead of it).  The DFS starts at the
+requester and computes a transaction's edges only when it reaches it,
+so a search costs the part of the graph the new wait can reach, not
+every waiter in the table.  Victim selection is
 deterministic — the cycle member with the **largest seniority rank**
 (the youngest *intent*, which has done the least work) is aborted by
 failing its wait event with :class:`~repro.txn.errors.DeadlockAbort`.
@@ -62,10 +65,6 @@ class _Lock:
     def __init__(self) -> None:
         self.holders: dict[int, LockMode] = {}
         self.queue: deque[_LockRequest] = deque()
-
-
-def _conflicts(a: LockMode, b: LockMode) -> bool:
-    return a is LockMode.EXCLUSIVE or b is LockMode.EXCLUSIVE
 
 
 class LockManager:
@@ -127,22 +126,28 @@ class LockManager:
         exception thrown at their own wait site.
         """
         self.acquires += 1
-        lock = self._locks.setdefault(resource, _Lock())
-        held = self._held.setdefault(txn_id, {}).get(resource)
-        if held is not None and held >= mode:
-            return  # reentrant
-        if held is LockMode.SHARED and mode is LockMode.EXCLUSIVE:
+        lock = self._locks.get(resource)
+        if lock is None:
+            lock = self._locks[resource] = _Lock()
+        held_locks = self._held.get(txn_id)
+        if held_locks is None:
+            held_locks = self._held[txn_id] = {}
+        held = held_locks.get(resource)
+        if held is not None:
+            if held >= mode:
+                return  # reentrant
+            # Holding S, asking for X: an upgrade.
             self.upgrades += 1
-            if set(lock.holders) == {txn_id}:
+            if len(lock.holders) == 1:  # the only holder is txn_id itself
                 lock.holders[txn_id] = mode
-                self._held[txn_id][resource] = mode
+                held_locks[resource] = mode
                 return
             request = _LockRequest(txn_id, mode, self.sim.event(), upgrade=True)
             lock.queue.appendleft(request)
         else:
             if not lock.queue and self._grantable_now(lock, txn_id, mode):
                 lock.holders[txn_id] = mode
-                self._held[txn_id][resource] = mode
+                held_locks[resource] = mode
                 return
             request = _LockRequest(txn_id, mode, self.sim.event())
             lock.queue.append(request)
@@ -152,14 +157,16 @@ class LockManager:
             # May raise DeadlockAbort right here if *we* are the victim.
             self._resolve_deadlocks(txn_id)
         except BaseException:
+            # Cleanup only: the abort (or anything else) re-raises.
             self._waiting.pop(txn_id, None)
             raise
         start = self.sim.now
         try:
             yield request.event
         except BaseException:
-            # Interrupted (or failed) while queued: unlink; if the grant
-            # already happened the held-set cleanup falls to release_all.
+            # Cleanup only, then re-raise.  Interrupted (or failed) while
+            # queued: unlink; if the grant already happened the held-set
+            # cleanup falls to release_all.
             self._unlink(resource, request)
             raise
         finally:
@@ -175,12 +182,15 @@ class LockManager:
             if lock is None:
                 continue
             lock.holders.pop(txn_id, None)
-            self._grant_waiters(resource, lock)
+            if lock.queue:
+                self._grant_waiters(resource, lock)
             self._gc(resource, lock)
 
     # -- grant machinery ---------------------------------------------------
 
     def _grantable_now(self, lock: _Lock, txn_id: int, mode: LockMode) -> bool:
+        if not lock.holders:
+            return True
         if mode is LockMode.SHARED:
             return all(
                 held is LockMode.SHARED
@@ -226,28 +236,48 @@ class LockManager:
     # -- deadlock detection ------------------------------------------------
 
     def _blockers(self, request: _LockRequest, resource: Hashable) -> set[int]:
-        """Who must finish before ``request`` can be granted."""
+        """Who must finish before ``request`` can be granted.
+
+        Two modes conflict unless both are shared: an X request conflicts
+        with everyone, an S request only with X holders and requests.
+        """
         lock = self._locks.get(resource)
         if lock is None:
             return set()
+        txn_id = request.txn_id
+        exclusive = LockMode.EXCLUSIVE
+        wants_x = request.mode is exclusive
         blockers: set[int] = set()
         for holder, held in lock.holders.items():
-            if holder != request.txn_id and _conflicts(request.mode, held):
+            if holder != txn_id and (wants_x or held is exclusive):
                 blockers.add(holder)
         for queued in lock.queue:
             if queued is request:
                 break
-            if queued.txn_id != request.txn_id and _conflicts(request.mode, queued.mode):
+            if queued.txn_id != txn_id and (wants_x or queued.mode is exclusive):
                 blockers.add(queued.txn_id)
         return blockers
 
+    def _edges_of(self, txn_id: int) -> Optional[set[int]]:
+        """``txn_id``'s out-edges in the wait-for graph; None when it is
+        not waiting, or its grant fired and it has not resumed yet."""
+        waiting = self._waiting.get(txn_id)
+        if waiting is None:
+            return None
+        request, resource = waiting
+        if request.event.triggered:
+            return None
+        return self._blockers(request, resource)
+
     def wait_for_edges(self) -> dict[int, set[int]]:
-        """Snapshot of the wait-for graph (waiting txn -> blockers)."""
+        """Snapshot of the whole wait-for graph (waiting txn -> blockers).
+
+        Diagnostic only: detection computes the same edges lazily."""
         edges: dict[int, set[int]] = {}
-        for txn_id, (request, resource) in self._waiting.items():
-            if request.event.triggered:
-                continue  # granted, just not resumed yet
-            edges[txn_id] = self._blockers(request, resource)
+        for txn_id in self._waiting:
+            blockers = self._edges_of(txn_id)
+            if blockers is not None:
+                edges[txn_id] = blockers
         return edges
 
     def _resolve_deadlocks(self, requester: int) -> None:
@@ -274,23 +304,32 @@ class LockManager:
             request.event.fail(abort)
 
     def _find_cycle(self, start: int) -> Optional[list[int]]:
-        edges = self.wait_for_edges()
-        if start not in edges:
+        """First cycle through ``start`` in sorted-blocker DFS order.
+
+        Edges are computed when the DFS first reaches a transaction;
+        nothing changes during one search, so the result is the cycle
+        a DFS over the full :meth:`wait_for_edges` snapshot would find.
+        """
+        blockers = self._edges_of(start)
+        if blockers is None:
             return None
         path: list[int] = [start]
         on_path: set[int] = {start}
         done: set[int] = set()
-        stack: list[Iterator[int]] = [iter(sorted(edges[start]))]
+        stack: list[Iterator[int]] = [iter(sorted(blockers))]
         while stack:
             advanced = False
             for node in stack[-1]:
                 if node in on_path:
                     return path[path.index(node):]
-                if node in done or node not in edges:
-                    continue  # finished subtree, or a non-waiting holder
+                if node in done:
+                    continue  # finished subtree
+                blockers = self._edges_of(node)
+                if blockers is None:
+                    continue  # a holder that is not waiting
                 path.append(node)
                 on_path.add(node)
-                stack.append(iter(sorted(edges[node])))
+                stack.append(iter(sorted(blockers)))
                 advanced = True
                 break
             if not advanced:

@@ -233,7 +233,10 @@ class Transaction:
         are stable (every key was locked *before* the pass began).
         Block- or range-level locks are deliberately avoided: TPC-C
         order-line keys are globally sequential, so locking blocks
-        would serialize every new-order on the rightmost leaf.
+        would serialize every new-order on the rightmost leaf.  If the
+        last of :data:`SCAN_VALIDATE_ROUNDS` passes still returns an
+        unlocked key, the scan aborts (retryable) rather than return a
+        row another transaction may hold X on.
         """
         self._check()
         key_fn = table.clustered.key_fn
@@ -250,6 +253,12 @@ class Transaction:
                     )
                     locked.add(key)
                 rows = yield from table.clustered.range_scan(low, high, limit)
+            else:
+                if any(key_fn(row) not in locked for row in rows):
+                    raise TransactionAborted(
+                        f"txn {self.txn_id}: range scan of {table.name} "
+                        f"unstable after {SCAN_VALIDATE_ROUNDS} rounds"
+                    )
         for row in rows:
             self._record_read(self.row_item(table, key_fn(row)))
         return rows
@@ -418,6 +427,7 @@ class TransactionManager:
                 if backoff > 0:
                     yield self.sim.timeout(backoff)
             except BaseException:
+                # Cleanup only: roll back, then re-raise whatever it was.
                 yield from txn.rollback()
                 raise
 

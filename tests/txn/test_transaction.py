@@ -331,3 +331,45 @@ class TestScan:
         txn_rig.run(manager.run(inserter))
         rows = txn_rig.run(manager.run(scanner))
         assert [row[0] for row in rows] == [102_000]
+
+    def test_scan_unstable_after_last_round_aborts_instead_of_returning_unlocked_rows(
+        self, txn_rig
+    ):
+        """Two inserters keep landing keys inside the scanned range, so
+        every validation round finds new ones.  The scan must not return
+        a key it holds no lock on (an uncommitted insert); it aborts,
+        retries, and succeeds once the inserts stop."""
+        manager = txn_rig.db.transactions()
+        sim = txn_rig.sim
+        table = txn_rig.table
+        inserters, per_inserter, low = 2, 40, 10_000
+        returned_unlocked = []
+        attempts = []
+
+        def inserter(offset):
+            for i in range(per_inserter):
+                row = (low + offset + i * inserters, "New", "A", 0, "p", 1.0, "B", "c")
+
+                def body(txn, row=row):
+                    yield from txn.insert(table, row)
+
+                yield from manager.run(body)
+
+        def scanner(txn):
+            attempts.append(txn.txn_id)
+            rows = yield from txn.scan(table, low, 2 * low)
+            held = manager.locks.held_by(txn.txn_id)
+            returned_unlocked.extend(
+                row[0] for row in rows if txn.row_item(table, row[0]) not in held
+            )
+            return rows
+
+        writers = [sim.spawn(inserter(offset)) for offset in range(inserters)]
+        rows = txn_rig.run(manager.run(scanner))
+        for writer in writers:
+            sim.run_until_complete(writer)
+        assert returned_unlocked == []
+        assert len(attempts) > 1  # at least one scan ran out of rounds
+        assert manager.aborts == len(attempts) - 1
+        assert len(rows) == inserters * per_inserter
+        assert manager.locks.idle
