@@ -43,15 +43,17 @@ def main() -> None:
         file = yield from fs.create("scratch", 256 * MB)
         yield from file.open()
         print(f"file of {file.size / MB:.0f} MB on providers {file.providers}")
-        # Byte-faithful reads and writes over one-sided RDMA.
+        # An extent holds one object (here an 8K page image), moved over
+        # one-sided RDMA with the timing of its size in bytes.
+        page = {"page_no": 0, "rows": [(1, "hello remote memory")]}
         start = cluster.sim.now
-        yield from file.write(4096, b"hello remote memory")
-        data = yield from file.read(4096, 19)
-        print(f"round-trip {data!r} in {cluster.sim.now - start:.1f} us simulated")
+        yield from file.write(0, 8 * KB, page)
+        print(f"8K RDMA write: {cluster.sim.now - start:.1f} us")
         # Timed 8K read (the paper's ~10 us claim).
         start = cluster.sim.now
-        yield from file.read(0, 8 * KB)
-        print(f"8K RDMA read: {cluster.sim.now - start:.1f} us")
+        data = yield from file.read(0, 8 * KB)
+        assert data is page
+        print(f"8K RDMA read of {data['rows']!r}: {cluster.sim.now - start:.1f} us")
         # The provider comes under local memory pressure and revokes
         # every lease: accesses fail cleanly, nothing crashes.
         yield from proxy.handle_memory_pressure(2 * GB)

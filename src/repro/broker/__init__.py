@@ -6,7 +6,6 @@ from .broker import (
     InsufficientMemory,
     MemoryBroker,
     PlacementHook,
-    RevocationListeners,
 )
 from .lease import Lease, LeaseState
 from .metadata import CasConflict, MetadataStore
@@ -24,5 +23,4 @@ __all__ = [
     "MemoryProxy",
     "MetadataStore",
     "PlacementHook",
-    "RevocationListeners",
 ]

@@ -25,7 +25,6 @@ __all__ = [
     "BrokerUnavailable",
     "InsufficientMemory",
     "PlacementHook",
-    "RevocationListeners",
 ]
 
 #: Pluggable provider-selection hook: called once per MR grant with the
@@ -48,48 +47,6 @@ class BrokerUnavailable(BrokerError):
     """The broker process is down (restarting); retry after recovery."""
 
 
-class RevocationListeners:
-    """Per-holder revocation callbacks, fired in registration order.
-
-    Historically a plain ``dict[str, callable]`` where a second
-    registration silently overwrote the first — the remote filesystem
-    and the fleet marketplace both need to observe revocations, so each
-    holder now keeps an ordered list.  Item assignment *adds* a listener
-    (it no longer replaces) so the old ``listeners[holder] = fn`` call
-    sites keep working; registering the same callable twice is a no-op,
-    and fire order is registration order, deterministically.
-    """
-
-    def __init__(self):
-        self._by_holder: dict[str, list[Callable[[Lease], None]]] = {}
-
-    def add(self, holder: str, fn: Callable[[Lease], None]) -> Callable[[Lease], None]:
-        listeners = self._by_holder.setdefault(holder, [])
-        if fn not in listeners:
-            listeners.append(fn)
-        return fn
-
-    def remove(self, holder: str, fn: Callable[[Lease], None]) -> None:
-        listeners = self._by_holder.get(holder)
-        if listeners and fn in listeners:
-            listeners.remove(fn)
-            if not listeners:
-                del self._by_holder[holder]
-
-    def get(self, holder: str) -> tuple[Callable[[Lease], None], ...]:
-        """Snapshot of the holder's listeners in registration order."""
-        return tuple(self._by_holder.get(holder, ()))
-
-    def __setitem__(self, holder: str, fn: Callable[[Lease], None]) -> None:
-        self.add(holder, fn)
-
-    def __contains__(self, holder: str) -> bool:
-        return holder in self._by_holder
-
-    def __len__(self) -> int:
-        return sum(len(listeners) for listeners in self._by_holder.values())
-
-
 class MemoryBroker:
     """Tracks available MRs and grants timed, exclusive leases on them."""
 
@@ -108,8 +65,9 @@ class MemoryBroker:
         # Available (unleased) regions per provider server, FIFO.
         self._available: dict[str, deque[MemoryRegion]] = {}
         self._leases: dict[int, Lease] = {}
-        #: Callbacks fired when a lease is revoked: holder -> [fn(lease)].
-        self.revocation_listeners = RevocationListeners()
+        #: Callbacks fired when a lease is revoked: holder -> [fn(lease)],
+        #: in registration order.
+        self._revocation_listeners: dict[str, list[Callable[[Lease], None]]] = {}
         #: Provider-selection hook for non-``spread`` grants.  ``None``
         #: preserves the classic drain-first-provider order bit for bit;
         #: the fleet marketplace installs anti-affinity spreading here.
@@ -120,8 +78,15 @@ class MemoryBroker:
     def add_revocation_listener(
         self, holder: str, fn: Callable[[Lease], None]
     ) -> Callable[[Lease], None]:
-        """Register ``fn`` to observe ``holder``'s revocations (multi-listener)."""
-        return self.revocation_listeners.add(holder, fn)
+        """Register ``fn`` to observe ``holder``'s revocations.
+
+        Every listener of a holder fires, in registration order;
+        registering the same callable twice is a no-op.
+        """
+        listeners = self._revocation_listeners.setdefault(holder, [])
+        if fn not in listeners:
+            listeners.append(fn)
+        return fn
 
     # -- fault hooks -------------------------------------------------------
 
@@ -405,7 +370,7 @@ class MemoryBroker:
             self._notify(lease)
 
     def _notify(self, lease: Lease) -> None:
-        for listener in self.revocation_listeners.get(lease.holder):
+        for listener in tuple(self._revocation_listeners.get(lease.holder, ())):
             listener(lease)
 
     @property

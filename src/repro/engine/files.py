@@ -281,7 +281,7 @@ class RemotePageFile(PageStore):
         if slot not in self._present:
             raise PageNotFound(f"remote file {self.file_id}: no page at slot {slot}")
         try:
-            page = yield from self.remote_file.read_object(
+            page = yield from self.remote_file.read(
                 slot * PAGE_SIZE, PAGE_SIZE, background=background
             )
         except DeadlineExceeded:
@@ -315,7 +315,7 @@ class RemotePageFile(PageStore):
             if on_abort is not None:
                 on_abort()
 
-        yield from self.remote_file.write_object(
+        yield from self.remote_file.write(
             slot * PAGE_SIZE, PAGE_SIZE, page.copy(), background=background,
             on_abort=_aborted if background else None,
         )
@@ -328,7 +328,7 @@ class RemotePageFile(PageStore):
         self._check_slot(slot + len(pages) - 1)
         size = len(pages) * PAGE_SIZE
         try:
-            yield from self.remote_file.write_object(
+            yield from self.remote_file.write(
                 slot * PAGE_SIZE, size, [page.copy() for page in pages]
             )
         except RemoteFileError:
@@ -352,7 +352,7 @@ class RemotePageFile(PageStore):
             if batch_pages is not None:
                 # Read the stored batch object whole; slice if the
                 # requested window ends inside it.
-                extent = yield from self.remote_file.read_object(
+                extent = yield from self.remote_file.read(
                     cursor * PAGE_SIZE, batch_pages * PAGE_SIZE
                 )
                 take = min(batch_pages, end - cursor)
@@ -378,8 +378,6 @@ class RemotePageFile(PageStore):
 
     def install(self, page: Page, slot: Optional[int] = None) -> None:
         slot = page.page_no if slot is None else slot
-        segments = self.remote_file._locate(slot * PAGE_SIZE, PAGE_SIZE)
-        lease, mr_offset, length = segments[0]
-        lease.region.put_object(mr_offset, length, page.copy())
+        self.remote_file.install(slot * PAGE_SIZE, PAGE_SIZE, page.copy())
         self._present.add(slot)
 

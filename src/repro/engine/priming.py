@@ -45,17 +45,22 @@ class PrimingResult:
     transfer_us: float = 0.0
 
 
+def _serialize(db: Database, pages: list, file: RemoteFile) -> ProcessGenerator:
+    """Write ``pages`` into ``file`` as one extent per batch, in order."""
+    offset = 0
+    for begin in range(0, len(pages), _BATCH_PAGES):
+        batch = pages[begin : begin + _BATCH_PAGES]
+        yield from db.server.cpu.compute(len(batch) * _SERIALIZE_CPU_US)
+        yield from file.write(offset, len(batch) * PAGE_SIZE, [p.copy() for p in batch])
+        offset += len(batch) * PAGE_SIZE
+
+
 def serialize_pool_to_file(db: Database, file: RemoteFile) -> ProcessGenerator:
     """S1 side: scan the pool, serialize resident pages into ``file``."""
     sim = db.sim
     start = sim.now
     pages = db.pool.cached_pages()
-    offset = 0
-    for begin in range(0, len(pages), _BATCH_PAGES):
-        batch = pages[begin : begin + _BATCH_PAGES]
-        yield from db.server.cpu.compute(len(batch) * _SERIALIZE_CPU_US)
-        yield from file.write_object(offset, len(batch) * PAGE_SIZE, [p.copy() for p in batch])
-        offset += len(batch) * PAGE_SIZE
+    yield from _serialize(db, pages, file)
     return PrimingResult(pages=len(pages), serialize_us=sim.now - start)
 
 
@@ -67,7 +72,7 @@ def prime_pool_from_file(db: Database, file: RemoteFile, page_count: int) -> Pro
     installed = 0
     while installed < page_count:
         batch_pages = min(_BATCH_PAGES, page_count - installed)
-        batch = yield from file.read_object(offset, batch_pages * PAGE_SIZE)
+        batch = yield from file.read(offset, batch_pages * PAGE_SIZE)
         yield from db.server.cpu.compute(len(batch) * _SERIALIZE_CPU_US)
         for page in batch:
             yield from db.pool.put_page(page.copy())
@@ -120,16 +125,8 @@ class ReactivePrimer:
     def build(cls, source: Database, target: Database, file: RemoteFile) -> ProcessGenerator:
         """Serialize the source pool and return a primer for the target."""
         pages = source.pool.cached_pages()
-        offset = 0
-        for begin in range(0, len(pages), _BATCH_PAGES):
-            batch = pages[begin : begin + _BATCH_PAGES]
-            yield from source.server.cpu.compute(len(batch) * _SERIALIZE_CPU_US)
-            yield from file.write_object(
-                offset, len(batch) * PAGE_SIZE, [p.copy() for p in batch]
-            )
-            offset += len(batch) * PAGE_SIZE
-        primer = cls(target, file, pages)
-        return primer
+        yield from _serialize(source, pages, file)
+        return cls(target, file, pages)
 
     def lookup(self, page_id) -> ProcessGenerator:
         """Fetch one page on demand; returns None when not present."""
@@ -138,9 +135,7 @@ class ReactivePrimer:
             self.misses += 1
             return None
         batch_start = (offset // (_BATCH_PAGES * PAGE_SIZE)) * _BATCH_PAGES * PAGE_SIZE
-        batch = yield from self.file.read_object(
-            batch_start, self.batch_sizes[batch_start]
-        )
+        batch = yield from self.file.read(batch_start, self.batch_sizes[batch_start])
         index = (offset - batch_start) // PAGE_SIZE
         if index >= len(batch):
             self.misses += 1

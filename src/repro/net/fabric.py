@@ -225,7 +225,7 @@ class Wire(Chain):
     """
 
     __slots__ = ("src", "dst", "size", "ctl_src", "ctl_dst", "started_at", "spans", "engine_span",
-                 "region", "qp", "offset", "payload", "obj", "opaque", "nodata", "behind",
+                 "region", "qp", "offset", "obj", "nodata", "behind",
                  "epoch", "latency", "posted_at")
 
     def __init__(
@@ -254,8 +254,8 @@ class Wire(Chain):
         if verb is None:
             self.region = None
         else:
-            (self.qp, self.region, self.offset, self.payload, self.obj, self.opaque,
-             self.nodata, self.behind, self.latency) = verb
+            (self.qp, self.region, self.offset, self.obj, self.nodata, self.behind,
+             self.latency) = verb
             #: None until posted: there is nothing to take back before that.
             self.epoch = None
             if spawn is not None:

@@ -12,9 +12,11 @@ design uses (Section 4.2).  Faithfully modelled properties:
   pinned regions using only the two NICs' DMA engines; the remote CPU is
   *never* involved.  Compare :mod:`repro.net.tcp`, which charges the
   remote server's cores per message — the root of Figure 13's result.
-* **Memory regions carry real bytes** so integrity is testable
-  end-to-end.  An object-extent overlay lets higher layers move Python
-  objects with identical timing but without per-transfer serialization.
+* **An extent holds one object**: a region maps each written offset
+  to ``(size, object)`` — a page image, a serialized batch — so higher
+  layers move Python objects with the timing of ``size`` bytes and no
+  per-transfer serialization.  A verb without an object is timing-only
+  (I/O micro-benchmarks sweep spans far larger than host RAM).
 * **A verb has no control flow**: post, a control message and a payload
   on the two NICs' engines, reap.  :meth:`QueuePair.read` and
   :meth:`QueuePair.write` therefore return a
@@ -79,33 +81,14 @@ class MemoryRegion:
         #: ops (``deregister(force=True)``): those ops must fail on
         #: resume rather than complete against the freed bytes.
         self.doomed = False
-        self._data: bytearray | None = None
-        #: Object-extent overlay: offset -> (length, payload object).
+        #: Extents: offset -> (length, object).
         self._objects: dict[int, tuple[int, Any]] = {}
-
-    @property
-    def data(self) -> bytearray:
-        if self._data is None:
-            self._data = bytearray(self.size)
-        return self._data
 
     def _check_range(self, offset: int, size: int) -> None:
         if offset < 0 or size < 0 or offset + size > self.size:
             raise RdmaError(
                 f"access [{offset}, {offset + size}) outside MR of {self.size} bytes"
             )
-
-    # Raw byte access (used by the NIC DMA path).
-
-    def read_bytes(self, offset: int, size: int) -> bytes:
-        self._check_range(offset, size)
-        return bytes(self.data[offset : offset + size])
-
-    def write_bytes(self, offset: int, payload: bytes) -> None:
-        self._check_range(offset, len(payload))
-        self.data[offset : offset + len(payload)] = payload
-
-    # Object-extent overlay (same timing, no serialization).
 
     def put_object(self, offset: int, size: int, obj: Any) -> None:
         self._check_range(offset, size)
@@ -121,7 +104,6 @@ class MemoryRegion:
 
     def clear(self) -> None:
         self._objects.clear()
-        self._data = None
 
 
 class RdmaRegistrar:
@@ -260,22 +242,22 @@ class QueuePair:
         region: MemoryRegion,
         offset: int,
         size: int,
-        opaque: bool = False,
         nodata: bool = False,
         behind: Any = None,
         spawn: str | None = None,
     ) -> Wire:
-        """One-sided RDMA read; the value is bytes (or the stored object).
+        """One-sided RDMA read; the value is the object stored at ``offset``.
 
-        ``nodata=True`` performs the full timing path without touching
-        the region's backing store (used by I/O micro-benchmarks that
-        sweep spans far larger than host RAM).  ``behind`` is a write
-        posted earlier to the same extent: if it is still in flight when
-        the read completes, the read sampled what the extent held before
-        and its value is :data:`OVERTOOK`.
+        An extent holding no object (never written, or emptied by a lease
+        expiry) fails the read with :class:`RdmaError`.  ``nodata=True``
+        performs the full timing path without touching the region; its
+        value is ``None``.  ``behind`` is a write posted earlier to the
+        same extent: if it is still in flight when the read completes,
+        the read sampled what the extent held before and its value is
+        :data:`OVERTOOK`.
         """
         latency = self.read_latency if spawn is not None else None
-        state = (self, region, offset, None, None, opaque, nodata, behind, latency)
+        state = (self, region, offset, None, nodata, behind, latency)
         initiator: NicPort = self.initiator.nic
         target: NicPort = self.target.nic
         # Request to the target; its NIC DMAs the data back — no target CPU.
@@ -288,15 +270,13 @@ class QueuePair:
         self,
         region: MemoryRegion,
         offset: int,
-        payload: bytes | None = None,
-        size: int | None = None,
+        size: int,
         obj: Any = None,
-        nodata: bool = False,
         spawn: str | None = None,
     ) -> Wire:
-        """One-sided RDMA write of ``payload`` bytes or an opaque object;
-        the value is the length written."""
-        state = (self, region, offset, payload, obj, False, nodata, None, None)
+        """One-sided RDMA write of ``obj`` as a ``size``-byte extent; the
+        value is ``size``.  Without an object the write is timing-only."""
+        state = (self, region, offset, obj, obj is None, None, None)
         initiator: NicPort = self.initiator.nic
         target: NicPort = self.target.nic
         # Data to the target; hardware ack from its NIC.
@@ -316,15 +296,7 @@ _FAULTS = (NetworkDown, RdmaError)
 def _post(verb: Wire) -> float:
     qp, region = verb.qp, verb.region
     qp._require_connected(region)
-    name = "rdma.read"
-    if verb._program is WRITE:
-        name = "rdma.write"
-        payload = verb.payload
-        if payload is None and verb.size is None:
-            raise RdmaError("write needs payload bytes or an explicit size")
-        if payload is None and verb.obj is None and not verb.nodata:
-            raise RdmaError("write needs payload bytes or (size, obj)")
-        verb.size = len(payload) if payload is not None else int(verb.size)
+    name = "rdma.write" if verb._program is WRITE else "rdma.read"
     verb.epoch = qp._epoch
     region.inflight += 1
     if verb.spans is not None:
@@ -350,12 +322,8 @@ def _settle(verb: Wire) -> None:
 def _read_done(verb: Wire) -> None:
     _settle(verb)
     verb.qp.reads += 1
-    if verb.nodata:
-        value = None
-    elif verb.opaque:
-        value = verb.region.get_object(verb.offset)
-    else:
-        value = verb.region.read_bytes(verb.offset, verb.size)
+    # An emptied extent raises here, so a posted read completes ABORTED.
+    value = None if verb.nodata else verb.region.get_object(verb.offset)
     behind = verb.behind
     verb.result = OVERTOOK if behind is not None and behind.is_alive else value
 
@@ -363,10 +331,7 @@ def _read_done(verb: Wire) -> None:
 def _write_done(verb: Wire) -> None:
     _settle(verb)
     if not verb.nodata:
-        if verb.payload is not None:
-            verb.region.write_bytes(verb.offset, verb.payload)
-        else:
-            verb.region.put_object(verb.offset, verb.size, verb.obj)
+        verb.region.put_object(verb.offset, verb.size, verb.obj)
     verb.qp.writes += 1
     verb.result = verb.size
 

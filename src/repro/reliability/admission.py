@@ -80,7 +80,7 @@ class AdmissionController:
         request = gate.request()
         try:
             yield request
-        except BaseException:
+        except BaseException:  # cancel the queued request, then re-raise
             gate.cancel(request)
             raise
         self.admitted += 1

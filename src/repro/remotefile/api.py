@@ -13,6 +13,12 @@ Close          disconnect from the providers
 Delete         relinquish the leases
 =============  =========================================================
 
+A file holds *extents*: a write parks one object — a page image, a
+serialized batch of pages, a spill extent — at an offset, charged as
+``size`` bytes on the wire, and a read of that offset returns it.  An
+extent lives in one memory region.  The timing-only ``*_nodata`` calls
+move no object and may span regions (I/O micro-benchmarks).
+
 Reads and writes can be waited on synchronously (spin — the paper's
 Custom design), asynchronously (yield + context switch — what stock
 engines do with any I/O), or adaptively (spin briefly, then fall back
@@ -59,13 +65,8 @@ class RemoteMemoryUnavailable(RemoteFileError):
 
 
 class TornWrite(RemoteMemoryUnavailable):
-    """A multi-segment write failed after earlier segments were written.
-
-    Carries the durably-written prefix so the caller (e.g. the buffer
-    pool extension) can *invalidate* its copy of the whole range instead
-    of trusting — or worse, re-reading — remote bytes left in a mixed
-    old/new state.
-    """
+    """A timing-only write spanning regions failed after earlier
+    segments were written; carries the written prefix."""
 
     def __init__(self, message: str, offset: int, written: int, intended: int):
         super().__init__(message)
@@ -208,7 +209,6 @@ class RemoteFile:
     # -- waiting policies ----------------------------------------------------
 
     def _wait(self, cpu: Cpu, transfer: Event, background: bool = False) -> ProcessGenerator:
-        sim = self.owner.sim
         if background:
             # Read-ahead / write-behind I/O: never spin a core for it.
             return (yield from cpu.async_wait(transfer))
@@ -216,119 +216,90 @@ class RemoteFile:
             return (yield from cpu.sync_wait(transfer))
         if self.policy is AccessPolicy.ASYNC:
             return (yield from cpu.async_wait(transfer))
-        # ADAPTIVE: hold a core for up to the spin budget.
-        yield from cpu.acquire_core()
-        start = sim.now
-        try:
-            index, _value = yield sim.any_of([transfer, sim.timeout(ADAPTIVE_SPIN_US)])
-        finally:
-            cpu._record_busy(start, sim.now - start)
-            cpu.cores.release()
-        if index == 0:
-            return transfer.value
-        return (yield from cpu.async_wait(transfer))
+        return (yield from cpu.adaptive_wait(transfer, ADAPTIVE_SPIN_US))
 
     # -- data path -------------------------------------------------------------
 
-    def read(self, offset: int, size: int) -> ProcessGenerator:
-        """Byte-faithful read; returns ``bytes`` of length ``size``."""
-        chunks = []
-        for lease, mr_offset, length in self._locate(offset, size):
-            data = yield from self._transfer_read(lease, mr_offset, length, opaque=False)
-            chunks.append(data)
-        self.reads += 1
-        return b"".join(chunks)
+    def _extent(self, offset: int, size: int) -> tuple[Lease, int, int]:
+        segments = self._locate(offset, size)
+        if len(segments) != 1:
+            raise RemoteFileError("object extents must not span memory regions")
+        return segments[0]
 
-    def write(self, offset: int, data: bytes) -> ProcessGenerator:
-        """Byte-faithful write of ``data`` at ``offset``.
+    def read(self, offset: int, size: int, background: bool = False) -> ProcessGenerator:
+        """Read the extent at ``offset``; returns the object written there.
 
-        A write spanning several leases is not atomic: if a later
-        segment fails after an earlier one was written, the remote range
-        is torn and :class:`TornWrite` reports the written prefix so the
-        caller can invalidate rather than re-read.
+        An extent that holds no object (never written, or emptied when
+        its lease ended) raises :class:`RemoteMemoryUnavailable`.
+        ``background=True`` marks read-ahead I/O, which is waited on
+        asynchronously even under the SYNC policy (spinning is reserved
+        for latency-critical demand reads).
         """
-        cursor = 0
-        for lease, mr_offset, length in self._locate(offset, len(data)):
-            try:
-                yield from self._transfer_write(
-                    lease, mr_offset, length, payload=data[cursor : cursor + length]
-                )
-            except (RemoteFileError, DeadlineExceeded) as exc:
-                self._raise_torn(offset, cursor, len(data), lease, exc)
-            cursor += length
+        lease, mr_offset, length = self._extent(offset, size)
+        value = yield from self._transfer_read(lease, mr_offset, length, background=background)
+        self.reads += 1
+        return value
+
+    def write(
+        self, offset: int, size: int, obj: Any, background: bool = False,
+        on_abort: Any = None,
+    ) -> ProcessGenerator:
+        """Write ``obj`` as the ``size``-byte extent at ``offset``.
+
+        ``background=True`` is fire-and-forget: the call returns once the
+        page is memcpy'd into the staging MR (the source buffer is
+        immediately reusable, Section 4.2); the RDMA write completes
+        asynchronously and releases the staging slots.  ``on_abort`` is
+        invoked if that asynchronous transfer is later aborted (provider
+        crash, write-behind deadline): the extent is then unknown and
+        the caller must invalidate it.  Timing-only writes go through
+        :meth:`write_nodata`; ``obj=None`` raises :class:`RemoteFileError`."""
+        if obj is None:
+            raise RemoteFileError(f"{self.name}: write needs an object; use write_nodata")
+        lease, mr_offset, length = self._extent(offset, size)
+        yield from self._transfer_write(
+            lease, mr_offset, length, obj=obj, fire_and_forget=background,
+            on_abort=on_abort,
+        )
         self.writes += 1
 
-    def _raise_torn(
-        self, offset: int, written: int, intended: int, lease: Lease, cause: BaseException
-    ) -> None:
-        """Re-raise a segment failure, as :class:`TornWrite` if torn."""
-        if written > 0:
-            raise TornWrite(
-                f"{self.name}: write of {intended} bytes at {offset} torn after "
-                f"{written} bytes (segment on {lease.provider} failed)",
-                offset=offset,
-                written=written,
-                intended=intended,
-            ) from cause
-        raise cause
+    def install(self, offset: int, size: int, obj: Any) -> None:
+        """Place ``obj`` at ``offset`` without simulated I/O (priming)."""
+        lease, mr_offset, length = self._extent(offset, size)
+        lease.region.put_object(mr_offset, length, obj)
 
     def read_nodata(self, offset: int, size: int) -> ProcessGenerator:
         """Timing-only read: full RDMA/staging path, no data movement.
 
         Used by I/O micro-benchmarks that sweep address spans far larger
-        than host RAM; the engine always uses the byte or object paths.
+        than host RAM; a span may cross memory regions.
         """
         for lease, mr_offset, length in self._locate(offset, size):
-            yield from self._transfer_read(lease, mr_offset, length, opaque=False, nodata=True)
+            yield from self._transfer_read(lease, mr_offset, length, nodata=True)
         self.reads += 1
 
     def write_nodata(self, offset: int, size: int) -> ProcessGenerator:
-        """Timing-only write counterpart of :meth:`read_nodata`."""
-        cursor = 0
+        """Timing-only write counterpart of :meth:`read_nodata`.
+
+        A span crossing regions is not atomic: if a later segment fails
+        after an earlier one was written, :class:`TornWrite` reports the
+        written prefix.
+        """
+        written = 0
         for lease, mr_offset, length in self._locate(offset, size):
             try:
-                yield from self._transfer_write(lease, mr_offset, length, nodata=True)
+                yield from self._transfer_write(lease, mr_offset, length)
             except (RemoteFileError, DeadlineExceeded) as exc:
-                self._raise_torn(offset, cursor, size, lease, exc)
-            cursor += length
-        self.writes += 1
-
-    def read_object(self, offset: int, size: int, background: bool = False) -> ProcessGenerator:
-        """Opaque read: same timing as :meth:`read`, returns the object.
-
-        ``background=True`` marks read-ahead I/O, which is waited on
-        asynchronously even under the SYNC policy (spinning is reserved
-        for latency-critical demand reads).
-        """
-        segments = self._locate(offset, size)
-        if len(segments) != 1:
-            raise RemoteFileError("object extents must not span memory regions")
-        lease, mr_offset, length = segments[0]
-        value = yield from self._transfer_read(
-            lease, mr_offset, length, opaque=True, background=background
-        )
-        self.reads += 1
-        return value
-
-    def write_object(
-        self, offset: int, size: int, obj: Any, background: bool = False,
-        on_abort: Any = None,
-    ) -> ProcessGenerator:
-        """Opaque write.  ``background=True`` is fire-and-forget: the
-        call returns once the page is memcpy'd into the staging MR (the
-        source buffer is immediately reusable, Section 4.2); the RDMA
-        write completes asynchronously and releases the staging slots.
-        ``on_abort`` is invoked if that asynchronous transfer is later
-        aborted (provider crash, write-behind deadline): the remote
-        bytes are then unknown and the caller must invalidate them."""
-        segments = self._locate(offset, size)
-        if len(segments) != 1:
-            raise RemoteFileError("object extents must not span memory regions")
-        lease, mr_offset, length = segments[0]
-        yield from self._transfer_write(
-            lease, mr_offset, length, obj=obj, fire_and_forget=background,
-            on_abort=on_abort,
-        )
+                if written > 0:
+                    raise TornWrite(
+                        f"{self.name}: write of {size} bytes at {offset} torn after "
+                        f"{written} bytes (segment on {lease.provider} failed)",
+                        offset=offset,
+                        written=written,
+                        intended=size,
+                    ) from exc
+                raise
+            written += length
         self.writes += 1
 
     def _retryable(self, lease: Lease) -> bool:
@@ -344,7 +315,6 @@ class RemoteFile:
         lease: Lease,
         mr_offset: int,
         length: int,
-        opaque: bool,
         nodata: bool = False,
         background: bool = False,
     ) -> ProcessGenerator:
@@ -352,7 +322,7 @@ class RemoteFile:
         if layer is None:
             return (
                 yield from self._transfer_read_once(
-                    lease, mr_offset, length, opaque, nodata=nodata, background=background
+                    lease, mr_offset, length, nodata=nodata, background=background
                 )
             )
         sim = self.owner.sim
@@ -370,8 +340,7 @@ class RemoteFile:
                 with span:  # entered, unlike the hot-path spans: an error is noted on it
                     value = yield from layer.with_deadline(
                         self._transfer_read_once(
-                            lease, mr_offset, length, opaque, nodata=nodata,
-                            background=background,
+                            lease, mr_offset, length, nodata=nodata, background=background
                         ),
                         layer.policy.read_deadline_us,
                         family="read",
@@ -405,7 +374,6 @@ class RemoteFile:
         lease: Lease,
         mr_offset: int,
         length: int,
-        opaque: bool,
         nodata: bool = False,
         background: bool = False,
     ) -> ProcessGenerator:
@@ -432,8 +400,8 @@ class RemoteFile:
             # times it into ``io_latency``.
             landing = self._landing.get((lease.region, mr_offset))
             transfer = qp.read(
-                lease.region, mr_offset, length, opaque=opaque, nodata=nodata,
-                behind=landing, spawn=self._read_name,
+                lease.region, mr_offset, length, nodata=nodata, behind=landing,
+                spawn=self._read_name,
             )
             value = yield from self._wait(cpu, transfer, background=background)
             if value is ABORTED:
@@ -458,7 +426,7 @@ class RemoteFile:
         if value is OVERTOOK:
             yield landing
             value = yield from self._transfer_read_once(
-                lease, mr_offset, length, opaque, nodata=nodata, background=background
+                lease, mr_offset, length, nodata=nodata, background=background
             )
         return value
 
@@ -467,9 +435,7 @@ class RemoteFile:
         lease: Lease,
         mr_offset: int,
         length: int,
-        payload: bytes | None = None,
         obj: Any = None,
-        nodata: bool = False,
         fire_and_forget: bool = False,
         on_abort: Any = None,
     ) -> ProcessGenerator:
@@ -477,8 +443,7 @@ class RemoteFile:
         if layer is None:
             return (
                 yield from self._transfer_write_once(
-                    lease, mr_offset, length,
-                    payload=payload, obj=obj, nodata=nodata, fire_and_forget=fire_and_forget,
+                    lease, mr_offset, length, obj=obj, fire_and_forget=fire_and_forget,
                     on_abort=on_abort,
                 )
             )
@@ -490,8 +455,7 @@ class RemoteFile:
         try:
             value = yield from layer.with_deadline(
                 self._transfer_write_once(
-                    lease, mr_offset, length,
-                    payload=payload, obj=obj, nodata=nodata, fire_and_forget=fire_and_forget,
+                    lease, mr_offset, length, obj=obj, fire_and_forget=fire_and_forget,
                     on_abort=on_abort,
                 ),
                 layer.policy.write_deadline_us,
@@ -520,9 +484,7 @@ class RemoteFile:
         lease: Lease,
         mr_offset: int,
         length: int,
-        payload: bytes | None = None,
         obj: Any = None,
-        nodata: bool = False,
         fire_and_forget: bool = False,
         on_abort: Any = None,
     ) -> ProcessGenerator:
@@ -550,15 +512,7 @@ class RemoteFile:
             # Copy the page into the staging MR first; the source buffer
             # is reusable immediately after the memcpy (Section 4.2).
             yield from cpu.compute(self.staging.memcpy_us(length))
-            if payload is not None:
-                transfer = qp.write(
-                    lease.region, mr_offset, payload=payload, spawn=self._write_name
-                )
-            else:
-                transfer = qp.write(
-                    lease.region, mr_offset, size=length, obj=obj, nodata=nodata,
-                    spawn=self._write_name,
-                )
+            transfer = qp.write(lease.region, mr_offset, length, obj, spawn=self._write_name)
             if fire_and_forget:
                 # The staging slots stay reserved until the RDMA write
                 # completes; a bounded slot pool throttles runaway

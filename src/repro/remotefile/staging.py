@@ -94,7 +94,7 @@ class StagingPool:
         try:
             with span:
                 yield request
-        except BaseException:
+        except BaseException:  # cancel the queued request, then re-raise
             self.slots.cancel(request)
             raise
         return slots

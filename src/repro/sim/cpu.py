@@ -10,7 +10,10 @@ options the paper contrasts:
   completes (the paper's *Custom* design),
 * :meth:`Cpu.async_wait` — yield the core, and on completion pay the
   context-switch and re-scheduling penalty (what stock SQL Server does
-  for any I/O, including *SMBDirect+RamDrive*).
+  for any I/O, including *SMBDirect+RamDrive*),
+
+and the future-work policy of Section 4.1.3 between them:
+:meth:`Cpu.adaptive_wait` spins for a budget, then yields.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class Cpu:
             # would just litter the trace with zero-width events.
             with tracer.span("cpu.runq", cat="queue") if tracer.enabled else _NOOP_SPAN:
                 yield request
-        except BaseException:
+        except BaseException:  # cancel the queued request, then re-raise
             self.cores.cancel(request)
             raise
 
@@ -187,6 +190,21 @@ class Cpu:
         finally:
             span.close()
         return event.value
+
+    def adaptive_wait(self, event: Event, spin_us: float) -> ProcessGenerator:
+        """Spin on a core for up to ``spin_us``; if ``event`` has not
+        fired by then, give the core back and :meth:`async_wait` it."""
+        sim = self.sim
+        yield from self.acquire_core()
+        start = sim.now
+        try:
+            index, _value = yield sim.any_of([event, sim.timeout(spin_us)])
+        finally:
+            self._record_busy(start, sim.now - start)
+            self.cores.release()
+        if index == 0:
+            return event.value
+        return (yield from self.async_wait(event))
 
     def background_load(self, per_event_us: float, event_stream_period_us: float):
         """Generator simulating kernel work (e.g. TCP interrupt handling).

@@ -177,7 +177,7 @@ class TestMemoryPressure:
         complete(cluster.sim, proxy.offer_available())
         leases = complete(cluster.sim, broker.acquire("db", 1 * GB))
         revoked_seen = []
-        broker.revocation_listeners["db"] = revoked_seen.append
+        broker.add_revocation_listener("db", revoked_seen.append)
         reclaimed = complete(cluster.sim, proxy.handle_memory_pressure(32 * MB))
         assert reclaimed >= 32 * MB
         assert revoked_seen, "holder must be notified of revocation"
@@ -434,6 +434,6 @@ class TestBrokerFailover:
         complete(cluster.sim, proxies[0].offer_available())
         complete(cluster.sim, broker.acquire("db", 16 * MB))
         seen = []
-        broker.revocation_listeners["db"] = seen.append
+        broker.add_revocation_listener("db", seen.append)
         complete(cluster.sim, broker.fail_provider("mem0"))
         assert len(seen) == 1

@@ -3,12 +3,7 @@ placement, and broker restarts racing in-flight reallocation."""
 
 import pytest
 
-from repro.broker import (
-    BrokerUnavailable,
-    MemoryBroker,
-    MemoryProxy,
-    RevocationListeners,
-)
+from repro.broker import BrokerUnavailable, MemoryBroker, MemoryProxy
 from repro.cluster import Cluster
 from repro.fleet import verify_broker_consistency
 from repro.net import Network
@@ -52,18 +47,6 @@ class TestRevocationListeners:
         assert fired == ["first", "second"]
         assert len(leases) == 1
 
-    def test_legacy_setitem_registration_appends_instead_of_overwriting(self):
-        # The pre-fleet API assigned one callback per holder; a second
-        # assignment silently clobbered the first.  Both must observe now.
-        cluster, db, broker, proxies = make_cluster(memory_servers=1)
-        offer_all(cluster, proxies)
-        complete(cluster.sim, broker.acquire("db", 16 * MB))
-        fired = []
-        broker.revocation_listeners["db"] = lambda lease: fired.append("bpext")
-        broker.revocation_listeners["db"] = lambda lease: fired.append("marketplace")
-        complete(cluster.sim, broker.fail_provider("mem0"))
-        assert fired == ["bpext", "marketplace"]
-
     def test_duplicate_registration_fires_once(self):
         cluster, db, broker, proxies = make_cluster(memory_servers=1)
         offer_all(cluster, proxies)
@@ -77,14 +60,6 @@ class TestRevocationListeners:
         broker.add_revocation_listener("db", listener)
         complete(cluster.sim, broker.fail_provider("mem0"))
         assert len(fired) == 1
-
-    def test_remove_listener(self):
-        listeners = RevocationListeners()
-        fired = []
-        listeners.add("db", fired.append)
-        assert "db" in listeners and len(listeners) == 1
-        listeners.remove("db", fired.append)
-        assert listeners.get("db") == ()
 
 
 class TestPlacementHook:

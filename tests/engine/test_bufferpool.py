@@ -345,7 +345,7 @@ class TestWriteRaces:
 
         def burst():  # forty write-behinds elsewhere in the file keep the NIC busy
             for n in range(20, 60):
-                yield from remote_file.write_object(
+                yield from remote_file.write(
                     n * 8192, 8192, Page.build(9, n, []), background=True
                 )
 
@@ -716,6 +716,33 @@ class TestExtensionFaultHooks:
         rig.sim.run(until=rig.sim.now + rig.broker.lease_duration_us + 1)
         rig.run(pool.get_page(1, 0))
         assert (1, 0) in seen
+
+    def test_read_outlived_by_its_lease_is_a_failure(self, rig):
+        """A read posted while the lease was valid lands after the expiry
+        emptied the region.  The object read aborts, the store raises
+        RemoteMemoryUnavailable rather than the plain miss of a slot
+        dropped mid-read, and the extension counts a failure."""
+        pool, data, store = self.make_remote_ext_pool(rig)
+        ext = pool.extension
+        failed = []
+        ext.fault_listeners.append(failed.append)
+        for n in range(5):
+            rig.run(pool.get_page(1, n))
+        rig.sim.run(until=rig.sim.now + 1e3)  # page 0's write-behind lands
+        slot = ext.levels[0].slots[(1, 0)]
+        reader = rig.sim.spawn(pool.get_page(1, 0))
+        rig.sim.run(until=rig.sim.now + 2.0)
+        assert (1, 0) in pool._inflight  # the RDMA read is on its way
+        assert rig.broker.force_expire(rig.broker.leases_for(holder="db"))
+        base_reads = data.page_reads
+        page = rig.sim.run_until_complete(reader)
+        assert page.rows == [(0, "row0")]  # served from the data file
+        assert data.page_reads == base_reads + 1
+        # The read's failure comes first; parking the page it evicted
+        # from the pool then fails on the dead lease too.
+        assert failed[0] == (1, 0) and ext.failures == len(failed)
+        assert pool.ext_hits == 0
+        assert not store.contains(slot) and slot in ext.levels[0].free
 
     def test_on_fault_sweeps_provider_slots(self, rig):
         pool, _data, _store = self.make_remote_ext_pool(rig)

@@ -68,19 +68,13 @@ class TestRegistration:
 
 
 class TestMemoryRegion:
-    def test_byte_roundtrip(self):
-        cluster, _db, mem = make_pair()
-        region = MemoryRegion(mem, 1 * MB)
-        region.write_bytes(100, b"hello remote memory")
-        assert region.read_bytes(100, 19) == b"hello remote memory"
-
     def test_out_of_range_rejected(self):
         cluster, _db, mem = make_pair()
         region = MemoryRegion(mem, 1024)
         with pytest.raises(RdmaError):
-            region.read_bytes(1020, 8)
+            region.put_object(1020, 8, "page")
         with pytest.raises(RdmaError):
-            region.write_bytes(-1, b"x")
+            region.put_object(-1, 1, "page")
 
     def test_object_overlay(self):
         cluster, _db, mem = make_pair()
@@ -91,6 +85,10 @@ class TestMemoryRegion:
         region.drop_object(8192)
         with pytest.raises(RdmaError):
             region.get_object(8192)
+        region.put_object(0, 8192, payload)
+        region.clear()  # a lease ended: every extent is gone
+        with pytest.raises(RdmaError):
+            region.get_object(0)
 
 
 class TestQueuePair:
@@ -98,10 +96,10 @@ class TestQueuePair:
         cluster, db, mem = make_pair()
         registrar = RdmaRegistrar(mem)
         region = complete(cluster.sim, registrar.register(1 * MB))
-        region.write_bytes(0, b"A" * 8192)
+        page = {"page": 7}
+        region.put_object(0, 8192, page)
         qp = QueuePair(db, mem)
-        data = complete(cluster.sim, qp.read(region, 0, 8192))
-        assert data == b"A" * 8192
+        assert complete(cluster.sim, qp.read(region, 0, 8192)) is page
         assert qp.reads == 1
 
     def test_write_then_read(self):
@@ -109,8 +107,11 @@ class TestQueuePair:
         registrar = RdmaRegistrar(mem)
         region = complete(cluster.sim, registrar.register(1 * MB))
         qp = QueuePair(db, mem)
-        complete(cluster.sim, qp.write(region, 4096, payload=b"B" * 1000))
-        assert region.read_bytes(4096, 1000) == b"B" * 1000
+        assert complete(cluster.sim, qp.write(region, 4096, 1000, "page")) == 1000
+        assert region.get_object(4096) == "page"
+        complete(cluster.sim, qp.write(region, 8192, 1000))  # timing-only
+        with pytest.raises(RdmaError):
+            region.get_object(8192)
 
     def test_unloaded_8k_read_is_about_10us(self):
         cluster, db, mem = make_pair()
@@ -118,7 +119,7 @@ class TestQueuePair:
         region = complete(cluster.sim, registrar.register(1 * MB))
         qp = QueuePair(db, mem)
         start = cluster.sim.now
-        complete(cluster.sim, qp.read(region, 0, 8192))
+        assert complete(cluster.sim, qp.read(region, 0, 8192, nodata=True)) is None
         latency = cluster.sim.now - start
         # Paper: remote memory access via RDMA ~10 usec.
         assert 5 < latency < 15
@@ -129,7 +130,7 @@ class TestQueuePair:
         region = complete(cluster.sim, registrar.register(1 * MB))
         qp = QueuePair(db, mem)
         busy_before = mem.cpu.cores.utilization()
-        complete(cluster.sim, qp.read(region, 0, 8192))
+        complete(cluster.sim, qp.read(region, 0, 8192, nodata=True))
         # Registration used CPU, but the read itself must not.
         assert mem.cpu.cores.in_use == 0
         assert mem.cpu.cores.utilization() <= busy_before + 1e-9
@@ -138,6 +139,7 @@ class TestQueuePair:
         cluster, db, mem = make_pair()
         registrar = RdmaRegistrar(mem)
         region = complete(cluster.sim, registrar.register(1 * MB))
+        region.put_object(0, 8192, "page")
         qp = QueuePair(db, mem)
         qp.disconnect()
         with pytest.raises(RdmaError):
@@ -146,6 +148,7 @@ class TestQueuePair:
     def test_unregistered_region_rejected(self):
         cluster, db, mem = make_pair()
         region = MemoryRegion(mem, 1 * MB)  # never registered
+        region.put_object(0, 8192, "page")
         qp = QueuePair(db, mem)
         with pytest.raises(RdmaError):
             complete(cluster.sim, qp.read(region, 0, 8192))
@@ -154,6 +157,7 @@ class TestQueuePair:
         cluster, db, mem = make_pair()
         registrar = RdmaRegistrar(db)
         region = complete(cluster.sim, registrar.register(1 * MB))
+        region.put_object(0, 8192, "page")
         qp = QueuePair(db, mem)
         with pytest.raises(RdmaError):
             complete(cluster.sim, qp.read(region, 0, 8192))
@@ -164,8 +168,8 @@ class TestQueuePair:
         region = complete(cluster.sim, registrar.register(1 * MB))
         qp = QueuePair(db, mem)
         page = ["row1", "row2"]
-        complete(cluster.sim, qp.write(region, 0, size=8192, obj=page))
-        got = complete(cluster.sim, qp.read(region, 0, 8192, opaque=True))
+        complete(cluster.sim, qp.write(region, 0, 8192, page))
+        got = complete(cluster.sim, qp.read(region, 0, 8192))
         assert got is page
 
 
@@ -189,7 +193,7 @@ class TestInFlightRaces:
         sim = cluster.sim
         registrar = RdmaRegistrar(mem)
         region = complete(sim, registrar.register(4 * MB))
-        region.write_bytes(0, b"x" * 1024)
+        region.put_object(0, 1 * MB, "old image")
         qp = QueuePair(db, mem)
         process, outcome = self._start_read(cluster, qp, region)
 
@@ -214,7 +218,7 @@ class TestInFlightRaces:
 
         def writer():
             try:
-                yield qp.write(region, 0, payload=b"y" * (1 * MB))
+                yield qp.write(region, 0, 1 * MB, "new image")
             except RdmaError as exc:
                 outcome["error"] = exc
 
@@ -227,8 +231,9 @@ class TestInFlightRaces:
         sim.spawn(breaker())
         sim.run()
         assert "error" in outcome
-        # The payload never landed: the write failed before touching data.
-        assert bytes(region.data[:4]) == b"\x00\x00\x00\x00"
+        # The object never landed: the write failed before touching data.
+        with pytest.raises(RdmaError):
+            region.get_object(0)
 
     def test_reconnect_epoch_still_fails_original_op(self):
         """Even if a new connection comes up, the old op must fail."""
@@ -302,8 +307,8 @@ class TestInFlightRaces:
         registrar = RdmaRegistrar(mem)
         region = complete(sim, registrar.register(1 * MB))
         qp = QueuePair(db, mem)
-        complete(sim, qp.write(region, 0, payload=b"ok"))
-        assert complete(sim, qp.read(region, 0, 2)) == b"ok"
+        complete(sim, qp.write(region, 0, 2, "ok"))
+        assert complete(sim, qp.read(region, 0, 2)) == "ok"
         assert region.inflight == 0
 
 
@@ -320,7 +325,7 @@ class TestPostedVerbsCutShort:
         sim = cluster.sim
         self.registrar = RdmaRegistrar(mem)
         region = complete(sim, self.registrar.register(4 * MB))
-        region.write_bytes(0, b"x" * 1024)
+        region.put_object(0, self.SIZE, "old image")
         qp = QueuePair(db, mem, read_latency=LatencyRecorder("reads"))
         if contended:
             # Someone else's payload occupies both engines of the read's
@@ -382,7 +387,7 @@ class TestPostedVerbsCutShort:
         _, total = self._stage_instants(db)
         posted_at = cluster.sim.now
         verb = qp.read(region, 0, self.SIZE, spawn="read")
-        assert len(complete(cluster.sim, verb)) == self.SIZE
+        assert complete(cluster.sim, verb) == "old image"
         assert cluster.sim.now - posted_at == pytest.approx(total)
         assert qp.read_latency.samples == [cluster.sim.now - posted_at]
         assert not mem.nic._inflight
@@ -403,7 +408,7 @@ class TestPostedVerbsCutShort:
     def test_queue_pair_disconnected_mid_write(self):
         cluster, db, mem, region, qp = self._posted()
         sim = cluster.sim
-        verb = qp.write(region, 0, payload=b"y" * self.SIZE, spawn="write")
+        verb = qp.write(region, 0, self.SIZE, "new image", spawn="write")
 
         def breaker():
             yield sim.timeout(100.0)
@@ -412,7 +417,7 @@ class TestPostedVerbsCutShort:
         sim.spawn(breaker())
         self._assert_nothing_left(sim, db, mem, region, verb)
         assert qp.writes == 0
-        assert bytes(region.data[:4]) == b"xxxx"  # the payload never landed
+        assert region.get_object(0) == "old image"  # the new one never landed
 
     def test_dead_target_aborts_a_posted_verb_at_its_first_step(self):
         cluster, db, mem, region, qp = self._posted()

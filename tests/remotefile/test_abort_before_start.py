@@ -22,7 +22,7 @@ PAGE = 8 * KB
 def _file_with_a_page():
     cluster, fs, _broker, proxies = make_fs(memory_servers=1)
     file = create_open(cluster, fs)
-    complete(cluster.sim, file.write_object(0, PAGE, "old image"))
+    complete(cluster.sim, file.write(0, PAGE, "old image"))
     return cluster, fs, file, proxies[0].server
 
 
@@ -47,7 +47,7 @@ def test_read_interrupted_before_its_first_step_raises_unavailable():
     def reader():
         yield sim.timeout(5.0)
         try:
-            outcome["value"] = yield from file.read_object(0, PAGE)
+            outcome["value"] = yield from file.read(0, PAGE)
         except RemoteMemoryUnavailable as exc:
             outcome["error"] = exc
 
@@ -67,7 +67,7 @@ def test_write_behind_interrupted_before_its_first_step_reports_the_abort():
 
     def writer():
         yield sim.timeout(5.0)
-        yield from file.write_object(
+        yield from file.write(
             0, PAGE, "new image", background=True, on_abort=lambda: aborted.append(sim.now)
         )
 

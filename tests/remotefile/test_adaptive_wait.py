@@ -27,8 +27,8 @@ def busy_core_us(cpu, action):
 def setup(policy):
     cluster, fs, _broker, _proxies = make_fs(memory_servers=1, policy=policy)
     file = create_open(cluster, fs, size=16 * KB * 1024)
-    db = fs.owner
-    return cluster, file, db
+    file.install(0, 8 * KB, "page")
+    return cluster, file, fs.owner
 
 
 class TestAdaptiveFastPath:

@@ -85,35 +85,44 @@ class TestLifecycle:
 
 
 class TestDataPath:
-    def test_byte_roundtrip(self):
-        cluster, fs, _broker, _ = make_fs()
-        file = create_open(cluster, fs)
-        payload = bytes(range(256)) * 32  # 8 KB
-        complete(cluster.sim, file.write(12345, payload))
-        assert complete(cluster.sim, file.read(12345, len(payload))) == payload
-
     def test_write_spanning_regions(self):
         cluster, fs, _broker, _ = make_fs()
         file = create_open(cluster, fs, size=32 * MB)
-        # Write across the 16 MB region boundary.
-        payload = b"Z" * (64 * KB)
+        # A timing-only write and read across the 16 MB region boundary.
         offset = 16 * MB - 32 * KB
-        complete(cluster.sim, file.write(offset, payload))
-        assert complete(cluster.sim, file.read(offset, len(payload))) == payload
+        complete(cluster.sim, file.write_nodata(offset, 64 * KB))
+        complete(cluster.sim, file.read_nodata(offset, 64 * KB))
+        assert (file.writes, file.reads) == (1, 1)
 
     def test_object_roundtrip(self):
         cluster, fs, _broker, _ = make_fs()
         file = create_open(cluster, fs)
         page = {"page_id": 7, "rows": [(1, "a"), (2, "b")]}
-        complete(cluster.sim, file.write_object(8 * KB, 8 * KB, page))
-        got = complete(cluster.sim, file.read_object(8 * KB, 8 * KB))
+        complete(cluster.sim, file.write(8 * KB, 8 * KB, page))
+        got = complete(cluster.sim, file.read(8 * KB, 8 * KB))
         assert got is page
+        # Installed without simulated I/O, read back like any extent.
+        start = cluster.sim.now
+        file.install(16 * KB, 8 * KB, "installed")
+        assert cluster.sim.now == start
+        assert complete(cluster.sim, file.read(16 * KB, 8 * KB)) == "installed"
 
     def test_object_must_not_span_regions(self):
         cluster, fs, _broker, _ = make_fs()
         file = create_open(cluster, fs, size=32 * MB)
         with pytest.raises(RemoteFileError):
-            complete(cluster.sim, file.write_object(16 * MB - 4 * KB, 8 * KB, object()))
+            complete(cluster.sim, file.write(16 * MB - 4 * KB, 8 * KB, object()))
+        with pytest.raises(RemoteFileError):
+            complete(cluster.sim, file.read(16 * MB - 4 * KB, 8 * KB))
+        with pytest.raises(RemoteFileError):
+            file.install(16 * MB - 4 * KB, 8 * KB, object())
+
+    def test_object_write_needs_an_object(self):
+        cluster, fs, _broker, _ = make_fs()
+        file = create_open(cluster, fs)
+        with pytest.raises(RemoteFileError):
+            complete(cluster.sim, file.write(0, 8 * KB, None))
+        assert file.writes == 0
 
     def test_out_of_range_rejected(self):
         cluster, fs, _broker, _ = make_fs()
@@ -124,7 +133,7 @@ class TestDataPath:
     def test_8k_read_latency_is_rdma_class(self):
         cluster, fs, _broker, _ = make_fs()
         file = create_open(cluster, fs)
-        complete(cluster.sim, file.write(0, b"x" * 8 * KB))
+        complete(cluster.sim, file.write(0, 8 * KB, "page"))
         start = cluster.sim.now
         complete(cluster.sim, file.read(0, 8 * KB))
         latency = cluster.sim.now - start
@@ -135,6 +144,7 @@ class TestDataPath:
     def test_sync_policy_does_not_context_switch(self):
         cluster, fs, _broker, _ = make_fs(policy=AccessPolicy.SYNC)
         file = create_open(cluster, fs)
+        file.install(0, 8 * KB, "page")
         db_cpu = fs.owner.cpu
         complete(cluster.sim, file.read(0, 8 * KB))
         assert db_cpu.context_switches == 0
@@ -142,6 +152,7 @@ class TestDataPath:
     def test_async_policy_pays_context_switch(self):
         cluster, fs, _broker, _ = make_fs(policy=AccessPolicy.ASYNC)
         file = create_open(cluster, fs)
+        file.install(0, 8 * KB, "page")
         db_cpu = fs.owner.cpu
         complete(cluster.sim, file.read(0, 8 * KB))
         assert db_cpu.context_switches >= 1
@@ -150,6 +161,7 @@ class TestDataPath:
         def one_read(policy):
             cluster, fs, _broker, _ = make_fs(policy=policy)
             file = create_open(cluster, fs)
+            file.install(0, 8 * KB, "page")
             start = cluster.sim.now
             complete(cluster.sim, file.read(0, 8 * KB))
             return cluster.sim.now - start
@@ -159,6 +171,7 @@ class TestDataPath:
     def test_adaptive_policy_fast_path(self):
         cluster, fs, _broker, _ = make_fs(policy=AccessPolicy.ADAPTIVE)
         file = create_open(cluster, fs)
+        file.install(0, 8 * KB, "page")
         db_cpu = fs.owner.cpu
         complete(cluster.sim, file.read(0, 8 * KB))
         # An unloaded 8K RDMA read finishes inside the spin budget.
@@ -169,6 +182,7 @@ class TestFaultTolerance:
     def test_expired_lease_raises_unavailable(self):
         cluster, fs, broker, _ = make_fs()
         file = create_open(cluster, fs, size=16 * MB)
+        file.install(0, 8 * KB, "page")
         cluster.sim.run(until=cluster.sim.now + broker.lease_duration_us + 1)
         with pytest.raises(RemoteMemoryUnavailable):
             complete(cluster.sim, file.read(0, 8 * KB))
@@ -176,6 +190,8 @@ class TestFaultTolerance:
     def test_revocation_raises_unavailable(self):
         cluster, fs, broker, proxies = make_fs(memory_servers=1, spare_gb=1)
         file = create_open(cluster, fs, size=1 * GB)  # take everything
+        for offset in range(0, file.size, 16 * MB):
+            file.install(offset, 8 * KB, "page")
         complete(cluster.sim, proxies[0].handle_memory_pressure(16 * MB))
         with pytest.raises(RemoteMemoryUnavailable):
             # Some region of the file is gone; probing all of it must fail.
@@ -186,7 +202,8 @@ class TestFaultTolerance:
         cluster, fs, broker, _ = make_fs()
         broker.lease_duration_us = 1e6
         file = create_open(cluster, fs, size=16 * MB)
+        file.install(0, 8 * KB, "page")
         cluster.sim.spawn(fs.renewal_daemon(file))
         cluster.sim.run(until=cluster.sim.now + 5e6)
-        complete(cluster.sim, file.read(0, 8 * KB))  # must not raise
+        assert complete(cluster.sim, file.read(0, 8 * KB)) == "page"  # still there
         assert file.leases[0].is_valid(cluster.sim.now)

@@ -10,8 +10,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.remotefile import RemoteFile, RemoteFileError, RemoteMemoryFilesystem, StagingPool
-from repro.storage import GB, MB
+from repro.remotefile import (
+    RemoteFile,
+    RemoteFileError,
+    RemoteMemoryFilesystem,
+    RemoteMemoryUnavailable,
+    StagingPool,
+)
+from repro.storage import GB, KB, MB
 
 
 def make_file(size_mb=48, mr_mb=16):
@@ -36,33 +42,54 @@ def make_file(size_mb=48, mr_mb=16):
     return cluster, sim.run_until_complete(sim.spawn(setup()))
 
 
+#: Offsets cluster around the 16 MB region boundaries so that spanning
+#: extents are common.
+_NEAR_BOUNDARY = st.builds(
+    lambda base, delta: max(0, base + delta),
+    st.sampled_from([0, 16 * MB, 32 * MB]),
+    st.integers(min_value=-64 * KB, max_value=64 * KB),
+)
+
+
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     writes=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=40 * MB),
-            st.binary(min_size=1, max_size=4096),
-        ),
+        st.tuples(_NEAR_BOUNDARY, st.integers(min_value=1, max_value=64 * KB), st.booleans()),
         min_size=1,
         max_size=12,
     )
 )
-def test_byte_fidelity_matches_reference_buffer(writes):
-    """Property: the remote file behaves exactly like one big bytearray,
-    including writes that straddle memory-region boundaries."""
+def test_object_extents_match_reference_model(writes):
+    """Property: the remote file behaves like a map from offset to the
+    last object written there.  An object write spanning memory regions
+    is refused; a timing-only write may span them and stores nothing."""
     cluster, file = make_file()
-    reference = bytearray(file.size)
+    region_size = file.leases[0].region.size
+    reference = {}
+    empty = set()
 
     def run(generator):
         return cluster.sim.run_until_complete(cluster.sim.spawn(generator))
 
-    for offset, payload in writes:
-        run(file.write(offset, payload))
-        reference[offset : offset + len(payload)] = payload
-    for offset, payload in writes:
-        data = run(file.read(offset, len(payload)))
-        assert data == bytes(reference[offset : offset + len(payload)])
+    for index, (offset, size, timing_only) in enumerate(writes):
+        spans = offset // region_size != (offset + size - 1) // region_size
+        if timing_only:
+            run(file.write_nodata(offset, size))
+            if not spans:
+                empty.add((offset, size))
+        elif spans:
+            with pytest.raises(RemoteFileError, match="must not span"):
+                run(file.write(offset, size, index))
+        else:
+            run(file.write(offset, size, index))
+            reference[offset] = (size, index)
+    for offset, (size, obj) in reference.items():
+        assert run(file.read(offset, size)) == obj
+    for offset, size in empty:
+        if offset not in reference:
+            with pytest.raises(RemoteMemoryUnavailable):
+                run(file.read(offset, size))
 
 
 @settings(max_examples=20, deadline=None,

@@ -101,11 +101,11 @@ class TestAdaptivePolicy:
         cluster, db, file, staging = make_rig()
         sim = cluster.sim
         start = sim.now
-        complete(sim, file.write_object(0, 8 * KB, {"page": 1}, background=True))
+        complete(sim, file.write(0, 8 * KB, {"page": 1}, background=True))
         # Returned after slot + memcpy, well before the RDMA completes.
         assert sim.now - start < 5.0
         sim.run(until=sim.now + 1000)
         # The slot was released by the completion callback.
         assert staging.slots.in_use == 0
-        got = complete(sim, file.read_object(0, 8 * KB))
+        got = complete(sim, file.read(0, 8 * KB))
         assert got == {"page": 1}
