@@ -10,7 +10,7 @@ from .admission import AdmissionController, AdmissionTicket
 from .breaker import BreakerRegistry, BreakerState, CircuitBreaker
 from .hedge import HedgeStats, hedge_delay_us
 from .layer import ReliabilityLayer
-from .policy import DeadlineExceeded, ReliabilityPolicy, RetriesExhausted
+from .policy import DeadlineExceeded, ReliabilityPolicy
 from .retry import RetrySchedule
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "HedgeStats",
     "ReliabilityLayer",
     "ReliabilityPolicy",
-    "RetriesExhausted",
     "RetrySchedule",
     "hedge_delay_us",
 ]

@@ -4,12 +4,16 @@ One :class:`ReliabilityLayer` per database server bundles the four
 policies (deadlines, seeded retries, per-provider circuit breakers,
 hedged reads) plus staging-pool admission control, and is handed to
 
-* every :class:`~repro.remotefile.RemoteFile` (deadline + retry +
-  breaker feed + admission on the transfer path),
+* every :class:`~repro.remotefile.RemoteFile` (each transfer is one
+  guarded :meth:`ReliabilityLayer.call`, each write-behind is
+  :meth:`ReliabilityLayer.watch`-ed; admission on the transfer path),
 * the :class:`~repro.engine.bufferpool.BufferPool` and its extension
   (hedged reads, quarantine routing),
-* the :class:`~repro.remotefile.RemoteMemoryFilesystem` (lease-renewal
-  retries, broker-RPC deadlines, breaker-aware lease placement).
+* the :class:`~repro.remotefile.RemoteMemoryFilesystem` (lease renewals
+  as guarded calls, breaker-aware lease placement).
+
+The layer is the only place that judges a provider: nothing outside it
+calls the breakers' ``allow`` or ``record_*``.
 
 Determinism contract: the layer reads only the simulator's virtual
 clock and draws only from the seeded generator it was constructed
@@ -18,12 +22,15 @@ with, so enabling it never breaks bit-identical replay.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..sim import Simulator
-from ..sim.kernel import ProcessGenerator
+from ..broker import BrokerUnavailable
+from ..net.fabric import NetworkDown
+from ..remotefile.errors import RemoteMemoryUnavailable
+from ..sim import ABORTED, Interrupt, Simulator
+from ..sim.kernel import Event, ProcessGenerator
 from ..sim.stats import LatencyRecorder
 from .admission import AdmissionController
 from .breaker import BreakerRegistry
@@ -31,7 +38,11 @@ from .hedge import HedgeStats, hedge_delay_us
 from .policy import DeadlineExceeded, ReliabilityPolicy
 from .retry import RetrySchedule
 
-__all__ = ["ReliabilityLayer"]
+__all__ = ["FAILURES", "ReliabilityLayer"]
+
+#: What a guarded attempt counts as a failure of its target: gone or
+#: quarantined, unreachable, or too slow to wait for.
+FAILURES = (RemoteMemoryUnavailable, BrokerUnavailable, NetworkDown, DeadlineExceeded)
 
 
 def _capture(generator: ProcessGenerator) -> ProcessGenerator:
@@ -43,7 +54,7 @@ def _capture(generator: ProcessGenerator) -> ProcessGenerator:
     """
     try:
         value = yield from generator
-    except Exception as exc:  # Interrupt included: deadline-abandoned calls
+    except Exception as exc:  # Interrupt too: reified here, re-raised by the waiting side
         return ("err", exc)
     return ("ok", value)
 
@@ -118,43 +129,98 @@ class ReliabilityLayer:
             raise payload
         return payload
 
-    # -- retries -----------------------------------------------------------
+    # -- the guarded call --------------------------------------------------
 
-    def call_idempotent(
+    def call(
         self,
-        factory: Any,
-        retry_on: tuple[type[BaseException], ...],
-        deadline_us: float | None = None,
-        family: str = "rpc",
-        name: str = "",
+        factory: Callable[[], ProcessGenerator],
+        *,
+        family: str,
+        name: str,
+        provider: str | None = None,
+        retry: bool | Callable[[], bool] = False,
+        deferred: bool = False,
     ) -> ProcessGenerator:
-        """Deadline + seeded-backoff retry for an *idempotent* RPC.
+        """Run one remote operation under the layer's policy.
 
-        ``factory()`` must return a fresh generator per attempt (a
-        generator can only run once).  Exceptions outside ``retry_on``
-        propagate immediately; ``DeadlineExceeded`` is always eligible.
+        ``factory()`` returns a fresh generator per attempt.  Each attempt
+        is admitted by ``provider``'s breaker (else
+        :class:`RemoteMemoryUnavailable`), runs under the ``family``
+        deadline and leaves one verdict there: success, failure (one of
+        :data:`FAILURES`) or abandoned (the caller was interrupted).  A
+        failure is reissued after a seeded backoff while the budget lasts
+        and ``retry`` (idempotent operations only: ``True``, or a
+        predicate asked after each failure) allows it.  A ``deferred``
+        attempt only posts a transfer that :meth:`watch` judges later.
         """
-        retry_on = tuple(retry_on) + (DeadlineExceeded,)
-        tracer = self.sim.tracer
+        sim = self.sim
+        tracer = sim.tracer
+        breakers = self.breakers
+        deadline_us = getattr(self.policy, f"{family}_deadline_us")
         attempt = 0
         while True:
+            if provider is not None and not breakers.allow(provider):
+                raise RemoteMemoryUnavailable(
+                    f"{name}: provider {provider} is quarantined (circuit open)"
+                )
             try:
-                with tracer.span(
-                    "rpc.attempt", cat="rpc", call=name or family, attempt=attempt
-                ):
-                    return (
-                        yield from self.with_deadline(
-                            factory(), deadline_us, family=family, name=name
-                        )
+                # Entered, so an error is noted on the attempt's span.
+                with tracer.span("reliability.attempt", call=name, attempt=attempt):
+                    value = yield from self.with_deadline(
+                        factory(), deadline_us, family=family, name=name
                     )
-            except retry_on:
+            except Interrupt:
+                # Abandoned from outside (a hedged backup won, the caller
+                # was killed): no verdict on the provider, but a HALF_OPEN
+                # trial slot taken by allow() must be returned or the
+                # breaker wedges.
+                if provider is not None:
+                    breakers.record_abandoned(provider)
+                raise
+            except FAILURES:
+                if provider is not None:
+                    breakers.record_failure(provider)
                 attempt += 1
-                if not self.retry.allows(attempt):
+                if not (retry and self.retry.allows(attempt) and (retry is True or retry())):
                     raise
-                self.note_retry(family)
+                self.retries[family] = self.retries.get(family, 0) + 1
                 # Retries surface as attempt/backoff child spans.
                 with tracer.span("reliability.backoff", cat="queue", attempt=attempt):
-                    yield self.sim.timeout(self.retry.backoff_us(attempt))
+                    yield sim.timeout(self.retry.backoff_us(attempt))
+            else:
+                if provider is not None and not deferred:
+                    breakers.record_success(provider)
+                return value
+
+    def watch(self, transfer: Event, provider: str, name: str) -> None:
+        """Judge a posted transfer nobody waits on (a write-behind).
+
+        Its completion feeds ``provider``'s breaker, and a watchdog
+        interrupts it when the write deadline lapses: an unbounded write
+        parked on a browned-out link would hold the provider's NIC engine
+        (and its staging slots) for the whole degraded service time.
+        """
+        breakers = self.breakers
+
+        def _judge(_event: Event) -> None:
+            if transfer.value is ABORTED:
+                breakers.record_failure(provider)
+            else:
+                breakers.record_success(provider)
+
+        transfer.add_callback(_judge)
+        budget = self.policy.write_deadline_us
+        if budget is None:
+            return
+        sim = self.sim
+
+        def _watchdog() -> ProcessGenerator:
+            index, _ = yield sim.any_of([transfer, sim.timeout(budget)])
+            if index == 1:
+                self.note_deadline("write")
+                transfer.interrupt(cause=f"{name}: write-behind deadline ({budget:g}us)")
+
+        sim.spawn(_watchdog(), name=f"{name}.write_watchdog")
 
     # -- hedging -----------------------------------------------------------
 
@@ -165,9 +231,6 @@ class ReliabilityLayer:
 
     def note_deadline(self, family: str) -> None:
         self.deadline_hits[family] = self.deadline_hits.get(family, 0) + 1
-
-    def note_retry(self, family: str) -> None:
-        self.retries[family] = self.retries.get(family, 0) + 1
 
     def quarantined_providers(self) -> list[str]:
         return self.breakers.quarantined()
@@ -196,47 +259,19 @@ class ReliabilityLayer:
         }
 
     def probe(self, owner: Any, proxy: Any) -> ProcessGenerator:
-        """Active health probe: control-message round trip to a proxy.
+        """Active health probe: one guarded :meth:`call` pinging a proxy.
 
-        ``yield from``-able; records the outcome at the provider's
-        breaker and returns True/False.  Used by harnesses that want an
-        OPEN breaker re-admitted without waiting for trial traffic.
-
-        Goes through :meth:`BreakerRegistry.allow` so the quarantine
+        Returns whether the provider answered.  The breaker's quarantine
         clock is honoured (an elapsed OPEN moves to HALF_OPEN, a probe
-        slot is claimed, and a success there closes the breaker).
+        slot is claimed, a success there closes the breaker), so harnesses
+        re-admit an OPEN provider without waiting for trial traffic.
         """
         provider = proxy.server.name
-        if not self.breakers.allow(provider):
-            return False
         try:
-            yield from self.with_deadline(
-                proxy.ping(owner),
-                self.policy.rpc_deadline_us,
-                family="rpc",
-                name=f"probe:{provider}",
+            yield from self.call(
+                lambda: proxy.ping(owner), family="rpc", name=f"probe:{provider}",
+                provider=provider,
             )
-        except Exception:
-            self.breakers.record_failure(provider)
+        except (NetworkDown, DeadlineExceeded, RemoteMemoryUnavailable):
             return False
-        self.breakers.record_success(provider)
         return True
-
-    def restrict_providers(
-        self, candidates: Iterable[str] | None
-    ) -> list[str] | None:
-        """Drop quarantined providers from a lease-placement candidate set.
-
-        Returns ``None`` unchanged (broker default = every provider) if
-        nothing is quarantined, otherwise the healthy subset — unless
-        that subset would be empty, in which case the original set is
-        kept (availability beats purity: a lease on a sick provider is
-        better than no lease).
-        """
-        bad = set(self.breakers.quarantined())
-        if not bad:
-            return list(candidates) if candidates is not None else None
-        if candidates is None:
-            return None  # broker applies its own ``avoid`` filtering
-        healthy = [c for c in candidates if c not in bad]
-        return healthy if healthy else list(candidates)

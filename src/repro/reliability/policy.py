@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["DeadlineExceeded", "RetriesExhausted", "ReliabilityPolicy"]
+__all__ = ["DeadlineExceeded", "ReliabilityPolicy"]
 
 
 class DeadlineExceeded(RuntimeError):
@@ -30,10 +30,6 @@ class DeadlineExceeded(RuntimeError):
     Transient by definition: the backing lease may still be valid and
     the data intact — the link was just too slow to wait for.
     """
-
-
-class RetriesExhausted(RuntimeError):
-    """An idempotent operation failed on every attempt of its budget."""
 
 
 @dataclass(frozen=True)

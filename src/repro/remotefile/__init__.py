@@ -6,7 +6,6 @@ from .api import (
     RemoteFileError,
     RemoteMemoryFilesystem,
     RemoteMemoryUnavailable,
-    TornWrite,
 )
 from .staging import MEMCPY_BYTES_PER_US, StagingPool
 
@@ -18,5 +17,4 @@ __all__ = [
     "RemoteMemoryFilesystem",
     "RemoteMemoryUnavailable",
     "StagingPool",
-    "TornWrite",
 ]

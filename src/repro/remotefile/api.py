@@ -35,49 +35,28 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..broker import BrokerUnavailable, Lease, MemoryBroker
 from ..cluster import Server
 from ..net.rdma import OVERTOOK, QueuePair
-from ..reliability import DeadlineExceeded, ReliabilityLayer
-from ..sim import ABORTED, Cpu, Interrupt, LatencyRecorder
+from ..reliability.policy import DeadlineExceeded
+from ..sim import ABORTED, Cpu, LatencyRecorder
 from ..sim.kernel import Event, ProcessGenerator
 from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
+from .errors import RemoteFileError, RemoteMemoryUnavailable
 from .staging import StagingPool
+
+if TYPE_CHECKING:  # the layer imports .errors: no import cycle at run time
+    from ..reliability import ReliabilityLayer
 
 __all__ = [
     "AccessPolicy",
     "RemoteFileError",
     "RemoteMemoryUnavailable",
-    "TornWrite",
     "RemoteFile",
     "RemoteMemoryFilesystem",
 ]
-
-
-class RemoteFileError(RuntimeError):
-    pass
-
-
-class RemoteMemoryUnavailable(RemoteFileError):
-    """The backing lease/provider is gone; caller should fall back."""
-
-
-class TornWrite(RemoteMemoryUnavailable):
-    """A timing-only write spanning regions failed after earlier
-    segments were written; carries the written prefix."""
-
-    def __init__(self, message: str, offset: int, written: int, intended: int):
-        super().__init__(message)
-        self.offset = offset
-        self.written = written
-        self.intended = intended
-
-    @property
-    def written_range(self) -> tuple[int, int]:
-        """Byte range ``[start, end)`` known to have been written."""
-        return (self.offset, self.offset + self.written)
 
 
 class AccessPolicy(enum.Enum):
@@ -112,8 +91,8 @@ class RemoteFile:
         self.leases = leases
         self.staging = staging
         self.policy = policy
-        #: Optional policy layer: deadlines, seeded retries, breaker
-        #: feed and per-provider admission on every transfer.
+        #: Optional policy layer: every transfer is one guarded call
+        #: (breaker, deadline, retry), plus per-provider admission.
         self.reliability = reliability
         self.size = sum(lease.region.size for lease in leases)
         self._offsets: list[int] = []
@@ -236,7 +215,7 @@ class RemoteFile:
         for latency-critical demand reads).
         """
         lease, mr_offset, length = self._extent(offset, size)
-        value = yield from self._transfer_read(lease, mr_offset, length, background=background)
+        value = yield from self._reader(lease, mr_offset, length, background=background)
         self.reads += 1
         return value
 
@@ -257,10 +236,7 @@ class RemoteFile:
         if obj is None:
             raise RemoteFileError(f"{self.name}: write needs an object; use write_nodata")
         lease, mr_offset, length = self._extent(offset, size)
-        yield from self._transfer_write(
-            lease, mr_offset, length, obj=obj, fire_and_forget=background,
-            on_abort=on_abort,
-        )
+        yield from self._writer(lease, mr_offset, length, obj, background, on_abort)
         self.writes += 1
 
     def install(self, offset: int, size: int, obj: Any) -> None:
@@ -275,32 +251,51 @@ class RemoteFile:
         than host RAM; a span may cross memory regions.
         """
         for lease, mr_offset, length in self._locate(offset, size):
-            yield from self._transfer_read(lease, mr_offset, length, nodata=True)
+            yield from self._reader(lease, mr_offset, length, nodata=True)
         self.reads += 1
 
     def write_nodata(self, offset: int, size: int) -> ProcessGenerator:
         """Timing-only write counterpart of :meth:`read_nodata`.
 
-        A span crossing regions is not atomic: if a later segment fails
-        after an earlier one was written, :class:`TornWrite` reports the
-        written prefix.
+        A span crossing regions is not atomic: a failing segment raises
+        its own error after the earlier segments were written.
         """
-        written = 0
         for lease, mr_offset, length in self._locate(offset, size):
-            try:
-                yield from self._transfer_write(lease, mr_offset, length)
-            except (RemoteFileError, DeadlineExceeded) as exc:
-                if written > 0:
-                    raise TornWrite(
-                        f"{self.name}: write of {size} bytes at {offset} torn after "
-                        f"{written} bytes (segment on {lease.provider} failed)",
-                        offset=offset,
-                        written=written,
-                        intended=size,
-                    ) from exc
-                raise
-            written += length
+            yield from self._writer(lease, mr_offset, length)
         self.writes += 1
+
+    # The transfer of one segment: bare, or one guarded call of the
+    # reliability layer.  Plain functions returning the generator, so the
+    # path without a layer gains no generator frame.
+
+    def _reader(
+        self, lease: Lease, mr_offset: int, length: int,
+        nodata: bool = False, background: bool = False,
+    ) -> ProcessGenerator:
+        layer = self.reliability
+        if layer is None:
+            return self._transfer_read_once(lease, mr_offset, length, nodata, background)
+        # One-sided RDMA reads are idempotent: reissued while the retry
+        # budget lasts and the lease still looks usable.
+        return layer.call(
+            lambda: self._transfer_read_once(lease, mr_offset, length, nodata, background),
+            family="read", name=f"{self.name}.read@{lease.provider}",
+            provider=lease.provider, retry=lambda: self._retryable(lease),
+        )
+
+    def _writer(
+        self, lease: Lease, mr_offset: int, length: int, obj: Any = None,
+        background: bool = False, on_abort: Any = None,
+    ) -> ProcessGenerator:
+        layer = self.reliability
+        if layer is None:
+            return self._transfer_write_once(lease, mr_offset, length, obj, background, on_abort)
+        # Never retried; a write-behind is judged by the layer's watch.
+        return layer.call(
+            lambda: self._transfer_write_once(lease, mr_offset, length, obj, background, on_abort),
+            family="write", name=f"{self.name}.write@{lease.provider}",
+            provider=lease.provider, deferred=background,
+        )
 
     def _retryable(self, lease: Lease) -> bool:
         """May a failed read on ``lease`` be reissued at all?"""
@@ -309,65 +304,6 @@ class RemoteFile:
         except RemoteFileError:
             return False
         return True
-
-    def _transfer_read(
-        self,
-        lease: Lease,
-        mr_offset: int,
-        length: int,
-        nodata: bool = False,
-        background: bool = False,
-    ) -> ProcessGenerator:
-        layer = self.reliability
-        if layer is None:
-            return (
-                yield from self._transfer_read_once(
-                    lease, mr_offset, length, nodata=nodata, background=background
-                )
-            )
-        sim = self.owner.sim
-        provider = lease.provider
-        attempt = 0
-        while True:
-            if not layer.breakers.allow(provider):
-                raise RemoteMemoryUnavailable(
-                    f"{self.name}: provider {provider} is quarantined (circuit open)"
-                )
-            span = _NOOP_SPAN
-            if sim.tracer.enabled:
-                span = sim.tracer.span("rfile.attempt", provider=provider, attempt=attempt)
-            try:
-                with span:  # entered, unlike the hot-path spans: an error is noted on it
-                    value = yield from layer.with_deadline(
-                        self._transfer_read_once(
-                            lease, mr_offset, length, nodata=nodata, background=background
-                        ),
-                        layer.policy.read_deadline_us,
-                        family="read",
-                        name=f"{self.name}.read@{provider}",
-                    )
-            except Interrupt:
-                # Abandoned from outside (hedged backup won, caller
-                # killed): not a verdict on the provider — but a
-                # HALF_OPEN trial slot consumed by allow() above must
-                # be returned or the breaker wedges.
-                layer.breakers.record_abandoned(provider)
-                raise
-            except (RemoteMemoryUnavailable, DeadlineExceeded):
-                layer.breakers.record_failure(provider)
-                attempt += 1
-                # One-sided RDMA reads are idempotent: reissue while the
-                # retry budget lasts and the lease still looks usable.
-                if not layer.retry.allows(attempt) or not self._retryable(lease):
-                    raise
-                layer.note_retry("read")
-                # The backoff sleep is a child span, so retried reads
-                # show up as attempt/backoff/attempt chains in traces.
-                with sim.tracer.span("reliability.backoff", cat="queue", attempt=attempt):
-                    yield sim.timeout(layer.retry.backoff_us(attempt))
-            else:
-                layer.breakers.record_success(provider)
-                return value
 
     def _transfer_read_once(
         self,
@@ -430,62 +366,13 @@ class RemoteFile:
             )
         return value
 
-    def _transfer_write(
-        self,
-        lease: Lease,
-        mr_offset: int,
-        length: int,
-        obj: Any = None,
-        fire_and_forget: bool = False,
-        on_abort: Any = None,
-    ) -> ProcessGenerator:
-        layer = self.reliability
-        if layer is None:
-            return (
-                yield from self._transfer_write_once(
-                    lease, mr_offset, length, obj=obj, fire_and_forget=fire_and_forget,
-                    on_abort=on_abort,
-                )
-            )
-        provider = lease.provider
-        if not layer.breakers.allow(provider):
-            raise RemoteMemoryUnavailable(
-                f"{self.name}: provider {provider} is quarantined (circuit open)"
-            )
-        try:
-            value = yield from layer.with_deadline(
-                self._transfer_write_once(
-                    lease, mr_offset, length, obj=obj, fire_and_forget=fire_and_forget,
-                    on_abort=on_abort,
-                ),
-                layer.policy.write_deadline_us,
-                family="write",
-                name=f"{self.name}.write@{provider}",
-            )
-        except Interrupt:
-            # Abandoned from outside: no verdict, but give back the
-            # HALF_OPEN trial slot allow() consumed (see _transfer_read).
-            layer.breakers.record_abandoned(provider)
-            raise
-        except (RemoteMemoryUnavailable, DeadlineExceeded):
-            # Writes are NOT retried — a reissued write is not idempotent
-            # once a torn prefix may exist — but the outcome still feeds
-            # the provider's breaker.
-            layer.breakers.record_failure(provider)
-            raise
-        if not fire_and_forget:
-            # Fire-and-forget outcomes are reported by the completion
-            # callback inside _transfer_write_once instead.
-            layer.breakers.record_success(provider)
-        return value
-
     def _transfer_write_once(
         self,
         lease: Lease,
         mr_offset: int,
         length: int,
         obj: Any = None,
-        fire_and_forget: bool = False,
+        background: bool = False,
         on_abort: Any = None,
     ) -> ProcessGenerator:
         self._check(lease)
@@ -513,12 +400,11 @@ class RemoteFile:
             # is reusable immediately after the memcpy (Section 4.2).
             yield from cpu.compute(self.staging.memcpy_us(length))
             transfer = qp.write(lease.region, mr_offset, length, obj, spawn=self._write_name)
-            if fire_and_forget:
+            if background:
                 # The staging slots stay reserved until the RDMA write
                 # completes; a bounded slot pool throttles runaway
                 # write-behind naturally.
                 released = True
-                provider = lease.provider
                 extent = (lease.region, mr_offset)
                 self._landing[extent] = transfer
 
@@ -528,33 +414,12 @@ class RemoteFile:
                     self.staging.release(slots)
                     if ticket is not None:
                         ticket.release()
-                    aborted = transfer.value is ABORTED
-                    if layer is not None:
-                        if aborted:
-                            layer.breakers.record_failure(provider)
-                        else:
-                            layer.breakers.record_success(provider)
-                    if aborted and on_abort is not None:
+                    if on_abort is not None and transfer.value is ABORTED:
                         on_abort()
 
                 transfer.add_callback(_complete)
-                if layer is not None and layer.policy.write_deadline_us is not None:
-                    # Nobody waits on a write-behind transfer, so the
-                    # deadline wrapping the caller never covers it; an
-                    # unbounded write parked on a browned-out link would
-                    # hold the provider's NIC engine (and its staging
-                    # slots) for the whole degraded service time.
-                    budget = layer.policy.write_deadline_us
-
-                    def _watchdog(transfer=transfer):
-                        index, _ = yield sim.any_of([transfer, sim.timeout(budget)])
-                        if index == 1:
-                            layer.note_deadline("write")
-                            transfer.interrupt(
-                                cause=f"{self.name}: write-behind deadline ({budget:g}us)"
-                            )
-
-                    sim.spawn(_watchdog(), name=f"{self.name}.write_watchdog")
+                if layer is not None:
+                    layer.watch(transfer, lease.provider, self.name)
                 return
             value = yield from self._wait(cpu, transfer)
             if value is ABORTED:
@@ -615,7 +480,6 @@ class RemoteMemoryFilesystem:
         avoid: Iterable[str] = ()
         if self.reliability is not None:
             avoid = self.reliability.quarantined_providers()
-            providers = self.reliability.restrict_providers(providers)
         leases = yield from self.broker.acquire(
             self.owner.name, size, providers=providers, spread=spread, avoid=avoid
         )
@@ -651,12 +515,9 @@ class RemoteMemoryFilesystem:
             for lease in file.leases:
                 try:
                     if layer is not None:
-                        ok = yield from layer.call_idempotent(
+                        ok = yield from layer.call(
                             lambda lease=lease: self.broker.renew(lease),
-                            retry_on=(BrokerUnavailable,),
-                            deadline_us=layer.policy.rpc_deadline_us,
-                            family="rpc",
-                            name=f"{file.name}.renew",
+                            family="rpc", name=f"{file.name}.renew", retry=True,
                         )
                     else:
                         ok = yield from self.broker.renew(lease)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.broker import BrokerUnavailable
+from repro.net import NetworkDown
 from repro.reliability import (
     DeadlineExceeded,
     ReliabilityLayer,
@@ -119,14 +121,12 @@ class TestRetries:
                 calls.append(sim.now)
                 yield sim.timeout(5.0)
                 if len(calls) < 3:
-                    raise OSError("flaky")
+                    raise BrokerUnavailable("flaky")
                 return "ok"
 
             return op()
 
-        result = complete(
-            sim, layer.call_idempotent(factory, retry_on=(OSError,), family="rpc")
-        )
+        result = complete(sim, layer.call(factory, family="rpc", name="renew", retry=True))
         assert result == "ok"
         assert len(calls) == 3
         assert layer.retries["rpc"] == 2
@@ -141,12 +141,12 @@ class TestRetries:
             def op():
                 calls.append(sim.now)
                 yield sim.timeout(1.0)
-                raise OSError("always")
+                raise NetworkDown("always")
 
             return op()
 
-        with pytest.raises(OSError):
-            complete(sim, layer.call_idempotent(factory, retry_on=(OSError,)))
+        with pytest.raises(NetworkDown):
+            complete(sim, layer.call(factory, family="rpc", name="renew", retry=True))
         assert len(calls) == 3  # first try + 2 retries
 
     def test_unlisted_exception_propagates_immediately(self):
@@ -162,11 +162,11 @@ class TestRetries:
             return op()
 
         with pytest.raises(ValueError):
-            complete(sim, layer.call_idempotent(factory, retry_on=(OSError,)))
+            complete(sim, layer.call(factory, family="rpc", name="renew", retry=True))
         assert len(calls) == 1
 
     def test_deadline_expiry_is_retryable(self):
-        sim, layer = make_layer(ReliabilityPolicy(retry_attempts=1))
+        sim, layer = make_layer(ReliabilityPolicy(retry_attempts=1, rpc_deadline_us=50.0))
         calls = []
 
         def factory():
@@ -178,9 +178,7 @@ class TestRetries:
 
             return op()
 
-        result = complete(
-            sim, layer.call_idempotent(factory, retry_on=(), deadline_us=50.0)
-        )
+        result = complete(sim, layer.call(factory, family="rpc", name="renew", retry=True))
         assert result == "ok"
         assert len(calls) == 2
         assert layer.deadline_hits["rpc"] == 1
