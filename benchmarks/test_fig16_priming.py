@@ -6,10 +6,10 @@ transferring it over RDMA; (b) a primed secondary serves the hotspot
 workload with 4-10x lower p95 latency than a cold one.
 """
 
-from repro.broker import MemoryBroker, MemoryProxy
 from repro.cluster import Cluster
 from repro.engine import Database, prime_pool_from_file, serialize_pool_to_file
 from repro.harness import format_table
+from repro.harness.node import Topology
 from repro.net import Network
 from repro.remotefile import RemoteMemoryFilesystem, StagingPool
 from repro.storage import GB, MB, Raid0Array
@@ -28,31 +28,28 @@ def _hotspot_config(queries_per_worker):
 
 def _build_pair(bp_pages):
     cluster = Cluster(seed=6)
-    network = Network(cluster.sim)
-    broker = MemoryBroker(cluster.sim)
+    pool = Topology(cluster=cluster, network=Network(cluster.sim))
     servers = {}
     for name in ("S1", "S2"):
         server = cluster.add_server(name, memory_bytes=384 * GB)
-        network.attach(server)
+        pool.network.attach(server)
         hdd = server.attach_device(
             "hdd", Raid0Array(cluster.sim, spindles=20,
                               rng=cluster.rng.stream(f"hdd.{name}"))
         )
         servers[name] = Database(server, bp_pages=bp_pages, data_device=hdd)
-    mem = cluster.add_server("mem", memory_bytes=384 * GB)
-    network.attach(mem)
-    proxy = MemoryProxy(mem, broker, mr_bytes=64 * MB)
-    fs = RemoteMemoryFilesystem(servers["S1"].server, broker,
+    pool.add_memory_servers(1, memory_bytes=384 * GB, mr_bytes=64 * MB)
+    fs = RemoteMemoryFilesystem(servers["S1"].server, pool.broker,
                                 StagingPool(servers["S1"].server))
-    fs2 = RemoteMemoryFilesystem(servers["S2"].server, broker,
+    fs2 = RemoteMemoryFilesystem(servers["S2"].server, pool.broker,
                                  StagingPool(servers["S2"].server))
 
     def setup():
         yield from fs.initialize()
         yield from fs2.initialize()
-        yield from proxy.offer_available(limit_bytes=2 * GB)
+        yield from pool.offer_memory(2 * GB)
 
-    cluster.sim.run_until_complete(cluster.sim.spawn(setup()))
+    pool.run(setup())
     return cluster, servers, fs, fs2
 
 

@@ -6,10 +6,9 @@ number of DB servers until the provider's NIC saturates; after that
 latency climbs without much aggregate gain.
 """
 
-from repro.broker import MemoryBroker, MemoryProxy
 from repro.cluster import Cluster
 from repro.harness import format_table
-from repro.harness.node import Node
+from repro.harness.node import Node, Topology
 from repro.net import Network
 from repro.remotefile import AccessPolicy
 from repro.storage import GB, MB
@@ -30,25 +29,21 @@ PLAN = TierSpec(
 
 def _build(n_db):
     cluster = Cluster(seed=12)
-    network = Network(cluster.sim)
-    mem = cluster.add_server("mem0", memory_bytes=384 * GB)
-    network.attach(mem)
-    broker = MemoryBroker(cluster.sim)
-    proxy = MemoryProxy(mem, broker, mr_bytes=32 * MB)
-    cluster.sim.run_until_complete(cluster.sim.spawn(
-        proxy.offer_available(limit_bytes=n_db * 64 * MB + 128 * MB)))
+    pool = Topology(cluster=cluster, network=Network(cluster.sim))
+    pool.add_memory_servers(1, memory_bytes=384 * GB, mr_bytes=32 * MB)
+    pool.run(pool.offer_memory(n_db * 64 * MB + 128 * MB))
     databases = []
     for index in range(n_db):
-        node = Node(cluster, network, f"db{index}", cores=20, memory_bytes=384 * GB,
+        node = Node(cluster, pool.network, f"db{index}", cores=20, memory_bytes=384 * GB,
                     spindles=20, hdd_stream=f"hdd{index}")
-        fs = node.attach_remote_fs(broker, schedulers=8, policy=AccessPolicy.SYNC)
+        fs = node.attach_remote_fs(pool.broker, schedulers=8, policy=AccessPolicy.SYNC)
 
         def setup(fs=fs, node=node, index=index):
             yield from fs.initialize()
             yield from node.open_remote_stores(
                 PLAN, file_name=lambda _store: f"ext{index}", spread=False)
 
-        cluster.sim.run_until_complete(cluster.sim.spawn(setup()))
+        pool.run(setup())
         database = node.build_database(PLAN, bp_pages=BP_PAGES)
         table = build_customer_table(database, N_ROWS)
         databases.append((database, table))

@@ -1,15 +1,16 @@
 """Using the lightweight remote-memory file API directly (Table 2).
 
-Shows the substrate without the database on top: a memory broker, a
-proxy offering spare RAM, and the Create/Open/Read/Write/Close/Delete
+Shows the substrate without the database on top: a memory pool (one
+memory server whose proxy offers spare RAM to a broker), and the
+Create/Open/Read/Write/Close/Delete
 file API over RDMA — including what happens when a lease is lost
 (best-effort semantics: the reader falls back, correctness intact).
 
 Run:  python examples/remote_memory_file.py
 """
 
-from repro.broker import MemoryBroker, MemoryProxy
 from repro.cluster import Cluster
+from repro.harness.node import Topology
 from repro.net import Network
 from repro.remotefile import (
     AccessPolicy,
@@ -22,23 +23,21 @@ from repro.storage import GB, KB, MB
 
 def main() -> None:
     cluster = Cluster(seed=1)
-    network = Network(cluster.sim)
+    pool = Topology(cluster=cluster, network=Network(cluster.sim))
     db = cluster.add_server("db")
-    mem = cluster.add_server("mem0")
-    network.attach(db)
-    network.attach(mem)
+    pool.network.attach(db)
+    pool.add_memory_servers(1, memory_bytes=384 * GB, mr_bytes=64 * MB)
     # The memory server's local processes use most of its RAM; the proxy
     # pins what is left and registers it with the broker.
+    mem = pool.memory_servers[0]
     mem.commit_memory(mem.memory_bytes - 2 * GB)
-    broker = MemoryBroker(cluster.sim)
-    proxy = MemoryProxy(mem, broker, mr_bytes=64 * MB)
-    fs = RemoteMemoryFilesystem(db, broker, StagingPool(db), policy=AccessPolicy.SYNC)
+    fs = RemoteMemoryFilesystem(db, pool.broker, StagingPool(db), policy=AccessPolicy.SYNC)
 
     def scenario():
         yield from fs.initialize()
-        offered = yield from proxy.offer_available()
+        offered = yield from pool.offer_memory(None)
         print(f"proxy offered {len(offered)} regions "
-              f"({broker.available_bytes() / MB:.0f} MB) to the broker")
+              f"({pool.broker.available_bytes() / MB:.0f} MB) to the broker")
         # Create = lease MRs; Open = connect queue pairs (Table 2).
         file = yield from fs.create("scratch", 256 * MB)
         yield from file.open()
@@ -56,7 +55,7 @@ def main() -> None:
         print(f"8K RDMA read of {data['rows']!r}: {cluster.sim.now - start:.1f} us")
         # The provider comes under local memory pressure and revokes
         # every lease: accesses fail cleanly, nothing crashes.
-        yield from proxy.handle_memory_pressure(2 * GB)
+        yield from pool.proxies["mem0"].handle_memory_pressure(2 * GB)
         try:
             yield from file.read(0, 8 * KB)
         except RemoteMemoryUnavailable as exc:
@@ -64,7 +63,7 @@ def main() -> None:
         yield from fs.delete(file)
         print("file deleted; leases relinquished")
 
-    cluster.sim.run_until_complete(cluster.sim.spawn(scenario()))
+    pool.run(scenario())
 
 
 if __name__ == "__main__":

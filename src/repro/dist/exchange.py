@@ -57,6 +57,9 @@ __all__ = [
 #: Wire size charged for an end-of-stream control batch.
 EOS_BYTES = 64
 
+#: Most rows one exchange batch carries (fewer if the slot is smaller).
+_BATCH_ROWS = 512
+
 #: Poison pill a broken channel's drain injects into its inboxes so
 #: merges fail deterministically instead of waiting forever.
 _POISON = object()
@@ -294,6 +297,10 @@ class ExchangeRuntime:
 # ---------------------------------------------------------------------------
 
 
+def _rows_per_batch(runtime: ExchangeRuntime, row_bytes: int) -> int:
+    return max(1, min(_BATCH_ROWS, runtime.slot_bytes // max(1, row_bytes)))
+
+
 def _send_partitions(
     runtime: ExchangeRuntime,
     exchange_id: str,
@@ -344,7 +351,6 @@ class ShuffleExchange(Operator):
         exchange_id: str,
         owners: Callable[[list, int], list],
         filter_slot: Any = None,
-        batch_rows: int = 512,
     ):
         self.child = child
         self.key = key
@@ -352,7 +358,6 @@ class ShuffleExchange(Operator):
         self.exchange_id = exchange_id
         self.owners = owners
         self.filter_slot = filter_slot
-        self.batch_rows = batch_rows
         self.row_bytes = child.row_bytes
 
     def run(self, ctx: ExecContext) -> ProcessGenerator:
@@ -369,12 +374,10 @@ class ShuffleExchange(Operator):
         keys = list(map(self.key, rows))
         for owner, row in zip(self.owners(keys, ctx.fragments), rows):
             parts[owner].append(row)
-        per_batch = max(
-            1, min(self.batch_rows, self.runtime.slot_bytes // max(1, self.row_bytes))
-        )
         sender = ctx.db.sim.spawn(
             _send_partitions(
-                self.runtime, self.exchange_id, ctx, parts, per_batch, self.row_bytes
+                self.runtime, self.exchange_id, ctx, parts,
+                _rows_per_batch(self.runtime, self.row_bytes), self.row_bytes,
             )
         )
         merged = yield from self.runtime.receive_rows(ctx, self.exchange_id)
@@ -383,32 +386,24 @@ class ShuffleExchange(Operator):
 
 
 class GatherExchange(Operator):
-    """Collect every fragment's rows at the root fragment.
+    """Collect every fragment's rows at the root fragment, fragment 0.
 
     Non-root fragments ship their rows and return ``[]``; the root
     merges all fragments' streams (round-robin, fragment order).
     """
 
-    def __init__(
-        self,
-        child: Operator,
-        runtime: ExchangeRuntime,
-        exchange_id: str,
-        root: int = 0,
-        batch_rows: int = 512,
-    ):
+    #: The fragment that merges.
+    root = 0
+
+    def __init__(self, child: Operator, runtime: ExchangeRuntime, exchange_id: str):
         self.child = child
         self.runtime = runtime
         self.exchange_id = exchange_id
-        self.root = root
-        self.batch_rows = batch_rows
         self.row_bytes = child.row_bytes
 
     def run(self, ctx: ExecContext) -> ProcessGenerator:
         rows = yield from self.child.run(ctx)
-        per_batch = max(
-            1, min(self.batch_rows, self.runtime.slot_bytes // max(1, self.row_bytes))
-        )
+        per_batch = _rows_per_batch(self.runtime, self.row_bytes)
         if ctx.fragment_index != self.root:
             yield from self._send_stream(ctx, rows, per_batch)
             return []

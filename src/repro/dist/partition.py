@@ -31,11 +31,10 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
 from ..engine import Database, Schema
 from ..harness import prewarm_extension, prewarm_pool
-from ..harness.node import Node
+from ..harness.node import Node, Topology
 from ..net import Network
 from ..remotefile import AccessPolicy, RemoteMemoryFilesystem
 from ..storage import GB, MB, PAGE_SIZE
@@ -204,41 +203,27 @@ class DistSpec:
         return ext
 
 
-@dataclass
-class DistSetup:
+@dataclass(kw_only=True)
+class DistSetup(Topology):
     """Everything a distributed benchmark needs to drive one topology."""
 
     spec: DistSpec
-    cluster: Cluster
-    network: Network
     db_servers: list[Server]
     databases: list[Database]
     runtime: ExchangeRuntime
-    memory_servers: list[Server] = field(default_factory=list)
-    broker: Optional[MemoryBroker] = None
-    proxies: dict[str, MemoryProxy] = field(default_factory=dict)
     remote_fs: dict[str, RemoteMemoryFilesystem] = field(default_factory=dict)
-    metrics: Optional[MetricsRegistry] = None
     #: Per-DB-server table dicts (loader output); page-shipping setups
     #: populate index 0 only.
     tables: list = field(default_factory=list)
     #: Partitioning map when the load was sharded, else None.
     partitioning: Optional[dict[str, PartitionSpec]] = None
 
-    @property
-    def sim(self):
-        return self.cluster.sim
-
-    def run(self, generator):
-        return self.sim.run_until_complete(self.sim.spawn(generator))
-
 
 def build_dist(spec: DistSpec) -> DistSetup:
     """Assemble the virtual cluster for one distributed topology."""
     ext_pages = spec.resolved_ext()
     cluster = Cluster(seed=spec.seed)
-    sim = cluster.sim
-    network = Network(sim)
+    network = Network(cluster.sim)
 
     nodes = [
         Node(
@@ -267,21 +252,10 @@ def build_dist(spec: DistSpec) -> DistSetup:
             -(-pages * PAGE_SIZE // mr_bytes) for pages in ext_pages if pages > 0
         )
         per_memory_server = -(-regions_needed // max(1, spec.memory_servers)) + 1
-        per_server = per_memory_server * mr_bytes
-        broker = MemoryBroker(sim)
-        setup.broker = broker
-        for index in range(spec.memory_servers):
-            server = cluster.add_server(f"mem{index}", memory_bytes=384 * GB)
-            network.attach(server)
-            setup.memory_servers.append(server)
-
-        def offer_all():
-            for server in setup.memory_servers:
-                proxy = MemoryProxy(server, broker, mr_bytes=mr_bytes)
-                setup.proxies[server.name] = proxy
-                yield from proxy.offer_available(limit_bytes=per_server)
-
-        setup.run(offer_all())
+        setup.add_memory_servers(
+            spec.memory_servers, memory_bytes=384 * GB, mr_bytes=mr_bytes
+        )
+        setup.run(setup.offer_memory(per_memory_server * mr_bytes))
 
     for node, pages in zip(nodes, ext_pages):
         plan = NODE_TIER.resolve(

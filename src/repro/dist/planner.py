@@ -222,10 +222,7 @@ def place_exchanges(plan: PlanNode, partitioning: dict, schemas=None) -> PlanNod
             left = Exchange(left, "shuffle", key=qual_lk, spec=spec)
             right = Exchange(right, "shuffle", key=qual_rk, spec=spec)
             at = _Location(refs=joined, spec=spec)
-        placed = Join(
-            left, right, node.left_key, node.right_key,
-            semijoin=node.semijoin, bloom_bits=node.bloom_bits,
-        )
+        placed = Join(left, right, node.left_key, node.right_key, semijoin=node.semijoin)
         return placed, at
 
     placed, at = place(plan)
@@ -279,8 +276,7 @@ class FragmentLowering(Lowering):
         child = self.lower(node.child)
         if node.kind == "gather":
             return GatherExchange(
-                child, runtime=self.runtime,
-                exchange_id=self.names.assign("gather"), root=0,
+                child, runtime=self.runtime, exchange_id=self.names.assign("gather")
             )
         key = self.schema_of(node.child).extractor(node.key)
         spec = node.spec or PartitionSpec(table="*", key=node.key)
@@ -296,7 +292,7 @@ class FragmentLowering(Lowering):
         build_op = BloomBuild(
             build_op, key=left_schema.extractor(node.left_key),
             runtime=self.runtime, exchange_id=self.names.assign("bloom"),
-            slot=slot, n_bits=node.bloom_bits,
+            slot=slot,
         )
         probe_op.filter_slot = slot
         return build_op, probe_op

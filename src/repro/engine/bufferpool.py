@@ -568,7 +568,7 @@ class BufferPool:
         try:
             page = None
             if self.extension is not None and self.extension.contains(page_id):
-                if layer is not None and layer.policy.hedge_enabled and not background:
+                if layer is not None and not background:
                     page, source = yield from self._hedged_ext_fetch(page_id)
                     if source == "ext":
                         self.ext_hits += 1

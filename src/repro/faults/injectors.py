@@ -12,12 +12,15 @@ an optional monitor (see :mod:`repro.faults.recovery`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from ..sim.kernel import Process, ProcessGenerator, Simulator
 from .schedule import FaultKind, FaultPlan, FaultSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..harness.node import Topology
 
 __all__ = [
     "FaultEngine",
@@ -242,16 +245,16 @@ class FaultEngine:
     @classmethod
     def for_setup(
         cls,
-        setup: Any,
+        setup: Topology,
         monitor: Any = None,
         rng: Optional[np.random.Generator] = None,
         on_provider_restored: Optional[Callable[[str], Any]] = None,
     ) -> "FaultEngine":
-        """Build an engine aimed at a ``DbSetup``, ``DistSetup`` or ``FleetSetup``.
+        """Build an engine aimed at a :class:`~repro.harness.node.Topology`.
 
-        Every setup exposes ``sim``, ``cluster``, ``broker``, ``proxies``
-        and ``databases``; a crash sweeps the extension of each database
-        that has one, in ``databases`` order.
+        Faults reach the set-up's servers, broker and proxies; a crash
+        sweeps the extension of each database that has one, in
+        ``databases`` order (an I/O target has no databases).
         """
         if rng is None:
             rng = setup.cluster.rng.stream("faults")
@@ -262,7 +265,7 @@ class FaultEngine:
             proxies=setup.proxies,
             extensions=[
                 database.pool.extension
-                for database in setup.databases
+                for database in getattr(setup, "databases", ())
                 if database.pool.extension is not None
             ],
             monitor=monitor,

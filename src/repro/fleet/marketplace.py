@@ -59,6 +59,12 @@ class QosClass(enum.IntEnum):
 #: BRONZE tenant's at the same intensity).
 QOS_WEIGHTS = {QosClass.BRONZE: 1.0, QosClass.SILVER: 2.0, QosClass.GOLD: 4.0}
 
+#: Fraction of the pool the marketplace never hands out, so MR rounding
+#: and in-flight rebuilds cannot deadlock on a full pool.
+_HEADROOM_FRACTION = 0.10
+#: Demand score assumed for a tenant that has not reported yet.
+_DEFAULT_SCORE = 0.5
+
 
 @dataclass(frozen=True)
 class DemandSignal:
@@ -92,11 +98,6 @@ class MarketplacePolicy:
     cooldown_us: float = 6e6
     #: Ignore target moves smaller than this many pages (anti-thrash).
     min_delta_pages: int = 128
-    #: Fraction of the pool the marketplace never hands out, so MR
-    #: rounding and in-flight rebuilds cannot deadlock on a full pool.
-    headroom_fraction: float = 0.10
-    #: Demand score assumed for a tenant that has not reported yet.
-    default_score: float = 0.5
 
 
 @dataclass
@@ -198,7 +199,7 @@ class Marketplace:
         live = self.broker.available_bytes() + sum(
             lease.region.size for lease in self.broker.active_leases
         )
-        usable = int(live * (1.0 - self.policy.headroom_fraction))
+        usable = int(live * (1.0 - _HEADROOM_FRACTION))
         return (usable // PAGE_SIZE // self.mr_pages) * self.mr_pages
 
     def _round_pages(self, pages: int) -> int:
@@ -235,9 +236,7 @@ class Marketplace:
         weights = {}
         for account in tenants:
             score = (
-                account.signal.score
-                if account.signal is not None
-                else self.policy.default_score
+                account.signal.score if account.signal is not None else _DEFAULT_SCORE
             )
             weights[account.runtime.name] = (
                 QOS_WEIGHTS[account.runtime.qos] * max(score, 0.05)

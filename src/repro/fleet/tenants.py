@@ -32,7 +32,7 @@ import numpy as np
 
 from ..sim import LatencyRecorder
 from ..sim.kernel import AllOf, ProcessGenerator
-from ..workloads.rangescan import read_query, txn_update_query, update_query
+from ..workloads.rangescan import _start_keys, read_query, txn_update_query, update_query
 from .marketplace import DemandSignal, Marketplace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -173,17 +173,6 @@ class TenantWorkload:
 
     # -- query generation --------------------------------------------------
 
-    def _start_keys(self, count: int) -> np.ndarray:
-        spec = self.spec
-        top = max(1, spec.n_rows - spec.range_size)
-        if spec.distribution == "uniform":
-            return self.rng.integers(0, top, size=count)
-        hot_top = max(1, int(top * spec.hotspot_fraction))
-        hot = self.rng.random(count) < spec.hotspot_probability
-        keys = self.rng.integers(0, top, size=count)
-        keys[hot] = self.rng.integers(0, hot_top, size=int(hot.sum()))
-        return keys
-
     def _run_one(self, replica, start_key: int, update: bool) -> ProcessGenerator:
         db, table = replica.database, replica.table
         sim = db.sim
@@ -219,7 +208,7 @@ class TenantWorkload:
     def _epoch_queries(self, count: int) -> list[ProcessGenerator]:
         """Plan one epoch: draw keys, split work over replicas/workers."""
         replicas = self.runtime.replicas
-        starts = self._start_keys(count)
+        starts = _start_keys(self.spec, self.rng, count)
         updates = (
             self.rng.random(count) < self.spec.update_fraction
             if self.spec.update_fraction > 0

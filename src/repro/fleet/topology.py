@@ -23,12 +23,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..broker import MemoryBroker, MemoryProxy
+from ..broker import MemoryBroker
 from ..cluster import Cluster, Server
 from ..engine import Database
 from ..engine.page import PAGE_SIZE
 from ..faults import FaultEngine, FaultPlan
-from ..harness.node import Node, rebuild_remote_level
+from ..harness.node import Node, Topology, rebuild_remote_level
 from ..net import Network
 from ..remotefile import AccessPolicy, RemoteFile, RemoteMemoryFilesystem
 from ..sim.kernel import AllOf, ProcessGenerator
@@ -90,16 +90,14 @@ class TenantSpec:
     distribution: str = "uniform"  # "uniform" | "hotspot"
     hotspot_fraction: float = 0.2
     hotspot_probability: float = 0.99
-    #: "rangescan" or "tpch" — which existing driver queries multiplex onto.
+    #: "rangescan" or "tpch" — which existing driver queries multiplex
+    #: onto (TPC-H replicas load a fixed 600-order scale).
     workload: str = "rangescan"
     #: Run rangescan updates inside real transactions (2PL + undo +
     #: retry, see :mod:`repro.txn`) instead of the legacy single-record
     #: autocommit path.  Off by default: the legacy path is the golden
     #: baseline for existing fleet scenarios.
     transactional: bool = False
-    tpch_scale: TpchScale = field(
-        default_factory=lambda: TpchScale(orders=600, customers=60, parts=80, suppliers=10)
-    )
     #: Memory-hierarchy topology (PR-5 grammar) for every replica.
     tier: TierSpec = DEFAULT_TENANT_TIER
 
@@ -116,9 +114,6 @@ class FleetSpec:
     memory_servers: int = 4
     #: MR granularity for the whole pool (small, so reallocation is fine-grained).
     mr_bytes: int = 2 * MB
-    #: Total brokered pool size; ``None`` = 2.5x the tenants' initial
-    #: extension footprint (room for the marketplace to triple a share).
-    pool_bytes: Optional[int] = None
     seed: int = 0
     #: Long leases: fleet scenarios exercise *reallocation*, not expiry
     #: (the fault layer force-expires when a storm wants it).
@@ -322,23 +317,13 @@ class TenantRuntime:
         replica.healthy = True
 
 
-@dataclass
-class FleetSetup:
+@dataclass(kw_only=True)
+class FleetSetup(Topology):
     """Everything a fleet scenario needs to run."""
 
     spec: FleetSpec
-    cluster: Cluster
-    network: Network
-    broker: MemoryBroker
-    memory_servers: list[Server] = field(default_factory=list)
-    proxies: dict[str, MemoryProxy] = field(default_factory=dict)
     tenants: dict[str, TenantRuntime] = field(default_factory=dict)
     marketplace: Optional[Marketplace] = None
-    metrics: Optional[MetricsRegistry] = None
-
-    @property
-    def sim(self):
-        return self.cluster.sim
 
     @property
     def databases(self) -> list[Database]:
@@ -348,9 +333,6 @@ class FleetSetup:
             for _name, runtime in sorted(self.tenants.items())
             for replica in runtime.replicas
         ]
-
-    def run(self, generator):
-        return self.sim.run_until_complete(self.sim.spawn(generator))
 
 
 def build_fleet(
@@ -373,11 +355,9 @@ def build_fleet(
     registry = metrics if metrics is not None else MetricsRegistry(f"fleet.{spec.name}")
     broker = MemoryBroker(sim, lease_duration_us=spec.lease_duration_us)
 
-    pool_bytes = (
-        spec.pool_bytes
-        if spec.pool_bytes is not None
-        else int(spec.total_initial_ext_bytes() * 2.5)
-    )
+    # The pool is 2.5x the tenants' initial extension footprint: room
+    # for the marketplace to triple a share.
+    pool_bytes = int(spec.total_initial_ext_bytes() * 2.5)
     per_server_bytes = (
         math.ceil(pool_bytes / spec.memory_servers / spec.mr_bytes) * spec.mr_bytes
     )
@@ -394,14 +374,11 @@ def build_fleet(
         )
         setup.marketplace = market
 
-    for index in range(spec.memory_servers):
-        server = cluster.add_server(
-            f"mem{index}", memory_bytes=per_server_bytes + 64 * GB
-        )
-        network.attach(server)
-        proxy = MemoryProxy(server, broker, mr_bytes=spec.mr_bytes)
-        setup.memory_servers.append(server)
-        setup.proxies[server.name] = proxy
+    setup.add_memory_servers(
+        spec.memory_servers, memory_bytes=per_server_bytes + 64 * GB,
+        mr_bytes=spec.mr_bytes,
+    )
+    for proxy in setup.proxies.values():
         setup.run(proxy.offer_available(limit_bytes=per_server_bytes))
 
     mr_pages = max(1, spec.mr_bytes // PAGE_SIZE)
@@ -440,7 +417,9 @@ def build_fleet(
 
             if tenant.workload == "tpch":
                 replica.tpch_tables = build_tpch_database(
-                    database, tenant.tpch_scale, seed=spec.seed
+                    database,
+                    TpchScale(orders=600, customers=60, parts=80, suppliers=10),
+                    seed=spec.seed,
                 )
             else:
                 replica.table = build_customer_table(database, tenant.n_rows)

@@ -14,10 +14,9 @@ enum entry at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
 from ..engine import Database, DevicePageFile, cost_model_for
 from ..net import Network, SmbClient, SmbDirectClient, SmbFileServer
@@ -33,7 +32,7 @@ from ..telemetry.attach import (
 )
 from ..tiers import TierPlan, TierSpec
 from .designs import Design, TIER_SPECS
-from .node import SEMCACHE_FILE_ID, Node, open_remote_store, rebuild_remote_level
+from .node import SEMCACHE_FILE_ID, Node, Topology, open_remote_store, rebuild_remote_level
 
 __all__ = [
     "DbSetup",
@@ -44,34 +43,21 @@ __all__ = [
 ]
 
 
-@dataclass
-class DbSetup:
+@dataclass(kw_only=True)
+class DbSetup(Topology):
     """Everything a benchmark needs to drive one configuration."""
 
     design: Optional[Design]
-    cluster: Cluster
     db_server: Server
     database: Database
-    memory_servers: list[Server] = field(default_factory=list)
-    broker: Optional[MemoryBroker] = None
     remote_fs: Optional[RemoteMemoryFilesystem] = None
-    network: Optional[Network] = None
-    #: Memory-brokering proxies by server name (NDSPI plans only).
-    proxies: dict[str, MemoryProxy] = field(default_factory=dict)
     #: Reliability policy layer (NDSPI plans, opt-in): deadlines,
     #: retries, circuit breakers, hedged reads, admission control.
     reliability: Optional[ReliabilityLayer] = None
-    #: Every instrument in the setup (devices, NICs, CPUs, buffer pool,
-    #: remote files, reliability) adopted into one registry.
-    metrics: Optional[MetricsRegistry] = None
     #: The declarative topology this setup was built from, and the
     #: resolved plan (concrete capacities, analytic rule applied).
     spec: Optional[TierSpec] = None
     plan: Optional[TierPlan] = None
-
-    @property
-    def sim(self):
-        return self.cluster.sim
 
     @property
     def pool(self):
@@ -80,9 +66,6 @@ class DbSetup:
     @property
     def databases(self) -> list[Database]:
         return [self.database]
-
-    def run(self, generator):
-        return self.sim.run_until_complete(self.sim.spawn(generator))
 
     def execute_plan(
         self,
@@ -193,14 +176,13 @@ def build_database(
     if plan.needs_remote:
         remote_bytes_needed = (bpext_pages + tempdb_pages) * PAGE_SIZE + 64 * MB
         per_server = remote_bytes_needed // n_memory_servers + 32 * MB
-        for index in range(n_memory_servers):
-            server = cluster.add_server(
-                f"mem{index}", memory_bytes=max(384 * GB, per_server + 64 * GB)
-            )
-            network.attach(server)
-            setup.memory_servers.append(server)
+        smb = plan.protocol in ("smb", "smbdirect")
+        setup.add_memory_servers(
+            n_memory_servers, memory_bytes=max(384 * GB, per_server + 64 * GB),
+            mr_bytes=None if smb else 64 * MB,
+        )
 
-        if plan.protocol in ("smb", "smbdirect"):
+        if smb:
             mem = setup.memory_servers[0]
             drive = mem.attach_device("ramdrive", RamDrive(sim, name=f"{mem.name}.ramdrive"))
             node.attach_smb(
@@ -208,7 +190,6 @@ def build_database(
                 SmbClient if plan.protocol == "smb" else SmbDirectClient,
             )
         else:  # ndspi
-            broker = MemoryBroker(sim)
             layer = None
             if reliability:
                 reliability_policy = (
@@ -221,19 +202,15 @@ def build_database(
                 )
                 setup.reliability = layer
             fs = node.attach_remote_fs(
-                broker, schedulers=db_cores,
+                setup.broker, schedulers=db_cores,
                 policy=AccessPolicy.SYNC if spec.sync_remote_io else AccessPolicy.ASYNC,
                 reliability=layer,
             )
-            setup.broker = broker
             setup.remote_fs = fs
 
             def bootstrap():
                 yield from fs.initialize()
-                for server in setup.memory_servers:
-                    proxy = MemoryProxy(server, broker, mr_bytes=64 * MB)
-                    setup.proxies[server.name] = proxy
-                    yield from proxy.offer_available(limit_bytes=per_server + 128 * MB)
+                yield from setup.offer_memory(per_server + 128 * MB)
                 yield from node.open_remote_stores(
                     plan, file_name=lambda store: store, spread=n_memory_servers > 1
                 )

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
 from ..net import Network, SmbClient, SmbDirectClient, SmbFileServer
 from ..remotefile import AccessPolicy, RemoteFile, RemoteMemoryFilesystem, StagingPool
 from ..storage import GB, MB, RamDrive, Raid0Array, SsdDevice
 from ..telemetry import MetricsRegistry
 from ..telemetry.attach import register_cluster, register_remote_file
+from .node import Topology
 
 __all__ = ["IoTarget", "build_io_target", "build_custom_multi", "IO_DESIGNS"]
 
@@ -37,20 +37,15 @@ DEFAULT_SPAN = 64 * GB
 
 
 @dataclass
-class IoTarget:
+class IoTarget(Topology):
     """A uniform read/write target plus the cluster behind it."""
 
     name: str
-    cluster: Cluster
     span_bytes: int
     #: Anything with ``read``/``write(offset, size)`` generators: a
     #: :class:`~repro.storage.BlockDevice` or a remote-file adapter.
     _reader: object
     db_server: Server | None = None
-    memory_servers: tuple[Server, ...] = ()
-    #: Every instrument behind the target (devices, NICs, CPUs, remote
-    #: file) adopted into one registry; populated by the builders.
-    metrics: MetricsRegistry | None = None
 
     def read(self, offset: int, size: int):
         yield from self._reader.read(offset, size)
@@ -86,83 +81,41 @@ def _bind_metrics(target: IoTarget) -> IoTarget:
     return target
 
 
-def _base_cluster(seed: int = 0) -> tuple[Cluster, Network, Server]:
+def _base_pool(seed: int) -> tuple[Topology, Server]:
+    """A cluster with one DB server on the network and no memory servers yet."""
     cluster = Cluster(seed=seed)
-    network = Network(cluster.sim)
+    pool = Topology(cluster=cluster, network=Network(cluster.sim))
     db = cluster.add_server("db")
-    network.attach(db)
-    return cluster, network, db
+    pool.network.attach(db)
+    return pool, db
 
 
 def build_io_target(design: str, span_bytes: int = DEFAULT_SPAN, seed: int = 0) -> IoTarget:
     """Build the cluster + target for one Figure-3/4 design alternative."""
-    cluster, network, db = _base_cluster(seed)
-    sim = cluster.sim
-
+    if design == "Custom":
+        target = build_custom_multi(1, span_bytes, seed)
+        target.name = target.metrics.name = design
+        return target
+    pool, db = _base_pool(seed)
+    sim = pool.sim
     if design.startswith("HDD("):
         spindles = int(design[4:-1])
-        device = Raid0Array(sim, spindles=spindles, name=design,
-                            rng=cluster.rng.stream("hdd"))
-        db.attach_device("data", device)
-        return _bind_metrics(IoTarget(design, cluster, span_bytes, device, db_server=db))
-
-    if design == "SSD":
-        device = SsdDevice(sim, name="ssd")
-        db.attach_device("ssd", device)
-        return _bind_metrics(IoTarget(design, cluster, span_bytes, device, db_server=db))
-
-    mem = cluster.add_server("mem0", memory_bytes=max(384 * GB, span_bytes + 64 * GB))
-    network.attach(mem)
-
-    if design in ("SMB+RamDrive", "SMBDirect+RamDrive"):
-        drive = RamDrive(sim, name="mem0.ramdrive")
-        mem.attach_device("ramdrive", drive)
-        file_server = SmbFileServer(mem, drive)
-        if design == "SMB+RamDrive":
-            client = SmbClient(db, file_server)
-        else:
-            client = SmbDirectClient(db, file_server)
-        return _bind_metrics(IoTarget(
-            design, cluster, span_bytes, client, db_server=db, memory_servers=(mem,)
+        reader = db.attach_device("data", Raid0Array(
+            sim, spindles=spindles, name=design, rng=pool.cluster.rng.stream("hdd"),
         ))
-
-    if design == "Custom":
-        target = _build_custom(cluster, db, [mem], span_bytes)
-        return _bind_metrics(IoTarget(
-            design, cluster, span_bytes, target, db_server=db, memory_servers=(mem,)
-        ))
-
-    raise ValueError(f"unknown design {design!r}; expected one of {IO_DESIGNS}")
-
-
-def _build_custom(
-    cluster: Cluster,
-    db: Server,
-    memory_servers: list[Server],
-    span_bytes: int,
-    policy: AccessPolicy = AccessPolicy.SYNC,
-    mr_bytes: int = 256 * MB,
-) -> _RemoteFileAdapter:
-    sim = cluster.sim
-    broker = MemoryBroker(sim)
-    fs = RemoteMemoryFilesystem(db, broker, StagingPool(db), policy=policy)
-    per_server = -(-span_bytes // len(memory_servers))  # ceil division
-
-    def setup():
-        yield from fs.initialize()
-        for server in memory_servers:
-            proxy = MemoryProxy(server, broker, mr_bytes=mr_bytes)
-            yield from proxy.offer_available(limit_bytes=per_server + mr_bytes)
-        file = yield from fs.create(
-            "iobench", span_bytes,
-            providers=[s.name for s in memory_servers],
-            spread=len(memory_servers) > 1,
+    elif design == "SSD":
+        reader = db.attach_device("ssd", SsdDevice(sim, name="ssd"))
+    elif design in ("SMB+RamDrive", "SMBDirect+RamDrive"):
+        pool.add_memory_servers(
+            1, memory_bytes=max(384 * GB, span_bytes + 64 * GB), mr_bytes=None
         )
-        yield from file.open()
-        return file
-
-    file = sim.run_until_complete(sim.spawn(setup()))
-    return _RemoteFileAdapter(file)
+        mem = pool.memory_servers[0]
+        drive = mem.attach_device("ramdrive", RamDrive(sim, name="mem0.ramdrive"))
+        client_cls = SmbClient if design == "SMB+RamDrive" else SmbDirectClient
+        reader = client_cls(db, SmbFileServer(mem, drive))
+    else:
+        raise ValueError(f"unknown design {design!r}; expected one of {IO_DESIGNS}")
+    return _bind_metrics(IoTarget(design, span_bytes, reader, db, **vars(pool)))
 
 
 def build_custom_multi(
@@ -172,18 +125,28 @@ def build_custom_multi(
     policy: AccessPolicy = AccessPolicy.SYNC,
 ) -> IoTarget:
     """Custom design with remote memory pooled from N servers (Figure 5)."""
-    cluster, network, db = _base_cluster(seed)
-    memory_servers = []
-    for index in range(n_memory_servers):
-        server = cluster.add_server(
-            f"mem{index}", memory_bytes=max(384 * GB, span_bytes + 64 * GB)
+    pool, db = _base_pool(seed)
+    mr_bytes = 256 * MB
+    pool.add_memory_servers(
+        n_memory_servers, memory_bytes=max(384 * GB, span_bytes + 64 * GB),
+        mr_bytes=mr_bytes,
+    )
+    fs = RemoteMemoryFilesystem(db, pool.broker, StagingPool(db), policy=policy)
+
+    def setup():
+        yield from fs.initialize()
+        yield from pool.offer_memory(-(-span_bytes // n_memory_servers) + mr_bytes)
+        file = yield from fs.create(
+            "iobench", span_bytes, providers=list(pool.proxies),
+            spread=n_memory_servers > 1,
         )
-        network.attach(server)
-        memory_servers.append(server)
-    target = _build_custom(cluster, db, memory_servers, span_bytes, policy=policy)
+        yield from file.open()
+        return file
+
+    file = pool.run(setup())
     return _bind_metrics(IoTarget(
-        f"Custom x{n_memory_servers}", cluster, span_bytes, target,
-        db_server=db, memory_servers=tuple(memory_servers),
+        f"Custom x{n_memory_servers}", span_bytes, _RemoteFileAdapter(file), db,
+        **vars(pool),
     ))
 
 
@@ -199,26 +162,17 @@ def build_multi_db(
     ``per_db_span`` bytes, all leased from the single provider.
     """
     cluster = Cluster(seed=seed)
-    network = Network(cluster.sim)
-    mem = cluster.add_server(
-        "mem0", memory_bytes=max(384 * GB, n_db_servers * per_db_span + 64 * GB)
+    pool = Topology(cluster=cluster, network=Network(cluster.sim))
+    pool.add_memory_servers(
+        1, memory_bytes=max(384 * GB, n_db_servers * per_db_span + 64 * GB),
+        mr_bytes=256 * MB,
     )
-    network.attach(mem)
-    broker = MemoryBroker(cluster.sim)
-    sim = cluster.sim
-
-    def offer():
-        proxy = MemoryProxy(mem, broker, mr_bytes=256 * MB)
-        yield from proxy.offer_available(
-            limit_bytes=n_db_servers * per_db_span + 512 * MB
-        )
-
-    sim.run_until_complete(sim.spawn(offer()))
+    pool.run(pool.offer_memory(n_db_servers * per_db_span + 512 * MB))
     targets = []
     for index in range(n_db_servers):
         db = cluster.add_server(f"db{index}")
-        network.attach(db)
-        fs = RemoteMemoryFilesystem(db, broker, StagingPool(db), policy=policy)
+        pool.network.attach(db)
+        fs = RemoteMemoryFilesystem(db, pool.broker, StagingPool(db), policy=policy)
 
         def setup(fs=fs, index=index):
             yield from fs.initialize()
@@ -226,12 +180,10 @@ def build_multi_db(
             yield from file.open()
             return file
 
-        file = sim.run_until_complete(sim.spawn(setup()))
-        targets.append(
-            IoTarget(
-                f"db{index}", cluster, per_db_span, _RemoteFileAdapter(file),
-                db_server=db, memory_servers=(mem,),
-            )
-        )
+        file = pool.run(setup())
+        # Every target shares the one pool.
+        targets.append(IoTarget(
+            f"db{index}", per_db_span, _RemoteFileAdapter(file), db, **vars(pool)
+        ))
     # Bind after the loop so every registry sees the full cluster.
     return [_bind_metrics(target) for target in targets]

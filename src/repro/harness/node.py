@@ -1,11 +1,13 @@
-"""One database node: how a :class:`~repro.tiers.TierPlan` becomes an engine.
+"""One database node and one memory pool: how a set-up is assembled.
 
-Every topology here is one shape repeated: a DB server with an HDD
-array and an SSD whose buffer pool extends, through the lightweight
-file API, into brokered remote memory.  This module assembles that
-shape once; ``build_database`` (one node), ``build_dist`` (N nodes over
-an exchange fabric), ``build_fleet`` (tenant replicas over one
-marketplace pool) and the Figure-25 benchmark compose it.
+Every topology here is one shape repeated: DB servers with an HDD
+array and an SSD whose buffer pools extend, through the lightweight
+file API, into remote memory that memory servers lease out through one
+broker.  :class:`Topology` owns the cluster and that pool;
+:class:`Node` assembles one DB server.  ``build_database`` (one node),
+``build_dist`` (N nodes over an exchange fabric), ``build_fleet``
+(tenant replicas over one marketplace pool), the I/O targets and the
+Figure-25 benchmark compose them.
 
 A caller passes what differs between topologies (server name, cores,
 memory, spindles, HDD rng stream, staging schedulers, access policy,
@@ -13,16 +15,17 @@ reliability layer, file naming, spread) and keeps its own *order* of
 simulated bootstrap steps — what runs inside which process fixes
 absolute virtual time.  Which store class backs which tier, which file
 id it gets and how the stores become an extension and a
-:class:`~repro.engine.Database` is decided here.  Memory servers,
-broker and proxies are the *pool*, not the node, and stay with the
-callers, which size and order them differently.
+:class:`~repro.engine.Database` is decided here.  How large the pool
+is and when it offers its memory stay with the callers: creating
+servers, proxies or a broker schedules no event, offering does.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..broker import MemoryBroker
+from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
 from ..engine import (
     BufferPoolExtension,
@@ -35,11 +38,14 @@ from ..engine.page import PAGE_SIZE
 from ..net import Network, SmbFileServer
 from ..reliability import ReliabilityLayer
 from ..remotefile import AccessPolicy, RemoteMemoryFilesystem, StagingPool
-from ..sim.kernel import ProcessGenerator
+from ..sim.kernel import ProcessGenerator, Simulator
 from ..storage import GB, Raid0Array, SsdDevice
+from ..telemetry import MetricsRegistry
 from ..tiers import ResolvedTier, Tier, TierPlan
 
-__all__ = ["SEMCACHE_FILE_ID", "Node", "open_remote_store", "rebuild_remote_level"]
+__all__ = [
+    "SEMCACHE_FILE_ID", "Node", "Topology", "open_remote_store", "rebuild_remote_level",
+]
 
 #: File ids reserved for engine-internal files.  Extension tiers are
 #: spaced ten apart so multi-tier stacks never collide with TempDB.
@@ -78,6 +84,60 @@ def rebuild_remote_level(
     store = yield from open_remote_store(fs, level.store.file_id, name, pages, spread)
     extension.replace_store(level, store)
     return store
+
+
+@dataclass(kw_only=True)
+class Topology:
+    """A cluster and its memory pool: memory servers whose proxies lease
+    spare DRAM through one broker.
+
+    Every set-up (``DbSetup``, ``DistSetup``, ``FleetSetup``,
+    ``IoTarget``) is one.  Designs that reach remote memory over SMB
+    have memory servers but no proxies, and ``broker is None``.
+    """
+
+    cluster: Cluster
+    network: Network
+    memory_servers: list[Server] = field(default_factory=list)
+    broker: Optional[MemoryBroker] = None
+    #: Memory-brokering proxies by server name, in ``memory_servers`` order.
+    proxies: dict[str, MemoryProxy] = field(default_factory=dict)
+    #: Every instrument in the set-up adopted into one registry.
+    metrics: Optional[MetricsRegistry] = None
+
+    @property
+    def sim(self) -> Simulator:
+        return self.cluster.sim
+
+    def run(self, generator):
+        return self.sim.run_until_complete(self.sim.spawn(generator))
+
+    def add_memory_servers(
+        self, count: int, *, memory_bytes: int, mr_bytes: Optional[int]
+    ) -> None:
+        """Add ``count`` memory servers ``mem{i}`` on the network, each
+        with a :class:`~repro.broker.MemoryProxy` carving ``mr_bytes``
+        regions for the broker (created here unless the caller brought
+        one).  ``mr_bytes=None`` adds the servers only (SMB designs)."""
+        if mr_bytes is not None and self.broker is None:
+            self.broker = MemoryBroker(self.sim)
+        for index in range(count):
+            server = self.cluster.add_server(f"mem{index}", memory_bytes=memory_bytes)
+            self.network.attach(server)
+            self.memory_servers.append(server)
+            if mr_bytes is not None:
+                self.proxies[server.name] = MemoryProxy(
+                    server, self.broker, mr_bytes=mr_bytes
+                )
+
+    def offer_memory(self, limit_bytes: Optional[int]) -> ProcessGenerator:
+        """``yield from``-able: every proxy, in order, offers up to
+        ``limit_bytes`` (``None``: all its spare memory) to the broker.
+        Returns the regions offered."""
+        regions = []
+        for proxy in self.proxies.values():
+            regions += yield from proxy.offer_available(limit_bytes=limit_bytes)
+        return regions
 
 
 class Node:

@@ -205,7 +205,6 @@ class Join(PlanNode):
     left_key: str
     right_key: str
     semijoin: bool = False
-    bloom_bits: int = 1 << 15
 
     def children(self):
         return (self.left, self.right)

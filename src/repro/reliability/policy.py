@@ -68,8 +68,7 @@ class ReliabilityPolicy:
     #: breaker, one failure re-opens it.
     breaker_probe_quota: int = 3
 
-    # -- hedged reads -------------------------------------------------------
-    hedge_enabled: bool = True
+    # -- hedged reads (every foreground extension read is hedged) -----------
     #: Hedge delay = clamp(p(hedge_percentile) of extension read latency).
     hedge_percentile: float = 99.0
     hedge_min_delay_us: float = 100.0

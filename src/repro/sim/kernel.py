@@ -795,6 +795,9 @@ class Chain(Event):
                     heapq.heappush(sim._heap, (sim.now + wait, sim._seq, self._thunk))
                 return
         except Exception as exc:
+            # Nothing is swallowed: the exception is stored in the chain's
+            # event for its waiters, re-raised, or (an abort the chain was
+            # built to absorb) finishes it as ABORTED.
             self._detach()
             self._abandon()
             if not self._spawned:

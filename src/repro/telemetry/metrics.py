@@ -171,7 +171,7 @@ def _read_unknown(instrument: Any) -> Optional[float]:
         if callable(candidate):
             try:
                 return float(candidate())
-            except Exception:
+            except (TypeError, ValueError):  # not a number: read as absent
                 return None
         if isinstance(candidate, (int, float)):
             return float(candidate)

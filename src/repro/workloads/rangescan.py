@@ -89,6 +89,8 @@ class RangeScanReport:
 
 
 def _start_keys(config: RangeScanConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw ``count`` range start keys.  ``config`` is anything with
+    RangeScanConfig's key fields (fleet tenants pass their TenantSpec)."""
     top = max(1, config.n_rows - config.range_size)
     if config.distribution == "uniform":
         return rng.integers(0, top, size=count)

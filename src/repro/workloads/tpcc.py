@@ -126,6 +126,11 @@ DEFAULT_MIX = {"new_order": 0.45, "payment": 0.43, "order_status": 0.04,
 READ_MOSTLY_MIX = {"new_order": 0.04, "payment": 0.04, "order_status": 0.01,
                    "delivery": 0.01, "stock_level": 0.90}
 
+#: NURand-like item skew: this fraction of item picks is drawn from the
+#: hot set, the first ``_HOT_ITEM_SHARE`` of the items.
+_HOT_ITEM_FRACTION = 0.9
+_HOT_ITEM_SHARE = 0.04
+
 
 @dataclass
 class TpccConfig:
@@ -133,9 +138,6 @@ class TpccConfig:
     workers: int = 100
     transactions_per_worker: int = 30
     mix: dict = field(default_factory=lambda: dict(DEFAULT_MIX))
-    #: Fraction of item picks drawn from the hot set (NURand-like skew).
-    hot_item_fraction: float = 0.9
-    hot_item_share: float = 0.04
     #: Lock discipline: "district" (coarse, deadlock-free, legacy
     #: contention profile) or "2pl" (row-granular strict 2PL).
     concurrency: str = "district"
@@ -242,10 +244,10 @@ def build_tpcc_database(db: Database, scale: TpccScale = TpccScale(), seed: int 
 # Transactions
 # ---------------------------------------------------------------------------
 
-def _pick_item(state: TpccState, rng, config: TpccConfig) -> int:
+def _pick_item(state: TpccState, rng) -> int:
     """NURand-like skew: most picks come from a small hot set."""
-    if rng.random() < config.hot_item_fraction:
-        return int(rng.integers(0, max(1, int(state.scale.items * config.hot_item_share))))
+    if rng.random() < _HOT_ITEM_FRACTION:
+        return int(rng.integers(0, max(1, int(state.scale.items * _HOT_ITEM_SHARE))))
     return int(rng.integers(0, state.scale.items))
 
 
@@ -274,7 +276,7 @@ def new_order(
     # Stock rows are shared by all districts of the warehouse and are
     # locked in random item order — the deadlock source under 2PL.
     for _line in range(int(rng.integers(5, 16))):
-        item = _pick_item(state, rng, config)
+        item = _pick_item(state, rng)
         stock_key = warehouse * state.scale.items + item
         yield from txn.update(
             state.stock, stock_key,

@@ -1,11 +1,16 @@
-"""The shared node assembler: every builder gets the same node, and
-each builder's set-up still lands on its recorded virtual clock."""
+"""The shared node and pool assemblers: every builder gets the same
+node and assembles its memory pool through one Topology, and each
+builder's set-up still lands on its recorded virtual clock."""
 
 import pytest
 
 from repro.dist import DistSpec, build_dist
+from repro.faults import FaultEngine
 from repro.fleet import FleetSpec, TenantSpec, build_fleet
 from repro.harness import Design, build_database, rebuild_extension
+from repro.harness.iobench import build_custom_multi, build_io_target, build_multi_db
+from repro.harness.node import Topology
+from repro.storage import GB
 from repro.tiers import TierDef, TierSpec
 
 ONE_REMOTE_TIER = TierSpec(
@@ -80,6 +85,47 @@ class TestBuilderEquivalence:
     def test_setup_clock_is_the_recorded_one(self, build, clock):
         setup = build()
         assert (setup.sim.now, setup.sim.events_processed) == clock
+
+
+#: Every public builder, each returning its set-ups as a list.
+EVERY_BUILDER = {
+    "database-ndspi": lambda: [build_database(
+        Design.CUSTOM, bp_pages=64, bpext_pages=128, n_memory_servers=2)],
+    "database-smb": lambda: [build_database(
+        Design.SMB_RAMDRIVE, bp_pages=64, bpext_pages=128, n_memory_servers=2)],
+    "dist": lambda: [build_dist(DistSpec(
+        name="pool", db_servers=2, memory_servers=2, ext_pages=(128, 128)))],
+    "fleet": lambda: [build_fleet(FleetSpec(
+        tenants=(TenantSpec("a", ext_pages=256, n_rows=1000),), memory_servers=2))],
+    "io-custom": lambda: [build_io_target("Custom", span_bytes=1 * GB)],
+    "custom-multi": lambda: [build_custom_multi(2, span_bytes=1 * GB)],
+    "multi-db": lambda: build_multi_db(2, per_db_span=1 * GB),
+}
+
+
+class TestOnePool:
+    @pytest.mark.parametrize("build", EVERY_BUILDER.values(), ids=list(EVERY_BUILDER))
+    def test_every_builder_assembles_its_pool_through_topology(self, build):
+        for setup in build():
+            assert isinstance(setup, Topology)
+            names = [server.name for server in setup.memory_servers]
+            assert names == [f"mem{index}" for index in range(len(names))]
+            if setup.broker is None:  # SMB: a RamDrive, no brokered regions
+                assert names and setup.proxies == {}
+            else:
+                assert list(setup.proxies) == names
+                assert all(p.broker is setup.broker for p in setup.proxies.values())
+            engine = FaultEngine.for_setup(setup)
+            assert engine.broker is setup.broker
+            assert engine.proxies == setup.proxies
+            assert set(engine.servers) == set(setup.cluster.servers)
+
+    def test_offer_memory_offers_every_proxy_in_order(self):
+        pool = build_io_target("SSD", span_bytes=1 * GB)
+        pool.add_memory_servers(2, memory_bytes=64 * GB, mr_bytes=1 * GB)
+        regions = pool.run(pool.offer_memory(2 * GB))
+        assert [region.server.name for region in regions] == ["mem0"] * 2 + ["mem1"] * 2
+        assert pool.broker.available_bytes() == 4 * GB
 
 
 class TestRebuild:

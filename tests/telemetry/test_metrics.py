@@ -106,3 +106,30 @@ class TestFlat:
         registry.register("ext.bytes", series)
         flat = registry.flat()
         assert flat["ext.bytes.total"] == 100
+
+
+class TestForeignInstruments:
+    def test_non_numeric_value_reads_as_absent(self):
+        class Label:
+            def value(self):
+                return "not a number"
+
+        class Nothing:
+            def value(self):
+                return None
+
+        registry = MetricsRegistry()
+        registry.register("label", Label())
+        registry.register("nothing", Nothing())
+        registry.register("raw", 42)
+        assert registry.flat() == {"raw": 42.0}
+
+    def test_other_errors_from_value_propagate(self):
+        class Broken:
+            def value(self):
+                raise KeyError("gone")
+
+        registry = MetricsRegistry()
+        registry.register("broken", Broken())
+        with pytest.raises(KeyError):
+            registry.flat()
