@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 import pytest
 
@@ -38,51 +38,42 @@ def once(benchmark):
 # ---------------------------------------------------------------------------
 
 
-def check_golden(
-    path: Path,
-    observed: dict,
-    section: Optional[str] = None,
-    description: Optional[str] = None,
-) -> None:
-    """Hold every cell of ``observed`` to the golden JSON file at ``path``.
+#: One golden file per golden-bearing benchmark: ``<name>.json``.
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
-    The file maps cell names to recorded values, either at its top level
-    or under ``section``.  Virtual time is exact, so a missing file or
-    cell fails and a recorded cell must match field for field; the
-    failure names the differing fields and the refresh command.  A
-    ``section`` belongs to one run, so it must also hold no cell that
-    run no longer produces.  The top level is shared by several runs
-    (one per parametrised case), so there only the observed cells count.
 
-    ``REPRO_UPDATE_BENCH=1`` is the one refresh switch: it writes
-    ``observed`` (and ``description``) into the file instead, replacing
-    the whole ``section`` or, at the top level, just the observed cells.
+def check_golden(name: str, cells: dict, description: str) -> None:
+    """Hold every cell of ``cells`` to the golden file ``goldens/<name>.json``.
+
+    Every golden file has one shape, ``{"description": ..., "cells":
+    {...}}``, and is owned by one run that produces all of its cells.
+    Virtual time is exact, so a missing file or cell fails, a recorded
+    cell must match field for field (the failure names the differing
+    fields and the refresh command), and a recorded cell the run no
+    longer produces fails too.
+
+    ``REPRO_UPDATE_BENCH=1`` is the one refresh switch: it rewrites the
+    whole file from ``description`` and ``cells`` instead of checking.
     """
+    path = GOLDENS / f"{name}.json"
     test_file = os.environ.get("PYTEST_CURRENT_TEST", "").split("::")[0]
     refresh = f"REPRO_UPDATE_BENCH=1 PYTHONPATH=src python -m pytest {test_file} -o testpaths="
-    golden = json.loads(path.read_text()) if path.exists() else {}
     if os.environ.get("REPRO_UPDATE_BENCH", "") == "1":
-        if description is not None:
-            golden["description"] = description
-        if section:
-            golden[section] = observed
-        else:
-            golden.update(observed)
+        golden = {"description": description, "cells": cells}
         path.write_text(json.dumps(golden, indent=2) + "\n")
         return
     assert path.exists(), f"golden {path.name} is missing; record it with {refresh}"
-    cells = golden.get(section, {}) if section else golden
-    if section:
-        stale = sorted(set(cells) - set(observed))
-        assert not stale, (
-            f"{path.name}[{section!r}] has cells the run no longer produces: {stale} "
-            f"— if the change is deliberate, refresh with {refresh}"
-        )
-    for name, value in observed.items():
-        assert name in cells, f"{path.name} has no cell {name!r}; record it with {refresh}"
-        drift = _drift(cells[name], value)
+    golden = json.loads(path.read_text())["cells"]
+    stale = sorted(set(golden) - set(cells))
+    assert not stale, (
+        f"{path.name} has cells the run no longer produces: {stale} "
+        f"— if the change is deliberate, refresh with {refresh}"
+    )
+    for cell, value in cells.items():
+        assert cell in golden, f"{path.name} has no cell {cell!r}; record it with {refresh}"
+        drift = _drift(golden[cell], value)
         assert not drift, (
-            f"{path.name}[{name!r}] drifted from its golden (field: (golden, observed)): "
+            f"{path.name}[{cell!r}] drifted from its golden (field: (golden, observed)): "
             f"{drift} — if the change is deliberate, refresh with {refresh}"
         )
 

@@ -9,30 +9,29 @@ golden numbers — **bit-identical**, not approximate.  The simulation is
 deterministic by construction, so any difference means a refactor
 changed engine behavior, not just code structure.
 
-A missing golden fails like a drifted one.  Recording goldens (only
-when a *deliberate* cost-model change lands, or a design is added)::
+One run produces all fourteen cells of the golden file
+``benchmarks/goldens/design_parity.json``; a missing, drifted or stale
+cell fails.  Recording goldens (only when a *deliberate* cost-model change lands, or
+a design is added)::
 
     REPRO_UPDATE_BENCH=1 PYTHONPATH=src \
         python -m pytest benchmarks/test_design_parity.py -q -o testpaths=
 
-rewrites the cells of the designs it runs (select some with ``-k``) and
-leaves the others untouched.
+rewrites the whole file.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
+import conftest
 from conftest import check_golden
 
 from repro.harness import Design, build_database, prewarm_extension
 from repro.harness.dbbench import prewarm_pool
 from repro.workloads import RangeScanConfig, build_customer_table, run_rangescan
-
-GOLDEN_PATH = Path(__file__).resolve().parent / "golden_parity.json"
 
 #: Deliberately small: the point is determinism, not the paper's shape.
 N_ROWS = 24_000
@@ -93,47 +92,48 @@ def run_parity_case(design: Design, workload: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("design", PARITY_DESIGNS, ids=lambda d: d.value)
-def test_design_parity(design: Design, workload: str):
-    check_golden(GOLDEN_PATH, {f"{design.value}/{workload}": run_parity_case(design, workload)})
+def test_design_parity():
+    check_golden(
+        "design_parity",
+        {
+            f"{design.value}/{workload}": run_parity_case(design, workload)
+            for design in PARITY_DESIGNS
+            for workload in WORKLOADS
+        },
+        description="Table-5 designs x (RangeScan with 20 % updates, analytic "
+                    "read-only RangeScan): virtual clock, hit counters and "
+                    "latency aggregates; virtual-time exact golden",
+    )
 
 
 def test_check_golden(tmp_path, monkeypatch):
     """The golden helper every virtual-time benchmark uses: a missing
-    file or cell fails, drift fails naming the field, a section with a
-    cell the run no longer produces fails, and only
-    ``REPRO_UPDATE_BENCH=1`` writes — replacing a whole section, but
-    merging cells at the shared top level."""
+    file or cell fails, drift fails naming the field, a cell the run no
+    longer produces fails, and only ``REPRO_UPDATE_BENCH=1`` writes —
+    replacing the whole file with ``{"description", "cells"}``."""
+    monkeypatch.setattr(conftest, "GOLDENS", tmp_path)
     monkeypatch.delenv("REPRO_UPDATE_BENCH", raising=False)
     path = tmp_path / "golden.json"
     cell = {"clock_us": 1.5, "nested": {"hits": 3}}
-    observed = {"cell": cell, "stale": {}}
+    cells = {"cell": cell, "stale": {}}
     with pytest.raises(AssertionError, match="missing; record it with REPRO_UPDATE_BENCH=1"):
-        check_golden(path, observed, section="results")
+        check_golden("golden", cells, "a test golden")
     assert not path.exists()
 
     monkeypatch.setenv("REPRO_UPDATE_BENCH", "1")
-    check_golden(path, observed, section="results", description="a test golden")
-    assert json.loads(path.read_text()) == {"results": observed, "description": "a test golden"}
+    check_golden("golden", cells, "a test golden")
+    assert json.loads(path.read_text()) == {"description": "a test golden", "cells": cells}
     monkeypatch.delenv("REPRO_UPDATE_BENCH")
-    check_golden(path, observed, section="results")
+    check_golden("golden", cells, "a test golden")
 
-    with pytest.raises(AssertionError, match=r"no longer produces: \['stale'\]"):
-        check_golden(path, {"cell": cell}, section="results")
     with pytest.raises(AssertionError, match="no cell 'other'; record it"):
-        check_golden(path, {**observed, "other": {}}, section="results")
+        check_golden("golden", {**cells, "other": {}}, "a test golden")
     drifted = {"cell": {"clock_us": 1.5, "nested": {"hits": 4}}, "stale": {}}
     with pytest.raises(AssertionError, match=r"'nested/hits': \(3, 4\)"):
-        check_golden(path, drifted, section="results")
+        check_golden("golden", drifted, "a test golden")
+    with pytest.raises(AssertionError, match=r"no longer produces: \['stale'\]"):
+        check_golden("golden", {"cell": cell}, "a test golden")
 
     monkeypatch.setenv("REPRO_UPDATE_BENCH", "1")
-    check_golden(path, {"cell": cell}, section="results")
-    assert json.loads(path.read_text())["results"] == {"cell": cell}
-
-    flat = tmp_path / "flat.json"
-    check_golden(flat, {"a": 1, "b": 2})
-    check_golden(flat, {"b": 3})
-    assert json.loads(flat.read_text()) == {"a": 1, "b": 3}
-    monkeypatch.delenv("REPRO_UPDATE_BENCH")
-    check_golden(flat, {"a": 1})
+    check_golden("golden", {"cell": cell}, "refreshed")
+    assert json.loads(path.read_text()) == {"description": "refreshed", "cells": {"cell": cell}}

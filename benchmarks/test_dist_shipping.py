@@ -10,7 +10,7 @@ Bloom-filter semi-join pushdown and demands fewer shuffled bytes for
 the same answer.
 
 Everything runs in virtual time, so the recorded numbers are exact:
-``BENCH_dist.json`` is a golden (like ``BENCH_fleet.json``), and drift
+``benchmarks/goldens/dist_shipping.json`` is a golden, and drift
 means exchange/planner behavior changed and needs a deliberate
 refresh::
 
@@ -21,7 +21,6 @@ refresh::
 from __future__ import annotations
 
 import zlib
-from pathlib import Path
 
 from conftest import check_golden
 
@@ -30,8 +29,6 @@ from repro.harness import format_table
 from repro.plan import Join, PlanNode, Project, Scan, TopN
 from repro.storage import MB
 from repro.workloads import TpchScale, tpch_returnflag_agg_plan, tpch_star_join_plan
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_dist.json"
 
 SCALE = TpchScale(orders=400, lines_per_order=2, customers=100, parts=80, suppliers=20)
 CLUSTER_SIZES = (2, 4)
@@ -206,7 +203,7 @@ def test_dist_shipping_axis(once):
     )
 
     check_golden(
-        BENCH_PATH, cells, section="results",
+        "dist_shipping", cells,
         description="page vs query vs hybrid shipping: 2 TPC-H joins "
                     "x 2 cluster sizes x 3 strategies + semi-join "
                     "pushdown + IR-plan star join and two-phase "

@@ -17,8 +17,8 @@ from demand signals:
   survived.
 
 Everything runs in virtual time, so the recorded numbers are exact:
-``BENCH_fleet.json`` is a golden (like the design-parity clocks), and
-drift means fleet behavior changed and needs a deliberate refresh::
+``benchmarks/goldens/fleet_marketplace.json`` is a golden, and drift
+means fleet behavior changed and needs a deliberate refresh::
 
     REPRO_UPDATE_BENCH=1 PYTHONPATH=src \\
         python -m pytest benchmarks/test_fleet_marketplace.py -o testpaths=
@@ -49,7 +49,6 @@ from repro.fleet import (
 )
 from repro.telemetry import install, validate_chrome_trace, write_chrome_trace
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 TRACE_DIR = Path(os.environ.get("REPRO_TRACE_DIR", tempfile.gettempdir()))
 
 POLICY = MarketplacePolicy(period_us=1e6, cooldown_us=4e6, min_delta_pages=256)
@@ -169,7 +168,7 @@ def test_fleet_marketplace():
             assert record["queries"] > 0, f"{tenant} starved during the storm ({mode})"
 
     check_golden(
-        BENCH_PATH, scenarios, section="scenarios",
+        "fleet_marketplace", scenarios,
         description="static partitioning vs marketplace rebalancing; "
                     "virtual-time exact golden",
     )

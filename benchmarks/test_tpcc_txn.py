@@ -11,17 +11,14 @@ Custom design and demands zero committed-data loss and zero leaked
 locks.
 
 Everything runs in virtual time, so the recorded numbers are exact:
-``BENCH_tpcc_txn.json`` is a golden (like ``BENCH_fleet.json``), and
-drift means concurrency-control behavior changed and needs a deliberate
-refresh::
+``benchmarks/goldens/tpcc_txn.json`` is a golden, and drift means
+concurrency-control behavior changed and needs a deliberate refresh::
 
     REPRO_UPDATE_BENCH=1 PYTHONPATH=src \\
         python -m pytest benchmarks/test_tpcc_txn.py -o testpaths=
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from conftest import check_golden
 
@@ -35,8 +32,6 @@ from repro.harness import (
 )
 from repro.txn import check_serializable, committed_row_images
 from repro.workloads import TpccConfig, TpccScale, build_tpcc_database, run_tpcc
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_tpcc_txn.json"
 
 SCALE = TpccScale(warehouses=4, items=200, history_orders=40)
 DESIGNS = [Design.HDD_SSD, Design.SMB_RAMDRIVE, Design.CUSTOM]
@@ -194,7 +189,7 @@ def test_tpcc_txn_conflict_axis(once):
     assert chaos["serializable"]
 
     check_golden(
-        BENCH_PATH, results, section="results",
+        "tpcc_txn", results,
         description="TPC-C under strict 2PL: throughput + abort rate "
                     "vs conflict rate x design; virtual-time exact "
                     "golden",

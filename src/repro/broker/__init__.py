@@ -8,13 +8,12 @@ from .broker import (
     PlacementHook,
 )
 from .lease import Lease, LeaseState
-from .metadata import CasConflict, MetadataStore
+from .metadata import MetadataStore
 from .proxy import DEFAULT_MR_BYTES, MemoryProxy
 
 __all__ = [
     "BrokerError",
     "BrokerUnavailable",
-    "CasConflict",
     "DEFAULT_MR_BYTES",
     "InsufficientMemory",
     "Lease",

@@ -3,8 +3,8 @@
 The paper stores all broker state in Zookeeper so that a broker failure
 is tolerated by electing a new broker (Section 4.2).  We model the store
 as a linearizable key-value service with a fixed operation latency
-(quorum round trip) and support for compare-and-set, which is all the
-lease machinery needs.
+(quorum round trip).  The broker writes, deletes and lists keys; a
+re-elected broker replays the ``leases/`` prefix.
 """
 
 from __future__ import annotations
@@ -14,51 +14,25 @@ from typing import Any, Optional
 from ..sim import Simulator
 from ..sim.kernel import ProcessGenerator
 
-__all__ = ["MetadataStore", "CasConflict"]
-
-
-class CasConflict(RuntimeError):
-    """Raised when a compare-and-set loses to a concurrent writer."""
+__all__ = ["MetadataStore"]
 
 
 class MetadataStore:
-    """Zookeeper-flavoured KV store: versioned entries, quorum latency."""
+    """Zookeeper-flavoured KV store: every operation costs a quorum round."""
 
     def __init__(self, sim: Simulator, op_latency_us: float = 200.0):
         self.sim = sim
         self.op_latency_us = op_latency_us
-        self._data: dict[str, tuple[int, Any]] = {}
+        self._data: dict[str, Any] = {}
         self.operations = 0
 
     def _charge(self) -> ProcessGenerator:
         self.operations += 1
         yield self.sim.timeout(self.op_latency_us)
 
-    def get(self, key: str) -> ProcessGenerator:
-        """Return ``(version, value)`` or ``None`` if absent."""
-        yield from self._charge()
-        return self._data.get(key)
-
     def put(self, key: str, value: Any) -> ProcessGenerator:
-        """Unconditional write; returns the new version."""
         yield from self._charge()
-        version = self._data[key][0] + 1 if key in self._data else 1
-        self._data[key] = (version, value)
-        return version
-
-    def cas(self, key: str, expected_version: int, value: Any) -> ProcessGenerator:
-        """Write only if the current version matches; returns new version.
-
-        ``expected_version == 0`` means "create only if absent".
-        """
-        yield from self._charge()
-        current = self._data.get(key)
-        current_version = current[0] if current is not None else 0
-        if current_version != expected_version:
-            raise CasConflict(f"{key}: version {current_version} != {expected_version}")
-        version = current_version + 1
-        self._data[key] = (version, value)
-        return version
+        self._data[key] = value
 
     def delete(self, key: str) -> ProcessGenerator:
         yield from self._charge()
@@ -66,13 +40,12 @@ class MetadataStore:
 
     def keys(self, prefix: str = "") -> ProcessGenerator:
         yield from self._charge()
-        return sorted(k for k in self._data if k.startswith(prefix))
+        return self.peek_keys(prefix)
 
     # Synchronous peeks for tests/assertions (no latency charged).
 
     def peek(self, key: str) -> Optional[Any]:
-        entry = self._data.get(key)
-        return entry[1] if entry is not None else None
+        return self._data.get(key)
 
     def peek_keys(self, prefix: str = "") -> list[str]:
         """Sorted keys under ``prefix`` without charging quorum latency."""

@@ -12,7 +12,6 @@ of a database, which is what the buffer pool keys frames by.
 from __future__ import annotations
 
 import enum
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -75,20 +74,6 @@ class Page:
             lsn=self.lsn,
             meta={k: (list(v) if isinstance(v, list) else v) for k, v in self.meta.items()},
         )
-
-    # -- byte fidelity -----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize for byte-faithful paths (priming files, tests)."""
-        return pickle.dumps(
-            (self.page_id, self.kind.value, self.rows, self.lsn, self.meta),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "Page":
-        page_id, kind, rows, lsn, meta = pickle.loads(payload)
-        return cls(page_id=tuple(page_id), kind=PageKind(kind), rows=rows, lsn=lsn, meta=meta)
 
     @classmethod
     def build(

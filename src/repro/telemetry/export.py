@@ -80,7 +80,7 @@ def validate_chrome_trace(obj: Any) -> list[dict[str, Any]]:
 
     Returns the event list on success; raises ``ValueError`` describing
     the first malformed event otherwise.  Used by the exporter tests
-    and by the CI trace-smoke job.
+    and by ``examples/trace_a_query.py`` on the trace it writes.
     """
     if not isinstance(obj, dict) or "traceEvents" not in obj:
         raise ValueError("trace must be an object with a 'traceEvents' key")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.broker import (
     BrokerUnavailable,
-    CasConflict,
     InsufficientMemory,
     LeaseState,
     MemoryBroker,
@@ -41,29 +40,13 @@ class TestMetadataStore:
         cluster = Cluster()
         store = MetadataStore(cluster.sim)
         complete(cluster.sim, store.put("k", {"v": 1}))
-        version, value = complete(cluster.sim, store.get("k"))
-        assert version == 1 and value == {"v": 1}
+        assert store.peek("k") == {"v": 1}
 
     def test_operations_cost_latency(self):
         cluster = Cluster()
         store = MetadataStore(cluster.sim, op_latency_us=200)
         complete(cluster.sim, store.put("k", 1))
         assert cluster.sim.now == pytest.approx(200)
-
-    def test_cas_succeeds_on_matching_version(self):
-        cluster = Cluster()
-        store = MetadataStore(cluster.sim)
-        complete(cluster.sim, store.put("k", "a"))
-        version = complete(cluster.sim, store.cas("k", 1, "b"))
-        assert version == 2
-        assert store.peek("k") == "b"
-
-    def test_cas_conflict(self):
-        cluster = Cluster()
-        store = MetadataStore(cluster.sim)
-        complete(cluster.sim, store.put("k", "a"))
-        with pytest.raises(CasConflict):
-            complete(cluster.sim, store.cas("k", 99, "b"))
 
     def test_keys_prefix_listing(self):
         cluster = Cluster()

@@ -12,7 +12,8 @@ from repro.dist import (
     execute_plan,
     place_exchanges,
 )
-from repro.plan import Aggregate, Exchange, Join, walk
+from repro.plan import Aggregate, Exchange, Join, Project, Scan, TopN, walk
+from repro.storage import MB
 from repro.workloads import (
     TpchScale,
     tpch_order_lines_plan,
@@ -26,12 +27,12 @@ SPEC = DistSpec(name="plandist", db_servers=2, bp_pages=400, tempdb_pages=256,
                 data_spindles=2, db_cores=4)
 
 
-def run_all_strategies(plan, name, spec=SPEC, scale=SMALL, seed=3):
+def run_all_strategies(plan, name, spec=SPEC, scale=SMALL, seed=3, **options):
     results = {}
     for strategy in (Strategy.PAGE, Strategy.QUERY, Strategy.HYBRID):
         setup = build_strategy(strategy, spec, total_ext_pages=512,
                                scale=scale, seed=seed)
-        results[strategy.value] = execute_plan(setup, plan, name=name)
+        results[strategy.value] = execute_plan(setup, plan, name=name, **options)
     return results
 
 
@@ -130,3 +131,37 @@ class TestSkewUnderMinimalCredits:
         assert stalled.rows == baseline.rows
         assert len(stalled.rows) == 300
         assert stalled.metrics["credit_stalls_us"] > 0
+
+
+
+class TestRerunInOneProcess:
+    """Running the same plan again in the same process, under every
+    strategy, reproduces it exactly: no state leaks between runs."""
+
+    SPEC = replace(SPEC, name="rerun", bp_pages=160)
+    CUST_ORDERS = TopN(Project(
+        Join(Scan("customer", conditions=(("acctbal", "<", 50.0),)), Scan("orders"),
+             "customer.custkey", "orders.custkey", semijoin=True),
+        ("customer.custkey", "customer.acctbal", "orders.orderkey", "orders.totalprice"),
+    ), 250)
+    PLANS = {
+        "star_join": (tpch_star_join_plan(top_n=200), {}),
+        "returnflag_agg": (tpch_returnflag_agg_plan(), {}),
+        "cust_orders": (CUST_ORDERS, {"memory_bytes": 8 * MB, "memory_consumers": 2}),
+    }
+
+    def run_once(self):
+        return {
+            (name, strategy): (result.rows, result.elapsed_us, result.metrics)
+            for name, (plan, options) in self.PLANS.items()
+            for strategy, result in run_all_strategies(
+                plan, name, spec=self.SPEC, seed=9, **options).items()
+        }
+
+    def test_two_runs_bit_identical_and_strategies_agree(self):
+        first, second = self.run_once(), self.run_once()
+        assert first == second
+        for name in self.PLANS:
+            page, query, hybrid = (first[name, s] for s in ("page", "query", "hybrid"))
+            assert page[0] == query[0] == hybrid[0] and page[0], name
+            assert query[2] != page[2], name  # placement differs

@@ -31,17 +31,6 @@ class TestPage:
         page.meta["children"].append(3)
         assert snapshot.meta["children"] == [1, 2]
 
-    def test_byte_serialization_roundtrip(self):
-        page = Page.build(3, 7, [(1, "x", 2.5)], kind=PageKind.BTREE_LEAF)
-        page.lsn = 99
-        page.meta["next"] = 8
-        restored = Page.from_bytes(page.to_bytes())
-        assert restored.page_id == (3, 7)
-        assert restored.rows == [(1, "x", 2.5)]
-        assert restored.lsn == 99
-        assert restored.meta["next"] == 8
-        assert restored.kind is PageKind.BTREE_LEAF
-
 
 class TestDevicePageFile:
     def test_write_read_roundtrip(self, rig):

@@ -57,7 +57,7 @@ class TestTwoTableJoin:
         assert isinstance(join.probe, TableScan) and join.probe.predicate is None
         # Lowering is pure: a second lowering has the same shape and rows.
         # (Bit-identical virtual-time cost is asserted end-to-end by the
-        # BENCH_dist goldens.)
+        # dist_shipping golden.)
         again = lower_single(CUST_ORDERS, tables, TPCH_SCHEMAS)
         assert explain_physical(again) == explain_physical(op)
         first = rig.execute(op)
