@@ -50,11 +50,9 @@ def run_experiment(inject_fault: bool, use_extension: bool = True):
         extension.enabled = False  # local-disk baseline: every miss hits the HDDs
 
     monitor = RecoveryMonitor(setup.sim)
-    monitor.track_extension(extension)
     if inject_fault:
         engine = FaultEngine.for_setup(
             setup,
-            monitor=monitor,
             on_provider_restored=lambda _name: rebuild_extension(setup),
         )
         plan = FaultPlan().crash(

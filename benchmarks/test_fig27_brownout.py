@@ -99,14 +99,10 @@ def run_experiment(reliability: bool, storm: bool, use_extension: bool = True):
         extension.enabled = False  # local-disk baseline
 
     monitor = RecoveryMonitor(setup.sim)
-    monitor.track_extension(extension)
     layer = setup.reliability
-    if layer is not None:
-        monitor.track_reliability(layer)
     if storm:
         engine = FaultEngine.for_setup(
             setup,
-            monitor=monitor,
             # A crashed provider lost its leases: re-acquire on restore
             # (same operator response as the fig26b experiment).
             on_provider_restored=lambda _name: rebuild_extension(setup),

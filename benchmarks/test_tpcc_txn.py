@@ -93,11 +93,8 @@ def run_chaos_cell(seed: int = 7) -> dict:
     setup, db, state = build(Design.CUSTOM, seed=seed)
     manager = db.transactions(record_history=True)
     monitor = RecoveryMonitor(setup.sim)
-    monitor.track_extension(db.pool.extension)
-    monitor.track_transactions(manager)
     engine = FaultEngine.for_setup(
-        setup, monitor=monitor,
-        on_provider_restored=lambda _name: rebuild_extension(setup),
+        setup, on_provider_restored=lambda _name: rebuild_extension(setup),
     )
     base = setup.sim.now
     plan = (

@@ -31,12 +31,10 @@ def run(inject_fault: bool):
     prewarm_extension(setup)  # steady state: extension already warm
     extension = setup.database.pool.extension
 
-    monitor = RecoveryMonitor(setup.sim)
-    monitor.track_extension(extension)  # stamps detection, counts re-faults
+    monitor = RecoveryMonitor(setup.sim)  # sees every fault, re-fault and breaker event
     if inject_fault:
         engine = FaultEngine.for_setup(
             setup,
-            monitor=monitor,
             # Once the provider's memory is re-offered, swap a fresh
             # remote store into the extension (it re-warms via eviction).
             on_provider_restored=lambda _name: rebuild_extension(setup),

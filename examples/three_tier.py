@@ -52,7 +52,7 @@ def main() -> None:
     print("-" * 58)
     print(f"{'DRAM pool hits':28s}: {pool.hits:10,d}")
     for tier in stack.levels:
-        print(f"{tier.name + ' (' + tier.latency_class + ') hits':28s}: "
+        print(f"{tier.name + ' (' + tier.medium + ') hits':28s}: "
               f"{tier.hits:10,d}   parked {tier.parked_pages:,d}"
               f"/{tier.capacity_pages:,d} pages")
     print(f"{'base-file (HDD) reads':28s}: {pool.base_reads:10,d}")

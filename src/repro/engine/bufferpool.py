@@ -71,7 +71,9 @@ class BufferPoolExtension:
         for level in self.levels:
             self.replace_store(level, level.store)
         self._lower = tuple(self.levels[1:])
-        self.sim = self.levels[0].store.server.sim
+        #: The database server whose pool this extends (names its events).
+        self.server = self.levels[0].store.server
+        self.sim = self.server.sim
         #: Optional reliability layer (set via BufferPool.attach_reliability):
         #: routes around quarantined providers and classifies deadline
         #: expiries as transient instead of data loss.
@@ -94,9 +96,6 @@ class BufferPoolExtension:
         #: Reads whose slot was freed (and perhaps re-used for another
         #: page) under them.  Served as a miss.
         self.stale_slot_reads = 0
-        #: Observers called with the page id whenever a remote failure is
-        #: detected on the access path (fault-detection latency probes).
-        self.fault_listeners: list[Callable[[PageId], None]] = []
         #: Observers called with ``(provider, lost_page_ids)`` after an
         #: ``on_fault`` sweep — the media-loss signal transaction
         #: managers use to doom in-flight transactions whose working set
@@ -395,8 +394,7 @@ class BufferPoolExtension:
         store, so correctness is never affected.
         """
         level.failures += 1
-        for listener in self.fault_listeners:
-            listener(page_id)
+        self.sim.log("bpext.refault", server=self.server.name, page_id=page_id)
         if level.slots.pop(page_id, None) is None and slot in level.free:
             # A concurrent access already reclaimed this slot.
             return

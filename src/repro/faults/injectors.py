@@ -6,8 +6,9 @@ added for this subsystem — ``Server.fail()/restore()``,
 ``MemoryBroker.fail_provider()/force_expire()/fail()/recover()`` and
 ``BufferPoolExtension.on_fault()`` — never through another layer's
 private state.  The :class:`FaultEngine` schedules specs in virtual
-time, dispatches them to the right injector and reports every event to
-an optional monitor (see :mod:`repro.faults.recovery`).
+time, dispatches them to the right injector and logs ``fault.injected``,
+``fault.active`` and ``fault.restored`` events on the simulator (a
+:class:`~repro.faults.recovery.RecoveryMonitor` observes them).
 """
 
 from __future__ import annotations
@@ -215,7 +216,6 @@ class FaultEngine:
         broker: Any = None,
         proxies: Optional[dict[str, Any]] = None,
         extensions: Sequence[Any] = (),
-        monitor: Any = None,
         rng: Optional[np.random.Generator] = None,
         on_provider_restored: Optional[Callable[[str], Any]] = None,
     ):
@@ -225,7 +225,6 @@ class FaultEngine:
         self.proxies = proxies or {}
         #: Buffer-pool extensions a crash sweeps, in this order.
         self.extensions = list(extensions)
-        self.monitor = monitor
         self.rng = rng if rng is not None else np.random.default_rng(0)
         #: Called with the provider name after a crashed server is
         #: restored; may return a generator to run in sim time (e.g.
@@ -246,7 +245,6 @@ class FaultEngine:
     def for_setup(
         cls,
         setup: Topology,
-        monitor: Any = None,
         rng: Optional[np.random.Generator] = None,
         on_provider_restored: Optional[Callable[[str], Any]] = None,
     ) -> "FaultEngine":
@@ -268,7 +266,6 @@ class FaultEngine:
                 for database in getattr(setup, "databases", ())
                 if database.pool.extension is not None
             ],
-            monitor=monitor,
             rng=rng,
             on_provider_restored=on_provider_restored,
         )
@@ -287,12 +284,10 @@ class FaultEngine:
     def fire(self, spec: FaultSpec) -> ProcessGenerator:
         """Inject one fault now; schedules its restoration if timed."""
         injector = self.injectors[spec.kind]
-        if self.monitor is not None:
-            self.monitor.fault_injected(spec)
+        self.sim.log("fault.injected", server=spec.target, spec=spec)
         details = yield from injector.inject(spec)
         self.faults_fired += 1
-        if self.monitor is not None:
-            self.monitor.fault_active(spec, details or {})
+        self.sim.log("fault.active", server=spec.target, spec=spec, details=details or {})
         if spec.restore_at_us is not None:
             self.sim.spawn(self._restore_later(spec), name=f"restore:{spec.kind.value}")
         return details
@@ -300,8 +295,7 @@ class FaultEngine:
     def _restore_later(self, spec: FaultSpec) -> ProcessGenerator:
         yield self.sim.timeout(spec.duration_us)
         details = yield from self.injectors[spec.kind].restore(spec)
-        if self.monitor is not None:
-            self.monitor.fault_restored(spec, details or {})
+        self.sim.log("fault.restored", server=spec.target, spec=spec, details=details or {})
 
     def run_plan(self, plan: FaultPlan) -> Process:
         """Spawn a driver process that replays ``plan`` in virtual time."""

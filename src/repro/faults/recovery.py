@@ -1,13 +1,15 @@
 """Recovery observation: per-fault detection and recovery metrics.
 
-The :class:`RecoveryMonitor` plugs into the :class:`FaultEngine` (as its
-``monitor``) and into the buffer-pool extension's ``fault_listeners``
-hook, and records one :class:`FaultRecord` per injected fault:
+A :class:`RecoveryMonitor` subscribes to its simulator's event log
+(:meth:`~repro.sim.Simulator.log`) and records one :class:`FaultRecord`
+per injected fault, from every component on that simulator:
 
 * ``detected_at_us`` — first time the workload *observed* the fault
-  (an access hit a dead remote slot and re-faulted from the base file);
+  (an access hit a dead remote slot and re-faulted from the base file,
+  or a circuit breaker opened);
 * ``pages_lost`` — parked pages invalidated at injection;
 * ``refaults`` — accesses that fell back to the base file afterwards;
+* ``txns_doomed`` — in-flight transactions the injection doomed;
 * ``restored_at_us`` — when the injected condition was healed;
 * ``recovered_at_us`` — when observed throughput climbed back to a
   caller-supplied rate (``watch(..., recovered_at=rate)``).
@@ -47,8 +49,7 @@ class FaultRecord:
     breaker_transitions: list[tuple[float, str, str, str]] = field(default_factory=list)
     #: Hedged reads won by the backup medium during this fault.
     hedge_wins: int = 0
-    #: In-flight transactions doomed by this fault's media loss (see
-    #: :meth:`RecoveryMonitor.track_transactions`).
+    #: In-flight transactions doomed by this fault's media loss.
     txns_doomed: int = 0
 
     @property
@@ -66,96 +67,65 @@ class FaultRecord:
 
 
 class RecoveryMonitor:
-    """Collects :class:`FaultRecord`s; the FaultEngine's ``monitor``."""
+    """Collects :class:`FaultRecord`s from the simulator's event log.
+
+    Constructing one subscribes it to ``sim.observers``, so it sees every
+    component of the topology on that simulator with no further wiring.
+    Observations after a fault are attributed to the most recent record,
+    so a replayed experiment reproduces the exact same attribution.
+    """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.records: list[FaultRecord] = []
         self.series: dict[str, list[tuple[float, float]]] = {}
-        self._txn_managers: list[Any] = []
-        self._dooms_at_inject = 0
+        #: The record whose injection is under way: media loss dooms
+        #: transactions synchronously, between ``fault.injected`` and
+        #: ``fault.active``.
+        self._injecting: Optional[FaultRecord] = None
+        sim.observers.append(self._observe)
 
-    # -- FaultEngine callbacks --------------------------------------------
-
-    def fault_injected(self, spec: FaultSpec) -> None:
-        self._dooms_at_inject = self._txn_dooms()
-        self.records.append(FaultRecord(spec=spec, injected_at_us=self.sim.now))
-
-    def fault_active(self, spec: FaultSpec, details: dict[str, Any]) -> None:
-        record = self._record_for(spec)
-        if record is not None:
-            record.inject_details = dict(details)
-            record.pages_lost = int(details.get("pages_lost", 0))
-            record.txns_doomed = self._txn_dooms() - self._dooms_at_inject
-
-    def fault_restored(self, spec: FaultSpec, details: dict[str, Any]) -> None:
-        record = self._record_for(spec)
-        if record is not None:
-            record.restored_at_us = self.sim.now
-            record.restore_details = dict(details)
+    def _observe(self, now: float, kind: str, fields: dict[str, Any]) -> None:
+        if kind == "fault.injected":
+            self._injecting = FaultRecord(spec=fields["spec"], injected_at_us=now)
+            self.records.append(self._injecting)
+        elif kind == "fault.active":
+            record = self._record_for(fields["spec"])
+            if record is not None:
+                record.inject_details = dict(fields["details"])
+                record.pages_lost = int(record.inject_details.get("pages_lost", 0))
+                if self._injecting is record:
+                    self._injecting = None
+        elif kind == "fault.restored":
+            record = self._record_for(fields["spec"])
+            if record is not None:
+                record.restored_at_us = now
+                record.restore_details = dict(fields["details"])
+        elif kind == "txn.doomed":
+            if self._injecting is not None:
+                self._injecting.txns_doomed += 1
+        elif self.records:
+            record = self.records[-1]
+            if kind == "bpext.refault":
+                if record.detected_at_us is None:
+                    record.detected_at_us = now
+                record.refaults += 1
+            elif kind == "breaker":
+                new = fields["new"].value
+                record.breaker_transitions.append(
+                    (now, fields["provider"], fields["old"].value, new)
+                )
+                if record.detected_at_us is None and new == "open":
+                    # Tripping a breaker *is* detecting the fault.
+                    record.detected_at_us = now
+            elif kind == "hedge.backup_win":
+                record.hedge_wins += 1
 
     def _record_for(self, spec: FaultSpec) -> Optional[FaultRecord]:
         for record in reversed(self.records):
             if record.spec is spec:
                 return record
         return None
-
-    # -- extension hook ----------------------------------------------------
-
-    def track_extension(self, extension: Any) -> None:
-        """Subscribe to BPExt failure events for detection/re-fault stats."""
-        extension.fault_listeners.append(self._on_page_fault)
-
-    def _on_page_fault(self, page_id: Any) -> None:
-        if not self.records:
-            return
-        record = self.records[-1]
-        if record.detected_at_us is None:
-            record.detected_at_us = self.sim.now
-        record.refaults += 1
-
-    # -- transaction-layer hook --------------------------------------------
-
-    def track_transactions(self, manager: Any) -> None:
-        """Attribute transaction dooms to fault records.
-
-        Dooming is synchronous with injection (media loss fires the
-        extension's ``loss_listeners`` inline), so the delta in the
-        manager's ``dooms`` counter between injection and activation is
-        exactly the set of transactions this fault killed.
-        """
-        self._txn_managers.append(manager)
-
-    def _txn_dooms(self) -> int:
-        return sum(int(manager.dooms) for manager in self._txn_managers)
-
-    # -- reliability-layer hook --------------------------------------------
-
-    def track_reliability(self, layer: Any) -> None:
-        """Correlate breaker transitions and hedge wins with faults.
-
-        Subscribes to the layer's breaker-transition and hedge-win
-        streams; each observation is attributed to the most recent fault
-        record, so a replayed experiment reproduces the exact same
-        attribution.
-        """
-        layer.breakers.transition_listeners.append(self._on_breaker_transition)
-        layer.hedge.win_listeners.append(self._on_hedge_win)
-
-    def _on_breaker_transition(
-        self, provider: str, old: Any, new: Any, at_us: float
-    ) -> None:
-        if not self.records:
-            return
-        record = self.records[-1]
-        record.breaker_transitions.append((at_us, provider, old.value, new.value))
-        if record.detected_at_us is None and new.value == "open":
-            # Tripping a breaker *is* detecting the fault.
-            record.detected_at_us = self.sim.now
-
-    def _on_hedge_win(self) -> None:
-        if self.records:
-            self.records[-1].hedge_wins += 1
 
     # -- throughput watching ----------------------------------------------
 

@@ -460,7 +460,6 @@ def run_fleet(
     epochs: int,
     epoch_us: float = 2e6,
     fault_plan: Optional[FaultPlan] = None,
-    monitor=None,
 ) -> FleetReport:
     """Drive every tenant for ``epochs`` epochs; returns the report.
 
@@ -479,9 +478,7 @@ def run_fleet(
     if setup.marketplace is not None:
         sim.spawn(setup.marketplace.rebalance_daemon(), name="fleet.marketplace")
     if fault_plan is not None:
-        engine = FaultEngine.for_setup(
-            setup, monitor=monitor, rng=setup.cluster.rng.stream("fleet.faults")
-        )
+        engine = FaultEngine.for_setup(setup, rng=setup.cluster.rng.stream("fleet.faults"))
         engine.run_plan(fault_plan)
     begin = sim.now
     processes = [

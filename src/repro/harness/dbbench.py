@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster import Cluster, Server
-from ..engine import Database, DevicePageFile, cost_model_for
+from ..engine import Database, DevicePageFile
 from ..net import Network, SmbClient, SmbDirectClient, SmbFileServer
 from ..reliability import ReliabilityLayer, ReliabilityPolicy
 from ..remotefile import AccessPolicy, RemoteMemoryFilesystem
@@ -66,40 +66,6 @@ class DbSetup(Topology):
     @property
     def databases(self) -> list[Database]:
         return [self.database]
-
-    def execute_plan(
-        self,
-        plan,
-        tables: dict,
-        schemas: Optional[dict] = None,
-        memory_bytes: int = 8 * MB,
-        memory_consumers: Optional[int] = None,
-        cost_model="auto",
-    ):
-        """Lower a :mod:`repro.plan` IR tree on this database and run it.
-
-        The single-node counterpart of
-        :func:`repro.dist.planner.execute_plan`: the same logical plan a
-        distributed setup fragments runs here as one operator tree.  By
-        default the lowering consults the §3.3 cost model matching where
-        this setup's indexes land (``cost_model="auto"``); pass ``None``
-        to force hash joins everywhere (the strategy-comparable shape).
-        Returns the engine's :class:`~repro.engine.QueryResult`.
-        """
-        from ..plan import Aggregate, Join, TopN, count_nodes, lower_single
-
-        if schemas is None:
-            from ..workloads import TPCH_SCHEMAS
-            schemas = TPCH_SCHEMAS
-        if cost_model == "auto":
-            cost_model = cost_model_for(self.database)
-        op = lower_single(plan, tables, schemas, cost_model)
-        if memory_consumers is None:
-            memory_consumers = max(1, count_nodes(plan, Join, Aggregate, TopN))
-        return self.run(self.database.execute(
-            op, requested_memory_bytes=memory_bytes,
-            memory_consumers=memory_consumers,
-        ))
 
     def cache_store(self, capacity_pages: int, name: str = "semcache"):
         """``yield from``-able: a page store on the spec's semcache medium.
@@ -198,7 +164,8 @@ def build_database(
                     else ReliabilityPolicy()
                 )
                 layer = ReliabilityLayer(
-                    sim, cluster.rng.stream("reliability"), reliability_policy
+                    sim, cluster.rng.stream("reliability"), reliability_policy,
+                    server=node.server.name,
                 )
                 setup.reliability = layer
             fs = node.attach_remote_fs(

@@ -249,8 +249,7 @@ class Node:
         tiers = [
             Tier(
                 name=tier.name, store=self._store(BPEXT_FILE_ID + 10 * index, tier),
-                medium=tier.medium, latency_class=tier.latency_class,
-                promote_on_hit=tier.promote_on_hit,
+                medium=tier.medium, promote_on_hit=tier.promote_on_hit,
             )
             for index, tier in enumerate(plan.extension)
         ]

@@ -12,16 +12,16 @@ time:
   admitted; the first success closes the breaker, the first failure
   re-opens it (restarting the quarantine clock).
 
-Every transition is timestamped in virtual microseconds and reported to
-registered listeners, so the fault-recovery monitor can correlate
-breaker behaviour with injected faults and a seeded replay reproduces
-the exact same transition log.
+Every transition is timestamped in virtual microseconds, kept in the
+registry's transition log and logged to the simulator as a ``breaker``
+event, so the fault-recovery monitor can correlate breaker behaviour
+with injected faults and a seeded replay reproduces the exact same
+transition log.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable
 
 from ..sim import Simulator
 from .policy import ReliabilityPolicy
@@ -38,18 +38,12 @@ class BreakerState(enum.Enum):
 class CircuitBreaker:
     """Health state machine for one memory provider."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        provider: str,
-        policy: ReliabilityPolicy,
-        on_transition: Callable[[str, BreakerState, BreakerState, float], None] | None = None,
-    ):
-        self.sim = sim
+    def __init__(self, registry: "BreakerRegistry", provider: str):
+        self.registry = registry
+        self.sim = registry.sim
         self.provider = provider
-        self.policy = policy
+        self.policy = registry.policy
         self.state = BreakerState.CLOSED
-        self.on_transition = on_transition
         self.consecutive_failures = 0
         self.opened_at_us: float | None = None
         self._probes_admitted = 0
@@ -63,8 +57,10 @@ class CircuitBreaker:
             self.opened_at_us = self.sim.now
         if new is BreakerState.HALF_OPEN:
             self._probes_admitted = 0
-        if self.on_transition is not None:
-            self.on_transition(self.provider, old, new, self.sim.now)
+        self.registry.transitions.append((self.sim.now, self.provider, old.value, new.value))
+        self.sim.log(
+            "breaker", server=self.registry.server, provider=self.provider, old=old, new=new
+        )
 
     def allow(self) -> bool:
         """May an operation be routed at this provider right now?
@@ -130,30 +126,20 @@ class CircuitBreaker:
 class BreakerRegistry:
     """One :class:`CircuitBreaker` per provider, created on first use."""
 
-    def __init__(self, sim: Simulator, policy: ReliabilityPolicy):
+    def __init__(self, sim: Simulator, policy: ReliabilityPolicy, server: str):
         self.sim = sim
         self.policy = policy
+        #: The database server these breakers guard (names its events).
+        self.server = server
         self.breakers: dict[str, CircuitBreaker] = {}
-        #: ``fn(provider, old_state, new_state, at_us)`` per transition.
-        self.transition_listeners: list[
-            Callable[[str, BreakerState, BreakerState, float], None]
-        ] = []
         #: Ordered transition log: ``(at_us, provider, old, new)``.
         self.transitions: list[tuple[float, str, str, str]] = []
 
     def breaker(self, provider: str) -> CircuitBreaker:
         breaker = self.breakers.get(provider)
         if breaker is None:
-            breaker = CircuitBreaker(self.sim, provider, self.policy, self._on_transition)
-            self.breakers[provider] = breaker
+            breaker = self.breakers[provider] = CircuitBreaker(self, provider)
         return breaker
-
-    def _on_transition(
-        self, provider: str, old: BreakerState, new: BreakerState, at_us: float
-    ) -> None:
-        self.transitions.append((at_us, provider, old.value, new.value))
-        for listener in self.transition_listeners:
-            listener(provider, old, new, at_us)
 
     # -- routing / outcome feed -------------------------------------------
 

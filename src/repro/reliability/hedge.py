@@ -14,8 +14,7 @@ delay derivation — and the accounting.
 
 from __future__ import annotations
 
-from typing import Callable
-
+from ..sim import Simulator
 from ..sim.stats import LatencyRecorder
 from .policy import ReliabilityPolicy
 
@@ -37,9 +36,12 @@ def hedge_delay_us(policy: ReliabilityPolicy, recorder: LatencyRecorder) -> floa
 
 
 class HedgeStats:
-    """Counts hedge decisions; notifies listeners when a backup wins."""
+    """Counts hedge decisions; logs a ``hedge.backup_win`` event per win."""
 
-    def __init__(self):
+    def __init__(self, sim: Simulator, server: str):
+        self.sim = sim
+        #: The database server whose reads are hedged (names its events).
+        self.server = server
         #: Backup reads actually issued (delay elapsed before primary).
         self.issued = 0
         #: Primary still won after the backup was issued.
@@ -48,15 +50,12 @@ class HedgeStats:
         self.backup_wins = 0
         #: Primary failed outright and the backup supplied the page.
         self.rescues = 0
-        #: Called (with no arguments) whenever a backup read wins.
-        self.win_listeners: list[Callable[[], None]] = []
 
     def record_backup_win(self, rescued: bool = False) -> None:
         self.backup_wins += 1
         if rescued:
             self.rescues += 1
-        for listener in self.win_listeners:
-            listener()
+        self.sim.log("hedge.backup_win", server=self.server, rescued=rescued)
 
     def snapshot(self) -> dict[str, int]:
         return {

@@ -67,16 +67,17 @@ class ReliabilityLayer:
         sim: Simulator,
         rng: np.random.Generator,
         policy: Optional[ReliabilityPolicy] = None,
-        name: str = "reliability",
+        server: str = "",
     ):
+        """``server`` names the database server the layer guards; its
+        breaker and hedge events carry it."""
         self.sim = sim
         self.rng = rng
         self.policy = policy if policy is not None else ReliabilityPolicy()
-        self.name = name
         self.retry = RetrySchedule(self.policy, rng)
-        self.breakers = BreakerRegistry(sim, self.policy)
+        self.breakers = BreakerRegistry(sim, self.policy, server)
         self.admission = AdmissionController(sim, self.policy)
-        self.hedge = HedgeStats()
+        self.hedge = HedgeStats(sim, server)
         #: Budget expiries observed, by op family ("read"/"write"/"rpc").
         self.deadline_hits: dict[str, int] = {"read": 0, "write": 0, "rpc": 0}
         #: Retried attempts, by op family.
@@ -100,7 +101,7 @@ class ReliabilityLayer:
         """
         if deadline_us is None:
             return (yield from generator)
-        process = self.sim.spawn(_capture(generator), name=name or f"{self.name}.deadline")
+        process = self.sim.spawn(_capture(generator), name=name or "reliability.deadline")
         timer = self.sim.timeout(deadline_us)
         try:
             index, outcome = yield self.sim.any_of([process, timer])

@@ -1004,6 +1004,9 @@ class Simulator:
         self.tracer = NOOP_TRACER
         #: The process currently being stepped (tracing context).
         self._active_process: Optional[Process] = None
+        #: Event-log subscribers: each is called ``fn(now, kind, fields)``
+        #: by :meth:`log`.
+        self.observers: list[Callable[[float, str, dict], None]] = []
 
     # -- scheduling ------------------------------------------------------
 
@@ -1034,6 +1037,15 @@ class Simulator:
 
     def store(self, name: str = "") -> Store:
         return Store(self, name)
+
+    def log(self, kind: str, **fields: Any) -> None:
+        """Tell every observer that ``kind`` happened now.
+
+        The event log is observation only: it keeps nothing and
+        schedules nothing, so with no observer it is a no-op.
+        """
+        for observer in self.observers:
+            observer(self.now, kind, fields)
 
     # -- main loop -------------------------------------------------------
 

@@ -13,54 +13,16 @@ from dataclasses import dataclass, field
 __all__ = ["LatencyRecorder", "Counter", "TimeSeries", "summarize"]
 
 
-class _SampleList(list):
-    """A list that stamps a version on every mutation.
-
-    The percentile cache keys on the version, so *any* mutation —
-    including in-place edits that keep the length unchanged, which a
-    bare length check cannot see — invalidates the sorted view.
-    """
-
-    __slots__ = ("version",)
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.version = 0
-
-    def _bump(method):  # noqa: N805 - decorator over list methods
-        def wrapped(self, *args, **kwargs):
-            self.version += 1
-            return method(self, *args, **kwargs)
-
-        wrapped.__name__ = method.__name__
-        return wrapped
-
-    append = _bump(list.append)
-    extend = _bump(list.extend)
-    insert = _bump(list.insert)
-    remove = _bump(list.remove)
-    pop = _bump(list.pop)
-    clear = _bump(list.clear)
-    sort = _bump(list.sort)
-    reverse = _bump(list.reverse)
-    __setitem__ = _bump(list.__setitem__)
-    __delitem__ = _bump(list.__delitem__)
-    __iadd__ = _bump(list.__iadd__)
-    __imul__ = _bump(list.__imul__)
-
-    del _bump
-
-
 class LatencyRecorder:
     """Collects latency samples (µs) and reports percentile statistics."""
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.samples: list[float] = _SampleList()
+        self.samples: list[float] = []
         # Sorted-view cache so repeated percentile reads (p50/p95/p99 on
-        # the same recorder) don't re-sort O(n log n) each call.
+        # the same recorder) don't re-sort O(n log n) each call.  Keyed
+        # on the sample count: samples are only ever appended.
         self._sorted: list[float] | None = None
-        self._sorted_version = -1
 
     def record(self, latency_us: float) -> None:
         self.samples.append(latency_us)
@@ -83,14 +45,9 @@ class LatencyRecorder:
         samples = self.samples
         if not samples:
             return 0.0
-        # Any mutation through the ``_SampleList`` API bumps ``version``
-        # (including same-length in-place edits); the length check is a
-        # fallback for callers that replace ``samples`` with a bare list.
-        version = getattr(samples, "version", -1)
         ordered = self._sorted
-        if ordered is None or version != self._sorted_version or len(ordered) != len(samples):
+        if ordered is None or len(ordered) != len(samples):
             ordered = self._sorted = sorted(samples)
-            self._sorted_version = version
         rank = max(0, min(len(ordered) - 1, math.ceil(pct / 100.0 * len(ordered)) - 1))
         return ordered[rank]
 

@@ -24,7 +24,6 @@ __all__ = [
     "register_extension",
     "register_remote_file",
     "register_reliability",
-    "register_txn",
     "register_dist",
     "register_server",
     "register_cluster",
@@ -121,26 +120,6 @@ def register_reliability(registry: MetricsRegistry, prefix: str, layer: Any) -> 
     registry.gauge(
         f"{prefix}.quarantined", lambda: float(len(layer.breakers.quarantined()))
     )
-
-
-def register_txn(registry: MetricsRegistry, prefix: str, manager: Any) -> None:
-    """Adopt a :class:`~repro.txn.TransactionManager`'s instruments.
-
-    Fleet runs bind each tenant's managers under
-    ``fleet.tenant.<name>.txn.*``; single-engine harnesses typically use
-    plain ``txn`` as the prefix.
-    """
-    for attr in (
-        "begins", "commits", "aborts", "deadlock_aborts", "doom_aborts",
-        "dooms", "retries", "exhausted",
-    ):
-        _gauge_attr(registry, f"{prefix}.{attr}", manager, attr)
-    registry.gauge(f"{prefix}.active", lambda: float(manager.active_count))
-    locks = getattr(manager, "locks", None)
-    if locks is not None:
-        registry.gauge(f"{prefix}.deadlocks_detected", lambda: float(locks.deadlocks))
-        registry.gauge(f"{prefix}.lock_waits", lambda: float(locks.waits))
-        registry.gauge(f"{prefix}.lock_wait_us", lambda: float(locks.lock_wait_us))
 
 
 def register_dist(registry: MetricsRegistry, prefix: str, runtime: Any) -> None:

@@ -282,9 +282,6 @@ class TraceRecorder:
 
     # -- queries -----------------------------------------------------------
 
-    def roots(self) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == 0]
-
     def children(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.sid]
 

@@ -5,7 +5,7 @@ future-work three-tier hierarchy — are one idea: a page can live in
 local DRAM, on the SSD, or in remote memory behind a protocol.  This
 package makes that topology *configuration*:
 
-* :class:`Tier` — one level: a page store plus its latency-class and
+* :class:`Tier` — one level: a page store plus its medium and
   placement metadata, slot map and counters.  An ordered list of them
   is what :class:`~repro.engine.BufferPoolExtension` runs placement,
   promotion/demotion and per-tier eviction over;
@@ -15,14 +15,12 @@ package makes that topology *configuration*:
 """
 
 from .spec import ResolvedTier, TierDef, TierPlan, TierSpec
-from .tier import LATENCY_CLASSES, Tier, latency_class_for
+from .tier import Tier
 
 __all__ = [
-    "LATENCY_CLASSES",
     "ResolvedTier",
     "Tier",
     "TierDef",
     "TierPlan",
     "TierSpec",
-    "latency_class_for",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .tier import latency_class_for
 
 __all__ = ["TierDef", "TierSpec", "ResolvedTier", "TierPlan"]
 
@@ -109,7 +108,6 @@ class TierSpec:
                     ResolvedTier(
                         name=name,
                         medium=tier.medium,
-                        latency_class=latency_class_for(tier.medium, self.protocol),
                         capacity_pages=pages,
                         promote_on_hit=tier.promote_on_hit,
                     )
@@ -120,13 +118,11 @@ class TierSpec:
             tempdb=ResolvedTier(
                 name="tempdb",
                 medium=self.tempdb,
-                latency_class=latency_class_for(self.tempdb, self.protocol),
                 capacity_pages=tempdb_pages,
             ),
             wal=ResolvedTier(
                 name="wal",
                 medium=self.wal,
-                latency_class=latency_class_for(self.wal, self.protocol),
                 capacity_pages=0,
             ),
         )
@@ -138,7 +134,6 @@ class ResolvedTier:
 
     name: str
     medium: str
-    latency_class: str
     capacity_pages: int
     promote_on_hit: bool = False
 

@@ -1,9 +1,9 @@
 """One level of the memory hierarchy below the DRAM buffer pool.
 
-A :class:`Tier` names the level, classifies its latency, carries the
-placement knob (promotion policy) and holds that level's *state*: the
-page store, the page-id -> slot map in eviction order, the free-slot
-list and the hit/failure counters.  It has no behavior of its own —
+A :class:`Tier` names the level and its medium, carries the placement
+knob (promotion policy) and holds that level's *state*: the page
+store, the page-id -> slot map in eviction order, the free-slot list
+and the hit/failure counters.  It has no behavior of its own —
 :class:`~repro.engine.BufferPoolExtension` owns an ordered list of
 tiers and implements every operation over them once; reliability
 routing and telemetry read tier identity and counters from here.
@@ -16,25 +16,7 @@ from typing import Any, Optional
 
 from ..sim import LatencyRecorder
 
-__all__ = ["Tier", "LATENCY_CLASSES", "latency_class_for"]
-
-#: Medium/protocol -> latency class (coarse ordering, fast to slow).
-LATENCY_CLASSES = {
-    "dram": "dram",
-    "ndspi": "rdma",
-    "smbdirect": "rdma",
-    "smb": "lan",
-    "remote": "rdma",
-    "ssd": "ssd",
-    "hdd": "hdd",
-}
-
-
-def latency_class_for(medium: str, protocol: Optional[str] = None) -> str:
-    """Latency class for a tier: the protocol refines a remote medium."""
-    if medium == "remote" and protocol is not None:
-        return LATENCY_CLASSES.get(protocol, "rdma")
-    return LATENCY_CLASSES.get(medium, "unknown")
+__all__ = ["Tier"]
 
 
 class Tier:
@@ -46,15 +28,11 @@ class Tier:
         name: str,
         store: Any,
         medium: str = "unknown",
-        latency_class: Optional[str] = None,
         promote_on_hit: bool = False,
     ):
         self.name = name
         self.store = store
         self.medium = medium
-        self.latency_class = (
-            latency_class if latency_class is not None else latency_class_for(medium)
-        )
         #: Pages hit at this tier are promoted into the tier above it.
         self.promote_on_hit = promote_on_hit
         #: False while the level's store is torn down (fleet resizes) or
@@ -89,5 +67,5 @@ class Tier:
     def __repr__(self) -> str:
         return (
             f"Tier({self.name!r}, medium={self.medium!r}, "
-            f"latency={self.latency_class!r}, capacity={self.capacity_pages})"
+            f"capacity={self.capacity_pages})"
         )

@@ -24,7 +24,8 @@ Fault coupling: the manager subscribes to the buffer-pool extension's
 pages out of remote memory mid-flight, every active transaction is
 *doomed* — conservatively, since cheap row-level provenance does not
 exist — and raises :class:`~repro.txn.errors.TransactionDoomed` at its
-next safe point (operation entry or commit entry).  Once the COMMIT
+next safe point (operation entry or commit entry); each doom is logged
+as a ``txn.doomed`` event on the simulator.  Once the COMMIT
 record's flush has started the transaction commits regardless: the log
 lives on local disk, which remote faults cannot touch.  Plain lease
 expiry (renewal storms) never fires the listener — leases are renewed
@@ -361,6 +362,10 @@ class TransactionManager:
         for txn in list(self._active.values()):
             if txn.doom(reason):
                 self.dooms += 1
+                self.sim.log(
+                    "txn.doomed", server=self.db.server.name, txn_id=txn.txn_id,
+                    provider=provider,
+                )
 
     # -- lifecycle ---------------------------------------------------------
 

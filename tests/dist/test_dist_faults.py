@@ -5,7 +5,7 @@ from remote memory that fails on its own, and the answer never changes
 import pytest
 
 from repro.dist import Strategy, build_strategy, execute_plan
-from repro.faults import FaultEngine, FaultPlan
+from repro.faults import FaultEngine, FaultPlan, RecoveryMonitor
 from repro.workloads import tpch_order_lines_plan, tpch_star_join_plan
 
 from .test_plan_dist import SMALL, SPEC
@@ -34,6 +34,25 @@ def test_engine_sweeps_every_compute_server_extension():
     assert len(setup.databases) == SPEC.db_servers
     assert engine.extensions == [db.pool.extension for db in setup.databases]
     assert engine.broker is setup.broker and engine.proxies is setup.proxies
+
+
+def test_one_monitor_sees_every_database():
+    """A monitor needs no wiring: it observes both compute servers."""
+    setup = hybrid_setup()
+    monitor = RecoveryMonitor(setup.sim)
+    extensions = [db.pool.extension for db in setup.databases]
+    assert len(extensions) == 2
+    # Expire every lease under parked pages: both servers re-fault them.
+    FaultEngine.for_setup(setup).run_plan(
+        FaultPlan().lease_storm(setup.sim.now + CRASH_AFTER_US, fraction=1.0)
+    )
+    before = [extension.failures for extension in extensions]
+    execute_plan(setup, tpch_star_join_plan(), name="star_join")
+    refaults = [extension.failures - was for extension, was in zip(extensions, before)]
+    [record] = monitor.records
+    assert record.refaults == sum(refaults)
+    assert all(count >= 1 for count in refaults)
+    assert record.detected_at_us is not None
 
 
 @pytest.mark.parametrize("make_plan, name", [

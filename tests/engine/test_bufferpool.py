@@ -706,11 +706,12 @@ class TestExtensionFaultHooks:
         assert dead >= 1
         assert len(ext.levels[0].free) + len(ext.levels[0].slots) == ext.capacity_pages
 
-    def test_fault_listeners_observe_access_time_failures(self, rig):
+    def test_refault_log_observes_access_time_failures(self, rig):
         pool, _data, _store = self.make_remote_ext_pool(rig)
-        ext = pool.extension
         seen = []
-        ext.fault_listeners.append(seen.append)
+        rig.sim.observers.append(
+            lambda _now, kind, fields: kind == "bpext.refault" and seen.append(fields["page_id"])
+        )
         for n in range(5):
             rig.run(pool.get_page(1, n))
         rig.sim.run(until=rig.sim.now + rig.broker.lease_duration_us + 1)
@@ -725,7 +726,9 @@ class TestExtensionFaultHooks:
         pool, data, store = self.make_remote_ext_pool(rig)
         ext = pool.extension
         failed = []
-        ext.fault_listeners.append(failed.append)
+        rig.sim.observers.append(
+            lambda _now, kind, fields: kind == "bpext.refault" and failed.append(fields["page_id"])
+        )
         for n in range(5):
             rig.run(pool.get_page(1, n))
         rig.sim.run(until=rig.sim.now + 1e3)  # page 0's write-behind lands

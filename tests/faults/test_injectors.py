@@ -42,12 +42,12 @@ class Fabric:
 
         self.file = self.run(setup())
         self.restored = []
+        self.monitor = RecoveryMonitor(self.sim)
         self.engine = FaultEngine(
             sim=self.sim,
             servers=dict(self.cluster.servers),
             broker=self.broker,
             proxies=self.proxies,
-            monitor=RecoveryMonitor(self.sim),
             rng=np.random.default_rng(11),
             on_provider_restored=self.restored.append,
         )
@@ -255,7 +255,7 @@ class TestBrokerRestart:
 class TestPlanDriver:
     def test_plan_fires_at_scheduled_virtual_times(self):
         fabric = Fabric()
-        monitor = fabric.engine.monitor
+        monitor = fabric.monitor
         base = fabric.sim.now  # setup already burned virtual time
         plan = (
             FaultPlan()
@@ -274,7 +274,7 @@ class TestPlanDriver:
         assert now > 100
         fabric.engine.run_plan(plan)
         fabric.settle(1_000)
-        assert fabric.engine.monitor.records[0].injected_at_us == now
+        assert fabric.monitor.records[0].injected_at_us == now
 
 
 class TestRandomStormReplay:
@@ -292,7 +292,7 @@ class TestRandomStormReplay:
         end = fabric.sim.now + horizon  # specs already due fire at once
         fabric.engine.run_plan(plan)
         fabric.settle(horizon)
-        records = fabric.engine.monitor.records
+        records = fabric.monitor.records
         assert fabric.engine.faults_fired == len(records) == len(plan)
         assert [r.spec for r in records] == plan.sorted_specs()
         assert all(r.spec.at_us <= r.injected_at_us < end for r in records)
@@ -311,7 +311,7 @@ class TestRandomStormReplay:
         assert len(plan) >= 10
         fabric.engine.run_plan(plan)
         fabric.settle(5e6)
-        fired = [r.spec.kind for r in fabric.engine.monitor.records]
+        fired = [r.spec.kind for r in fabric.monitor.records]
         assert len(fired) == len(plan)
         assert FaultKind.MEMORY_SERVER_CRASH not in fired
         assert all(fabric.cluster.servers[name].alive for name in ("mem0", "mem1"))

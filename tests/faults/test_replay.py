@@ -25,10 +25,8 @@ def run_fault_experiment(seed=42):
 
     monitor = RecoveryMonitor(setup.sim)
     extension = setup.database.pool.extension
-    monitor.track_extension(extension)
     engine = FaultEngine.for_setup(
         setup,
-        monitor=monitor,
         on_provider_restored=lambda _name: rebuild_extension(setup),
     )
 

@@ -27,11 +27,8 @@ def run_chaos(seed=7, crash=True, storm=True):
     prewarm_extension(setup)
     manager = db.transactions(record_history=True)
     monitor = RecoveryMonitor(setup.sim)
-    monitor.track_extension(db.pool.extension)
-    monitor.track_transactions(manager)
     engine = FaultEngine.for_setup(
-        setup, monitor=monitor,
-        on_provider_restored=lambda _name: rebuild_extension(setup),
+        setup, on_provider_restored=lambda _name: rebuild_extension(setup),
     )
     base = setup.sim.now
     plan = FaultPlan(seed=seed)

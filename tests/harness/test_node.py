@@ -39,7 +39,7 @@ def one_tenant_fleet():
 
 def shape(extension):
     return [
-        (lv.name, lv.medium, lv.latency_class, lv.capacity_pages, lv.store.file_id)
+        (lv.name, lv.medium, lv.capacity_pages, lv.store.file_id)
         for lv in extension.levels
     ]
 
@@ -51,7 +51,7 @@ class TestBuilderEquivalence:
             one_server_dist().databases[0].pool.extension,
             one_tenant_fleet().tenants["a"].replicas[0].database.pool.extension,
         ]
-        assert shape(extensions[0]) == [("bpext", "remote", "rdma", PAGES, 900)]
+        assert shape(extensions[0]) == [("bpext", "remote", PAGES, 900)]
         assert all(shape(ext) == shape(extensions[0]) for ext in extensions)
 
     # (sim.now, events_processed) after set-up, recorded at the commit

@@ -11,7 +11,7 @@ POLICY = ReliabilityPolicy(
 
 def make_registry(policy=POLICY):
     sim = Simulator()
-    return sim, BreakerRegistry(sim, policy)
+    return sim, BreakerRegistry(sim, policy, "db")
 
 
 def trip(registry, provider="mem0", times=POLICY.breaker_failure_threshold):
@@ -109,8 +109,9 @@ class TestRegistry:
     def test_listeners_see_every_transition(self):
         sim, registry = make_registry()
         seen = []
-        registry.transition_listeners.append(
-            lambda provider, old, new, at: seen.append((provider, old, new, at))
+        sim.observers.append(
+            lambda now, kind, fields: kind == "breaker"
+            and seen.append((fields["provider"], fields["old"], fields["new"], now))
         )
         trip(registry)
         assert seen == [("mem0", BreakerState.CLOSED, BreakerState.OPEN, sim.now)]

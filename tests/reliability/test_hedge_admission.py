@@ -53,9 +53,12 @@ class TestHedgeDelay:
 
 class TestHedgeStats:
     def test_backup_win_notifies_listeners(self):
-        stats = HedgeStats()
+        sim = Simulator()
+        stats = HedgeStats(sim, "db")
         wins = []
-        stats.win_listeners.append(lambda: wins.append(1))
+        sim.observers.append(
+            lambda _now, kind, _fields: kind == "hedge.backup_win" and wins.append(1)
+        )
         stats.record_backup_win()
         stats.record_backup_win(rescued=True)
         assert len(wins) == 2

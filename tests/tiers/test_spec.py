@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness import TIER_SPECS, Design
-from repro.tiers import TierDef, TierSpec, latency_class_for
+from repro.tiers import TierDef, TierSpec
 
 #: Table 5, row by row: (TempDB, BPExt medium, protocol, BPExt kept for
 #: analytic workloads, synchronous remote I/O).
@@ -96,12 +96,6 @@ class TestResolve:
         assert plan.wal.medium == "hdd"
         assert plan.needs_remote
         assert [t.medium for t in plan.remote_extension_tiers()] == ["remote"]
-
-    def test_latency_classes(self):
-        assert latency_class_for("remote", "ndspi") == "rdma"
-        assert latency_class_for("remote", "smb") == "lan"
-        assert latency_class_for("ssd") == "ssd"
-        assert latency_class_for("hdd") == "hdd"
 
 
 class TestSpecCompilation:

@@ -191,7 +191,9 @@ class TestAggregates:
     def test_level_failures_reach_stack_listeners(self, rig):
         stack = make_stack(rig)
         seen = []
-        stack.fault_listeners.append(seen.append)
+        rig.sim.observers.append(
+            lambda _now, kind, fields: kind == "bpext.refault" and seen.append(fields["page_id"])
+        )
         rig.run(stack.put(make_page(0)))
         level = stack.levels[0]
         stack._on_failure(level, (1, 0), level.slots[(1, 0)])
