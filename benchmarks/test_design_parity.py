@@ -10,8 +10,11 @@ deterministic by construction, so any difference means a refactor
 changed engine behavior, not just code structure.
 
 One run produces all fourteen cells of the golden file
-``benchmarks/goldens/design_parity.json``; a missing, drifted or stale
-cell fails.  Recording goldens (only when a *deliberate* cost-model change lands, or
+``benchmarks/goldens/design_parity.json``, plus one ``events`` cell:
+the kernel events each case retired, keyed by case.  That count is a
+cost, not a result — a kernel change that retires fewer events for the
+same virtual times re-records only it.  A missing, drifted or stale cell
+fails.  Recording goldens (only when a *deliberate* cost-model change lands, or
 a design is added)::
 
     REPRO_UPDATE_BENCH=1 PYTHONPATH=src \
@@ -51,8 +54,9 @@ PARITY_DESIGNS = [
 WORKLOADS = ("oltp", "analytic")
 
 
-def run_parity_case(design: Design, workload: str) -> dict:
-    """Build a design, run one small RangeScan, return exact observables."""
+def run_parity_case(design: Design, workload: str) -> tuple[dict, int]:
+    """Build a design, run one small RangeScan, return its exact virtual
+    observables and the number of kernel events it retired."""
     analytic = workload == "analytic"
     setup = build_database(
         design,
@@ -80,7 +84,6 @@ def run_parity_case(design: Design, workload: str) -> dict:
     extension = pool.extension
     return {
         "virtual_clock_us": setup.sim.now,
-        "events_processed": setup.sim.events_processed,
         "elapsed_us": report.elapsed_us,
         "latency_sum_us": sum(report.latency.samples),
         "queries": report.queries,
@@ -89,20 +92,22 @@ def run_parity_case(design: Design, workload: str) -> dict:
         "ext_hits": pool.ext_hits,
         "base_reads": pool.base_reads,
         "ext_parked": 0 if extension is None else extension.parked_pages,
-    }
+    }, setup.sim.events_processed
 
 
 def test_design_parity():
+    cells, events = {}, {}
+    for design in PARITY_DESIGNS:
+        for workload in WORKLOADS:
+            case = f"{design.value}/{workload}"
+            cells[case], events[case] = run_parity_case(design, workload)
     check_golden(
         "design_parity",
-        {
-            f"{design.value}/{workload}": run_parity_case(design, workload)
-            for design in PARITY_DESIGNS
-            for workload in WORKLOADS
-        },
+        {**cells, "events": events},
         description="Table-5 designs x (RangeScan with 20 % updates, analytic "
                     "read-only RangeScan): virtual clock, hit counters and "
-                    "latency aggregates; virtual-time exact golden",
+                    "latency aggregates; virtual-time exact golden. 'events': "
+                    "kernel events retired per case (a cost, pinned apart)",
     )
 
 

@@ -552,6 +552,8 @@ class BufferPool:
         ``done`` is the pre-registered in-flight event when the caller
         (the prefetcher) already claimed the page id; ``background``
         marks read-ahead I/O (waited asynchronously, never spinning).
+        ``done`` fires only if someone waits on it: an event nobody
+        subscribed to would take a now-queue slot and wake nobody.
         """
         if done is None:
             done = self.server.sim.event()
@@ -594,7 +596,8 @@ class BufferPool:
         finally:
             span.close()
             del self._inflight[page_id]
-            done.succeed()
+            if done.callbacks:  # out of ``_inflight``: nobody else can wait now
+                done.succeed()
 
     def _hedged_ext_fetch(self, page_id: PageId) -> ProcessGenerator:
         """Race the extension read against a delayed base-file read.
@@ -696,7 +699,8 @@ class BufferPool:
                 for page_id, done in claims:
                     if self._inflight.get(page_id) is done:
                         del self._inflight[page_id]
-                    done.succeed()
+                    if done.callbacks:
+                        done.succeed()
                 if landed < len(claims):
                     self._losses += 1  # claimed in ``_inflight``, never landed
                 self._prefetch_active -= len(claims)

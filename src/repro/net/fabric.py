@@ -22,7 +22,8 @@ body every caller shares: SMB Direct, priming, the loader, and through
 :mod:`repro.net.rdma` the one-sided verbs, hence remote files and
 exchanges.  Same checks, same counters, same spans (``nic.control``;
 ``nic.transfer`` › ``nic.xmit``, after ``nic.queue`` when the engine was
-busy), same events in the same order as the generators they replaced.
+busy) and the same virtual times as the generators they replaced, in
+fewer kernel events.
 
 Fault hooks (used by :mod:`repro.faults`):
 
@@ -270,8 +271,13 @@ class Wire(Chain):
             _close_engine_span(self)
             while spans:
                 spans.pop().close()
-        if self.region is not None and self.epoch is not None:
-            self.region.inflight -= 1  # posted, never reaped
+        if self.region is not None:
+            if self.epoch is not None:
+                self.region.inflight -= 1  # posted, never reaped
+            if self._spawned:
+                # Also when a stray error raises out of the first stage
+                # into the poster: the verb never completes.
+                self.qp.target.nic._inflight.pop(self, None)
 
     def _finish(self, value) -> None:
         if self.region is not None and self._spawned:

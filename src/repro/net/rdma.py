@@ -25,9 +25,9 @@ design uses (Section 4.2).  Faithfully modelled properties:
   functions between this module's — not a generator.  ``yield``
   it and it is part of the caller (an exchange's batch write: errors
   raise into the sender); pass ``spawn=name`` and it is a posted work
-  request with a process's schedule (a remote file's page I/O: the
-  provider's port can abort it, faults become
-  :data:`~repro.sim.ABORTED`, the queue pair times the reads).
+  request (a remote file's page I/O: the provider's port can abort it,
+  faults become :data:`~repro.sim.ABORTED`, the queue pair times the
+  reads).  Either way the post stage runs where the verb is built.
 """
 
 from __future__ import annotations
@@ -231,11 +231,12 @@ class QueuePair:
     # -- one-sided verbs --------------------------------------------------
     #
     # Yielded, a verb is part of the caller and raises into it.  With
-    # ``spawn=name`` it is a posted work request with a process's schedule:
-    # the target port can abort it when it goes dark (:meth:`NicPort.fail`),
-    # its value is then :data:`~repro.sim.ABORTED` — as it is when an
-    # endpoint or the region is found gone along the way — and a read's
-    # post-to-completion time goes to ``read_latency``.
+    # ``spawn=name`` it is a posted work request: the target port can
+    # abort it when it goes dark (:meth:`NicPort.fail`), its value is then
+    # :data:`~repro.sim.ABORTED` — as it is when an endpoint or the region
+    # is found gone along the way — and a read's post-to-completion time
+    # goes to ``read_latency``.  Any other error in the post stage (a bug)
+    # raises out of ``read``/``write`` into the poster.
 
     def read(
         self,

@@ -412,20 +412,21 @@ class _Request(Event):
 class _Hold(_Request):
     """A :meth:`Resource.hold`: the grant *and* the service time as one event.
 
-    The grant keeps its now-queue slot as a bare thunk (:meth:`_arm`)
-    that starts the clock instead of waking the waiter: every ``seq`` is
-    allocated where ``request()`` + ``timeout()`` allocate them, and the
-    waiter is resumed once, not twice (DESIGN §10, "Kernel-advanced holds").
+    A duration starts at the grant, inside :meth:`Resource.release`, and
+    the waiter is resumed once, when it ends.  Two grants keep a now-queue
+    slot, a bare thunk (:meth:`_arm`) that starts the clock and wakes
+    nobody: a hold on an :class:`Event`, and a hold granted before its
+    waiter attached (DESIGN §10, "Kernel-advanced holds").
     """
 
     __slots__ = ("timing", "granted_at")
 
     def _arm(self) -> None:
-        """The grant's now-queue slot: start the clock, wake nobody.
+        """Start the clock: at the grant, or in the grant's thunk.
 
-        ``timing`` is evaluated here, where a woken waiter would have
-        evaluated it: state-dependent service times (link degradation,
-        seeded drop draws) see the same state in the same order.
+        ``timing`` is evaluated here, so state-dependent service times
+        (link degradation, seeded drop draws) see the state of the grant,
+        in grant order.
         """
         if not self.callbacks:
             return  # the waiter was interrupted before this slot: nobody to serve
@@ -531,8 +532,9 @@ class Resource:
         its value or failure is delivered).  Yield the returned event
         and call its ``finish()`` in a ``finally``: that releases on
         every path, an interrupt while still queued included.  The
-        schedule (``seq`` order, ``events_processed``) is exactly that of
-        ``request()``, ``timeout()``/the event, ``release()``.
+        virtual times are those of ``request()``, ``timeout()``/the
+        event, ``release()``; a duration is armed at the grant, so it
+        fires before an equal-delay timer armed later in that instant.
         """
         if amount > self.capacity:
             raise SimulationError("request exceeds resource capacity")
@@ -548,9 +550,11 @@ class Resource:
     def release(self, amount: int = 1) -> None:
         """Give ``amount`` units back and grant every queue head that now fits.
 
-        A grant only *schedules* (the loop pops the entry later), so no
-        release interleaves with the batch.  A hold's entry is a thunk
-        allocated here: owned by the hold it would be a cycle per slice.
+        A granted request gets a now-queue slot; a granted hold with a
+        waiter and a duration starts its clock here and takes none.  No
+        release interleaves with the batch.  A hold that keeps a slot gets
+        a thunk allocated here: owned by the hold it would be a cycle per
+        slice.
         """
         sim = self.sim
         now = sim.now
@@ -566,6 +570,9 @@ class Resource:
             waiter._triggered = True
             entry = waiter
             if waiter.__class__ is _Hold:
+                if waiter.callbacks and not isinstance(waiter.timing, Event):
+                    waiter._arm()  # a duration for a waiter: no slot
+                    continue
                 entry = _Soon()
                 entry.fn = waiter._arm
             sim._seq += 1
@@ -677,26 +684,26 @@ class Chain(Event):
     ``program`` is a tuple of functions ``stage(chain)``, run in order.  A
     stage does its inline checks and accounting and returns what to wait
     for: a delay, ``chain.serve(resource, timing)``, or nothing — then the
-    next stage follows at once.  The loop runs each stage with
-    one plain call from the timer (or grant) that ended the stage before
-    it, and every ``seq`` is allocated where the generator spelling
-    allocated it (DESIGN §10, "Kernel-stepped chains").
+    next stage follows at once.  The first stage runs in the
+    constructor; the loop runs each later one with one plain call from
+    the timer (or grant) that ended the stage before it, and the last
+    one calls the waiters in its own slot (DESIGN §10, "Kernel-stepped
+    chains").
 
-    A chain stands for one of two things, and keeps that one's schedule:
+    A chain stands for one of two things:
 
     * *inline* (``spawn=None``) — generator frames of the process that
-      yields it, as ``yield from`` ran them: the first stage runs in the
-      constructor (and raises from it), the last one resumes the waiter
-      in its own slot, a failing stage throws into the waiter there, and
-      when the waiter is interrupted the chain unwinds with it.  It must
-      wait at least once, and be yielded where it is built.
-    * *spawned* (``spawn=name``) — a :class:`Process` of that name:
-      bootstrap slot first, completion slot last, :meth:`interrupt` takes
-      a wake-up slot, ``sim._active_process`` during a step, and the
-      tracer's ``on_spawn``/``on_finish``.  An interrupt, or a stage
-      raising one of the ``absorb`` exceptions, completes it with
-      :data:`ABORTED`; anything else escapes into the event loop, as it
-      did from a process.
+      yields it, as ``yield from`` ran them: a failing stage raises from
+      the constructor or throws into the waiter in its slot, and when the
+      waiter is interrupted the chain unwinds with it.  It must wait at
+      least once, and be yielded where it is built.
+    * *spawned* (``spawn=name``) — a posted piece of work with a
+      process's identity: :meth:`interrupt` takes a wake-up slot,
+      ``sim._active_process`` during a step, and the tracer's
+      ``on_spawn``/``on_finish``.  An interrupt, or a stage raising one
+      of the ``absorb`` exceptions, completes it with :data:`ABORTED`;
+      anything else raises — into the poster from the first stage, into
+      the event loop from a later one.
 
     A subclass keeps its state in slots, set before ``Chain.__init__``;
     ``result`` becomes the value, ``_unwind`` undoes what stages did
@@ -738,15 +745,13 @@ class Chain(Event):
         if spawn is None:
             self._spawned = False
             self.name = "chain"
-            self._step()
         else:
             self._spawned = True
             self._absorb = absorb
             self.name = spawn
             if traced:
                 sim.tracer.on_spawn(self)
-            sim._seq += 1
-            sim._nowq.append((sim._seq, thunk))
+        thunk.fn()
 
     @property
     def is_alive(self) -> bool:
@@ -823,18 +828,13 @@ class Chain(Event):
             sim._active_process = previous
 
     def _finish(self, value: Any) -> None:
-        """Complete: in a slot of its own when spawned, in this one inline."""
+        """Complete in the current slot: the waiters are called here."""
         self._pc = -1
         self._thunk = None
         self._triggered = True
         self._value = value
-        sim = self.sim
-        if self._spawned:
-            if sim.tracer.enabled:
-                sim.tracer.on_finish(self)
-            sim._seq += 1
-            sim._nowq.append((sim._seq, self))
-            return
+        if self._spawned and self.sim.tracer.enabled:
+            self.sim.tracer.on_finish(self)
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:
@@ -845,11 +845,9 @@ class Chain(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Abort at the current instant; a no-op once finished or aborting.
 
-        Spawned, exactly as a process whose generator turned the
-        interrupt into a return value: detach now, unwind and complete
-        with :data:`ABORTED` in a wake-up slot — or in the bootstrap slot
-        when that has not run yet (a process died there with ``None``,
-        its ``try`` never entered).  Inline, waiters get the
+        Spawned, as a process whose generator turned the interrupt into a
+        return value: detach now, unwind and complete with
+        :data:`ABORTED` in a wake-up slot.  Inline, waiters get the
         :class:`Interrupt` at once.
         """
         if self._pc < 0:
@@ -860,9 +858,6 @@ class Chain(Event):
             self._abandon()
             self._exception = Interrupt(cause)
             self._finish(None)
-        elif self._pc == 0:
-            self._program = ()
-            self.result = ABORTED
         else:
             wake = _Soon()
             wake.fn = self._abort

@@ -369,7 +369,7 @@ class TestPostedVerbsCutShort:
         sim = cluster.sim
         instants, _ = self._stage_instants(db)
         verb = qp.read(region, 0, self.SIZE, spawn="read")
-        assert list(mem.nic._inflight) == [verb] and region.inflight == 0  # not posted yet
+        assert list(mem.nic._inflight) == [verb] and region.inflight == 1  # posted at once
 
         def crash():
             yield sim.timeout(instants[stage])
@@ -427,6 +427,23 @@ class TestPostedVerbsCutShort:
         self._assert_nothing_left(cluster.sim, db, mem, region, verb)
         # Posted, then the control message found the port dark.
         assert cluster.sim.now - posted_at == pytest.approx(0.3)
+
+    def test_stray_error_in_the_first_stage_raises_into_the_poster(self, monkeypatch):
+        """A posted verb absorbs its own faults (``NetworkDown``,
+        ``RdmaError``); any other error in its first stage — a bug — raises
+        where the verb is posted, not later out of the event loop, and the
+        verb leaves nothing behind."""
+        cluster, db, mem, region, qp = self._posted()
+
+        def broken(region):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(qp, "_require_connected", broken)
+        with pytest.raises(KeyError, match="bug"):
+            qp.read(region, 0, self.SIZE, spawn="read")
+        cluster.sim.run()
+        assert region.inflight == 0 and not mem.nic._inflight
+        assert qp.read_latency.samples == []
 
     def test_yielded_verb_raises_where_a_posted_one_aborts(self):
         cluster, db, mem, region, qp = self._posted()

@@ -1,9 +1,10 @@
 """``Chain``: straight-line work the event loop advances without a generator.
 
-A chain must produce *exactly* the schedule of the generator it stands
-for — a spawned process, or ``yield from`` frames of its caller — while
-being stepped with plain calls.  The generator spelling is kept here as
-the reference.
+A chain must produce the schedule of the generator it stands for while
+being stepped with plain calls: ``yield from`` frames of its caller
+exactly; a spawned process minus that process's two slots — its first
+step runs where it is posted, and its waiters are called in its last
+step's slot.  The generator spelling is kept here as the reference.
 """
 
 import pytest
@@ -11,7 +12,39 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import ABORTED, Chain, Interrupt, SimulationError, Simulator
+from repro.sim.kernel import Event, Process
 from repro.telemetry import install
+
+
+def _nothing():
+    pass
+
+
+class Posted(Process):
+    """The reference for a spawned chain: a process that takes its first
+    step where it is spawned and calls its waiters in its last step's slot.
+    It still allocates the bootstrap and completion slots of
+    :class:`Process`, as entries that do nothing, so a spawned chain must
+    retire exactly two events fewer."""
+
+    def __init__(self, sim, generator, name):
+        Event.__init__(self, sim)
+        self.generator = generator
+        self._send, self._throw = generator.send, generator.throw
+        self.name = name
+        self._target = self._interrupts = None
+        sim.call_soon(_nothing)  # the bootstrap slot
+        started = Event(sim)
+        started._triggered = started._processed = True
+        self._resume(started)
+
+    def _finish(self, value):
+        self._triggered = self._processed = True
+        self._value = value
+        self.sim.call_soon(_nothing)  # the completion slot
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
 
 
 class Boom(RuntimeError):
@@ -142,9 +175,7 @@ def _run(chained, spawned, capacities, jobs, flag_times, users):
     log, done, draws, handles = [], [], [0], {}
 
     def outcome_of(value):
-        # A process interrupted before its first step died with None; a
-        # chain aborts there — the one deliberate difference (a bugfix).
-        return "aborted" if value is ABORTED or value is None else value
+        return "aborted" if value is ABORTED else value
 
     def starter(tag, arrival, stages):
         yield sim.timeout(arrival)
@@ -153,7 +184,7 @@ def _run(chained, spawned, capacities, jobs, flag_times, users):
             if chained:
                 handle = Logged(sim, as_program(*args), log, tag, spawn=f"job{tag}")
             else:
-                handle = sim.spawn(_guarded(as_generator(*args)), name=f"job{tag}")
+                handle = Posted(sim, _guarded(as_generator(*args)), f"job{tag}")
             handles[tag] = handle
             handle.add_callback(lambda e: done.append((tag, sim.now, outcome_of(e.value))))
             return
@@ -186,7 +217,7 @@ def _run(chained, spawned, capacities, jobs, flag_times, users):
     sim.run()
     assert all(r.in_use == 0 and r.queue_length == 0 for r in resources)
     busy = tuple(r.utilization() for r in resources)
-    return log, done, sim.now, sim.events_processed, busy, draws[0]
+    return (log, done, sim.now, busy, draws[0]), sim.events_processed
 
 
 #: Small pools, ints and floats mixed, so equal delays, same-instant
@@ -224,17 +255,19 @@ def _jobs(stage_lists):
     flag_times=FLAG_TIMES,
     users=USERS,
 )
-def test_spawned_chain_schedules_exactly_like_the_process_it_replaces(
+def test_spawned_chain_schedules_like_a_process_stepped_where_it_is_posted(
     capacities, jobs, flag_times, users
 ):
     """Property: the same stage starts at the same instants in the same
     global order, the same outcomes in the same completion order, final
-    clock, events retired, busy-time integrals and order of service-time
-    draws — interrupts at any instant, the spawn instant and the gap
-    between a grant and its ``_arm`` included."""
-    assert _run(True, True, capacities, jobs, flag_times, users) == _run(
-        False, True, capacities, jobs, flag_times, users
-    )
+    clock, busy-time integrals and order of service-time draws —
+    interrupts at any instant, the spawn instant and the grant instant
+    included — and exactly two events fewer per chain: no bootstrap slot,
+    no completion slot."""
+    chained, chained_events = _run(True, True, capacities, jobs, flag_times, users)
+    reference, reference_events = _run(False, True, capacities, jobs, flag_times, users)
+    assert chained == reference
+    assert chained_events == reference_events - 2 * len(jobs)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -295,10 +328,13 @@ def _spawned_chain_interrupted(at):
     return seen, log
 
 
-def test_interrupt_before_the_first_step_aborts_in_the_bootstrap_slot():
+def test_interrupt_in_the_posting_instant_unwinds_the_first_stage():
+    # The first stage ran where the chain was posted: there is no instant
+    # in which it is posted but not started.
     seen, log = _spawned_chain_interrupted(1)
     assert seen["value"] is ABORTED and seen["at"] == 1
-    assert log == []  # no stage ran, so there is nothing to unwind either
+    assert log == [("c", 0, 1), ("c", "unwound", 1)]
+    assert seen["later_done"] == 11
 
 
 def test_interrupt_during_a_delay_leaves_a_timer_that_pops_as_nothing():
@@ -315,9 +351,9 @@ def test_interrupt_while_queued_leaves_the_queue():
 
 
 def test_interrupt_between_grant_and_arm_gives_the_unit_back():
-    # At t=10 the engine is released and granted to the chain; the
-    # interrupt lands before the grant's slot is popped: the clock
-    # never starts, the unit goes straight on.
+    # At t=10 the engine is released and granted to the chain, whose
+    # clock starts in that release; the interrupt lands in the same
+    # instant: the unit goes straight on.
     seen, log = _spawned_chain_interrupted(10)
     assert seen["value"] is ABORTED and seen["at"] == 10
     assert seen["later_done"] == 11
@@ -343,12 +379,18 @@ def test_spawned_chain_absorbs_only_its_own_failures():
     def stray(chain):
         raise KeyError("bug")
 
+    def later_stray(chain):
+        raise KeyError("bug, later")
+
     chain = Logged(sim, (absorbed,), [], "a", spawn="a")
-    sim.run()
-    assert chain.value is ABORTED
-    Logged(sim, (stray,), [], "b", spawn="b")
-    with pytest.raises(KeyError):  # as out of a process: into the loop
+    assert chain.value is ABORTED  # in the first stage, hence at once
+    with pytest.raises(KeyError, match="bug"):  # the first stage: into the poster
+        Logged(sim, (stray,), [], "b", spawn="b")
+    sim.run()  # ... and nothing of it is left in the loop
+    Logged(sim, (lambda chain: 1.0, later_stray), [], "c", spawn="c")
+    with pytest.raises(KeyError, match="bug, later"):  # later: into the loop
         sim.run()
+    assert sim.events_processed == 1  # no slot but the one timer
 
 
 def test_inline_chain_raises_from_its_constructor_and_into_its_waiter():
