@@ -10,6 +10,7 @@ path — transfers then flow directly between the two servers' NICs.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Callable, Iterable, Optional
 
@@ -53,18 +54,15 @@ class MemoryBroker:
     #: Default lease duration (30 simulated seconds).
     DEFAULT_LEASE_US = 30e6
 
-    def __init__(
-        self,
-        sim: Simulator,
-        store: MetadataStore | None = None,
-        lease_duration_us: float = DEFAULT_LEASE_US,
-    ):
+    def __init__(self, sim: Simulator, lease_duration_us: float = DEFAULT_LEASE_US):
         self.sim = sim
-        self.store = store if store is not None else MetadataStore(sim)
+        self.store = MetadataStore(sim)
         self.lease_duration_us = lease_duration_us
         # Available (unleased) regions per provider server, FIFO.
         self._available: dict[str, deque[MemoryRegion]] = {}
+        #: The active leases by id: a lease leaves when it ends (_retire).
         self._leases: dict[int, Lease] = {}
+        self._lease_ids = itertools.count(1)
         #: Callbacks fired when a lease is revoked: holder -> [fn(lease)],
         #: in registration order.
         self._revocation_listeners: dict[str, list[Callable[[Lease], None]]] = {}
@@ -117,7 +115,7 @@ class MemoryBroker:
             if replay and str(lease.lease_id) in recorded:
                 survivors.append(lease)
             else:
-                yield from self._terminate(lease, LeaseState.REVOKED)
+                yield from self._retire(lease, LeaseState.REVOKED)
         # Sweep anything that expired while the broker was down.
         self.check_expiry()
         return [lease for lease in survivors if lease.state is LeaseState.ACTIVE]
@@ -131,15 +129,12 @@ class MemoryBroker:
         leases so injectors/monitors can account the damage.
         """
         for region in self._available.pop(provider, ()):  # regions lost
-            yield from self.store.delete(f"regions/{provider}/{region.mr_id}")
+            yield from self.store.delete(_region_key(region))
         revoked: list[Lease] = []
         for lease in self.leases_for(provider=provider):
-            lease.state = LeaseState.REVOKED
-            lease.region.clear()
-            self._leases.pop(lease.lease_id, None)
-            yield from self.store.delete(f"leases/{lease.lease_id}")
-            self._notify(lease)
-            revoked.append(lease)
+            if lease.state is LeaseState.ACTIVE:  # not ended during a round
+                yield from self._retire(lease, LeaseState.REVOKED, provider_lost=True)
+                revoked.append(lease)
         return revoked
 
     def force_expire(self, leases: Iterable[Lease]) -> list[Lease]:
@@ -158,8 +153,7 @@ class MemoryBroker:
         return [
             lease
             for lease_id, lease in sorted(self._leases.items())
-            if lease.state is LeaseState.ACTIVE
-            and (provider is None or lease.provider == provider)
+            if (provider is None or lease.provider == provider)
             and (holder is None or lease.holder == holder)
         ]
 
@@ -172,9 +166,7 @@ class MemoryBroker:
             if not region.registered:
                 raise BrokerError("only NIC-registered regions can be brokered")
             self._available.setdefault(region.server.name, deque()).append(region)
-            yield from self.store.put(
-                f"regions/{region.server.name}/{region.mr_id}", region.size
-            )
+            yield from self.store.put(_region_key(region), region.size)
             return region
 
     def withdraw_region(self, provider: str) -> ProcessGenerator:
@@ -189,7 +181,7 @@ class MemoryBroker:
         if not queue:
             return None
         region = queue.pop()
-        yield from self.store.delete(f"regions/{provider}/{region.mr_id}")
+        yield from self.store.delete(_region_key(region))
         return region
 
     def revoke_one(self, provider: str) -> ProcessGenerator:
@@ -197,12 +189,12 @@ class MemoryBroker:
         self._require_up()
         victim: Optional[Lease] = None
         for lease in self._leases.values():
-            if lease.provider == provider and lease.state is LeaseState.ACTIVE:
+            if lease.provider == provider:
                 if victim is None or lease.expires_at_us < victim.expires_at_us:
                     victim = lease
         if victim is None:
             return None
-        yield from self._terminate(victim, LeaseState.REVOKED)
+        yield from self._retire(victim, LeaseState.REVOKED)
         return victim
 
     # -- consumer side ----------------------------------------------------
@@ -289,7 +281,8 @@ class MemoryBroker:
             if provider is None or not self._available.get(provider):
                 # Give back what we took: all-or-nothing semantics.
                 for lease in leases:
-                    yield from self._terminate(lease, LeaseState.RELEASED)
+                    if lease.state is LeaseState.ACTIVE:
+                        yield from self._retire(lease, LeaseState.RELEASED)
                 raise InsufficientMemory(
                     f"{holder}: ran out of providers at {granted}/{bytes_needed} bytes"
                 )
@@ -299,10 +292,11 @@ class MemoryBroker:
                 holder=holder,
                 expires_at_us=self.sim.now + self.lease_duration_us,
                 duration_us=self.lease_duration_us,
+                lease_id=next(self._lease_ids),
             )
             self._leases[lease.lease_id] = lease
             yield from self.store.put(
-                f"leases/{lease.lease_id}",
+                _lease_key(lease),
                 {"holder": holder, "provider": provider, "size": region.size},
             )
             leases.append(lease)
@@ -313,12 +307,14 @@ class MemoryBroker:
         """Extend the lease; returns False if it can no longer be renewed."""
         with self.sim.tracer.span("broker.renew", cat="rpc", lease=lease.lease_id):
             self._require_up()
-            if lease.state is not LeaseState.ACTIVE or self.sim.now >= lease.expires_at_us:
-                self._expire_if_needed(lease)
+            if lease.state is not LeaseState.ACTIVE:
                 return False
-            yield from self.store.put(
-                f"leases/{lease.lease_id}", {"renewed_at": self.sim.now}
-            )
+            if self.sim.now >= lease.expires_at_us:
+                yield from self._retire(lease, LeaseState.EXPIRED)
+                return False
+            yield from self.store.update(_lease_key(lease), {"renewed_at": self.sim.now})
+            if lease.state is not LeaseState.ACTIVE:  # ended during the round
+                return False
             lease.expires_at_us = self.sim.now + lease.duration_us
             return True
 
@@ -327,7 +323,7 @@ class MemoryBroker:
         with self.sim.tracer.span("broker.release", cat="rpc", lease=lease.lease_id):
             self._require_up()
             if lease.state is LeaseState.ACTIVE:
-                yield from self._terminate(lease, LeaseState.RELEASED)
+                yield from self._retire(lease, LeaseState.RELEASED)
 
     def check_expiry(self) -> list[Lease]:
         """Mark overdue leases expired; returns the newly-expired ones.
@@ -340,7 +336,8 @@ class MemoryBroker:
         expired = []
         for lease in list(self._leases.values()):
             if lease.state is LeaseState.ACTIVE and self.sim.now >= lease.expires_at_us:
-                self._expire_if_needed(lease)
+                for _ in self._retire(lease, LeaseState.EXPIRED):
+                    raise BrokerError("lease expiry waited on the metadata store")
                 expired.append(lease)
         return expired
 
@@ -352,29 +349,85 @@ class MemoryBroker:
 
     # -- internals ---------------------------------------------------------
 
-    def _expire_if_needed(self, lease: Lease) -> None:
-        if lease.state is LeaseState.ACTIVE and self.sim.now >= lease.expires_at_us:
-            lease.state = LeaseState.EXPIRED
-            lease.region.clear()
-            self._available.setdefault(lease.provider, deque()).append(lease.region)
-            del self._leases[lease.lease_id]
-            self._notify(lease)
+    def _retire(
+        self, lease: Lease, state: LeaseState, provider_lost: bool = False
+    ) -> ProcessGenerator:
+        """End an active lease — the one exit of every lease (DESIGN §11).
 
-    def _terminate(self, lease: Lease, state: LeaseState) -> ProcessGenerator:
+        The region returns to the free pool unless its provider died;
+        then its ``regions/`` record goes in the lease record's round.
+        Expiry runs on the broker's clock, not as an RPC: it drops the
+        record with no round and never suspends.  Holders hear of every
+        exit but a release.
+        """
         lease.state = state
         lease.region.clear()
-        self._available.setdefault(lease.provider, deque()).append(lease.region)
-        self._leases.pop(lease.lease_id, None)
-        yield from self.store.delete(f"leases/{lease.lease_id}")
-        if state is LeaseState.REVOKED:
-            self._notify(lease)
-
-    def _notify(self, lease: Lease) -> None:
-        for listener in tuple(self._revocation_listeners.get(lease.holder, ())):
-            listener(lease)
+        del self._leases[lease.lease_id]
+        keys = [_lease_key(lease)]
+        if provider_lost:
+            keys.append(_region_key(lease.region))
+        else:
+            self._available.setdefault(lease.provider, deque()).append(lease.region)
+        if state is LeaseState.EXPIRED:
+            self.store.drop(*keys)
+        else:
+            yield from self.store.delete(*keys)
+        if state is not LeaseState.RELEASED:
+            for listener in tuple(self._revocation_listeners.get(lease.holder, ())):
+                listener(lease)
 
     @property
     def active_leases(self) -> list[Lease]:
-        return [
-            lease for lease in self._leases.values() if lease.state is LeaseState.ACTIVE
-        ]
+        return list(self._leases.values())
+
+    def verify(self, proxies: Optional[dict] = None) -> dict[str, int]:
+        """Assert the books balance; returns a count summary.
+
+        After any storm of reallocation racing faults: the ACTIVE leases
+        are exactly the ``leases/`` records (no double-grant survives a
+        replayed recovery, no ghost records); the ``regions/`` records
+        are exactly the available and leased MRs (a dead provider leaves
+        none); no region is counted twice; and (with ``proxies``) every
+        MR a live proxy offered is available or leased — no orphan.
+        """
+        active = self.active_leases
+        recorded = {key.rsplit("/", 1)[-1] for key in self.store.peek_keys("leases/")}
+        active_ids = {str(lease.lease_id) for lease in active}
+        if active_ids != recorded:
+            raise AssertionError(
+                f"lease table diverged from metadata store: active={sorted(active_ids)} "
+                f"recorded={sorted(recorded)}"
+            )
+        available = self.available_regions()
+        pool = available + [lease.region for lease in active]
+        accounted = {id(region) for region in pool}
+        if len(accounted) != len(pool):
+            raise AssertionError("double-grant: a region is leased twice or also available")
+        region_keys = {_region_key(region) for region in pool}
+        region_records = set(self.store.peek_keys("regions/"))
+        if region_keys != region_records:
+            raise AssertionError(
+                f"region records diverged from the pool: pool={sorted(region_keys)} "
+                f"recorded={sorted(region_records)}"
+            )
+        for name, proxy in sorted((proxies or {}).items()):
+            if not proxy.server.alive:
+                continue
+            for region in proxy.offered:
+                if id(region) not in accounted:
+                    raise AssertionError(
+                        f"orphaned MR: {name} offered region {region.mr_id} is "
+                        "neither available nor leased"
+                    )
+        return {
+            "active_leases": len(active),
+            "available_regions": len(available),
+            "recorded_leases": len(recorded),
+        }
+
+def _lease_key(lease: Lease) -> str:
+    return f"leases/{lease.lease_id}"
+
+
+def _region_key(region: MemoryRegion) -> str:
+    return f"regions/{region.server.name}/{region.mr_id}"

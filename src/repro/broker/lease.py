@@ -11,14 +11,11 @@ memory is best-effort (Section 4.1.5).
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..net.rdma import MemoryRegion
 
 __all__ = ["Lease", "LeaseState"]
-
-_lease_ids = itertools.count(1)
 
 
 class LeaseState(enum.Enum):
@@ -34,7 +31,8 @@ class Lease:
     holder: str
     expires_at_us: float
     duration_us: float
-    lease_id: int = field(default_factory=lambda: next(_lease_ids))
+    #: Issued by the granting broker, in grant order.
+    lease_id: int
     state: LeaseState = LeaseState.ACTIVE
 
     def is_valid(self, now_us: float) -> bool:

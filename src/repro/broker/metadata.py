@@ -34,9 +34,23 @@ class MetadataStore:
         yield from self._charge()
         self._data[key] = value
 
-    def delete(self, key: str) -> ProcessGenerator:
+    def update(self, key: str, value: Any) -> ProcessGenerator:
+        """Overwrite ``key`` in one quorum round; like ZooKeeper's
+        ``setData``, a key deleted meanwhile stays deleted."""
         yield from self._charge()
-        self._data.pop(key, None)
+        if key in self._data:
+            self._data[key] = value
+
+    def delete(self, *keys: str) -> ProcessGenerator:
+        """Delete ``keys`` in one quorum round."""
+        yield from self._charge()
+        self.drop(*keys)
+
+    def drop(self, *keys: str) -> None:
+        """Delete ``keys`` with no quorum round, as the store retires a
+        record whose time ran out (an expired lease's)."""
+        for key in keys:
+            self._data.pop(key, None)
 
     def keys(self, prefix: str = "") -> ProcessGenerator:
         yield from self._charge()

@@ -41,6 +41,9 @@ class MemoryProxy:
         self.reserve_bytes = reserve_bytes
         self.registrar = RdmaRegistrar(server)
         self.offered: list[MemoryRegion] = []
+        #: What the proxy had brokered when its host crashed, owed
+        #: back to the cluster by :meth:`reoffer`.
+        self.crashed_offer_bytes = 0
 
     @property
     def offered_bytes(self) -> int:
@@ -82,12 +85,19 @@ class MemoryProxy:
         The broker learns about the crash separately through
         :meth:`~repro.broker.MemoryBroker.fail_provider`.
         """
+        self.crashed_offer_bytes += self.offered_bytes
         for region in self.offered:
             self.registrar.regions.pop(region.mr_id, None)
             region.registered = False
             region.clear()
             self.server.release_memory(region.size)
         self.offered.clear()
+
+    def reoffer(self) -> ProcessGenerator:
+        """The host is back: broker what it had offered when it crashed
+        (not the whole, now empty, server).  Returns the regions."""
+        limit, self.crashed_offer_bytes = self.crashed_offer_bytes, 0
+        return (yield from self.offer_available(limit_bytes=limit))
 
     def handle_memory_pressure(self, bytes_needed: int) -> ProcessGenerator:
         """OS pressure notification: withdraw MRs until demand is met.

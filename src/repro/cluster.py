@@ -13,6 +13,7 @@ public :meth:`Server.fail` / :meth:`Server.restore` hooks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .sim import Cpu, RngRegistry, Simulator
@@ -46,6 +47,8 @@ class Server:
         self.tcp = None  # type: ignore[assignment]
         #: Fault state: devices and NICs refuse service while False.
         self.alive = True
+        #: Issues the ids of the memory regions pinned here.
+        self.mr_ids = itertools.count(1)
 
     # -- fault hooks -------------------------------------------------------
 

@@ -101,25 +101,21 @@ class BloomBuild(Operator):
         runtime: ExchangeRuntime,
         exchange_id: str,
         slot: FilterSlot,
-        n_bits: int = 1 << 15,
-        hashes: int = 4,
     ):
         self.child = child
         self.key = key
         self.runtime = runtime
         self.exchange_id = exchange_id
         self.slot = slot
-        self.n_bits = n_bits
-        self.hashes = hashes
         self.row_bytes = child.row_bytes
 
     def run(self, ctx: ExecContext) -> ProcessGenerator:
         rows = yield from self.child.run(ctx)
-        local = BloomFilter(self.n_bits, self.hashes)
+        local = BloomFilter()
         yield from ctx.cpu.compute(len(rows) * PER_ROW_HASH_BUILD_CPU_US)
         for row in rows:
             local.add(self.key(row))
-        merged = BloomFilter(self.n_bits, self.hashes)
+        merged = BloomFilter()
         for remote in (
             yield from self.runtime.exchange_object(
                 ctx, self.exchange_id, local, local.size_bytes

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from ..remotefile import RemoteFile
 from ..sim.kernel import ProcessGenerator
-from ..storage import MB
 from .database import Database
 from .page import PAGE_SIZE
 
@@ -81,14 +80,13 @@ def prime_pool_from_file(db: Database, file: RemoteFile, page_count: int) -> Pro
     return PrimingResult(pages=installed, transfer_us=sim.now - start)
 
 
-def prime_push(src: Database, dst: Database, batch_bytes: int = 1 * MB) -> ProcessGenerator:
+def prime_push(src: Database, dst: Database) -> ProcessGenerator:
     """Proactive push variant: S1 streams pages straight to S2's NIC."""
     sim = src.sim
     start = sim.now
     pages = src.pool.cached_pages()
-    batch_pages = max(1, batch_bytes // PAGE_SIZE)
-    for begin in range(0, len(pages), batch_pages):
-        batch = pages[begin : begin + batch_pages]
+    for begin in range(0, len(pages), _BATCH_PAGES):
+        batch = pages[begin : begin + _BATCH_PAGES]
         yield from src.server.cpu.compute(len(batch) * _SERIALIZE_CPU_US)
         yield src.server.nic.transfer(dst.server.nic, len(batch) * PAGE_SIZE)
         yield from dst.server.cpu.compute(len(batch) * _SERIALIZE_CPU_US)

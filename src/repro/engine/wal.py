@@ -61,6 +61,8 @@ class LogRecordKind(enum.Enum):
     CHECKPOINT = "checkpoint"
 
 
+#: REDO streams the log tail from disk in reads of this size.
+REDO_READ_CHUNK_BYTES = 512 * KB
 #: Kinds that change data and are therefore candidates for REDO.
 REDO_KINDS = (LogRecordKind.INSERT, LogRecordKind.UPDATE, LogRecordKind.DELETE)
 
@@ -221,7 +223,6 @@ def redo_replay(
     log: WriteAheadLog,
     apply_fn: Callable[[LogRecord], Optional[ProcessGenerator]],
     from_lsn: Optional[int] = None,
-    read_chunk_bytes: int = 512 * KB,
     committed_only: bool = True,
 ) -> ProcessGenerator:
     """REDO pass: stream the log tail from disk and re-apply records.
@@ -244,7 +245,7 @@ def redo_replay(
     bytes_to_read = sum(record.payload_bytes for record in tail)
     offset = 0
     while offset < bytes_to_read:
-        chunk = min(read_chunk_bytes, bytes_to_read - offset)
+        chunk = min(REDO_READ_CHUNK_BYTES, bytes_to_read - offset)
         yield from log.device.io(IoOp.READ, offset, chunk)
         offset += chunk
     if committed_only:

@@ -2,7 +2,7 @@
 
 Each injector touches the system only through the public fault hooks
 added for this subsystem — ``Server.fail()/restore()``,
-``NicPort.degrade()/restore_link()``, ``MemoryProxy.crash()``,
+``NicPort.degrade()/restore_link()``, ``MemoryProxy.crash()/reoffer()``,
 ``MemoryBroker.fail_provider()/force_expire()/fail()/recover()`` and
 ``BufferPoolExtension.on_fault()`` — never through another layer's
 private state.  The :class:`FaultEngine` schedules specs in virtual
@@ -58,17 +58,19 @@ class MemoryServerCrashInjector(Injector):
 
     1. ``Server.fail()`` — NIC goes dark, every tracked in-flight RDMA
        transfer is interrupted mid-wire;
-    2. ``MemoryProxy.crash()`` — the pinned MRs evaporate;
+    2. ``MemoryProxy.crash()`` — the pinned MRs evaporate; the proxy
+       remembers how much it had brokered;
     3. ``MemoryBroker.fail_provider()`` — leases on the provider are
        revoked (holders are notified), its spare regions forgotten;
     4. ``BufferPoolExtension.on_fault(provider)`` on every extension
        the engine sweeps — parked clean pages on the dead server become
        invalid and will re-fault from the base file.
 
-    Restoration brings the server back up and re-offers its memory to
-    the broker; re-acquiring leases for the BPExt is left to the
-    engine's ``on_provider_restored`` callback (benchmarks wire this to
-    :func:`repro.harness.rebuild_extension`).
+    Restoration brings the server back up and the proxy re-offers what
+    it had brokered (:meth:`~repro.broker.MemoryProxy.reoffer`), not the
+    whole server; the spec is never written.  Re-acquiring leases for
+    the BPExt is left to the engine's ``on_provider_restored`` callback
+    (benchmarks wire this to :func:`repro.harness.rebuild_extension`).
     """
 
     kind = FaultKind.MEMORY_SERVER_CRASH
@@ -79,9 +81,6 @@ class MemoryServerCrashInjector(Injector):
         server.fail()
         proxy = engine.proxies.get(spec.target)
         if proxy is not None:
-            # Remember how much was brokered so restoration re-offers the
-            # same amount instead of pinning the whole (huge) server.
-            spec.params.setdefault("offer_bytes", proxy.offered_bytes)
             proxy.crash()
         revoked = []
         if engine.broker is not None:
@@ -99,9 +98,7 @@ class MemoryServerCrashInjector(Injector):
         proxy = engine.proxies.get(spec.target)
         regions = []
         if proxy is not None:
-            regions = yield from proxy.offer_available(
-                limit_bytes=spec.params.get("offer_bytes")
-            )
+            regions = yield from proxy.reoffer()
         if engine.on_provider_restored is not None:
             result = engine.on_provider_restored(spec.target)
             if result is not None:  # allow plain callables or generators

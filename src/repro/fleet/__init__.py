@@ -23,7 +23,6 @@ from .marketplace import (
     Marketplace,
     MarketplacePolicy,
     QosClass,
-    verify_broker_consistency,
 )
 from .tenants import (
     DiurnalShape,
@@ -65,6 +64,5 @@ __all__ = [
     "TrafficShape",
     "build_fleet",
     "run_fleet",
-    "verify_broker_consistency",
     "zipf_shares",
 ]

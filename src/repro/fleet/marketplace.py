@@ -43,7 +43,6 @@ __all__ = [
     "Marketplace",
     "MarketplacePolicy",
     "QosClass",
-    "verify_broker_consistency",
 ]
 
 
@@ -314,54 +313,3 @@ class Marketplace:
         while True:
             yield self.sim.timeout(self.policy.period_us)
             yield from self.rebalance_once()
-
-
-def verify_broker_consistency(
-    broker: MemoryBroker, proxies: Optional[dict] = None
-) -> dict[str, int]:
-    """Assert lease/region/metadata invariants; returns a count summary.
-
-    Used by the broker-restart race tests and fleet benchmarks: after
-    any storm of reallocation racing faults,
-
-    * every ACTIVE lease has a record in the replicated
-      :class:`~repro.broker.MetadataStore` and vice versa (no
-      double-grant survives a replayed recovery, no ghost records);
-    * no region is simultaneously available and leased, and no region
-      backs two leases;
-    * (with ``proxies``) every MR offered by a live proxy is accounted
-      for — available or leased — i.e. no orphaned MR.
-    """
-    active = broker.active_leases
-    recorded = {
-        key.rsplit("/", 1)[-1] for key in broker.store.peek_keys("leases/")
-    }
-    active_ids = {str(lease.lease_id) for lease in active}
-    if active_ids != recorded:
-        raise AssertionError(
-            f"lease table diverged from metadata store: active={sorted(active_ids)} "
-            f"recorded={sorted(recorded)}"
-        )
-    leased = [lease.region for lease in active]
-    if len({id(region) for region in leased}) != len(leased):
-        raise AssertionError("double-grant: one region backs two active leases")
-    available = broker.available_regions()
-    overlap = {id(r) for r in available} & {id(r) for r in leased}
-    if overlap:
-        raise AssertionError("region is both available and leased")
-    if proxies:
-        accounted = {id(r) for r in available} | {id(r) for r in leased}
-        for name, proxy in sorted(proxies.items()):
-            if not proxy.server.alive:
-                continue
-            for region in proxy.offered:
-                if id(region) not in accounted:
-                    raise AssertionError(
-                        f"orphaned MR: {name} offered region {region.mr_id} is "
-                        "neither available nor leased"
-                    )
-    return {
-        "active_leases": len(active),
-        "available_regions": len(available),
-        "recorded_leases": len(recorded),
-    }

@@ -37,7 +37,7 @@ from ..telemetry import MetricsRegistry
 from ..tiers import Tier, TierDef, TierSpec
 from ..workloads import TpchScale, build_customer_table
 from ..workloads.tpch import build_tpch_database, tpch_query_specs
-from .marketplace import Marketplace, MarketplacePolicy, QosClass, verify_broker_consistency
+from .marketplace import Marketplace, MarketplacePolicy, QosClass
 from .tenants import SteadyShape, TenantWorkload, TrafficShape
 
 __all__ = [
@@ -518,7 +518,7 @@ def run_fleet(
             "aborted_rounds": market.aborted_rounds,
             "revocations": market.revocations_seen,
         }
-    consistency = verify_broker_consistency(setup.broker, setup.proxies)
+    consistency = setup.broker.verify(setup.proxies)
     return FleetReport(
         name=setup.spec.name,
         seed=setup.spec.seed,

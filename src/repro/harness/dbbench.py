@@ -207,7 +207,7 @@ def build_database(
     return setup
 
 
-def prewarm_extension(target, max_pages: Optional[int] = None) -> int:
+def prewarm_extension(target) -> int:
     """Install every base-file page into the BPExt (steady-state setup).
 
     Long-running systems reach a state where the extension holds the
@@ -220,10 +220,7 @@ def prewarm_extension(target, max_pages: Optional[int] = None) -> int:
     extension = pool.extension
     if extension is None:
         return 0
-    installed = 0
-    budget = extension.capacity_pages if max_pages is None else min(
-        extension.capacity_pages, max_pages
-    )
+    installed, budget = 0, extension.capacity_pages
     for store in pool.files.values():
         for _slot, page in store.iter_pages():
             if installed >= budget:
@@ -234,7 +231,7 @@ def prewarm_extension(target, max_pages: Optional[int] = None) -> int:
     return installed
 
 
-def prewarm_pool(target, max_pages: Optional[int] = None) -> int:
+def prewarm_pool(target) -> int:
     """Fill the buffer pool with base-file pages (steady-state setup).
 
     Used chiefly for the *Local Memory* design, whose pool is large
@@ -243,11 +240,10 @@ def prewarm_pool(target, max_pages: Optional[int] = None) -> int:
     :func:`prewarm_extension`.  Returns pages cached.
     """
     pool = target.pool
-    budget = pool.capacity_pages if max_pages is None else min(pool.capacity_pages, max_pages)
     installed = 0
     for store in pool.files.values():
         for _slot, page in store.iter_pages():
-            if installed >= budget - 1:
+            if installed >= pool.capacity_pages - 1:
                 return installed
             if pool.adopt(page):
                 installed += 1

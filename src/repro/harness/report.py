@@ -56,14 +56,13 @@ def format_metrics(registry: Any, prefix: str = "", title: str = "") -> str:
 
 
 def format_series(name: str, points: Iterable[tuple[float, float]],
-                  x_label: str = "t", y_label: str = "value",
                   max_points: int = 25) -> str:
     """Render a (downsampled) time series as aligned columns."""
     points = list(points)
     if len(points) > max_points:
         step = len(points) / max_points
         points = [points[int(i * step)] for i in range(max_points)]
-    lines = [f"{name}  ({x_label}, {y_label})"]
+    lines = [f"{name}  (t, value)"]
     for x, y in points:
         lines.append(f"  {x:>10.2f}  {_fmt(y)}")
     return "\n".join(lines)

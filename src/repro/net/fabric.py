@@ -71,9 +71,11 @@ class NicProfile:
 class Network:
     """The switch: attach servers to get NIC ports; non-blocking core."""
 
-    def __init__(self, sim: Simulator, propagation_us: float = 1.0):
+    #: One-way switch propagation delay.
+    propagation_us = 1.0
+
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.propagation_us = propagation_us
         self.ports: dict[str, NicPort] = {}
 
     def attach(self, server: Server, profile: NicProfile | None = None) -> "NicPort":

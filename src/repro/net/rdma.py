@@ -67,11 +67,8 @@ class RdmaError(RuntimeError):
 class MemoryRegion:
     """A pinned, NIC-registered block of a server's physical memory."""
 
-    _next_id = 0
-
     def __init__(self, server: Server, size: int):
-        MemoryRegion._next_id += 1
-        self.mr_id = MemoryRegion._next_id
+        self.mr_id = next(server.mr_ids)
         self.server = server
         self.size = size
         self.registered = False

@@ -462,7 +462,6 @@ class RemoteMemoryFilesystem:
         #: deadline + retry, transfers get the full policy set.
         self.reliability = reliability
         self.files: dict[str, RemoteFile] = {}
-        broker.add_revocation_listener(owner.name, self._on_revocation)
 
     def initialize(self) -> ProcessGenerator:
         yield from self.staging.initialize()
@@ -526,8 +525,3 @@ class RemoteMemoryFilesystem:
                 if not ok:
                     return False
         return True
-
-    def _on_revocation(self, lease: Lease) -> None:
-        # Nothing to do eagerly: files discover the revocation on next
-        # access and surface RemoteMemoryUnavailable to the engine.
-        pass

@@ -24,7 +24,7 @@ perfmon utilization counter would.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .tracer import Span, TraceRecorder
 
@@ -48,23 +48,18 @@ def _descendants(tracer: TraceRecorder, root: Span) -> list[Span]:
     return out
 
 
-def decompose(
-    tracer: TraceRecorder,
-    root: Span,
-    categories: Iterable[str] = CATEGORIES,
-) -> dict[str, float]:
+def decompose(tracer: TraceRecorder, root: Span) -> dict[str, float]:
     """Decompose ``root``'s latency into per-category microseconds.
 
     Returns ``{category: us, ..., "blocked": us, "total": us}`` where
     the categories plus ``blocked`` sum to ``total`` (the root span's
     duration), up to float rounding.
     """
-    wanted = set(categories)
     end_default = tracer.sim.now
     root_start = root.start_us
     root_end = root.end_us if root.end_us is not None else end_default
     total = max(0.0, root_end - root_start)
-    out = {category: 0.0 for category in categories}
+    out = {category: 0.0 for category in CATEGORIES}
     out["blocked"] = total
     out["total"] = total
     if total <= 0.0:
@@ -74,7 +69,7 @@ def decompose(
     clipped: list[tuple[float, float, int, int, str]] = []
     boundaries = {root_start, root_end}
     for span in _descendants(tracer, root):
-        if span.cat not in wanted:
+        if span.cat not in CATEGORIES:
             continue
         start = max(root_start, span.start_us)
         end = min(root_end, span.end_us if span.end_us is not None else end_default)

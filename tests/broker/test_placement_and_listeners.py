@@ -5,7 +5,6 @@ import pytest
 
 from repro.broker import BrokerUnavailable, MemoryBroker, MemoryProxy
 from repro.cluster import Cluster
-from repro.fleet import verify_broker_consistency
 from repro.net import Network
 from repro.remotefile import RemoteMemoryFilesystem, StagingPool
 from repro.storage import GB, MB
@@ -144,7 +143,7 @@ class TestBrokerRestartRace:
         survivors = complete(sim, broker.recover(replay=True))
         # Replay rebuilt exactly the recorded leases; invariants hold
         # even with the reallocation torn mid-flight.
-        verify_broker_consistency(broker, proxies)
+        broker.verify(proxies)
         assert all(str(l.lease_id) in {
             key.rsplit("/", 1)[-1] for key in broker.store.peek_keys("leases/")
         } for l in survivors)
@@ -155,7 +154,7 @@ class TestBrokerRestartRace:
             return (yield from fs.create("ext.1", 64 * MB))
 
         file = complete(sim, retry())
-        counts = verify_broker_consistency(broker, proxies)
+        counts = broker.verify(proxies)
         assert counts["active_leases"] == len(file.leases) == 4
         assert counts["recorded_leases"] == 4
 
@@ -170,5 +169,5 @@ class TestBrokerRestartRace:
             complete(sim, broker.acquire("db", 16 * MB))
         survivors = complete(sim, broker.recover(replay=False))
         assert survivors == []
-        counts = verify_broker_consistency(broker)
+        counts = broker.verify()
         assert counts["active_leases"] == 0 and counts["recorded_leases"] == 0
