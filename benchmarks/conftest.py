@@ -162,3 +162,12 @@ def rangescan_experiment(
     )
     report = run_rangescan(db, table, config, rng=setup.cluster.rng.stream("measure"))
     return setup, table, report
+
+
+def wrong_answers(run, range_size: int) -> int:
+    """RangeScan reads of ``run`` whose SUM(acctbal) is not the closed
+    form (the Customer table's acctbal is 1000 + key % 9000)."""
+    return sum(
+        answer != float(sum(1000 + key % 9000 for key in range(start, start + range_size)))
+        for *_, (start, answer) in run.records
+    )

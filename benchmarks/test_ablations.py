@@ -15,7 +15,7 @@ from repro.harness import format_table
 from repro.harness.iobench import build_io_target
 from repro.net.rdma import RdmaRegistrar
 from repro.remotefile import AccessPolicy, StagingPool
-from repro.workloads import RANDOM_8K, run_sqlio
+from repro.workloads import RANDOM_8K, gb_per_s, run_sqlio
 from repro.storage import KB
 
 
@@ -47,9 +47,9 @@ def run_policy_ablation():
             rng=target.cluster.rng.stream("sqlio"),
         )
         switches = target.db_server.cpu.context_switches
-        results[policy] = (result.mean_latency_us, result.throughput_gb_per_s, switches)
-        rows.append([policy.value, result.mean_latency_us,
-                     result.throughput_gb_per_s, switches])
+        results[policy] = (result.latency.mean, gb_per_s(result), switches)
+        rows.append([policy.value, result.latency.mean,
+                     gb_per_s(result), switches])
     print()
     print(format_table(
         ["wait policy", "8K rand latency us", "GB/s", "context switches"],
@@ -113,8 +113,8 @@ def run_staging_ablation():
             target.cluster.sim, target, pattern, span_bytes=target.span_bytes,
             rng=target.cluster.rng.stream("sqlio"),
         )
-        results[slots_kb] = result.throughput_gb_per_s
-        rows.append([slots_kb, result.throughput_gb_per_s, result.mean_latency_us])
+        results[slots_kb] = gb_per_s(result)
+        rows.append([slots_kb, gb_per_s(result), result.latency.mean])
     print()
     print(format_table(
         ["staging KB/scheduler-pool", "GB/s", "latency us"], rows,

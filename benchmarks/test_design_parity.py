@@ -86,7 +86,7 @@ def run_parity_case(design: Design, workload: str) -> tuple[dict, int]:
         "virtual_clock_us": setup.sim.now,
         "elapsed_us": report.elapsed_us,
         "latency_sum_us": sum(report.latency.samples),
-        "queries": report.queries,
+        "queries": report.ops,
         "bp_hits": pool.hits,
         "bp_misses": pool.misses,
         "ext_hits": pool.ext_hits,

@@ -16,7 +16,7 @@ Custom                4.27       5.1
 """
 
 from repro.harness import IO_DESIGNS, build_io_target, format_table
-from repro.workloads import RANDOM_8K, SEQUENTIAL_512K, run_sqlio
+from repro.workloads import RANDOM_8K, SEQUENTIAL_512K, gb_per_s, run_sqlio
 
 
 def _registry_row(design, registry):
@@ -55,8 +55,8 @@ def run_figure3():
             span_bytes=seq_target.span_bytes,
             rng=seq_target.cluster.rng.stream("sqlio"),
         )
-        results[design] = (random.throughput_gb_per_s, sequential.throughput_gb_per_s)
-        rows.append([design, random.throughput_gb_per_s, sequential.throughput_gb_per_s])
+        results[design] = (gb_per_s(random), gb_per_s(sequential))
+        rows.append([design, gb_per_s(random), gb_per_s(sequential)])
         metric_rows.append(_registry_row(design, random_target.metrics))
     print()
     print(format_table(

@@ -25,8 +25,8 @@ def run_figure4():
             span_bytes=seq_target.span_bytes,
             rng=seq_target.cluster.rng.stream("sqlio"),
         )
-        results[design] = (random.mean_latency_us, sequential.mean_latency_us)
-        rows.append([design, random.mean_latency_us, sequential.mean_latency_us])
+        results[design] = (random.latency.mean, sequential.latency.mean)
+        rows.append([design, random.latency.mean, sequential.latency.mean])
     print()
     print(format_table(
         ["design", "8K random us", "512K sequential us"], rows,

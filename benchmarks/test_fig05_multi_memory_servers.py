@@ -6,7 +6,7 @@ NIC is the shared bottleneck either way).
 """
 
 from repro.harness import build_custom_multi, format_table
-from repro.workloads import RANDOM_8K, SEQUENTIAL_512K, run_sqlio
+from repro.workloads import RANDOM_8K, SEQUENTIAL_512K, gb_per_s, run_sqlio
 
 
 def run_figure5():
@@ -26,8 +26,8 @@ def run_figure5():
             rng=seq_target.cluster.rng.stream("sqlio"),
         )
         results[n_servers] = (
-            random.throughput_gb_per_s, random.mean_latency_us,
-            sequential.throughput_gb_per_s, sequential.mean_latency_us,
+            gb_per_s(random), random.latency.mean,
+            gb_per_s(sequential), sequential.latency.mean,
         )
         rows.append([n_servers, *results[n_servers]])
     print()

@@ -9,8 +9,8 @@ from dataclasses import replace
 
 from repro.harness import format_table
 from repro.harness.iobench import build_multi_db
-from repro.workloads import RANDOM_8K
-from repro.workloads.sqlio import launch_sqlio
+from repro.storage import GB
+from repro.workloads import RANDOM_8K, run_clients, sqlio_clients
 
 
 def run_figure6():
@@ -20,21 +20,20 @@ def run_figure6():
     pattern = replace(RANDOM_8K, threads=2, ops_per_thread=1000)
     for n_db in (1, 2, 4, 8):
         targets = build_multi_db(n_db)
-        sim = targets[0].cluster.sim
-        finalizers = []
-        processes = []
-        for target in targets:
-            procs, finalize = launch_sqlio(
-                sim, target, pattern, span_bytes=target.span_bytes,
+        run = run_clients(targets[0].cluster.sim, [
+            client
+            for target in targets
+            for client in sqlio_clients(
+                target, pattern, span_bytes=target.span_bytes,
                 rng=target.cluster.rng.stream(f"sqlio.{target.name}"),
             )
-            processes.extend(procs)
-            finalizers.append(finalize)
-        for process in processes:
-            sim.run_until_complete(process)
-        measurements = [finalize() for finalize in finalizers]
-        aggregate = sum(m.throughput_gb_per_s for m in measurements)
-        mean_latency = sum(m.mean_latency_us for m in measurements) / len(measurements)
+        ])
+        latencies = [run.by_label[target.name] for target in targets]
+        aggregate = sum(
+            (latency.count * pattern.io_bytes / GB) / (run.elapsed_us / 1e6)
+            for latency in latencies
+        )
+        mean_latency = sum(latency.mean for latency in latencies) / len(latencies)
         results[n_db] = (aggregate, mean_latency)
         rows.append([n_db, aggregate, mean_latency])
     print()

@@ -20,11 +20,11 @@ def run_figures_7_8():
                 workers=80, queries=25,
             )
             results[(design, spindles)] = (
-                report.throughput_qps, report.latency.mean / 1000.0
+                report.throughput, report.latency.mean / 1000.0
             )
             rows.append([
                 f"{spindles} spindles", design.value,
-                report.throughput_qps, report.latency.mean / 1000.0,
+                report.throughput, report.latency.mean / 1000.0,
             ])
     print()
     print(format_table(

@@ -25,10 +25,10 @@ def run_figure12():
                 n_memory_servers=servers,
             )
             results[(label, ext_pages)] = (
-                report.throughput_qps, report.latency.mean / 1000.0
+                report.throughput, report.latency.mean / 1000.0
             )
             rows.append([
-                label, ext_pages * 8 // 1024, report.throughput_qps,
+                label, ext_pages * 8 // 1024, report.throughput,
                 report.latency.mean / 1000.0,
             ])
     print()

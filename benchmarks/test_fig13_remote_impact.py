@@ -90,7 +90,7 @@ def run_figure13():
         ), rng=cluster.rng.stream("warm"))
         report = run_rangescan(db, table, config, rng=cluster.rng.stream("m"))
         results[mode] = (
-            report.throughput_qps,
+            report.throughput,
             report.latency.mean / 1000.0,
             report.latency.p99 / 1000.0,
         )

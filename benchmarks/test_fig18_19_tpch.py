@@ -16,7 +16,13 @@ from repro.harness import (
     prewarm_extension,
 )
 from repro.harness.dbbench import prewarm_pool
-from repro.workloads import TPCH_QUERIES, build_tpch_database, improvement_histogram, run_query_streams
+from repro.workloads import (
+    TPCH_QUERIES,
+    build_tpch_database,
+    improvement_histogram,
+    queries_per_hour,
+    run_query_streams,
+)
 
 BP, EXT, TDB = 256, 2600, 49152
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
@@ -47,12 +53,12 @@ def run_figures_18_19():
     rows = []
     for design in DESIGNS_20SPIN:
         reports[(design, 20)] = _run_one(design, 20)
-        rows.append(["20 spindles", design.value, reports[(design, 20)].queries_per_hour])
+        rows.append(["20 spindles", design.value, queries_per_hour(reports[(design, 20)])])
     for spindles in (4, 8):
         for design in SPINDLE_DESIGNS:
             reports[(design, spindles)] = _run_one(design, spindles)
             rows.append([f"{spindles} spindles", design.value,
-                         reports[(design, spindles)].queries_per_hour])
+                         queries_per_hour(reports[(design, spindles)])])
     print()
     print(format_table(
         ["config", "design", "queries/hour"], rows,
@@ -72,7 +78,7 @@ def test_fig18_19_tpch(once):
     reports, histogram = once(run_figures_18_19)
 
     def qph(design, spindles=20):
-        return reports[(design, spindles)].queries_per_hour
+        return queries_per_hour(reports[(design, spindles)])
 
     # Custom substantially outperforms HDD+SSD and the TCP baseline.
     assert qph(Design.CUSTOM) > 2.5 * qph(Design.HDD_SSD)
@@ -90,4 +96,4 @@ def test_fig18_19_tpch(once):
     custom = reports[(Design.CUSTOM, 20)]
     local = reports[(Design.LOCAL_MEMORY, 20)]
     for query in ("Q10", "Q18"):
-        assert custom.mean_latency_us(query) < local.mean_latency_us(query), query
+        assert custom.by_label[query].mean < local.by_label[query].mean, query

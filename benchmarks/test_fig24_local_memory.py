@@ -22,11 +22,11 @@ def run_figure24():
                 design, bp_pages=bp_pages, workers=80, queries=20,
             )
             results[(design, bp_pages)] = (
-                report.throughput_qps, report.latency.mean / 1000.0
+                report.throughput, report.latency.mean / 1000.0
             )
             rows.append([
                 bp_pages * 8 // 1024, design.value,
-                report.throughput_qps, report.latency.mean / 1000.0,
+                report.throughput, report.latency.mean / 1000.0,
             ])
     print()
     print(format_table(

@@ -13,9 +13,7 @@ from repro.net import Network
 from repro.remotefile import AccessPolicy
 from repro.storage import GB, MB
 from repro.tiers import TierDef, TierSpec
-from repro.workloads import RangeScanConfig, build_customer_table
-from repro.workloads.rangescan import launch_rangescan
-from repro.sim.kernel import AllOf
+from repro.workloads import RangeScanConfig, build_customer_table, rangescan_clients, run_clients
 
 N_ROWS = 25_000   # ~6 MB per DB server
 BP_PAGES = 128
@@ -55,30 +53,22 @@ def run_figure25():
     rows = []
     for n_db in (1, 2, 4, 8):
         cluster, databases = _build(n_db)
-        sim = cluster.sim
         # Warm every DB server's extension via the workload.
         warm_cfg = RangeScanConfig(n_rows=N_ROWS, workers=32,
                                    queries_per_worker=25, seed=5)
-        processes = []
-        for database, table in databases:
-            procs, _fin = launch_rangescan(database, table, warm_cfg,
-                                           rng=cluster.rng.stream("w"))
-            processes.extend(procs)
-        sim.run_until_complete(sim.spawn(_wait(sim, processes)))
+        _run_all(cluster, databases, warm_cfg, "w")
         # Measure all servers concurrently.
         config = RangeScanConfig(n_rows=N_ROWS, workers=32,
                                  queries_per_worker=25, seed=6)
-        finalizers = []
-        processes = []
-        for database, table in databases:
-            procs, finalize = launch_rangescan(database, table, config,
-                                               rng=cluster.rng.stream("m"))
-            processes.extend(procs)
-            finalizers.append(finalize)
-        sim.run_until_complete(sim.spawn(_wait(sim, processes)))
-        reports = [finalize() for finalize in finalizers]
-        aggregate = sum(report.throughput_qps for report in reports)
-        latency = sum(r.latency.mean for r in reports) / len(reports) / 1000.0
+        run = _run_all(cluster, databases, config, "m")
+        # Server i ran clients [i * workers, (i + 1) * workers).
+        per_server = [
+            [end - begin for client, begin, end, _ in run.records
+             if client // config.workers == server]
+            for server in range(n_db)
+        ]
+        aggregate = sum(len(lat) / (run.elapsed_us / 1e6) for lat in per_server)
+        latency = sum(sum(lat) / len(lat) for lat in per_server) / n_db / 1000.0
         results[n_db] = (aggregate, latency)
         rows.append([n_db, aggregate, latency])
     print()
@@ -89,8 +79,14 @@ def run_figure25():
     return results
 
 
-def _wait(sim, processes):
-    yield AllOf(sim, processes)
+def _run_all(cluster, databases, config, stream):
+    """RangeScan on every DB server at once, from one shared RNG stream."""
+    rng = cluster.rng.stream(stream)
+    return run_clients(cluster.sim, [
+        client
+        for database, table in databases
+        for client in rangescan_clients(database, table, config, rng=rng)
+    ])
 
 
 def test_fig25_multi_db_rangescan(once):

@@ -15,25 +15,18 @@ figure plots: healthy, during-fault, recovered.
 from repro.faults import FaultEngine, FaultPlan, RecoveryMonitor
 from repro.harness import Design, build_database, format_table, prewarm_extension
 from repro.harness.dbbench import rebuild_extension
-from repro.workloads import RangeScanConfig, build_customer_table
-from repro.workloads.rangescan import read_query
+from repro.workloads import RangeScanConfig, build_customer_table, run_rangescan
 
-from conftest import FULL
+from conftest import FULL, wrong_answers
 
 N_ROWS = 60_000 if not FULL else 120_000
 BP_PAGES = 512 if not FULL else 1024
 EXT_PAGES = 3200 if not FULL else 6400
-RANGE_SIZE = 100
 WORKERS = 8
 QUERIES_PER_WORKER = 600 if not FULL else 1200
 #: Crash timing relative to workload start (virtual us).
 CRASH_AFTER_US = 30_000
 CRASH_DURATION_US = 40_000
-
-
-def expected_sum(start_key: int) -> float:
-    """Closed form of SUM(acctbal) for one query (acctbal = 1000 + key % 9000)."""
-    return float(sum(1000 + key % 9000 for key in range(start_key, start_key + RANGE_SIZE)))
 
 
 def run_experiment(inject_fault: bool, use_extension: bool = True):
@@ -63,42 +56,15 @@ def run_experiment(inject_fault: bool, use_extension: bool = True):
 
     config = RangeScanConfig(n_rows=N_ROWS, workers=WORKERS,
                              queries_per_worker=QUERIES_PER_WORKER, seed=2)
-    rng = setup.cluster.rng.stream("fig26b")
-    total = config.workers * config.queries_per_worker
-    from repro.workloads.rangescan import _start_keys
-
-    starts = _start_keys(config, rng, total)
-    completions: list[float] = []
-    wrong_results = 0
-    sim = setup.sim
-    begin = sim.now
-
-    def worker(worker_index: int):
-        nonlocal wrong_results
-        base = worker_index * config.queries_per_worker
-        for query_index in range(config.queries_per_worker):
-            start_key = int(starts[base + query_index])
-            yield from db.server.cpu.compute(db.query_setup_cpu_us)
-            value = yield from read_query(db, table, start_key, RANGE_SIZE)
-            if value != expected_sum(start_key):
-                wrong_results += 1
-            completions.append(sim.now)
-
-    processes = [sim.spawn(worker(index)) for index in range(config.workers)]
-
-    def await_all():
-        yield sim.all_of(processes)
-
-    sim.run_until_complete(sim.spawn(await_all()))
+    run = run_rangescan(db, table, config, rng=setup.cluster.rng.stream("fig26b"))
     return {
-        "setup": setup,
         "monitor": monitor,
         "extension": extension,
-        "begin_us": begin,
-        "end_us": sim.now,
-        "completions": completions,
-        "wrong_results": wrong_results,
-        "qps": total / ((sim.now - begin) / 1e6),
+        "begin_us": run.begin_us,
+        "end_us": setup.sim.now,
+        "completions": [end for _, _, end, _ in run.records],
+        "wrong_results": wrong_answers(run, config.range_size),
+        "qps": run.throughput,
     }
 
 

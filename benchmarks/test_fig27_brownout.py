@@ -23,15 +23,13 @@ from repro.faults import FaultEngine, FaultPlan, RecoveryMonitor
 from repro.harness import Design, build_database, format_table, prewarm_extension
 from repro.harness.dbbench import rebuild_extension
 from repro.reliability import ReliabilityPolicy
-from repro.workloads import RangeScanConfig, build_customer_table
-from repro.workloads.rangescan import _start_keys, read_query
+from repro.workloads import RangeScanConfig, build_customer_table, run_rangescan
 
-from conftest import FULL
+from conftest import FULL, wrong_answers
 
 N_ROWS = 60_000 if not FULL else 120_000
 BP_PAGES = 512 if not FULL else 1024
 EXT_PAGES = 3200 if not FULL else 6400
-RANGE_SIZE = 100
 WORKERS = 8
 QUERIES_PER_WORKER = 300 if not FULL else 600
 SEED = 11
@@ -75,11 +73,6 @@ def build_storm(start_us: float) -> FaultPlan:
         else:
             plan.crash(start_us + at_us, "mem0", duration_us=duration_us)
     return plan
-
-
-def expected_sum(start_key: int) -> float:
-    """Closed form of SUM(acctbal) for one query (acctbal = 1000 + key % 9000)."""
-    return float(sum(1000 + key % 9000 for key in range(start_key, start_key + RANGE_SIZE)))
 
 
 def run_experiment(reliability: bool, storm: bool, use_extension: bool = True):
@@ -126,43 +119,17 @@ def run_experiment(reliability: bool, storm: bool, use_extension: bool = True):
     config = RangeScanConfig(
         n_rows=N_ROWS, workers=WORKERS, queries_per_worker=QUERIES_PER_WORKER, seed=2
     )
-    rng = setup.cluster.rng.stream("fig27")
-    total = config.workers * config.queries_per_worker
-    starts = _start_keys(config, rng, total)
-    completions: list[float] = []
+    run = run_rangescan(db, table, config, rng=setup.cluster.rng.stream("fig27"))
+    begin = run.begin_us
     #: Per-query (completed_at_us, latency_us), both relative to start.
-    query_latencies: list[tuple[float, float]] = []
-    wrong_results = 0
-    begin = sim.now
-
-    def worker(worker_index: int):
-        nonlocal wrong_results
-        base = worker_index * config.queries_per_worker
-        for query_index in range(config.queries_per_worker):
-            start_key = int(starts[base + query_index])
-            query_begin = sim.now
-            yield from db.server.cpu.compute(db.query_setup_cpu_us)
-            value = yield from read_query(db, table, start_key, RANGE_SIZE)
-            if value != expected_sum(start_key):
-                wrong_results += 1
-            completions.append(sim.now - begin)
-            query_latencies.append((sim.now - begin, sim.now - query_begin))
-
-    processes = [sim.spawn(worker(index)) for index in range(config.workers)]
-
-    def await_all():
-        yield sim.all_of(processes)
-
-    sim.run_until_complete(sim.spawn(await_all()))
+    query_latencies = [(end - begin, end - op_begin) for _, op_begin, end, _ in run.records]
     return {
-        "setup": setup,
         "monitor": monitor,
         "extension": extension,
-        "pool": db.pool,
-        "completions": completions,
+        "completions": [end for end, _latency in query_latencies],
         "query_latencies": query_latencies,
-        "wrong_results": wrong_results,
-        "qps": total / ((sim.now - begin) / 1e6),
+        "wrong_results": wrong_answers(run, config.range_size),
+        "qps": run.throughput,
         "fault_p99": db.pool.fault_latency.p99,
         "layer_snapshot": layer.snapshot() if layer is not None else None,
         "monitor_snapshot": [

@@ -58,7 +58,7 @@ def run_tier_ablation():
         per_tier = ", ".join(f"{lv.name}={lv.hits:,d}" for lv in ext.levels)
         results[_label(design)] = (report, pool, ext)
         rows.append([
-            _label(design), report.throughput_qps, pool.ext_hits,
+            _label(design), report.throughput, pool.ext_hits,
             pool.base_reads, per_tier,
         ])
     print()
@@ -87,17 +87,17 @@ def test_tier_stack_ablation(once):
     assert promote_stack.promotions > 0
 
     # Remote memory outruns the SSD at equal budget (Figure 9's gap).
-    assert custom_report.throughput_qps > ssd_report.throughput_qps
+    assert custom_report.throughput > ssd_report.throughput
     # The overflow hierarchy lands between the pure designs: faster
     # than all-SSD (its remote tier serves microsecond reads), slower
     # than all-remote (its hot tier is still an SSD).
-    assert overflow_report.throughput_qps > ssd_report.throughput_qps
-    assert overflow_report.throughput_qps < custom_report.throughput_qps
+    assert overflow_report.throughput > ssd_report.throughput
+    assert overflow_report.throughput < custom_report.throughput
     assert overflow_pool.base_reads == 0  # full coverage, no double-cache
     # Promote-on-hit churns under uniform access: every promotion into
     # the full hot tier demotes a page right back out.
     assert promote_stack.demotions >= promote_stack.promotions
-    assert overflow_report.throughput_qps > promote_report.throughput_qps
+    assert overflow_report.throughput > promote_report.throughput
 
 
 def test_tier_metrics_registered():

@@ -68,18 +68,18 @@ def run_cell(design: Design, hot_fraction: float, seed: int = 7) -> dict:
         concurrency="2pl", hot_district_fraction=hot_fraction,
         hot_district_share=HOT_SHARE, record_history=True,
     )
-    report = run_tpcc(db, state, config)
+    run, txns = run_tpcc(db, state, config)
     final = committed_row_images(db, tpcc_tables(state))
     check = check_serializable(manager.history, final_rows=final)
     return {
-        "transactions": report.transactions,
-        "commits": report.commits,
-        "aborts": report.aborts,
-        "abort_rate": round(report.abort_rate, 4),
-        "deadlocks": report.deadlocks,
-        "retries": report.retries,
-        "throughput_tps": round(report.throughput_tps, 2),
-        "lock_wait_us": round(report.lock_wait_us, 1),
+        "transactions": run.ops,
+        "commits": txns.commits,
+        "aborts": txns.aborts,
+        "abort_rate": round(txns.abort_rate, 4),
+        "deadlocks": txns.deadlocks,
+        "retries": txns.retries,
+        "throughput_tps": round(run.throughput, 2),
+        "lock_wait_us": round(txns.lock_wait_us, 1),
         "exhausted": manager.exhausted,
         "locks_idle": manager.locks.idle,
         "serializable": check.ok,
@@ -108,7 +108,7 @@ def run_chaos_cell(seed: int = 7) -> dict:
         concurrency="2pl", hot_district_fraction=0.8, hot_district_share=0.05,
         record_history=True,
     )
-    report = run_tpcc(db, state, config)
+    run, txns = run_tpcc(db, state, config)
     final = committed_row_images(db, tpcc_tables(state))
     check = check_serializable(manager.history, final_rows=final)
     crash = next(
@@ -116,10 +116,10 @@ def run_chaos_cell(seed: int = 7) -> dict:
         if record.spec.kind.value == "memory-server-crash"
     )
     return {
-        "transactions": report.transactions,
-        "commits": report.commits,
-        "aborts": report.aborts,
-        "dooms": report.dooms,
+        "transactions": run.ops,
+        "commits": txns.commits,
+        "aborts": txns.aborts,
+        "dooms": txns.dooms,
         "pages_lost": crash.pages_lost,
         "txns_doomed_by_crash": crash.txns_doomed,
         "exhausted": manager.exhausted,

@@ -29,8 +29,7 @@ Run:  python examples/brownout.py
 from repro.faults import FaultEngine, FaultPlan
 from repro.harness import Design, build_database, format_table, prewarm_extension
 from repro.reliability import ReliabilityPolicy
-from repro.workloads import RangeScanConfig, build_customer_table
-from repro.workloads.rangescan import _start_keys, read_query
+from repro.workloads import RangeScanConfig, build_customer_table, run_rangescan
 
 N_ROWS = 20_000
 RANGE_SIZE = 100
@@ -86,35 +85,14 @@ def run(with_layer: bool):
     config = RangeScanConfig(
         n_rows=N_ROWS, workers=8, queries_per_worker=120, seed=2
     )
-    rng = setup.cluster.rng.stream("brownout-example")
-    total = config.workers * config.queries_per_worker
-    starts = _start_keys(config, rng, total)
-    completions: list[float] = []
-    wrong_results = 0
-    begin = sim.now
-
-    def worker(worker_index: int):
-        nonlocal wrong_results
-        base = worker_index * config.queries_per_worker
-        for query_index in range(config.queries_per_worker):
-            start_key = int(starts[base + query_index])
-            yield from db.server.cpu.compute(db.query_setup_cpu_us)
-            value = yield from read_query(db, table, start_key, RANGE_SIZE)
-            if value != expected_sum(start_key):
-                wrong_results += 1
-            completions.append(sim.now - begin)
-
-    processes = [sim.spawn(worker(index)) for index in range(config.workers)]
-
-    def await_all():
-        yield sim.all_of(processes)
-
-    sim.run_until_complete(sim.spawn(await_all()))
-    qps = total / ((sim.now - begin) / 1e6)
+    scan = run_rangescan(db, table, config, rng=setup.cluster.rng.stream("brownout-example"))
+    wrong_results = sum(answer != expected_sum(start) for *_, (start, answer) in scan.records)
     span_start, span_end = STORM_SPAN_US
-    in_window = sum(1 for t in completions if span_start <= t < span_end)
+    in_window = sum(
+        1 for _, _, end, _ in scan.records if span_start <= end - scan.begin_us < span_end
+    )
     window_qps = in_window / ((span_end - span_start) / 1e6)
-    return qps, window_qps, wrong_results, layer
+    return scan.throughput, window_qps, wrong_results, layer
 
 
 def main() -> None:

@@ -52,10 +52,10 @@ def run(inject_fault: bool):
 
 def main() -> None:
     healthy, _, _ = run(inject_fault=False)
-    print(f"healthy run      : {healthy.throughput_qps:10,.0f} queries/sec")
+    print(f"healthy run      : {healthy.throughput:10,.0f} queries/sec")
 
     faulted, monitor, extension = run(inject_fault=True)
-    print(f"crash-injected   : {faulted.throughput_qps:10,.0f} queries/sec")
+    print(f"crash-injected   : {faulted.throughput:10,.0f} queries/sec")
     print(f"pages lost       : {extension.pages_lost_to_faults:10,}")
     print(f"re-faults to disk: {extension.failures:10,}")
     print()

@@ -28,7 +28,7 @@ def run(design: Design) -> float:
     prewarm_extension(setup)  # steady state: extension already populated
     config = RangeScanConfig(n_rows=N_ROWS, workers=40, queries_per_worker=25)
     report = run_rangescan(database, table, config)
-    return report.throughput_qps
+    return report.throughput
 
 
 def main() -> None:

@@ -31,12 +31,12 @@ def main() -> None:
     print("SELECT TOP-N * FROM lineitem JOIN orders ORDER BY extendedprice")
     print("-" * 64)
     for design in (Design.HDD_SSD, Design.CUSTOM):
-        report = run(design, config)
+        query, metrics = run(design, config)
         print(
-            f"{design.value:<10s}: {report.elapsed_us / 1e6:6.2f} s "
-            f"(spilled {report.spilled_bytes / 1e6:5.0f} MB, "
-            f"{report.tempdb_writes} page writes, "
-            f"{report.tempdb_reads} page reads)"
+            f"{design.value:<10s}: {query.elapsed_us / 1e6:6.2f} s "
+            f"(spilled {metrics.spilled_bytes / 1e6:5.0f} MB, "
+            f"{metrics.tempdb_writes} page writes, "
+            f"{metrics.tempdb_reads} page reads)"
         )
     print("\nSame spill volume either way — the medium under TempDB is")
     print("the whole difference, exactly the paper's Figure 14.")

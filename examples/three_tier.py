@@ -48,7 +48,7 @@ def main() -> None:
     pool = database.pool
     stack = pool.extension
     print(f"RangeScan over a {SPEC.name} stack "
-          f"({report.throughput_qps:,.0f} queries/sec)")
+          f"({report.throughput:,.0f} queries/sec)")
     print("-" * 58)
     print(f"{'DRAM pool hits':28s}: {pool.hits:10,d}")
     for tier in stack.levels:

@@ -26,7 +26,6 @@ from .optimizer import (
     JoinChoice,
     Medium,
     choose_join,
-    cost_model_for,
     crossover_selectivity,
 )
 from .page import PAGE_SIZE, Page, PageId, PageKind, rows_per_page
@@ -93,7 +92,6 @@ __all__ = [
     "ReactivePrimer",
     "SemanticCache",
     "choose_join",
-    "cost_model_for",
     "crossover_selectivity",
     "load_splits",
     "parallel_load",

@@ -20,7 +20,7 @@ from .costs import (
     PER_ROW_SCAN_CPU_US,
 )
 
-__all__ = ["Medium", "CostModel", "JoinChoice", "choose_join", "cost_model_for"]
+__all__ = ["Medium", "CostModel", "JoinChoice", "choose_join"]
 
 
 class Medium(enum.Enum):
@@ -105,24 +105,6 @@ def choose_join(
     if inlj_cost <= hash_cost:
         return JoinChoice.INDEX_NESTED_LOOP, inlj_cost, hash_cost
     return JoinChoice.HASH_JOIN, inlj_cost, hash_cost
-
-
-def cost_model_for(database) -> CostModel:
-    """Cost model matching where a database's indexes actually land.
-
-    The IR lowering (:func:`repro.plan.lower_single`) consults this
-    when no explicit model is given: a buffer-pool extension means
-    misses land in remote memory; otherwise they go to the data device
-    (SSD if that is what backs the data file, else the HDD array).
-    Duck-typed on purpose — any object with ``pool.extension`` and a
-    ``data_device`` works.
-    """
-    if getattr(database.pool, "extension", None) is not None:
-        medium = Medium.REMOTE_MEMORY
-    else:
-        name = type(getattr(database, "data_device", None)).__name__
-        medium = Medium.SSD if "Ssd" in name else Medium.HDD
-    return CostModel(index_medium=medium, table_medium=medium)
 
 
 def crossover_selectivity(model: CostModel, inner_table: Table, total_outer: int) -> float:

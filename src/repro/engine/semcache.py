@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
+from ..reliability import DeadlineExceeded
 from ..sim.kernel import ProcessGenerator
 from .costs import PER_PAGE_CPU_US, PER_ROW_SCAN_CPU_US
-from .errors import EngineError
+from .errors import EngineError, PageNotFound
 from .files import PageStore, RemoteMemoryUnavailable
 from .page import Page, PageKind
 from .tempdb import EXTENT_PAGES
@@ -50,9 +51,6 @@ class MaterializedView:
     policy: MaintenancePolicy = MaintenancePolicy.SYNC
     #: LSN of the last checkpoint of this view (REDO starts here).
     checkpoint_lsn: int = 0
-    #: Mutation function for applying a log record during maintenance or
-    #: recovery: (current_rows, record) -> new_rows for one page.
-    apply_record: Optional[Callable] = None
 
 
 class SemanticCache:
@@ -63,6 +61,9 @@ class SemanticCache:
         self.views: dict[str, MaterializedView] = {}
         self.hits = 0
         self.misses = 0
+        #: Views dropped: by an INVALIDATE update, by remote memory lost
+        #: under a scan, or by a SYNC maintenance write that failed.
+        self.invalidations = 0
 
     # -- build / match -------------------------------------------------------
 
@@ -147,9 +148,13 @@ class SemanticCache:
                 )
                 slot += count
         except RemoteMemoryUnavailable:
-            view.valid = False
+            self._invalidate(view)
             raise
         return rows
+
+    def _invalidate(self, view: MaterializedView) -> None:
+        view.valid = False
+        self.invalidations += 1
 
     # -- maintenance ----------------------------------------------------------------
 
@@ -159,15 +164,18 @@ class SemanticCache:
         if view is None or not view.valid:
             return
         if view.policy is MaintenancePolicy.INVALIDATE:
-            view.valid = False
+            self._invalidate(view)
         elif view.policy is MaintenancePolicy.SYNC:
             # Touch the affected page (read-modify-write of one page).
             slot = 0 if view.page_count == 0 else hash(record_row) % view.page_count
             try:
                 page = yield from view.store.read_page(slot)
                 yield from view.store.write_page(page, slot=slot)
-            except (RemoteMemoryUnavailable, Exception):
-                view.valid = False
+            except (RemoteMemoryUnavailable, PageNotFound, DeadlineExceeded):
+                # The store lost the lease or the page, or could not reach
+                # it in time: the view cannot be kept current and is
+                # redundant, so it goes.  Anything else is a bug.
+                self._invalidate(view)
         # ASYNC/SNAPSHOT: nothing synchronous.
 
     # -- recovery (Appendix B.4) --------------------------------------------------

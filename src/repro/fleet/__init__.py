@@ -11,8 +11,8 @@ fleet-scale scenarios:
   (:class:`FleetSpec` / :class:`TenantSpec` → :func:`build_fleet`,
   scenarios via :func:`run_fleet`);
 * :mod:`~repro.fleet.tenants` — deterministic seeded traffic shapes
-  (diurnal, flash crowd, Zipf hot-tenant skew) multiplexed onto the
-  existing rangescan/TPC-H drivers;
+  (diurnal, flash crowd, Zipf hot-tenant skew) driving RangeScan
+  queries through the workloads' client driver;
 * :mod:`~repro.fleet.marketplace` — demand-driven lease reallocation
   with QoS classes, cooldowns, and anti-affinity placement.
 """

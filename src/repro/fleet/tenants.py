@@ -10,13 +10,12 @@ a pure function of time returning an intensity in ``[0, 1]``:
   "millions of users showed up" case).
 
 :func:`zipf_shares` skews *base* rates across a fleet (hot-tenant
-skew), while hotspot key distributions inside a tenant reuse the
-rangescan driver's own machinery.
+skew); inside a tenant, start keys are uniform.
 
 The :class:`TenantWorkload` drives epochs: each epoch it reads the
-shape, issues ``round(peak × intensity)`` queries across the tenant's
-replicas (multiplexed onto the existing rangescan or TPC-H drivers),
-records per-query latency into the tenant's telemetry, then publishes a
+shape, issues ``round(peak × intensity)`` RangeScan queries across the
+tenant's replicas (lanes of the workloads' client driver), records
+per-query latency into the tenant's telemetry, then publishes a
 :class:`~repro.fleet.marketplace.DemandSignal`.  All randomness comes
 from the cluster's named RNG streams, so the same seed replays the same
 traffic — including under fault storms.
@@ -31,8 +30,9 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ..sim import LatencyRecorder
-from ..sim.kernel import AllOf, ProcessGenerator
-from ..workloads.rangescan import _start_keys, read_query, txn_update_query, update_query
+from ..sim.kernel import ProcessGenerator
+from ..workloads.clients import drive_clients
+from ..workloads.rangescan import rangescan_op, txn_update_query
 from .marketplace import DemandSignal, Marketplace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,10 +125,13 @@ class TenantReport:
 
     def __init__(self, name: str):
         self.name = name
-        self.queries = 0
         self.latency = LatencyRecorder(f"fleet.{name}")
         self.epochs: list[_EpochRecord] = []
         self.elapsed_us = 0.0
+
+    @property
+    def queries(self) -> int:
+        return self.latency.count
 
     @property
     def throughput_qps(self) -> float:
@@ -169,68 +172,48 @@ class TenantWorkload:
             else runtime.cluster.rng.stream(f"fleet.tenant.{runtime.name}")
         )
         self.report = TenantReport(runtime.name)
-        self._tpch_cursor = 0
 
     # -- query generation --------------------------------------------------
 
-    def _run_one(self, replica, start_key: int, update: bool) -> ProcessGenerator:
-        db, table = replica.database, replica.table
-        sim = db.sim
-        begin = sim.now
-        if self.spec.workload == "tpch":
-            # db.execute charges query-setup CPU itself.
-            spec = self.runtime.tpch_specs[self._tpch_cursor % len(self.runtime.tpch_specs)]
-            self._tpch_cursor += 1
-            plan, memory, consumers = spec.factory(db, replica.tpch_tables, self.rng)
-            yield from db.execute(
-                plan, requested_memory_bytes=memory, memory_consumers=consumers
-            )
-        elif update:
-            yield from db.server.cpu.compute(db.query_setup_cpu_us)
-            if self.spec.transactional:
-                manager = db.transactions()
-                yield from manager.run(
-                    lambda txn, table=table, start_key=start_key: txn_update_query(
-                        txn, table, start_key, self.spec.range_size
-                    ),
-                    name=f"{self.runtime.name}.update",
-                )
-            else:
-                yield from update_query(db, table, start_key, self.spec.range_size)
-        else:
-            yield from db.server.cpu.compute(db.query_setup_cpu_us)
-            yield from read_query(db, table, start_key, self.spec.range_size)
-        latency = sim.now - begin
-        self.report.latency.record(latency)
-        self.report.queries += 1
-        self.runtime.record_query(latency)
+    def _op(self, replica, start_key: int, update: bool):
+        db, table, range_size = replica.database, replica.table, self.spec.range_size
+        if not (update and self.spec.transactional):
+            return rangescan_op(db, table, start_key, range_size, update)
 
-    def _epoch_queries(self, count: int) -> list[ProcessGenerator]:
-        """Plan one epoch: draw keys, split work over replicas/workers."""
+        def run() -> ProcessGenerator:
+            yield from db.server.cpu.compute(db.query_setup_cpu_us)
+            answer = yield from db.transactions().run(
+                lambda txn: txn_update_query(txn, table, start_key, range_size),
+                name=f"{self.runtime.name}.update",
+            )
+            return "update", (start_key, answer)
+
+        return run
+
+    def _epoch_clients(self, count: int) -> list:
+        """Plan one epoch: draw keys, deal the queries round-robin over
+        the lanes and, lane by lane, over the replicas."""
         replicas = self.runtime.replicas
-        starts = _start_keys(self.spec, self.rng, count)
+        top = max(1, self.spec.n_rows - self.spec.range_size)
+        starts = self.rng.integers(0, top, size=count)
         updates = (
             self.rng.random(count) < self.spec.update_fraction
             if self.spec.update_fraction > 0
             else np.zeros(count, dtype=bool)
         )
-        workers: list[ProcessGenerator] = []
         n_lanes = max(1, min(self.spec.workers * len(replicas), count))
-
-        def lane(lane_index: int) -> ProcessGenerator:
-            for position in range(lane_index, count, n_lanes):
-                replica = replicas[position % len(replicas)]
-                yield from self._run_one(
-                    replica, int(starts[position]), bool(updates[position])
-                )
-
-        for lane_index in range(n_lanes):
-            workers.append(lane(lane_index))
-        return workers
+        return [
+            [self._op(replicas[position % len(replicas)], int(starts[position]),
+                      bool(updates[position]))
+             for position in range(lane, count, n_lanes)]
+            for lane in range(n_lanes)
+        ]
 
     # -- the epoch loop ----------------------------------------------------
 
     def run(self) -> ProcessGenerator:
+        """The tenant as one op of the client driver: every epoch, then
+        ``(tenant name, report)``."""
         sim = self.runtime.sim
         start = sim.now
         for epoch in range(self.epochs):
@@ -240,8 +223,10 @@ class TenantWorkload:
             count = int(round(self.spec.peak_queries_per_epoch * level))
             hits0, misses0 = self.runtime.ext_counters()
             if count > 0:
-                lanes = [sim.spawn(g) for g in self._epoch_queries(count)]
-                yield AllOf(sim, lanes)
+                run = yield from drive_clients(sim, self._epoch_clients(count))
+                for latency in run.latency.samples:
+                    self.report.latency.record(latency)
+                    self.runtime.record_query(latency)
             hits1, misses1 = self.runtime.ext_counters()
             lookups = (hits1 - hits0) + (misses1 - misses0)
             miss_rate = (misses1 - misses0) / lookups if lookups > 0 else 0.0
@@ -263,4 +248,4 @@ class TenantWorkload:
             if sim.now < target_end:
                 yield sim.timeout(target_end - sim.now)
         self.report.elapsed_us = sim.now - start
-        return self.report
+        return self.runtime.name, self.report

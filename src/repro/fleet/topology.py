@@ -31,12 +31,11 @@ from ..faults import FaultEngine, FaultPlan
 from ..harness.node import Node, Topology, rebuild_remote_level
 from ..net import Network
 from ..remotefile import AccessPolicy, RemoteFile, RemoteMemoryFilesystem
-from ..sim.kernel import AllOf, ProcessGenerator
+from ..sim.kernel import ProcessGenerator
 from ..storage import GB, MB
 from ..telemetry import MetricsRegistry
 from ..tiers import Tier, TierDef, TierSpec
-from ..workloads import TpchScale, build_customer_table
-from ..workloads.tpch import build_tpch_database, tpch_query_specs
+from ..workloads import build_customer_table, run_clients
 from .marketplace import Marketplace, MarketplacePolicy, QosClass
 from .tenants import SteadyShape, TenantWorkload, TrafficShape
 
@@ -83,16 +82,10 @@ class TenantSpec:
     #: Marketplace floor — never reclaimed below this (``None`` =
     #: half the initial allocation).
     floor_pages: Optional[int] = None
-    #: Rows in the per-replica Customer table (rangescan tenants).
+    #: Rows in the per-replica Customer table.
     n_rows: int = 10_000
     range_size: int = 100
     update_fraction: float = 0.0
-    distribution: str = "uniform"  # "uniform" | "hotspot"
-    hotspot_fraction: float = 0.2
-    hotspot_probability: float = 0.99
-    #: "rangescan" or "tpch" — which existing driver queries multiplex
-    #: onto (TPC-H replicas load a fixed 600-order scale).
-    workload: str = "rangescan"
     #: Run rangescan updates inside real transactions (2PL + undo +
     #: retry, see :mod:`repro.txn`) instead of the legacy single-record
     #: autocommit path.  Off by default: the legacy path is the golden
@@ -145,7 +138,6 @@ class TenantReplica:
         self.fs = fs
         self.database: Database = None  # type: ignore[assignment]
         self.table = None
-        self.tpch_tables: Optional[dict] = None
         #: The remote extension level the marketplace resizes (None for
         #: tenants whose tier spec keeps everything local).
         self.remote_level: Optional[Tier] = None
@@ -189,7 +181,6 @@ class TenantRuntime:
                 f"{prefix}.txn.{stat}",
                 lambda stat=stat: float(self.txn_stats().get(stat, 0.0)),
             )
-        self.tpch_specs = tpch_query_specs() if spec.workload == "tpch" else []
 
     # -- identity ----------------------------------------------------------
 
@@ -415,14 +406,7 @@ def build_fleet(
                 replica.file = level.store.remote_file
                 replica.ext_pages = level.capacity_pages
 
-            if tenant.workload == "tpch":
-                replica.tpch_tables = build_tpch_database(
-                    database,
-                    TpchScale(orders=600, customers=60, parts=80, suppliers=10),
-                    seed=spec.seed,
-                )
-            else:
-                replica.table = build_customer_table(database, tenant.n_rows)
+            replica.table = build_customer_table(database, tenant.n_rows)
             runtime.replicas.append(replica)
 
         setup.tenants[tenant.name] = runtime
@@ -480,17 +464,7 @@ def run_fleet(
     if fault_plan is not None:
         engine = FaultEngine.for_setup(setup, rng=setup.cluster.rng.stream("fleet.faults"))
         engine.run_plan(fault_plan)
-    begin = sim.now
-    processes = [
-        sim.spawn(workload.run(), name=f"fleet.tenant.{name}")
-        for name, workload in workloads.items()
-    ]
-
-    def waiter() -> ProcessGenerator:
-        yield AllOf(sim, processes)
-
-    sim.run_until_complete(sim.spawn(waiter()))
-    elapsed = sim.now - begin
+    elapsed = run_clients(sim, [[workload.run] for workload in workloads.values()]).elapsed_us
 
     tenants: dict[str, dict] = {}
     aggregate = 0.0

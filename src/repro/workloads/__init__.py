@@ -1,9 +1,10 @@
-"""Workloads: SQLIO micro-bench, RangeScan, Hash+Sort, TPC-H/DS/C-like."""
+"""Workloads: SQLIO micro-bench, RangeScan, Hash+Sort, TPC-H/DS/C-like,
+each an op builder over the one closed-loop client driver (``clients``)."""
 
-from .analytics import QuerySpec, StreamReport, improvement_histogram, run_query_streams
+from .analytics import QuerySpec, improvement_histogram, queries_per_hour, run_query_streams
+from .clients import ClientRun, drive_clients, run_clients
 from .hashsort import (
     HashSortConfig,
-    HashSortReport,
     build_hashsort_tables,
     hashsort_plan,
     run_hashsort,
@@ -11,11 +12,11 @@ from .hashsort import (
 from .rangescan import (
     CUSTOMER_SCHEMA,
     RangeScanConfig,
-    RangeScanReport,
     build_customer_table,
+    rangescan_clients,
     run_rangescan,
 )
-from .sqlio import RANDOM_8K, SEQUENTIAL_512K, SqlioPattern, SqlioResult, run_sqlio
+from .sqlio import RANDOM_8K, SEQUENTIAL_512K, SqlioPattern, gb_per_s, run_sqlio, sqlio_clients
 from .tpcc import (
     DEFAULT_MIX,
     READ_MOSTLY_MIX,
@@ -40,16 +41,15 @@ from .tpch import (
 )
 
 __all__ = [
-    "CUSTOMER_SCHEMA", "DEFAULT_MIX", "HashSortConfig", "HashSortReport",
+    "CUSTOMER_SCHEMA", "ClientRun", "DEFAULT_MIX", "HashSortConfig",
     "QuerySpec", "RANDOM_8K", "READ_MOSTLY_MIX", "RangeScanConfig",
-    "RangeScanReport", "SEQUENTIAL_512K", "SqlioPattern", "SqlioResult",
-    "StreamReport", "TPCDS_QUERIES", "TPCH_QUERIES", "TPCH_SCHEMAS",
+    "SEQUENTIAL_512K", "SqlioPattern", "TPCDS_QUERIES", "TPCH_QUERIES", "TPCH_SCHEMAS",
     "TpccConfig", "TpccReport", "TpccScale", "TpcdsScale", "TpchScale",
     "build_customer_table", "build_hashsort_tables", "build_tpcc_database",
-    "build_tpcds_database", "build_tpch_database", "generate_tpch_rows",
-    "hashsort_plan", "improvement_histogram", "install_tpch_tables",
-    "run_hashsort", "run_query_streams",
-    "run_rangescan", "run_sqlio", "run_tpcc", "tpcds_query_specs",
-    "tpch_order_lines_plan", "tpch_query_specs", "tpch_returnflag_agg_plan",
-    "tpch_star_join_plan",
+    "build_tpcds_database", "build_tpch_database", "drive_clients", "gb_per_s",
+    "generate_tpch_rows", "hashsort_plan", "improvement_histogram", "install_tpch_tables",
+    "queries_per_hour", "rangescan_clients", "run_clients", "run_hashsort",
+    "run_query_streams", "run_rangescan", "run_sqlio", "run_tpcc", "sqlio_clients",
+    "tpcds_query_specs", "tpch_order_lines_plan", "tpch_query_specs",
+    "tpch_returnflag_agg_plan", "tpch_star_join_plan",
 ]

@@ -8,16 +8,16 @@ remote memory (Figures 18-21's improvement histograms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..engine import Database, Operator
-from ..sim import LatencyRecorder
-from ..sim.kernel import AllOf, ProcessGenerator
+from ..sim.kernel import ProcessGenerator
+from .clients import ClientRun, run_clients
 
-__all__ = ["QuerySpec", "StreamReport", "run_query_streams", "improvement_histogram"]
+__all__ = ["QuerySpec", "improvement_histogram", "queries_per_hour", "run_query_streams"]
 
 
 @dataclass(frozen=True)
@@ -44,65 +44,46 @@ class WithScanLeg(Operator):
         return rows
 
 
-@dataclass
-class StreamReport:
-    """Results of running query streams to completion."""
-
-    queries: int = 0
-    elapsed_us: float = 0.0
-    per_query: dict[str, LatencyRecorder] = field(default_factory=dict)
-
-    @property
-    def queries_per_hour(self) -> float:
-        if self.elapsed_us <= 0:
-            return 0.0
-        return self.queries / (self.elapsed_us / 3.6e9)
-
-    def mean_latency_us(self, name: str) -> float:
-        return self.per_query[name].mean if name in self.per_query else 0.0
-
-
 def run_query_streams(
     db: Database,
     tables: dict,
     specs: list[QuerySpec],
     streams: int = 5,
     seed: int = 0,
-) -> StreamReport:
+) -> ClientRun:
     """Run ``streams`` concurrent sessions, each executing every query
-    once in a stream-specific permutation (the TPC throughput test)."""
-    sim = db.sim
-    rng = np.random.default_rng(seed)
-    report = StreamReport()
-    start = sim.now
+    once in a stream-specific permutation (the TPC throughput test).
 
-    def stream(stream_index: int) -> ProcessGenerator:
-        order = np.random.default_rng(seed + stream_index).permutation(len(specs))
-        for position in order:
-            spec = specs[int(position)]
+    A query's parameters are drawn from one shared RNG when it runs.  An
+    op's label is the query's name, its result the row count.
+    """
+    rng = np.random.default_rng(seed)
+
+    def op(spec: QuerySpec):
+        def run() -> ProcessGenerator:
             plan, memory, consumers = spec.factory(db, tables, rng)
-            begin = sim.now
-            yield from db.execute(
+            result = yield from db.execute(
                 plan, requested_memory_bytes=memory, memory_consumers=consumers
             )
-            report.per_query.setdefault(spec.name, LatencyRecorder(spec.name)).record(
-                sim.now - begin
-            )
-            report.queries += 1
+            return spec.name, len(result.rows)
 
-    processes = [sim.spawn(stream(index)) for index in range(streams)]
+        return run
 
-    def waiter():
-        yield AllOf(sim, processes)
+    return run_clients(db.sim, [
+        [op(specs[int(position)])
+         for position in np.random.default_rng(seed + stream).permutation(len(specs))]
+        for stream in range(streams)
+    ])
 
-    sim.run_until_complete(sim.spawn(waiter()))
-    report.elapsed_us = sim.now - start
-    return report
+
+def queries_per_hour(run: ClientRun) -> float:
+    """A stream run's throughput per virtual hour (Figures 18 and 20)."""
+    return run.ops / (run.elapsed_us / 3.6e9) if run.elapsed_us > 0 else 0.0
 
 
 def improvement_histogram(
-    baseline: StreamReport,
-    improved: StreamReport,
+    baseline: ClientRun,
+    improved: ClientRun,
     buckets: tuple[float, ...] = (2.0, 5.0, 10.0, 50.0, 100.0),
 ) -> dict[str, int]:
     """Bucket per-query latency improvement factors (Figures 19/21).
@@ -110,8 +91,8 @@ def improvement_histogram(
     Returns ``{"<2x": n, "2-5x": n, ..., ">100x": n}``.
     """
     factors = []
-    for name, recorder in baseline.per_query.items():
-        improved_mean = improved.mean_latency_us(name)
+    for name, recorder in baseline.by_label.items():
+        improved_mean = improved.by_label[name].mean if name in improved.by_label else 0.0
         if improved_mean > 0:
             factors.append(recorder.mean / improved_mean)
     labels = ["<%gx" % buckets[0]]

@@ -14,14 +14,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine import Column, Database, ExternalSort, HashJoin, Schema, Table, TableScan
+from ..engine import (
+    Column,
+    Database,
+    ExecMetrics,
+    ExternalSort,
+    HashJoin,
+    Schema,
+    Table,
+    TableScan,
+)
 from ..sim.kernel import ProcessGenerator
+from .clients import ClientRun, run_clients
 
 __all__ = [
     "LINEITEM_SCHEMA",
     "ORDERS_SCHEMA",
     "HashSortConfig",
-    "HashSortReport",
     "build_hashsort_tables",
     "run_hashsort",
 ]
@@ -60,15 +69,6 @@ class HashSortConfig:
     seed: int = 0
 
 
-@dataclass
-class HashSortReport:
-    elapsed_us: float
-    rows_out: int
-    spilled_bytes: int
-    tempdb_reads: int
-    tempdb_writes: int
-
-
 def build_hashsort_tables(db: Database, config: HashSortConfig) -> tuple[Table, Table]:
     orders = [
         (key, key % 5000, float(key % 100_000), 19920000 + key % 2557, "o" * 8)
@@ -103,25 +103,18 @@ def hashsort_plan(lineitem: Table, orders: Table, top_n: int) -> ExternalSort:
 
 
 def run_hashsort(db: Database, lineitem: Table, orders: Table,
-                 config: HashSortConfig) -> HashSortReport:
-    """Execute the query once and report timings (it is long-running)."""
-    sim = db.sim
+                 config: HashSortConfig) -> tuple[ClientRun, ExecMetrics]:
+    """Execute the query once, as one client's one op (it is
+    long-running); returns the run and the query's execution metrics."""
     plan = hashsort_plan(lineitem, orders, config.top_n)
-    start = sim.now
 
-    def job() -> ProcessGenerator:
+    def query() -> ProcessGenerator:
         result = yield from db.execute(
             plan,
             requested_memory_bytes=config.requested_memory_bytes,
             memory_consumers=2,  # hash join + sort share the grant
         )
-        return result
+        return "hashsort", result.metrics
 
-    result = sim.run_until_complete(sim.spawn(job()))
-    return HashSortReport(
-        elapsed_us=sim.now - start,
-        rows_out=len(result.rows),
-        spilled_bytes=result.metrics.spilled_bytes,
-        tempdb_reads=result.metrics.tempdb_reads,
-        tempdb_writes=result.metrics.tempdb_writes,
-    )
+    run = run_clients(db.sim, [[query]])
+    return run, run.records[0][3]

@@ -14,22 +14,22 @@ or a hotspot distribution (priming experiments: 99 % of queries hit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from ..engine import Column, Database, Schema, Table
 from ..engine.costs import PER_ROW_AGG_CPU_US
-from ..sim import LatencyRecorder
-from ..sim.kernel import AllOf, ProcessGenerator
+from ..sim.kernel import ProcessGenerator
+from .clients import ClientRun, run_clients
 
 __all__ = [
     "CUSTOMER_SCHEMA",
     "RangeScanConfig",
-    "RangeScanReport",
     "build_customer_table",
-    "launch_rangescan",
+    "rangescan_clients",
+    "rangescan_op",
     "read_query",
     "run_rangescan",
     "update_query",
@@ -74,23 +74,8 @@ class RangeScanConfig:
     seed: int = 0
 
 
-@dataclass
-class RangeScanReport:
-    queries: int = 0
-    elapsed_us: float = 0.0
-    latency: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("rangescan"))
-    update_latency: LatencyRecorder = field(
-        default_factory=lambda: LatencyRecorder("rangescan.update")
-    )
-
-    @property
-    def throughput_qps(self) -> float:
-        return self.queries / (self.elapsed_us / 1e6) if self.elapsed_us > 0 else 0.0
-
-
 def _start_keys(config: RangeScanConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` range start keys.  ``config`` is anything with
-    RangeScanConfig's key fields (fleet tenants pass their TenantSpec)."""
+    """Draw ``count`` range start keys."""
     top = max(1, config.n_rows - config.range_size)
     if config.distribution == "uniform":
         return rng.integers(0, top, size=count)
@@ -139,52 +124,36 @@ def txn_update_query(txn, table: Table, start_key: int, range_size: int) -> Proc
     return range_size
 
 
-def launch_rangescan(db: Database, table: Table, config: RangeScanConfig,
-                     rng: np.random.Generator | None = None):
-    """Spawn the workload without blocking; returns (processes, finalize).
+def rangescan_op(db: Database, table: Table, start_key: int, range_size: int, update: bool):
+    """One query as a driver op: its result is ``(start_key, answer)``,
+    the SUM for a read and the rows changed for an update."""
+    query = update_query if update else read_query
 
-    Lets several database servers run RangeScan concurrently against a
-    shared memory server (Figure 25)."""
-    sim = db.sim
+    def run() -> ProcessGenerator:
+        yield from db.server.cpu.compute(db.query_setup_cpu_us)
+        answer = yield from query(db, table, start_key, range_size)
+        return "update" if update else "read", (start_key, answer)
+
+    return run
+
+
+def rangescan_clients(db: Database, table: Table, config: RangeScanConfig,
+                      rng: np.random.Generator | None = None) -> list:
+    """One client per worker, each running its share of the queries;
+    every start key and update flag is drawn here, before any runs."""
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     total = config.workers * config.queries_per_worker
     starts = _start_keys(config, rng, total)
     updates = rng.random(total) < config.update_fraction
-    report = RangeScanReport()
-    begin = sim.now
-
-    def worker(worker_index: int) -> ProcessGenerator:
-        base = worker_index * config.queries_per_worker
-        for query_index in range(config.queries_per_worker):
-            position = base + query_index
-            start_key = int(starts[position])
-            query_begin = sim.now
-            yield from db.server.cpu.compute(db.query_setup_cpu_us)
-            if updates[position]:
-                yield from update_query(db, table, start_key, config.range_size)
-                report.update_latency.record(sim.now - query_begin)
-            else:
-                yield from read_query(db, table, start_key, config.range_size)
-            report.latency.record(sim.now - query_begin)
-            report.queries += 1
-
-    processes = [sim.spawn(worker(index)) for index in range(config.workers)]
-
-    def finalize() -> RangeScanReport:
-        report.elapsed_us = sim.now - begin
-        return report
-
-    return processes, finalize
+    per = config.queries_per_worker
+    return [
+        [rangescan_op(db, table, int(starts[position]), config.range_size, bool(updates[position]))
+         for position in range(worker * per, (worker + 1) * per)]
+        for worker in range(config.workers)
+    ]
 
 
 def run_rangescan(db: Database, table: Table, config: RangeScanConfig,
-                  rng: np.random.Generator | None = None) -> RangeScanReport:
-    """Drive the workload to completion; returns the report."""
-    processes, finalize = launch_rangescan(db, table, config, rng=rng)
-    sim = db.sim
-    sim.run_until_complete(sim.spawn(_await_all(sim, processes)))
-    return finalize()
-
-
-def _await_all(sim, processes) -> ProcessGenerator:
-    yield AllOf(sim, processes)
+                  rng: np.random.Generator | None = None) -> ClientRun:
+    """Drive the workload to completion."""
+    return run_clients(db.sim, rangescan_clients(db, table, config, rng=rng))

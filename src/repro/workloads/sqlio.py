@@ -5,9 +5,9 @@ The paper measures native I/O subsystem performance with SQLIO:
 * random reads: 20 threads issuing 8 KB requests at uniform offsets,
 * sequential reads: 5 threads streaming 512 KB blocks.
 
-``run_sqlio`` drives any *target* that exposes ``read(offset, size)``
-(and optionally ``write``) as a ``yield from``-able generator: block
-devices, SMB clients and remote files all qualify.
+``sqlio_clients`` drives any named *target* that exposes ``read(offset,
+size)`` (and optionally ``write``) as a ``yield from``-able generator:
+block devices, SMB clients and remote files all qualify.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim import LatencyRecorder, Simulator
+from ..sim import Simulator
 from ..storage import GB, KB
+from .clients import ClientRun, run_clients
 
-__all__ = ["SqlioPattern", "SqlioResult", "run_sqlio", "launch_sqlio", "RANDOM_8K", "SEQUENTIAL_512K"]
+__all__ = [
+    "RANDOM_8K", "SEQUENTIAL_512K", "SqlioPattern", "gb_per_s", "run_sqlio", "sqlio_clients",
+]
 
 
 @dataclass(frozen=True)
@@ -40,78 +43,47 @@ SEQUENTIAL_512K = SqlioPattern(
 )
 
 
-@dataclass
-class SqlioResult:
-    pattern: SqlioPattern
-    elapsed_us: float
-    total_bytes: int
-    latency: LatencyRecorder
-
-    @property
-    def throughput_gb_per_s(self) -> float:
-        if self.elapsed_us <= 0:
-            return 0.0
-        return (self.total_bytes / GB) / (self.elapsed_us / 1e6)
-
-    @property
-    def mean_latency_us(self) -> float:
-        return self.latency.mean
-
-
-def launch_sqlio(
-    sim: Simulator,
+def sqlio_clients(
     target,
     pattern: SqlioPattern,
     span_bytes: int = 64 * GB,
     rng: np.random.Generator | None = None,
     write: bool = False,
-):
-    """Spawn the workload without blocking; returns (processes, finalize).
+) -> list:
+    """One client per SQLIO thread against ``target``.
 
-    ``finalize()`` must be called after the processes complete; it
-    returns the :class:`SqlioResult`.  Used to drive several targets
-    concurrently (Figures 6 and 25).
+    ``span_bytes`` is the addressable range; random offsets are uniform
+    over it (drawn here), sequential threads stream disjoint contiguous
+    slices.  An op's label is the target's name, its result the bytes
+    it moved.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    latency = LatencyRecorder(pattern.name)
-    totals = {"bytes": 0}
-    start = sim.now
-    io_count = pattern.threads * pattern.ops_per_thread
+    per = pattern.ops_per_thread
     if pattern.random:
-        max_slot = max(1, span_bytes // pattern.io_bytes)
-        offsets = rng.integers(0, max_slot, size=io_count) * pattern.io_bytes
+        slots = max(1, span_bytes // pattern.io_bytes)
+        offsets = rng.integers(0, slots, size=pattern.threads * per) * pattern.io_bytes
     else:
-        offsets = None
-
-    def worker(thread_index: int):
         slice_bytes = span_bytes // pattern.threads
-        base = thread_index * slice_bytes
-        for op_index in range(pattern.ops_per_thread):
-            if pattern.random:
-                offset = int(offsets[thread_index * pattern.ops_per_thread + op_index])
-            else:
-                offset = base + (op_index * pattern.io_bytes) % max(
-                    pattern.io_bytes, slice_bytes - pattern.io_bytes
-                )
-            begin = sim.now
-            if write:
-                yield from target.write(offset, pattern.io_bytes)
-            else:
-                yield from target.read(offset, pattern.io_bytes)
-            latency.record(sim.now - begin)
-            totals["bytes"] += pattern.io_bytes
+        wrap = max(pattern.io_bytes, slice_bytes - pattern.io_bytes)
+        offsets = [thread * slice_bytes + (index * pattern.io_bytes) % wrap
+                   for thread in range(pattern.threads) for index in range(per)]
+    io = target.write if write else target.read
 
-    processes = [sim.spawn(worker(index)) for index in range(pattern.threads)]
+    def op(offset: int):
+        def run():
+            yield from io(offset, pattern.io_bytes)
+            return target.name, pattern.io_bytes
 
-    def finalize() -> SqlioResult:
-        return SqlioResult(
-            pattern=pattern,
-            elapsed_us=sim.now - start,
-            total_bytes=totals["bytes"],
-            latency=latency,
-        )
+        return run
 
-    return processes, finalize
+    return [[op(int(offset)) for offset in offsets[thread * per:(thread + 1) * per]]
+            for thread in range(pattern.threads)]
+
+
+def gb_per_s(run: ClientRun) -> float:
+    """Throughput of a SQLIO run: the bytes its ops moved per virtual second."""
+    moved = sum(record[3] for record in run.records)
+    return (moved / GB) / (run.elapsed_us / 1e6) if run.elapsed_us > 0 else 0.0
 
 
 def run_sqlio(
@@ -121,15 +93,8 @@ def run_sqlio(
     span_bytes: int = 64 * GB,
     rng: np.random.Generator | None = None,
     write: bool = False,
-) -> SqlioResult:
-    """Run one SQLIO pattern to completion and return the measurements.
-
-    ``span_bytes`` is the addressable range; random offsets are uniform
-    over it, sequential threads stream disjoint contiguous slices.
-    """
-    processes, finalize = launch_sqlio(
-        sim, target, pattern, span_bytes=span_bytes, rng=rng, write=write
+) -> ClientRun:
+    """Run one SQLIO pattern against ``target`` to completion."""
+    return run_clients(
+        sim, sqlio_clients(target, pattern, span_bytes=span_bytes, rng=rng, write=write)
     )
-    for process in processes:
-        sim.run_until_complete(process)
-    return finalize()

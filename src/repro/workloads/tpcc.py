@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine import Column, Database, Schema, Table
-from ..sim import LatencyRecorder
-from ..sim.kernel import AllOf, ProcessGenerator
+from ..sim.kernel import ProcessGenerator
 from ..txn import LockMode, Transaction
+from .clients import ClientRun, run_clients
 
 __all__ = [
     "TpccScale",
@@ -152,19 +152,14 @@ class TpccConfig:
 
 @dataclass
 class TpccReport:
-    transactions: int = 0
-    elapsed_us: float = 0.0
-    latency: LatencyRecorder = field(default_factory=lambda: LatencyRecorder("tpcc"))
-    commits: int = 0
-    aborts: int = 0
-    deadlocks: int = 0
-    retries: int = 0
-    dooms: int = 0
-    lock_wait_us: float = 0.0
+    """Transaction-manager counters over one run (``stats()`` deltas)."""
 
-    @property
-    def throughput_tps(self) -> float:
-        return self.transactions / (self.elapsed_us / 1e6) if self.elapsed_us else 0.0
+    commits: int
+    aborts: int
+    deadlocks: int
+    retries: int
+    dooms: int
+    lock_wait_us: float
 
     @property
     def abort_rate(self) -> float:
@@ -388,15 +383,16 @@ _TRANSACTIONS = {
 }
 
 
-def run_tpcc(db: Database, state: TpccState, config: TpccConfig) -> TpccReport:
+def run_tpcc(db: Database, state: TpccState, config: TpccConfig) -> tuple[ClientRun, TpccReport]:
     """Closed-loop run: ``workers`` sessions each run their share.
 
-    Every transaction goes through ``manager.run`` — deadlock victims
-    and fault-doomed transactions roll back and retry with seeded
-    backoff, so ``report.transactions`` counts *successful* commits of
-    intent while the abort/retry counters expose the churn.
+    The transaction types and districts are drawn before any session
+    runs; each session has its own RNG for what a transaction picks
+    inside.  Every transaction is one op, labelled with its name, and
+    goes through ``manager.run``: deadlock victims and fault-doomed
+    transactions roll back and retry with seeded backoff, so the run
+    counts committed intents and the report the churn behind them.
     """
-    sim = db.sim
     manager = db.transactions()
     if config.record_history:
         manager.record_history = True
@@ -411,40 +407,30 @@ def run_tpcc(db: Database, state: TpccState, config: TpccConfig) -> TpccReport:
         hot_count = max(1, int(state.scale.districts * config.hot_district_share))
         hot = rng.random(total) < config.hot_district_fraction
         districts[hot] = rng.integers(0, hot_count, size=int(hot.sum()))
-    report = TpccReport()
-    before = manager.stats()
-    start = sim.now
 
-    def worker(worker_index: int) -> ProcessGenerator:
-        base = worker_index * config.transactions_per_worker
-        worker_rng = np.random.default_rng(config.seed * 7919 + worker_index)
-        for index in range(config.transactions_per_worker):
-            name = names[int(choices[base + index])]
-            district = int(districts[base + index])
-            begin = sim.now
+    def op(position: int, worker_rng: np.random.Generator):
+        name = names[int(choices[position])]
+        district = int(districts[position])
+        body = _TRANSACTIONS[name]
+
+        def run() -> ProcessGenerator:
             yield from db.server.cpu.compute(db.query_setup_cpu_us / 3)
-            body = _TRANSACTIONS[name]
             yield from manager.run(
-                lambda txn, body=body, district=district: body(
-                    state, worker_rng, config, district, txn
-                ),
-                name=name,
+                lambda txn: body(state, worker_rng, config, district, txn), name=name
             )
-            report.latency.record(sim.now - begin)
-            report.transactions += 1
+            return name, None
 
-    processes = [sim.spawn(worker(index)) for index in range(config.workers)]
+        return run
 
-    def waiter():
-        yield AllOf(sim, processes)
+    def worker(index: int):
+        worker_rng = np.random.default_rng(config.seed * 7919 + index)
+        base = index * config.transactions_per_worker
+        for position in range(base, base + config.transactions_per_worker):
+            yield op(position, worker_rng)
 
-    sim.run_until_complete(sim.spawn(waiter()))
-    report.elapsed_us = sim.now - start
+    before = manager.stats()
+    run = run_clients(db.sim, [worker(index) for index in range(config.workers)])
     after = manager.stats()
-    report.commits = int(after["commits"] - before["commits"])
-    report.aborts = int(after["aborts"] - before["aborts"])
-    report.deadlocks = int(after["deadlocks_detected"] - before["deadlocks_detected"])
-    report.retries = int(after["retries"] - before["retries"])
-    report.dooms = int(after["dooms"] - before["dooms"])
-    report.lock_wait_us = after["lock_wait_us"] - before["lock_wait_us"]
-    return report
+    return run, TpccReport(*(after[key] - before[key] for key in (
+        "commits", "aborts", "deadlocks_detected", "retries", "dooms", "lock_wait_us"
+    )))

@@ -61,6 +61,42 @@ class TestSemanticCache:
         rig.run(cache.on_base_update("T1", (1, 2.0)))
         assert view.valid
 
+    @pytest.mark.parametrize("loss", ["lease", "page", "deadline"])
+    def test_sync_maintenance_drops_the_view_only_on_remote_loss(self, rig, loss):
+        """Remote memory lost or out of reach under the read-modify-write
+        invalidates the view and is counted; any other error is a bug and
+        reaches the caller."""
+        from repro.engine.errors import PageNotFound
+        from repro.reliability import DeadlineExceeded
+        from repro.remotefile import RemoteMemoryUnavailable
+
+        class FailingStore(DevicePageFile):
+            error: Exception
+
+            def read_page(self, slot, background=False):
+                raise self.error
+                yield
+
+        db = make_db(rig)
+        cache = SemanticCache(db)
+        store = FailingStore(603, rig.db, rig.ssd, capacity_pages=256)
+        rows = [(i, i * 2.0) for i in range(500)]
+        view = rig.run(cache.create_view("v", "T3", rows, 24, store))
+
+        store.error = ValueError("bug in the view's maintenance")
+        with pytest.raises(ValueError):
+            rig.run(cache.on_base_update("T3", (1, 2.0)))
+        assert view.valid and cache.invalidations == 0
+
+        store.error = {
+            "lease": RemoteMemoryUnavailable("lease gone"),
+            "page": PageNotFound("slot dropped mid-read"),
+            "deadline": DeadlineExceeded("read budget spent"),
+        }[loss]
+        rig.run(cache.on_base_update("T3", (1, 2.0)))
+        assert not view.valid
+        assert cache.invalidations == 1
+
     def test_remote_view_invalidates_on_lease_loss(self, rig):
         from repro.remotefile import RemoteMemoryUnavailable
 

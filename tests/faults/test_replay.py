@@ -43,9 +43,9 @@ def run_fault_experiment(seed=42):
     report = run_rangescan(setup.database, table, config)
     return {
         "snapshot": monitor.snapshot(),
-        "queries": report.queries,
+        "queries": report.ops,
         "elapsed_us": report.elapsed_us,
-        "throughput_qps": report.throughput_qps,
+        "throughput_qps": report.throughput,
         "ext_hits": extension.hits,
         "ext_failures": extension.failures,
         "pages_lost": extension.pages_lost_to_faults,

@@ -42,21 +42,21 @@ def run_chaos(seed=7, crash=True, storm=True):
         concurrency="2pl", hot_district_fraction=0.8, hot_district_share=0.05,
         record_history=True,
     )
-    report = run_tpcc(db, state, config)
+    run, report = run_tpcc(db, state, config)
     tables = [
         state.warehouse, state.district, state.customer,
         state.stock, state.orders, state.order_line,
     ]
     final = committed_row_images(db, tables)
     check = check_serializable(manager.history, final_rows=final)
-    return setup, db, manager, monitor, report, check
+    return setup, db, manager, monitor, run, report, check
 
 
 def chaos_fingerprint(seed=7):
-    setup, db, manager, monitor, report, check = run_chaos(seed=seed)
+    setup, db, manager, monitor, run, report, check = run_chaos(seed=seed)
     return {
         "now": setup.sim.now,
-        "txns": report.transactions,
+        "txns": run.ops,
         "commits": report.commits,
         "aborts": report.aborts,
         "dooms": report.dooms,
@@ -69,7 +69,7 @@ def chaos_fingerprint(seed=7):
 
 class TestCrashMidTransaction:
     def test_crash_dooms_and_recovers_with_zero_committed_loss(self):
-        _setup, _db, manager, monitor, report, check = run_chaos()
+        _setup, _db, manager, monitor, run, report, check = run_chaos()
         # The crash actually doomed in-flight transactions...
         assert report.dooms > 0
         crash = next(
@@ -79,7 +79,7 @@ class TestCrashMidTransaction:
         assert crash.pages_lost > 0
         assert crash.txns_doomed == report.dooms
         # ...and every one of them retried through to success.
-        assert report.commits == report.transactions == 300
+        assert report.commits == run.ops == 300
         assert manager.exhausted == 0
         # Zero leaked locks, zero stuck transactions.
         assert manager.locks.idle
@@ -88,7 +88,7 @@ class TestCrashMidTransaction:
         assert check.ok, check.violations[:5]
 
     def test_lease_storm_alone_dooms_nothing(self):
-        _setup, _db, manager, monitor, report, check = run_chaos(crash=False)
+        _setup, _db, manager, monitor, run, report, check = run_chaos(crash=False)
         storm = next(
             record for record in monitor.records
             if record.spec.kind.value == "lease-expiry-storm"
@@ -96,7 +96,7 @@ class TestCrashMidTransaction:
         # Leases renew under the data: transactions survive expiry.
         assert storm.txns_doomed == 0
         assert report.dooms == 0
-        assert report.commits == report.transactions
+        assert report.commits == run.ops
         assert check.ok, check.violations[:5]
 
     def test_chaos_replay_is_bit_identical(self):

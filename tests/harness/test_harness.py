@@ -74,4 +74,4 @@ class TestIoBuilders:
                                 random=True, ops_per_thread=10),
             span_bytes=target.span_bytes, write=True,
         )
-        assert result.total_bytes == 2 * 10 * 8 * KB
+        assert sum(record[3] for record in result.records) == 2 * 10 * 8 * KB

@@ -12,7 +12,7 @@ import pytest
 
 from repro.harness.iobench import IO_DESIGNS, build_custom_multi, build_io_target, build_multi_db
 from repro.storage import GB, KB
-from repro.workloads.sqlio import SqlioPattern, launch_sqlio
+from repro.workloads import SqlioPattern, run_clients, sqlio_clients
 
 SPAN = 1 * GB
 
@@ -33,14 +33,14 @@ def fingerprint(targets):
     rng = targets[0].cluster.rng.stream("sqlio")
     pins, events = [], []
     for pattern, write in PATTERNS:
-        launched = [
-            launch_sqlio(sim, target, pattern, span_bytes=target.span_bytes, rng=rng, write=write)
+        run = run_clients(sim, [
+            client
             for target in targets
-        ]
-        for processes, _finalize in launched:
-            for process in processes:
-                sim.run_until_complete(process)
-        latency = sum(sum(finalize().latency.samples) for _processes, finalize in launched)
+            for client in sqlio_clients(
+                target, pattern, span_bytes=target.span_bytes, rng=rng, write=write
+            )
+        ])
+        latency = sum(sum(run.by_label[target.name].samples) for target in targets)
         pins.append((sim.now, latency))
         events.append(sim.events_processed)
     return pins, events
@@ -105,15 +105,15 @@ PINS = {
 #: events_processed after each of PATTERNS: a count, not a result, so a
 #: kernel change that retires fewer events re-records only these.
 EVENTS = {
-    "2 DB servers": [403, 495, 847],
-    "Custom": [200, 246, 422],
-    "Custom x2": [203, 249, 425],
-    "HDD(20)": [171, 421, 573],
-    "HDD(4)": [155, 396, 557],
-    "HDD(8)": [159, 406, 561],
-    "SMB+RamDrive": [425, 538, 966],
-    "SMBDirect+RamDrive": [268, 337, 606],
-    "SSD": [56, 73, 130],
+    "2 DB servers": [406, 501, 856],
+    "Custom": [203, 252, 431],
+    "Custom x2": [206, 255, 434],
+    "HDD(20)": [174, 427, 582],
+    "HDD(4)": [158, 404, 566],
+    "HDD(8)": [162, 414, 570],
+    "SMB+RamDrive": [428, 544, 975],
+    "SMBDirect+RamDrive": [271, 343, 615],
+    "SSD": [59, 79, 139],
 }
 
 

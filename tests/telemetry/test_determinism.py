@@ -29,7 +29,7 @@ def _sqlio_fingerprint(trace: bool):
         sim.now,
         sim.events_processed,
         result.elapsed_us,
-        result.total_bytes,
+        sum(record[3] for record in result.records),
         tuple(result.latency.samples),
     )
     return fingerprint, tracer
@@ -49,10 +49,10 @@ def _query_fingerprint(trace: bool):
         setup.sim.now,
         setup.sim.events_processed,
         report.elapsed_us,
-        report.queries,
+        report.ops,
         tuple(
             (name, tuple(recorder.samples))
-            for name, recorder in sorted(report.per_query.items())
+            for name, recorder in sorted(report.by_label.items())
         ),
     )
     return fingerprint, tracer

@@ -5,8 +5,14 @@ import pytest
 from repro.cluster import Cluster
 from repro.harness import build_io_target
 from repro.storage import GB, KB
-from repro.workloads import RANDOM_8K, SEQUENTIAL_512K, SqlioPattern, run_sqlio
-from repro.workloads.sqlio import launch_sqlio
+from repro.workloads import (
+    RANDOM_8K,
+    SEQUENTIAL_512K,
+    SqlioPattern,
+    drive_clients,
+    run_sqlio,
+    sqlio_clients,
+)
 
 
 class TestCluster:
@@ -61,7 +67,7 @@ class TestSqlio:
         result = run_sqlio(target.cluster.sim, target, pattern,
                            span_bytes=target.span_bytes)
         assert result.latency.count == 21
-        assert result.total_bytes == 21 * 8 * KB
+        assert sum(record[3] for record in result.records) == 21 * 8 * KB
 
     def test_deterministic_given_seed(self):
         def once():
@@ -71,7 +77,7 @@ class TestSqlio:
                 span_bytes=target.span_bytes,
                 rng=target.cluster.rng.stream("sqlio"),
             )
-            return result.mean_latency_us
+            return result.latency.mean
 
         assert once() == once()
 
@@ -98,11 +104,9 @@ class TestSqlio:
     def test_launch_does_not_block(self):
         target = build_io_target("SSD", span_bytes=8 * GB)
         sim = target.cluster.sim
-        processes, finalize = launch_sqlio(
-            sim, target, SEQUENTIAL_512K, span_bytes=target.span_bytes
-        )
-        assert all(process.is_alive for process in processes)
-        for process in processes:
-            sim.run_until_complete(process)
-        result = finalize()
+        process = sim.spawn(drive_clients(
+            sim, sqlio_clients(target, SEQUENTIAL_512K, span_bytes=target.span_bytes)
+        ))
+        assert process.is_alive
+        result = sim.run_until_complete(process)
         assert result.latency.count == SEQUENTIAL_512K.threads * SEQUENTIAL_512K.ops_per_thread

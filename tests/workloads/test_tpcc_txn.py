@@ -1,8 +1,6 @@
 """TPC-C under real transactions: 2PL row locks, deadlock recovery,
 serializability, and bit-identical seeded replay."""
 
-import pytest
-
 from repro.harness import Design, build_database
 from repro.txn import check_serializable, committed_row_images
 from repro.workloads import TpccConfig, TpccScale, build_tpcc_database, run_tpcc
@@ -39,9 +37,9 @@ def tpcc_tables(state):
 class TestTwoPhaseLocking:
     def test_conflict_heavy_run_commits_everything(self):
         _setup, db, state = make()
-        report = run_tpcc(db, state, conflict_heavy_config(state))
+        run, report = run_tpcc(db, state, conflict_heavy_config(state))
         manager = db.transactions()
-        assert report.transactions == 200
+        assert run.ops == 200
         assert report.commits == 200
         # Real contention: deadlocks happened and every victim retried
         # through to success.
@@ -66,9 +64,9 @@ class TestTwoPhaseLocking:
     def test_two_seeded_runs_bit_identical(self):
         def run_once():
             _setup, db, state = make()
-            report = run_tpcc(db, state, conflict_heavy_config(state))
+            run, report = run_tpcc(db, state, conflict_heavy_config(state))
             return (
-                db.sim.now, report.transactions, report.commits, report.aborts,
+                db.sim.now, run.ops, report.commits, report.aborts,
                 report.deadlocks, report.retries, report.lock_wait_us,
                 len(db.wal.records), state.next_order_id,
             )
@@ -81,8 +79,8 @@ class TestTwoPhaseLocking:
             scale=state.scale, workers=20, transactions_per_worker=10, seed=7,
             hot_district_fraction=0.8, hot_district_share=0.05,
         )
-        report = run_tpcc(db, state, config)
-        assert report.transactions == 200
+        run, report = run_tpcc(db, state, config)
+        assert run.ops == 200
         # District-granularity writers lock one resource each: no
         # cycles are possible, so nothing ever aborts.
         assert report.deadlocks == 0
@@ -96,7 +94,7 @@ class TestTwoPhaseLocking:
             scale=state.scale, workers=5, transactions_per_worker=10,
             mix={"new_order": 1.0}, concurrency="2pl",
         )
-        report = run_tpcc(db, state, config)
+        run, report = run_tpcc(db, state, config)
         # Order ids allocate eagerly per *attempt* (aborted retries burn
         # ids), but exactly one order row lands per committed intent.
         assert report.commits == 50

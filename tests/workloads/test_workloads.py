@@ -53,8 +53,8 @@ class TestBuildDatabase:
         table = build_customer_table(db, 2000)
         config = RangeScanConfig(n_rows=2000, workers=4, queries_per_worker=5)
         report = run_rangescan(db, table, config)
-        assert report.queries == 20
-        assert report.throughput_qps > 0
+        assert report.ops == 20
+        assert report.throughput > 0
 
     def test_analytic_flag_disables_bpext_on_disk_designs(self):
         setup = build_database(Design.HDD_SSD, bp_pages=128, bpext_pages=512,
@@ -101,7 +101,7 @@ class TestRangeScan:
         config = RangeScanConfig(n_rows=3000, workers=4, queries_per_worker=10,
                                  update_fraction=0.5)
         report = run_rangescan(db, table, config)
-        assert report.update_latency.count > 0
+        assert report.by_label["update"].count > 0
         assert len(db.wal.records) > 0
 
     def test_updates_actually_change_rows(self):
@@ -155,10 +155,10 @@ class TestRangeScan:
         balance = table.schema.index_of("acctbal")
         final = [images[("row", table.name, key)][balance] for key in range(n_rows)]
         initial = [1000 + key % 9000 for key in range(n_rows)]
-        assert report.update_latency.count > 0.2 * fraction * report.queries
+        assert report.by_label["update"].count > 0.2 * fraction * report.ops
         assert all(after >= before and after == int(after)
                    for before, after in zip(initial, final))
-        bumps = report.update_latency.count * config.range_size
+        bumps = report.by_label["update"].count * config.range_size
         assert sum(final) - sum(initial) == bumps
         # What the best-effort paths dropped on the way is on the registry.
         gauges = setup.metrics.flat("bp")
@@ -175,8 +175,8 @@ class TestAnalyticsWorkloads:
         tables = build_tpch_database(db)
         prewarm_extension(setup)
         report = run_query_streams(db, tables, TPCH_QUERIES, streams=1, seed=3)
-        assert report.queries == 22
-        assert set(report.per_query) == {spec.name for spec in TPCH_QUERIES}
+        assert report.ops == 22
+        assert set(report.by_label) == {spec.name for spec in TPCH_QUERIES}
 
     def test_tpcds_has_sixty_templates(self):
         assert len(TPCDS_QUERIES) == 60
@@ -188,20 +188,20 @@ class TestAnalyticsWorkloads:
         tables = build_tpcds_database(db)
         prewarm_extension(setup)
         report = run_query_streams(db, tables, TPCDS_QUERIES[:12], streams=2, seed=3)
-        assert report.queries == 24
+        assert report.ops == 24
 
     def test_improvement_histogram_buckets(self):
         from repro.sim import LatencyRecorder
-        from repro.workloads.analytics import StreamReport
+        from repro.workloads import ClientRun
 
-        slow = StreamReport()
-        fast = StreamReport()
+        slow = ClientRun(0.0)
+        fast = ClientRun(0.0)
         for name, (s, f) in {"a": (100, 80), "b": (300, 100), "c": (900, 100),
                              "d": (10_000, 100)}.items():
-            slow.per_query[name] = LatencyRecorder(name)
-            slow.per_query[name].record(s)
-            fast.per_query[name] = LatencyRecorder(name)
-            fast.per_query[name].record(f)
+            slow.by_label[name] = LatencyRecorder(name)
+            slow.by_label[name].record(s)
+            fast.by_label[name] = LatencyRecorder(name)
+            fast.by_label[name].record(f)
         histogram = improvement_histogram(slow, fast, buckets=(2, 5, 10))
         assert histogram == {"<2x": 1, "2-5x": 1, "5-10x": 1, ">10x": 1}
 
@@ -219,9 +219,9 @@ class TestTpcc:
         _setup, db, state = self.make()
         config = TpccConfig(scale=state.scale, workers=10,
                             transactions_per_worker=10)
-        report = run_tpcc(db, state, config)
-        assert report.transactions == 100
-        assert report.throughput_tps > 0
+        run, _report = run_tpcc(db, state, config)
+        assert run.ops == 100
+        assert run.throughput > 0
 
     def test_new_order_inserts_rows(self):
         _setup, db, state = self.make()
