@@ -11,6 +11,7 @@ The paper's three panels for HDD+SSD vs SMBDirect+RamDrive vs Custom:
 
 from conftest import rangescan_experiment
 
+from repro.engine.page import PAGE_SIZE
 from repro.harness import Design, format_metrics, format_table
 
 
@@ -18,32 +19,28 @@ def run_figure11():
     results = {}
     rows = []
     for design in (Design.HDD_SSD, Design.SMBDIRECT_RAMDRIVE, Design.CUSTOM):
+        start = {}
 
         def track(setup):
-            # Adopt the drill-down instruments into the setup's registry
-            # and read everything back through it below.
-            registry = setup.metrics
-            registry.register(
-                "fig11.cpu_busy",
-                setup.db_server.cpu.track_utilization(bucket_us=0.1e6),
-            )
+            # Open the measured window: a CPU busy-area mark, the
+            # extension's page counts, and fresh latency recorders read
+            # back through the registry below.
             extension = setup.database.pool.extension
+            start["cpu"] = setup.db_server.cpu.mark_utilization()
+            start["pages"] = extension.hits + extension.parks
+            registry = setup.metrics
             registry.get("bp.ext.read_latency").reset()
             if "rfile.bpext.io_latency" in registry:
                 registry.get("rfile.bpext.io_latency").reset()
-            registry.register(
-                "fig11.ext_bytes", extension.track_throughput(bucket_us=0.1e6)
-            )
 
         setup, _table, report = rangescan_experiment(
             design, update_fraction=0.0, workers=80, queries=25, track=track,
         )
         registry = setup.metrics
+        extension = setup.database.pool.extension
         elapsed = report.elapsed_us
-        cores = setup.db_server.spec.cores
-        busy = sum(v for _t, v in registry.get("fig11.cpu_busy").series())
-        cpu_pct = 100.0 * busy / (elapsed * cores)
-        moved = sum(v for _t, v in registry.get("fig11.ext_bytes").series())
+        cpu_pct = 100.0 * setup.db_server.cpu.utilization(start["cpu"])
+        moved = PAGE_SIZE * (extension.hits + extension.parks - start["pages"])
         io_mb_per_s = (moved / 1e6) / (elapsed / 1e6)
         if "rfile.bpext.io_latency" in registry:
             # Custom: the issuing scheduler keeps its core while spinning,

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional
 
 from ..cluster import Server
 from ..reliability import DeadlineExceeded, ReliabilityLayer
-from ..sim import LatencyRecorder, TimeSeries
+from ..sim import LatencyRecorder
 from ..sim.kernel import ProcessGenerator
 from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
 from ..tiers.tier import Tier
@@ -85,6 +85,10 @@ class BufferPoolExtension:
         self.demotions_failed = 0
         #: Pages pulled up after a hit at a slower tier.
         self.promotions = 0
+        #: Completed page writes into any tier, demotions and promotions
+        #: included (a park cancelled afterwards still moved its page);
+        #: with ``hits`` it gives the pages the extension moved.
+        self.parks = 0
         #: Write-behinds and demotion reads in flight: page_id -> their
         #: tokens.  ``invalidate`` takes the page's entry away, and a park
         #: that finds its token gone does not map its slot.
@@ -108,13 +112,6 @@ class BufferPoolExtension:
             self.levels[0].read_latency if not self._lower
             else LatencyRecorder("bpext.read")
         )
-        #: Optional bytes-moved series (Figure 11a drill-down).
-        self.bytes_series: TimeSeries | None = None
-
-    def track_throughput(self, bucket_us: float = 1e6) -> TimeSeries:
-        """One shared bytes-moved series across every tier."""
-        self.bytes_series = TimeSeries(bucket_us, name="bpext.bytes")
-        return self.bytes_series
 
     def level_for(self, medium: str) -> Optional[Tier]:
         """First level on ``medium`` (e.g. the remote level to rebuild)."""
@@ -213,8 +210,7 @@ class BufferPoolExtension:
                     del slots[page_id]
                     level.free.append(slot)
 
-            sim = self.sim
-            tracer = sim.tracer
+            tracer = self.sim.tracer
             span = (
                 tracer.span("bpext.put", slot=slot, tier=level.name)
                 if tracer.enabled else _NOOP_SPAN
@@ -223,8 +219,7 @@ class BufferPoolExtension:
                 yield from level.store.write_page(
                     page, slot=slot, background=True, on_abort=_write_aborted
                 )
-            if self.bytes_series is not None:
-                self.bytes_series.add(sim.now, 8192)
+            self.parks += 1
         except DeadlineExceeded:
             # The write may not have completed: the slot's remote bytes
             # are unknown, so never map it — but the *slot* is reusable.
@@ -340,8 +335,6 @@ class BufferPoolExtension:
             level.read_latency.record(elapsed)
             if level.read_latency is not self.read_latency:
                 self.read_latency.record(elapsed)
-            if self.bytes_series is not None:
-                self.bytes_series.add(sim.now, 8192)
             slots.move_to_end(page_id)
             level.hits += 1
             if level.promote_on_hit and level is not self.levels[0]:

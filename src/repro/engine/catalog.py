@@ -102,8 +102,3 @@ class Catalog:
         table = Table(name=name, schema=schema, file_id=self.allocate_file_id())
         self.tables[name] = table
         return table
-
-    def table(self, name: str) -> Table:
-        if name not in self.tables:
-            raise EngineError(f"no table {name!r}")
-        return self.tables[name]

@@ -175,9 +175,10 @@ class RecoveryMonitor:
     def snapshot(self) -> list[dict[str, Any]]:
         """Plain comparable dicts — the determinism-assertion payload.
 
-        Deliberately excludes anything derived from process-global
-        counters (lease ids, MR ids survive across runs in one
-        interpreter) so two seeded runs compare bit-identical.
+        Holds only what the fault plan and the virtual clock decide, so
+        two seeded runs compare bit-identical.  (Lease and MR ids are
+        numbered per broker and per server, so identical set-ups in one
+        process get identical ids too.)
         """
         return [
             {

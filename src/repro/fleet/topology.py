@@ -31,6 +31,7 @@ from ..faults import FaultEngine, FaultPlan
 from ..harness.node import Node, Topology, rebuild_remote_level
 from ..net import Network
 from ..remotefile import AccessPolicy, RemoteFile, RemoteMemoryFilesystem
+from ..sim import LatencyRecorder
 from ..sim.kernel import ProcessGenerator
 from ..storage import GB, MB
 from ..telemetry import MetricsRegistry
@@ -165,11 +166,12 @@ class TenantRuntime:
         self.mr_pages = mr_pages
         self.replicas: list[TenantReplica] = []
         self.resizes = 0
+        self.leases_revoked = 0
         self._file_seq = 0
         prefix = f"fleet.tenant.{spec.name}"
-        self.query_counter = registry.counter(f"{prefix}.queries")
-        self.latency_hist = registry.histogram(f"{prefix}.latency")
-        self.revoked_counter = registry.counter(f"{prefix}.leases_revoked")
+        self.latency = registry.register(f"{prefix}.latency", LatencyRecorder(f"{prefix}.latency"))
+        registry.gauge(f"{prefix}.queries", lambda: float(self.latency.count))
+        registry.gauge(f"{prefix}.leases_revoked", lambda: float(self.leases_revoked))
         registry.gauge(f"{prefix}.ext_pages", lambda: float(self.ext_pages))
         registry.gauge(f"{prefix}.resizes", lambda: float(self.resizes))
         for stat in (
@@ -246,13 +248,12 @@ class TenantRuntime:
     # -- telemetry hooks ---------------------------------------------------
 
     def record_query(self, latency_us: float) -> None:
-        self.query_counter.add()
-        self.latency_hist.record(latency_us)
+        self.latency.record(latency_us)
 
     def on_lease_revoked(self, lease) -> None:
         """Marketplace revocation observer: invalidate parked pages on
         the revoked lease's provider for the replica that held it."""
-        self.revoked_counter.add()
+        self.leases_revoked += 1
         for replica in self.replicas:
             if replica.server.name == lease.holder and replica.remote_level is not None:
                 replica.database.pool.extension.on_fault(provider=lease.provider)
@@ -474,7 +475,7 @@ def run_fleet(
         summary["qos"] = runtime.qos.name
         summary["ext_pages_final"] = runtime.ext_pages
         summary["resizes"] = runtime.resizes
-        summary["leases_revoked"] = int(runtime.revoked_counter.value)
+        summary["leases_revoked"] = runtime.leases_revoked
         if runtime.spec.transactional:
             summary["txn"] = runtime.txn_stats()
         tenants[name] = summary

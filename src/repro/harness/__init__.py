@@ -9,12 +9,11 @@ from .dbbench import (
 )
 from .designs import TIER_SPECS, Design
 from .iobench import IO_DESIGNS, IoTarget, build_custom_multi, build_io_target
-from .report import format_metrics, format_series, format_table
+from .report import format_metrics, format_table
 
 __all__ = [
     "DbSetup", "Design", "IO_DESIGNS",
     "IoTarget", "TIER_SPECS", "build_custom_multi",
-    "build_database", "build_io_target", "format_metrics", "format_series",
-    "format_table", "prewarm_extension", "prewarm_pool",
-    "rebuild_extension",
+    "build_database", "build_io_target", "format_metrics", "format_table",
+    "prewarm_extension", "prewarm_pool", "rebuild_extension",
 ]

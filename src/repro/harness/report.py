@@ -1,6 +1,6 @@
-"""Plain-text table/series formatting for benchmark output.
+"""Plain-text table formatting for benchmark output.
 
-Benchmarks print the same rows/series the paper's figures plot; these
+Benchmarks print the same rows the paper's figures plot; these
 helpers keep the output uniform and diff-friendly.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_table", "format_series", "format_metrics"]
+__all__ = ["format_table", "format_metrics"]
 
 
 def _fmt(value: Any) -> str:
@@ -53,16 +53,3 @@ def format_metrics(registry: Any, prefix: str = "", title: str = "") -> str:
     return format_table(
         ["metric", "value"], rows, title=title or f"metrics: {registry.name}"
     )
-
-
-def format_series(name: str, points: Iterable[tuple[float, float]],
-                  max_points: int = 25) -> str:
-    """Render a (downsampled) time series as aligned columns."""
-    points = list(points)
-    if len(points) > max_points:
-        step = len(points) / max_points
-        points = [points[int(i * step)] for i in range(max_points)]
-    lines = [f"{name}  (t, value)"]
-    for x, y in points:
-        lines.append(f"  {x:>10.2f}  {_fmt(y)}")
-    return "\n".join(lines)

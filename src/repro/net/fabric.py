@@ -86,9 +86,6 @@ class Network:
         server.nic = port
         return port
 
-    def port(self, server_name: str) -> "NicPort":
-        return self.ports[server_name]
-
 
 class NicPort:
     """One server's NIC: independent TX/RX engines plus a message pipe."""

@@ -16,14 +16,13 @@ from .kernel import (
     Timeout,
 )
 from .rng import RngRegistry
-from .stats import Counter, LatencyRecorder, TimeSeries, summarize
+from .stats import LatencyRecorder, summarize
 
 __all__ = [
     "ABORTED",
     "AllOf",
     "AnyOf",
     "Chain",
-    "Counter",
     "Cpu",
     "Event",
     "Interrupt",
@@ -34,7 +33,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Store",
-    "TimeSeries",
     "Timeout",
     "summarize",
 ]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from ..telemetry.tracer import NOOP_SPAN as _NOOP_SPAN
 from .kernel import Event, ProcessGenerator, Resource, Simulator, Timeout
-from .stats import TimeSeries
 
 __all__ = ["Cpu"]
 
@@ -47,30 +46,9 @@ class Cpu:
         self.name = name
         self.context_switch_us = context_switch_us
         self.reschedule_delay_us = reschedule_delay_us
-        self.busy_series: TimeSeries | None = None
         self.context_switches = 0
 
     # -- measurement ----------------------------------------------------
-
-    def track_utilization(self, bucket_us: float = 1e6) -> TimeSeries:
-        """Start bucketing busy core-microseconds for drill-down figures."""
-        self.busy_series = TimeSeries(bucket_us, name=f"{self.name}.busy_us")
-        return self.busy_series
-
-    def _record_busy(self, start_us: float, duration: float) -> None:
-        if self.busy_series is None or duration <= 0:
-            return
-        # Split the busy interval across buckets so long computations do
-        # not all land in the bucket where they finish.
-        series = self.busy_series
-        remaining = duration
-        cursor = start_us
-        while remaining > 0:
-            bucket_end = (int(cursor // series.bucket_us) + 1) * series.bucket_us
-            chunk = min(remaining, bucket_end - cursor)
-            series.add(cursor, chunk)
-            cursor += chunk
-            remaining -= chunk
 
     def utilization(self, since: float = 0.0) -> float:
         """Mean core utilization since ``since`` (see Resource.utilization).
@@ -128,20 +106,14 @@ class Cpu:
                 yield hold
             finally:
                 hold.finish()
-                start = hold.granted_at
                 if tracer.enabled:
-                    span.split(start, "cpu.compute", cat="cpu").close()
-                if start is not None and self.busy_series is not None:
-                    self._record_busy(start, sim.now - start)
+                    span.split(hold.granted_at, "cpu.compute", cat="cpu").close()
             return
-        start = sim.now
         span = tracer.span("cpu.compute", cat="cpu") if tracer.enabled else _NOOP_SPAN
         try:
             yield Timeout(sim, duration_us)
         finally:
             span.close()
-            if self.busy_series is not None:
-                self._record_busy(start, sim.now - start)
             self.cores.release()
 
     def sync_wait(self, event: Event) -> ProcessGenerator:
@@ -160,19 +132,13 @@ class Cpu:
                 return (yield hold)
             finally:
                 hold.finish()
-                start = hold.granted_at
                 if tracer.enabled:
-                    span.split(start, "cpu.spin", cat="cpu").close()
-                if start is not None and self.busy_series is not None:
-                    self._record_busy(start, sim.now - start)
-        start = sim.now
+                    span.split(hold.granted_at, "cpu.spin", cat="cpu").close()
         span = tracer.span("cpu.spin", cat="cpu") if tracer.enabled else _NOOP_SPAN
         try:
             return (yield event)
         finally:
             span.close()
-            if self.busy_series is not None:
-                self._record_busy(start, sim.now - start)
             self.cores.release()
 
     def async_wait(self, event: Event) -> ProcessGenerator:
@@ -196,11 +162,9 @@ class Cpu:
         fired by then, give the core back and :meth:`async_wait` it."""
         sim = self.sim
         yield from self.acquire_core()
-        start = sim.now
         try:
             index, _value = yield sim.any_of([event, sim.timeout(spin_us)])
         finally:
-            self._record_busy(start, sim.now - start)
             self.cores.release()
         if index == 0:
             return event.value

@@ -1,16 +1,16 @@
-"""Measurement helpers: latency recorders, counters and time series.
+"""Latency recorders: the one distribution instrument.
 
-These are the simulation-side equivalents of the performance counters
-the paper reads off Windows perfmon (I/O throughput, CPU utilization,
-I/O latency drill-downs in Figures 11 and 14).
+The simulation-side equivalent of the latency counters the paper reads
+off Windows perfmon (the page-read latency drill-downs of Figures 11
+and 14).  Counts are plain attributes on the component that owns them,
+and a window is the difference of two reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-__all__ = ["LatencyRecorder", "Counter", "TimeSeries", "summarize"]
+__all__ = ["LatencyRecorder", "summarize"]
 
 
 class LatencyRecorder:
@@ -70,63 +70,6 @@ class LatencyRecorder:
     def reset(self) -> None:
         self.samples.clear()
         self._sorted = None
-
-
-class Counter:
-    """Monotonic counter with a helper for rates over virtual time."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.value = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def rate_per_second(self, elapsed_us: float) -> float:
-        if elapsed_us <= 0:
-            return 0.0
-        return self.value / (elapsed_us / 1e6)
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-
-@dataclass
-class TimeSeries:
-    """Bucketed time series: value accumulated per fixed-width window.
-
-    Used for the drill-down figures (I/O MB/s and CPU% over time).
-    """
-
-    bucket_us: float
-    name: str = ""
-    buckets: dict[int, float] = field(default_factory=dict)
-
-    def add(self, at_us: float, amount: float) -> None:
-        self.buckets[int(at_us // self.bucket_us)] = (
-            self.buckets.get(int(at_us // self.bucket_us), 0.0) + amount
-        )
-
-    def series(self, until_us: float | None = None) -> list[tuple[float, float]]:
-        """Return ``(bucket_start_seconds, value)`` pairs, zero-filled.
-
-        ``until_us`` extends the zero-filled tail; it never *drops*
-        data — populated buckets beyond ``until_us`` are still included
-        (silent truncation would under-report whatever accumulated after
-        the caller's nominal window).
-        """
-        if not self.buckets and until_us is None:
-            return []
-        last = max(self.buckets) if self.buckets else 0
-        if until_us is not None:
-            last = max(last, int(until_us // self.bucket_us))
-        return [
-            (index * self.bucket_us / 1e6, self.buckets.get(index, 0.0))
-            for index in range(last + 1)
-        ]
-
-    def reset(self) -> None:
-        self.buckets.clear()
 
 
 def summarize(recorder: LatencyRecorder) -> dict[str, float]:

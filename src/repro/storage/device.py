@@ -14,8 +14,8 @@ any of them directly.  All expose the same entry points:
 * :meth:`BlockDevice.io` (and ``read``/``write``) — ``yield from``-able
   generators.
 
-Devices also keep counters used by the drill-down figures (bytes moved,
-per-operation latencies) and open one ``{name}.{op}`` disk span per I/O.
+Devices also count operations and bytes moved, record per-operation
+latencies, and open one ``{name}.{op}`` disk span per I/O.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 from enum import Enum
 
-from ..sim import Event, LatencyRecorder, Simulator, TimeSeries
+from ..sim import Event, LatencyRecorder, Simulator
 from ..sim.kernel import ProcessGenerator
 from ..telemetry.tracer import NOOP_SPAN
 
@@ -67,17 +67,11 @@ class BlockDevice(abc.ABC):
         self.bytes_written = 0
         self.reads = 0
         self.writes = 0
-        self.throughput_series: TimeSeries | None = None
         #: Host server, set by :meth:`repro.cluster.Server.attach_device`;
         #: submissions are refused while the host is down.
         self.owner = None
         # Span names are hot-path constants; build them once.
         self._span_names = {op: f"{name}.{op.value}" for op in IoOp}
-
-    def track_throughput(self, bucket_us: float = 1e6) -> TimeSeries:
-        """Start recording bytes-moved per time bucket (drill-downs)."""
-        self.throughput_series = TimeSeries(bucket_us, name=f"{self.name}.bytes")
-        return self.throughput_series
 
     # -- subclass contract ----------------------------------------------
 
@@ -127,8 +121,6 @@ class BlockDevice(abc.ABC):
             self.writes += 1
             self.bytes_written += size
             self.write_latency.record(latency)
-        if self.throughput_series is not None:
-            self.throughput_series.add(self.sim.now, size)
 
 
 class RamDrive(BlockDevice):

@@ -1,10 +1,10 @@
 """Binders: adopt existing component instruments into one registry.
 
-Devices, NICs, CPUs and caches already keep their own counters and
-recorders (grown organically alongside the models).  Rather than move
-those — every benchmark and fault test reads them in place — the
-binders *register* them into a :class:`~repro.telemetry.MetricsRegistry`
-under stable dotted names, and wrap plain-int counters in lazy gauges.
+Devices, NICs, CPUs and caches keep their own counts (plain
+attributes) and latency recorders.  Rather than move those — every
+benchmark and fault test reads them in place — the binders *register*
+the recorders into a :class:`~repro.telemetry.MetricsRegistry` under
+stable dotted names and read the counts through gauges.
 Everything is duck-typed: a binder reads only attributes the component
 actually exposes, so it works across design variants (e.g. an IoTarget
 with no database, a DbSetup with no remote memory).
@@ -41,8 +41,6 @@ def register_device(registry: MetricsRegistry, prefix: str, device: Any) -> None
     registry.register(f"{prefix}.write_latency", device.write_latency)
     for attr in ("reads", "writes", "bytes_read", "bytes_written"):
         _gauge_attr(registry, f"{prefix}.{attr}", device, attr)
-    if getattr(device, "throughput_series", None) is not None:
-        registry.register(f"{prefix}.throughput", device.throughput_series)
 
 
 def register_nic(registry: MetricsRegistry, prefix: str, nic: Any) -> None:
@@ -54,21 +52,6 @@ def register_nic(registry: MetricsRegistry, prefix: str, nic: Any) -> None:
 def register_cpu(registry: MetricsRegistry, prefix: str, cpu: Any) -> None:
     _gauge_attr(registry, f"{prefix}.context_switches", cpu, "context_switches")
     registry.gauge(f"{prefix}.utilization", lambda: float(cpu.utilization()))
-    if hasattr(cpu, "mark_utilization"):
-        # Windowed gauge: utilization since the *previous* poll, anchored
-        # on an exact busy-area snapshot (an unanchored ``since`` would
-        # overestimate — see Resource.utilization).
-        window_start = [cpu.mark_utilization()]
-
-        def _window() -> float:
-            since = window_start[0]
-            value = float(cpu.utilization(since))
-            window_start[0] = cpu.mark_utilization()
-            return value
-
-        registry.gauge(f"{prefix}.utilization_window", _window)
-    if getattr(cpu, "busy_series", None) is not None:
-        registry.register(f"{prefix}.busy", cpu.busy_series)
 
 
 def register_pool(registry: MetricsRegistry, prefix: str, pool: Any) -> None:
@@ -103,8 +86,6 @@ def register_extension(registry: MetricsRegistry, prefix: str, ext: Any) -> None
         "parks_cancelled", "stale_slot_reads",
     ):
         _gauge_attr(registry, f"{prefix}.{attr}", ext, attr)
-    if ext.bytes_series is not None:
-        registry.register(f"{prefix}.bytes", ext.bytes_series)
 
 
 def register_remote_file(registry: MetricsRegistry, prefix: str, file: Any) -> None:

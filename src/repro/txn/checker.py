@@ -86,10 +86,6 @@ class CheckResult:
     items: int
     edges: int
 
-    def summary(self) -> str:
-        status = "serializable" if self.ok else f"{len(self.violations)} violation(s)"
-        return f"{status}: {self.txns} txns, {self.items} items, {self.edges} edges"
-
 
 def _find_cycle(edges: dict[int, set[int]]) -> Optional[list[int]]:
     """Deterministic iterative DFS; returns one cycle or None."""

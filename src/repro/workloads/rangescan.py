@@ -69,9 +69,13 @@ class RangeScanConfig:
     range_size: int = 100
     update_fraction: float = 0.0
     distribution: str = "uniform"  # "uniform" | "hotspot"
-    hotspot_fraction: float = 0.2  # of the key space ...
-    hotspot_probability: float = 0.99  # ... absorbs this share of queries
     seed: int = 0
+
+
+#: Under the "hotspot" distribution this share of the key space ...
+HOTSPOT_FRACTION = 0.2
+#: ... absorbs this share of the queries.
+HOTSPOT_PROBABILITY = 0.99
 
 
 def _start_keys(config: RangeScanConfig, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -79,8 +83,8 @@ def _start_keys(config: RangeScanConfig, rng: np.random.Generator, count: int) -
     top = max(1, config.n_rows - config.range_size)
     if config.distribution == "uniform":
         return rng.integers(0, top, size=count)
-    hot_top = max(1, int(top * config.hotspot_fraction))
-    hot = rng.random(count) < config.hotspot_probability
+    hot_top = max(1, int(top * HOTSPOT_FRACTION))
+    hot = rng.random(count) < HOTSPOT_PROBABILITY
     keys = rng.integers(0, top, size=count)
     keys[hot] = rng.integers(0, hot_top, size=int(hot.sum()))
     return keys

@@ -6,7 +6,6 @@ from repro.harness import (
     IO_DESIGNS,
     build_custom_multi,
     build_io_target,
-    format_series,
     format_table,
 )
 from repro.harness.iobench import build_multi_db
@@ -31,11 +30,6 @@ class TestReport:
         assert "12,346" in text
         assert "0.123" in text
         assert "42" in text
-
-    def test_format_series_downsamples(self):
-        points = [(float(i), float(i * 2)) for i in range(100)]
-        text = format_series("s", points, max_points=10)
-        assert len(text.splitlines()) == 11  # header + 10 points
 
 
 class TestIoBuilders:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, Cpu, LatencyRecorder, RngRegistry, Simulator, TimeSeries
+from repro.sim import Cpu, LatencyRecorder, RngRegistry, Simulator
 from repro.sim.stats import summarize
 
 
@@ -77,21 +77,26 @@ class TestCpu:
         assert sim.run_until_complete(process) == "data"
 
     def test_utilization_tracking(self):
+        """``utilization(since=mark)`` is the busy core-µs after the mark
+        over the window's core capacity, whichever path took the core."""
         sim = Simulator()
         cpu = Cpu(sim, cores=2)
-        series = cpu.track_utilization(bucket_us=10)
+        sim.spawn(cpu.compute(30))  # core 1: 0-30, straddles the mark
+        sim.run(until=20)
+        mark = cpu.mark_utilization()
 
-        def worker():
-            yield from cpu.compute(25)
+        def late_compute():
+            yield sim.timeout(0)  # queue behind the spinner
+            yield from cpu.compute(10)
 
-        sim.spawn(worker())
-        sim.run(until=30)
-        buckets = dict((t, v) for t, v in series.series(until_us=30))
-        # One core busy 0-25us: buckets at 0s-ish each hold 10,10,5 busy-us.
-        assert buckets[0.0] == pytest.approx(10)
-        assert buckets[1e-05] == pytest.approx(10)
-        assert buckets[2e-05] == pytest.approx(5)
-        assert cpu.utilization() == pytest.approx(25 / 60)
+        sim.spawn(cpu.compute(25))  # core 2: 20-45, free core
+        sim.spawn(cpu.sync_wait(sim.timeout(30)))  # queued; spins 30-50
+        sim.spawn(late_compute())  # queued; 45-55
+        sim.run(until=100)
+        busy_after_mark = (30 - 20) + 25 + (50 - 30) + 10
+        assert cpu.utilization(mark) == pytest.approx(busy_after_mark / (80 * 2))
+        assert cpu.utilization(mark) == cpu.utilization(mark)
+        assert cpu.utilization() == pytest.approx((30 + 25 + 20 + 10) / (100 * 2))
 
 
 class TestStats:
@@ -170,19 +175,6 @@ class TestStats:
         rec.record(7)
         assert rec.p50 == 7
 
-    def test_counter_rate(self):
-        counter = Counter()
-        counter.add(500)
-        assert counter.rate_per_second(1e6) == pytest.approx(500)
-        assert counter.rate_per_second(0) == 0
-
-    def test_time_series_buckets_and_zero_fill(self):
-        series = TimeSeries(bucket_us=1e6)
-        series.add(0.5e6, 10)
-        series.add(2.5e6, 5)
-        points = series.series()
-        assert points == [(0.0, 10), (1.0, 0.0), (2.0, 5)]
-
 
 class TestRng:
     def test_streams_are_deterministic(self):
@@ -214,21 +206,18 @@ class TestRng:
 
 class TestTimeSeriesSplitting:
     def test_busy_interval_splits_across_buckets(self):
-        """Long computations spread over buckets, not lumped at the end."""
+        """Long computations spread over consecutive mark-to-mark
+        windows, not lumped into the one where they finish."""
         sim = Simulator()
         cpu = Cpu(sim, cores=1)
-        series = cpu.track_utilization(bucket_us=10)
-
-        def worker():
-            yield from cpu.compute(35)
-
-        sim.spawn(worker())
-        sim.run()
-        values = dict(series.series(until_us=40))
-        assert values[0.0] == pytest.approx(10)
-        assert values[1e-05] == pytest.approx(10)
-        assert values[2e-05] == pytest.approx(10)
-        assert values[3e-05] == pytest.approx(5)
+        sim.spawn(cpu.compute(35))
+        busy = []
+        mark = cpu.mark_utilization()
+        for end in (10, 20, 30, 40):
+            sim.run(until=end)
+            busy.append(cpu.utilization(mark) * (end - mark))
+            mark = cpu.mark_utilization()
+        assert busy == pytest.approx([10, 10, 10, 5])
 
     def test_background_load_steals_cpu(self):
         sim = Simulator()

@@ -148,10 +148,3 @@ class TestRamDevices:
         drive = RamDrive(sim)
         drive_latency = run_io(drive, IoOp.READ, 0, 8 * KB)
         assert RamDrive.ACCESS_US < drive_latency < 10
-
-    def test_throughput_series_tracking(self):
-        sim = Simulator()
-        drive = RamDrive(sim)
-        series = drive.track_throughput(bucket_us=10)
-        run_io(drive, IoOp.READ, 0, 8 * KB)
-        assert sum(v for _t, v in series.series()) == 8 * KB

@@ -1,30 +1,28 @@
-"""Registry semantics: get-or-create, collisions, flat export."""
+"""Registry semantics: two instrument kinds, collisions, flat export."""
 
 import pytest
 
-from repro.sim import Counter, LatencyRecorder, TimeSeries
+from repro.harness import Design, build_database
+from repro.sim import LatencyRecorder, summarize
 from repro.telemetry import MetricsError, MetricsRegistry
 
 
 class TestGetOrCreate:
     def test_same_name_returns_same_instrument(self):
         registry = MetricsRegistry()
-        first = registry.counter("db.reads")
-        second = registry.counter("db.reads")
-        assert first is second
+        gauge = registry.gauge("db.depth", lambda: 1.0)
+        recorder = registry.register("db.read_latency", LatencyRecorder("db"))
+        assert registry.get("db.depth") is gauge
+        assert registry.get("db.read_latency") is recorder
 
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
-        registry.counter("db.reads")
+        registry.gauge("db.reads", lambda: 1.0)
         with pytest.raises(MetricsError):
-            registry.histogram("db.reads")
-
-    def test_timeline_bucket_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.timeline("db.bytes", bucket_us=1e6)
-        assert registry.timeline("db.bytes", bucket_us=1e6) is registry.get("db.bytes")
+            registry.register("db.reads", LatencyRecorder("db"))
+        registry.register("db.latency", LatencyRecorder("db"))
         with pytest.raises(MetricsError):
-            registry.timeline("db.bytes", bucket_us=2e6)
+            registry.gauge("db.latency", lambda: 2.0)
 
     def test_gauge_name_collision_raises(self):
         registry = MetricsRegistry()
@@ -48,88 +46,74 @@ class TestRegister:
 
     def test_contains_and_get(self):
         registry = MetricsRegistry()
-        counter = Counter()
-        registry.register("x.y", counter)
+        recorder = LatencyRecorder()
+        registry.register("x.y", recorder)
         assert "x.y" in registry
         assert "x.z" not in registry
-        assert registry.get("x.y") is counter
+        assert registry.get("x.y") is recorder
+
+    @pytest.mark.parametrize("foreign", [42, 7.5, object()], ids=["int", "float", "object"])
+    def test_anything_but_a_recorder_is_refused(self, foreign):
+        registry = MetricsRegistry()
+        with pytest.raises(MetricsError):
+            registry.register("x.y", foreign)
+        assert "x.y" not in registry
 
 
 class TestLookup:
     def test_names_filters_by_dotted_prefix(self):
         registry = MetricsRegistry()
-        registry.counter("dev.ssd.reads")
-        registry.counter("dev.ssd.writes")
-        registry.counter("dev.ssdx.reads")  # not under "dev.ssd"
+        registry.gauge("dev.ssd.reads", lambda: 0.0)
+        registry.gauge("dev.ssd.writes", lambda: 0.0)
+        registry.gauge("dev.ssdx.reads", lambda: 0.0)  # not under "dev.ssd"
         assert registry.names("dev.ssd") == ["dev.ssd.reads", "dev.ssd.writes"]
-
-    def test_subtree_strips_the_prefix(self):
-        registry = MetricsRegistry()
-        registry.counter("bp.hits")
-        registry.counter("bp.misses")
-        assert set(registry.subtree("bp")) == {"hits", "misses"}
 
 
 class TestFlat:
     def test_each_kind_flattens(self):
         registry = MetricsRegistry()
-        registry.counter("c").add(3)
         registry.gauge("g", lambda: 7.5)
-        histogram = registry.histogram("h")
+        histogram = registry.register("h", LatencyRecorder("h"))
         histogram.record(10)
         histogram.record(20)
-        series = registry.timeline("t", bucket_us=1e6)
-        series.add(0.5e6, 4)
-        series.add(2.5e6, 6)
-        registry.register("raw", 42)  # foreign plain number
 
         flat = registry.flat()
-        assert flat["c"] == 3
         assert flat["g"] == 7.5
         assert flat["h.count"] == 2
         assert flat["h.mean_us"] == pytest.approx(15.0)
         assert flat["h.p50_us"] == 10
-        assert flat["t.buckets"] == 2
-        assert flat["t.total"] == 10
-        assert flat["raw"] == 42.0
+        assert set(flat) == {"g"} | {f"h.{stat}" for stat in summarize(histogram)}
 
     def test_flat_respects_prefix(self):
         registry = MetricsRegistry()
-        registry.counter("a.x").add(1)
-        registry.counter("b.x").add(2)
+        registry.gauge("a.x", lambda: 1)
+        registry.gauge("b.x", lambda: 2)
         assert registry.flat("a") == {"a.x": 1}
-
-    def test_adopted_timeseries_flattens_like_created_one(self):
-        registry = MetricsRegistry()
-        series = TimeSeries(bucket_us=10, name="ext")
-        series.add(5, 100)
-        registry.register("ext.bytes", series)
-        flat = registry.flat()
-        assert flat["ext.bytes.total"] == 100
 
 
 class TestForeignInstruments:
-    def test_non_numeric_value_reads_as_absent(self):
-        class Label:
-            def value(self):
-                return "not a number"
-
-        class Nothing:
-            def value(self):
-                return None
-
-        registry = MetricsRegistry()
-        registry.register("label", Label())
-        registry.register("nothing", Nothing())
-        registry.register("raw", 42)
-        assert registry.flat() == {"raw": 42.0}
+    """A gauge reads its component and nothing else: what goes wrong
+    there surfaces at the read."""
 
     def test_other_errors_from_value_propagate(self):
-        class Broken:
-            def value(self):
-                raise KeyError("gone")
+        def broken():
+            raise KeyError("gone")
 
         registry = MetricsRegistry()
-        registry.register("broken", Broken())
+        registry.gauge("broken", broken)
         with pytest.raises(KeyError):
             registry.flat()
+
+
+class TestReadingChangesNothing:
+    def test_flat_twice_at_one_instant_is_equal_and_leaves_cpu_marks(self):
+        setup = build_database(Design.CUSTOM, bp_pages=64, bpext_pages=128, tempdb_pages=64)
+        cpu = setup.db_server.cpu
+        setup.sim.spawn(cpu.compute(250.0))
+        setup.sim.run(until=setup.sim.now + 1_000.0)
+        marks = list(cpu.cores._busy_marks)
+        first = setup.metrics.flat()
+        second = setup.metrics.flat()
+        assert first == second
+        assert cpu.cores._busy_marks == marks
+        assert first["server.db.cpu.utilization"] == cpu.utilization()

@@ -200,13 +200,17 @@ class TestAggregates:
         assert seen == [(1, 0)]
         assert stack.failures == 1
 
-    def test_shared_bytes_series(self, rig):
-        stack = make_stack(rig)
-        series = stack.track_throughput()
-        assert stack.bytes_series is series
-        rig.run(stack.put(make_page(0)))
+    def test_parks_sum_across_tiers(self, rig):
+        # Parks, a demotion, then a promotion that demotes again: every
+        # page written into either tier is one park.
+        stack = make_stack(rig, cap_hot=2, promote=True)
+        for n in range(3):
+            rig.run(stack.put(make_page(n)))
+        assert (stack.parks, stack.demotions) == (4, 1)
         rig.run(stack.get((1, 0)))
-        assert sum(series.buckets.values()) == 2 * 8192
+        assert (stack.hits, stack.promotions, stack.demotions) == (1, 1, 2)
+        assert stack.parks == 6
+        assert [level.store.page_writes for level in stack.levels] == [4, 2]
 
     def test_level_for_finds_the_medium(self, rig):
         stack = make_stack(rig)

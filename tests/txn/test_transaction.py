@@ -7,7 +7,6 @@ from repro.reliability import ReliabilityPolicy
 from repro.txn import (
     DeadlockAbort,
     LockMode,
-    TransactionAborted,
     TransactionDoomed,
     TxnRetriesExhausted,
     TxnState,

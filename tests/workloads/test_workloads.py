@@ -87,8 +87,7 @@ class TestRangeScan:
         import numpy as np
         from repro.workloads.rangescan import _start_keys
 
-        config = RangeScanConfig(n_rows=10_000, distribution="hotspot",
-                                 hotspot_fraction=0.2, hotspot_probability=0.99)
+        config = RangeScanConfig(n_rows=10_000, distribution="hotspot")
         keys = _start_keys(config, np.random.default_rng(0), 2000)
         hot = (keys < 0.2 * (10_000 - config.range_size)).mean()
         assert hot > 0.95
