@@ -92,7 +92,7 @@ class WriteAheadLog:
         #: Durable record history (the log image, used by recovery).
         self.records: list[LogRecord] = []
         self.checkpoint_lsn = 0
-        self._pending: list[tuple[LogRecord, Any]] = []
+        self._pending: list[tuple[LogRecord, Optional[Event]]] = []
         self._flush_slots = self.sim.resource(capacity=OUTSTANDING_FLUSHES, name="wal.flush")
         self._signal = self.sim.store(name="wal.signal")
         #: Tail of the in-order acknowledgement chain: the ``done`` event
@@ -125,8 +125,7 @@ class WriteAheadLog:
         in LSN order, a durable COMMIT implies every earlier record of
         the transaction is durable too.
         """
-        durable = self.sim.event()
-        self._pending.append((record, durable))
+        self._pending.append((record, None))  # nobody waits: no event to succeed
         self._signal.put(None)
         return record
 
@@ -161,7 +160,10 @@ class WriteAheadLog:
                 self._signal.put(None)
 
     def _flush_batch(
-        self, batch: list[tuple[LogRecord, Any]], previous: Optional[Event], done: Event
+        self,
+        batch: list[tuple[LogRecord, Optional[Event]]],
+        previous: Optional[Event],
+        done: Event,
     ) -> ProcessGenerator:
         size = max(4 * KB, sum(record.payload_bytes for record, _e in batch))
         offset = self._tail_offset
@@ -175,9 +177,10 @@ class WriteAheadLog:
             # first, earlier-LSN batches must acknowledge before us.
             if previous is not None and not previous.processed:
                 yield previous
-            for record, event in batch:
+            for record, durable in batch:
                 self.records.append(record)
-                event.succeed(record.lsn)
+                if durable is not None:
+                    durable.succeed(record.lsn)
             self.flushes += 1
         finally:
             # Unblock successors even on a failed write, or the chain

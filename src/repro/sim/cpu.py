@@ -91,9 +91,12 @@ class Cpu:
         """Occupy one core for ``duration_us`` of pure computation.
 
         The kernel's hottest site (one call per modelled CPU slice).  A
-        free core is taken inline; a busy CPU is one kernel-advanced
-        hold, which resumes this generator once, after the slice, and
-        tells it where ``cpu.runq`` ended and ``cpu.compute`` began.
+        free core is taken inline, and when the slice's timer would be
+        the next event the clock advances in place instead: the core is
+        given back and this returns without yielding.  A busy CPU is one
+        kernel-advanced hold, which resumes this generator once, after
+        the slice, and tells it where ``cpu.runq`` ended and
+        ``cpu.compute`` began.
         """
         if duration_us <= 0:
             return
@@ -110,6 +113,10 @@ class Cpu:
                     span.split(hold.granted_at, "cpu.compute", cat="cpu").close()
             return
         span = tracer.span("cpu.compute", cat="cpu") if tracer.enabled else _NOOP_SPAN
+        if sim._fast_forward(sim.now + duration_us):
+            span.close()
+            self.cores.release()
+            return
         try:
             yield Timeout(sim, duration_us)
         finally:
@@ -149,9 +156,12 @@ class Cpu:
         tracer = sim.tracer
         span = tracer.span("cpu.switchin", cat="cpu") if tracer.enabled else _NOOP_SPAN
         try:
-            # Reschedule lag, then a core slice for the switch-in itself
-            # (which may queue behind others).
-            yield sim.timeout(self.reschedule_delay_us)
+            # Reschedule lag (the clock advances in place when its timer
+            # would be the next event), then a core slice for the
+            # switch-in itself (which may queue behind others).
+            delay = self.reschedule_delay_us
+            if delay < 0 or not sim._fast_forward(sim.now + delay):
+                yield Timeout(sim, delay)
             yield from self.compute(self.context_switch_us)
         finally:
             span.close()

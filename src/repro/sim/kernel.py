@@ -30,6 +30,10 @@ Scheduling discipline (see DESIGN.md §10 for the determinism argument):
 * A failed event processed with *no callbacks* raises
   :class:`SimulationError` — failures must be observed, not silently
   dropped.  Attach a no-op callback to deliberately discard one.
+* A timer whose only effect is to resume the step arming it, and that
+  would be the very next event, is not armed: the step **advances the
+  clock in place** (:meth:`Simulator._fast_forward`) and carries on.
+  The firing order is unchanged; the loop retires one event fewer.
 """
 
 from __future__ import annotations
@@ -167,6 +171,20 @@ class _Soon:
 
     __slots__ = ("fn",)
     _cancelled = False
+
+
+def _call_in_place(sim: "Simulator", event: Event, callbacks: list) -> None:
+    """Call an event's waiters (none, or several) in the current slot: each
+    but the last with more due at this instant, the rest of the list.  A
+    single waiter is called directly by the loop and the two completions
+    that call waiters in place."""
+    if callbacks:
+        more_due = sim._more_due
+        sim._more_due = True
+        for callback in callbacks[:-1]:
+            callback(event)
+        sim._more_due = more_due
+        callbacks[-1](event)
 
 
 class Timeout(Event):
@@ -450,8 +468,10 @@ class _Hold(_Request):
         self._exception = event._exception
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
+        if len(callbacks) == 1:
+            callbacks[0](self)
+        else:
+            _call_in_place(self.sim, self, callbacks)
 
     def finish(self) -> None:
         """The one exit, interrupt-safe and idempotent: leave the queue /
@@ -673,6 +693,8 @@ class Resource:
 #: Value of a spawned :class:`Chain` that did not run to its end: it was
 #: interrupted, or a stage raised one of its ``absorb`` exceptions.
 ABORTED = object()
+#: What ``Chain._step`` is called with from the constructor.
+_POSTING = object()
 
 
 class Chain(Event):
@@ -713,6 +735,11 @@ class Chain(Event):
     __slots__ = ("name", "result", "_program", "_pc", "_spawned", "_absorb", "_thunk",
                  "_release", "_hold", "_caller")
 
+    #: No interrupt is ever pending on a chain: one ends it at once or
+    #: takes a slot (read by :meth:`Simulator._fast_forward` when the
+    #: tracer steps a chain as ``_active_process``).
+    _interrupts = None
+
     def __init__(
         self,
         sim: "Simulator",
@@ -751,7 +778,7 @@ class Chain(Event):
             self.name = spawn
             if traced:
                 sim.tracer.on_spawn(self)
-        thunk.fn()
+        thunk.fn(_POSTING)
 
     @property
     def is_alive(self) -> bool:
@@ -774,8 +801,13 @@ class Chain(Event):
         self._release = hold.finish
         return True
 
-    def _step(self, _event: Optional[Event] = None) -> None:
-        """Run stages up to the next wait: the loop's one call per stage."""
+    def _step(self, event: Any = None) -> None:
+        """Run stages up to the next wait: the loop's one call per stage.
+
+        ``event`` is :data:`_POSTING` when the constructor runs the first
+        stage: the poster goes on at this instant afterwards, so no wait
+        advances the clock in place there.
+        """
         pc = self._pc
         if pc < 0:
             return  # the timer an aborted chain left behind: one retired event
@@ -791,13 +823,24 @@ class Chain(Event):
                 pc += 1
                 if wait is None:
                     continue  # inline step: checks, accounting
-                self._pc = pc
                 if wait is not True:  # a delay: one seq, one heap entry, as a Timeout
                     if wait < 0:
                         raise SimulationError(f"negative timeout: {wait}")
                     sim = self.sim
+                    when = sim.now + wait
+                    if event is not _POSTING and sim._fast_forward(when):
+                        # The timer would have been the next event: its
+                        # step, the next stage, runs here.
+                        release = self._release
+                        if release is not None:
+                            self._release = None
+                            release()
+                        continue
+                    self._pc = pc
                     sim._seq += 1
-                    heapq.heappush(sim._heap, (sim.now + wait, sim._seq, self._thunk))
+                    heapq.heappush(sim._heap, (when, sim._seq, self._thunk))
+                    return
+                self._pc = pc
                 return
         except Exception as exc:
             # Nothing is swallowed: the exception is stored in the chain's
@@ -837,8 +880,10 @@ class Chain(Event):
             self.sim.tracer.on_finish(self)
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
+        if len(callbacks) == 1:
+            callbacks[0](self)
+        else:
+            _call_in_place(self.sim, self, callbacks)
 
     # -- cutting it short --------------------------------------------------
 
@@ -857,7 +902,14 @@ class Chain(Event):
             self._detach()
             self._abandon()
             self._exception = Interrupt(cause)
-            self._finish(None)
+            # The one place a process resumes inside another step: the
+            # interrupter goes on at this instant after its waiters.
+            more_due = sim._more_due
+            sim._more_due = True
+            try:
+                self._finish(None)
+            finally:
+                sim._more_due = more_due
         else:
             wake = _Soon()
             wake.fn = self._abort
@@ -977,6 +1029,7 @@ class _Never:
 
 _NEVER = _Never()
 _INF = float("inf")
+_NO_HORIZON = float("-inf")
 
 
 class Simulator:
@@ -994,6 +1047,16 @@ class Simulator:
         #: Total events popped by the loop (perf accounting; includes
         #: skipped tombstones and ``call_soon`` thunks).
         self.events_processed = 0
+        #: Timers not armed because the clock advanced in place instead
+        #: (:meth:`_fast_forward`): each is one event the loop did not retire.
+        self.fast_forwards = 0
+        #: The running loop's horizon and stop event; -inf outside the
+        #: loop, so host code between runs never advances the clock.
+        self._horizon = _NO_HORIZON
+        self._stop: Any = _NEVER
+        #: Set while the kernel runs code in place that something else
+        #: follows at this instant (DESIGN §10, "Clock advanced in place").
+        self._more_due = False
         #: Span tracer; :data:`~repro.telemetry.NOOP_TRACER` unless a
         #: :class:`~repro.telemetry.TraceRecorder` is installed.
         self.tracer = NOOP_TRACER
@@ -1042,6 +1105,33 @@ class Simulator:
         for observer in self.observers:
             observer(self.now, kind, fields)
 
+    def _fast_forward(self, when: float) -> bool:
+        """Advance the clock to ``when`` in place, if a timer armed now for
+        ``when`` would be the next event; its caller, which the timer would
+        only have resumed, then carries on.  The firing order is unchanged
+        and the loop retires one event fewer.
+
+        False, with nothing changed, when something else is due first — a
+        slot in the now-queue, more due at this instant after the current
+        step, a heap entry at or before ``when`` (at ``when`` it has the
+        earlier ``seq``), a pending interrupt of the stepping process — or
+        when ``when`` lies past the running loop's horizon (outside the
+        loop: always) or the loop's stop event has triggered.
+        """
+        heap = self._heap
+        if heap and heap[0][0] <= when:
+            return False
+        if self._nowq or self._more_due or when > self._horizon:
+            return False
+        if self._stop._triggered:
+            return False
+        process = self._active_process
+        if process is not None and process._interrupts:
+            return False
+        self.now = when
+        self.fast_forwards += 1
+        return True
+
     # -- main loop -------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> None:
@@ -1073,6 +1163,8 @@ class Simulator:
         nowq = self._nowq
         heap = self._heap
         events = 0
+        self._horizon = horizon
+        self._stop = stop
         try:
             while not stop._triggered:
                 if nowq and not (heap and heap[0][0] <= self.now and heap[0][1] < nowq[0][0]):
@@ -1094,8 +1186,10 @@ class Simulator:
                 callbacks = event.callbacks
                 if callbacks:
                     event.callbacks = []
-                    for callback in callbacks:
-                        callback(event)
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        _call_in_place(self, event, callbacks)
                 elif event._exception is not None:
                     raise SimulationError(
                         f"failed event died unobserved: {event._exception!r}"
@@ -1103,3 +1197,6 @@ class Simulator:
             return True
         finally:
             self.events_processed += events
+            self._horizon = _NO_HORIZON
+            self._stop = _NEVER
+            self._more_due = False

@@ -105,14 +105,14 @@ PINS = {
 #: events_processed after each of PATTERNS: a count, not a result, so a
 #: kernel change that retires fewer events re-records only these.
 EVENTS = {
-    "2 DB servers": [406, 501, 856],
-    "Custom": [203, 252, 431],
-    "Custom x2": [206, 255, 434],
+    "2 DB servers": [378, 463, 810],
+    "Custom": [183, 226, 396],
+    "Custom x2": [185, 228, 398],
     "HDD(20)": [174, 427, 582],
     "HDD(4)": [158, 404, 566],
     "HDD(8)": [162, 414, 570],
-    "SMB+RamDrive": [428, 544, 975],
-    "SMBDirect+RamDrive": [271, 343, 615],
+    "SMB+RamDrive": [428, 528, 959],
+    "SMBDirect+RamDrive": [269, 333, 603],
     "SSD": [59, 79, 139],
 }
 

@@ -58,29 +58,29 @@ class TestBuilderEquivalence:
     # before the shared assembler existed: each builder keeps its own
     # order of bootstrap steps, so its absolute virtual time cannot move.
     @pytest.mark.parametrize("build, clock", [
-        (single, (129298.0, 25)),
-        (one_server_dist, (88093.0, 32)),
-        (one_tenant_fleet, (13508.0, 34)),
+        (single, (129298.0, 14)),
+        (one_server_dist, (88093.0, 22)),
+        (one_tenant_fleet, (13508.0, 21)),
         (lambda: build_database(Design.CUSTOM, bp_pages=128, bpext_pages=512,
                                 tempdb_pages=256, data_spindles=8, seed=3),
-         (137721.0, 39)),
+         (137721.0, 16)),
         (lambda: build_database(Design.THREE_TIER, bp_pages=128, bpext_pages=512,
                                 tempdb_pages=256, data_spindles=8, seed=3),
-         (137721.0, 39)),
+         (137721.0, 16)),
         (lambda: build_database(Design.SMB_RAMDRIVE, bp_pages=128, bpext_pages=512,
                                 tempdb_pages=256, data_spindles=8, seed=3),
          (0.0, 0)),
         (lambda: build_database(Design.CUSTOM, bp_pages=128, bpext_pages=512,
                                 n_memory_servers=3, reliability=True, seed=3),
-         (384951.0, 63)),
+         (384951.0, 34)),
         (lambda: build_dist(DistSpec(name="p", db_servers=4, memory_servers=2,
                                      ext_pages=(256,) * 4, seed=5)),
-         (272422.0, 138)),
+         (272422.0, 99)),
         (lambda: build_fleet(FleetSpec(
             tenants=(TenantSpec("a", ext_pages=512),
                      TenantSpec("b", replicas=2, ext_pages=1024)),
             memory_servers=2, seed=5), marketplace=True),
-         (42058.0, 117)),
+         (42058.0, 77)),
     ])
     def test_setup_clock_is_the_recorded_one(self, build, clock):
         setup = build()
