@@ -29,8 +29,6 @@ SCALE = TpchScale()
 def _build_index(db, setup, orders, medium: str):
     """Covering NC index on orders(orderkey), on SSD or remote memory."""
     entries = sorted(
-        (row[0], row[3]) for row in db._all_leaf_rows_flat(orders)
-    ) if hasattr(db, "_all_leaf_rows_flat") else sorted(
         (row[0], row[3])
         for page_rows in db._all_leaf_rows(orders)
         for row in page_rows

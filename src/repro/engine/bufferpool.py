@@ -193,7 +193,7 @@ class BufferPoolExtension:
             layer = self.reliability
             if layer is not None:
                 provider = level.store.slot_provider(slot)
-                if provider is not None and not layer.breakers.routable(provider):
+                if provider is not None and not layer.routable(provider):
                     # Don't park pages at a quarantined provider: give the
                     # slot back and let the page age out of the pool.
                     level.quarantine_skips += 1
@@ -294,7 +294,7 @@ class BufferPoolExtension:
             slot = slots[page_id]
             if layer is not None:
                 provider = level.store.slot_provider(slot)
-                if provider is not None and not layer.breakers.routable(provider):
+                if provider is not None and not layer.routable(provider):
                     # Quarantined provider: try a slower tier, else the
                     # base file.  The mapping is kept — the parked image
                     # is presumed intact and becomes reachable again once
@@ -562,10 +562,21 @@ class BufferPool:
             page = None
             if self.extension is not None and self.extension.contains(page_id):
                 if layer is not None and not background:
-                    page, source = yield from self._hedged_ext_fetch(page_id)
-                    if source == "ext":
+                    # Race the extension read against a delayed read of
+                    # the base file, which also serves as the fallback.
+                    def backup():
+                        store = self.files.get(page_id[0])
+                        if store is None or not store.contains(page_id[1]):
+                            return None  # nothing to hedge with
+                        return store.read_page(page_id[1], background=True)
+
+                    page, winner = yield from layer.hedged_read(
+                        self.extension.get(page_id), backup,
+                        self.extension.read_latency, PageNotFound,
+                    )
+                    if winner == "primary":
                         self.ext_hits += 1
-                    elif source == "base":
+                    elif winner == "backup":
                         self.base_reads += 1
                 else:
                     try:
@@ -591,75 +602,6 @@ class BufferPool:
             del self._inflight[page_id]
             if done.callbacks:  # out of ``_inflight``: nobody else can wait now
                 done.succeed()
-
-    def _hedged_ext_fetch(self, page_id: PageId) -> ProcessGenerator:
-        """Race the extension read against a delayed base-file read.
-
-        The extension read is issued immediately; once it has been
-        outstanding for the tail-derived hedge delay, a backup read of
-        the same page from the base file is issued and whichever
-        completes first supplies the page.  During a brown-out this
-        bounds the fault latency at roughly *hedge delay + one disk
-        read* instead of however long the degraded link takes — and
-        when the primary fails outright the already-running backup
-        doubles as the fallback.  Returns ``(page | None, source)``
-        with ``source`` in ``{"ext", "base", None}``.
-        """
-        sim = self.server.sim
-        layer = self.reliability
-        extension = self.extension
-
-        def absorb(generator) -> ProcessGenerator:
-            # Spawned racers must not leak PageNotFound into the sim loop.
-            try:
-                page = yield from generator
-            except PageNotFound:
-                return None
-            return page
-
-        primary = sim.spawn(absorb(extension.get(page_id)), name="bp.hedge.primary")
-        delay = layer.hedge_delay_us(extension.read_latency)
-        index, value = yield sim.any_of([primary, sim.timeout(delay)])
-        if index == 0:
-            return value, "ext" if value is not None else None
-        store = self.files.get(page_id[0])
-        if store is None or not store.contains(page_id[1]):
-            value = yield primary  # nothing to hedge with: sit it out
-            return value, "ext" if value is not None else None
-        layer.hedge.issued += 1
-        hedge_span = (
-            sim.tracer.span("bp.hedge", delay_us=delay)
-            if sim.tracer.enabled
-            else _NOOP_SPAN
-        )
-        backup = sim.spawn(
-            absorb(store.read_page(page_id[1], background=True)),
-            name="bp.hedge.backup",
-        )
-        try:
-            index, value = yield sim.any_of([primary, backup])
-            if index == 0:
-                if value is not None:
-                    layer.hedge.primary_wins += 1
-                    return value, "ext"
-                # Primary failed after the hedge fired: the backup read,
-                # already in flight, doubles as the disk fallback.
-                value = yield backup
-                if value is not None:
-                    layer.hedge.record_backup_win(rescued=True)
-                    return value, "base"
-                return None, None
-            if value is not None:
-                layer.hedge.record_backup_win(rescued=False)
-                # Cancel the losing primary: a read parked on a browned-out
-                # link would otherwise hold the provider's NIC engine for
-                # its whole degraded service time, starving later traffic.
-                primary.interrupt(cause="hedged read: backup won")
-                return value, "base"
-            value = yield primary  # backup lost the page mid-race: rare
-            return value, "ext" if value is not None else None
-        finally:
-            hedge_span.close()
 
     def prefetch(self, file_id: int, page_nos: Iterable[int]) -> None:
         """Issue background read-ahead for ``page_nos`` (scan path).

@@ -13,7 +13,7 @@ time:
   re-opens it (restarting the quarantine clock).
 
 Every transition is timestamped in virtual microseconds, kept in the
-registry's transition log and logged to the simulator as a ``breaker``
+layer's transition log and logged to the simulator as a ``breaker``
 event, so the fault-recovery monitor can correlate breaker behaviour
 with injected faults and a seeded replay reproduces the exact same
 transition log.
@@ -22,11 +22,12 @@ transition log.
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
 
-from ..sim import Simulator
-from .policy import ReliabilityPolicy
+if TYPE_CHECKING:
+    from .layer import ReliabilityLayer
 
-__all__ = ["BreakerState", "CircuitBreaker", "BreakerRegistry"]
+__all__ = ["BreakerState", "CircuitBreaker"]
 
 
 class BreakerState(enum.Enum):
@@ -38,11 +39,11 @@ class BreakerState(enum.Enum):
 class CircuitBreaker:
     """Health state machine for one memory provider."""
 
-    def __init__(self, registry: "BreakerRegistry", provider: str):
-        self.registry = registry
-        self.sim = registry.sim
+    def __init__(self, layer: ReliabilityLayer, provider: str):
+        self.layer = layer
+        self.sim = layer.sim
         self.provider = provider
-        self.policy = registry.policy
+        self.policy = layer.policy
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at_us: float | None = None
@@ -57,9 +58,9 @@ class CircuitBreaker:
             self.opened_at_us = self.sim.now
         if new is BreakerState.HALF_OPEN:
             self._probes_admitted = 0
-        self.registry.transitions.append((self.sim.now, self.provider, old.value, new.value))
+        self.layer.transitions.append((self.sim.now, self.provider, old.value, new.value))
         self.sim.log(
-            "breaker", server=self.registry.server, provider=self.provider, old=old, new=new
+            "breaker", server=self.layer.server, provider=self.provider, old=old, new=new
         )
 
     def allow(self) -> bool:
@@ -121,54 +122,3 @@ class CircuitBreaker:
         """
         if self.state is BreakerState.HALF_OPEN and self._probes_admitted > 0:
             self._probes_admitted -= 1
-
-
-class BreakerRegistry:
-    """One :class:`CircuitBreaker` per provider, created on first use."""
-
-    def __init__(self, sim: Simulator, policy: ReliabilityPolicy, server: str):
-        self.sim = sim
-        self.policy = policy
-        #: The database server these breakers guard (names its events).
-        self.server = server
-        self.breakers: dict[str, CircuitBreaker] = {}
-        #: Ordered transition log: ``(at_us, provider, old, new)``.
-        self.transitions: list[tuple[float, str, str, str]] = []
-
-    def breaker(self, provider: str) -> CircuitBreaker:
-        breaker = self.breakers.get(provider)
-        if breaker is None:
-            breaker = self.breakers[provider] = CircuitBreaker(self, provider)
-        return breaker
-
-    # -- routing / outcome feed -------------------------------------------
-
-    def allow(self, provider: str) -> bool:
-        return self.breaker(provider).allow()
-
-    def routable(self, provider: str) -> bool:
-        return self.breaker(provider).routable()
-
-    def record_success(self, provider: str) -> None:
-        self.breaker(provider).record_success()
-
-    def record_failure(self, provider: str) -> None:
-        self.breaker(provider).record_failure()
-
-    def record_abandoned(self, provider: str) -> None:
-        self.breaker(provider).record_abandoned()
-
-    def state(self, provider: str) -> BreakerState:
-        return self.breaker(provider).state
-
-    def quarantined(self) -> list[str]:
-        """Providers currently refusing traffic (OPEN breakers)."""
-        return sorted(
-            name
-            for name, breaker in self.breakers.items()
-            if breaker.state is BreakerState.OPEN
-        )
-
-    def snapshot(self) -> list[tuple[float, str, str, str]]:
-        """The full transition log (deterministic replay payload)."""
-        return list(self.transitions)

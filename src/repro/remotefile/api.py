@@ -319,7 +319,7 @@ class RemoteFile:
         sim = self.owner.sim
         ticket = None
         if self.reliability is not None:
-            ticket = yield from self.reliability.admission.enter(lease.provider)
+            ticket = yield from self.reliability.admit(lease.provider)
         slots = None
         transfer = None
         tracer = sim.tracer
@@ -358,7 +358,7 @@ class RemoteFile:
             if slots is not None:
                 self.staging.release(slots)
             if ticket is not None:
-                ticket.release()
+                ticket.resource.cancel(ticket)
         if value is OVERTOOK:
             yield landing
             value = yield from self._transfer_read_once(
@@ -382,7 +382,7 @@ class RemoteFile:
         layer = self.reliability
         ticket = None
         if layer is not None:
-            ticket = yield from layer.admission.enter(lease.provider)
+            ticket = yield from layer.admit(lease.provider)
         slots = None
         released = False
         transfer = None
@@ -413,7 +413,7 @@ class RemoteFile:
                         del self._landing[extent]
                     self.staging.release(slots)
                     if ticket is not None:
-                        ticket.release()
+                        ticket.resource.cancel(ticket)
                     if on_abort is not None and transfer.value is ABORTED:
                         on_abort()
 
@@ -439,7 +439,7 @@ class RemoteFile:
                 if slots is not None:
                     self.staging.release(slots)
                 if ticket is not None:
-                    ticket.release()
+                    ticket.resource.cancel(ticket)
 
 
 class RemoteMemoryFilesystem:

@@ -97,9 +97,9 @@ def register_remote_file(registry: MetricsRegistry, prefix: str, file: Any) -> N
 def register_reliability(registry: MetricsRegistry, prefix: str, layer: Any) -> None:
     registry.gauge(f"{prefix}.deadline_hits", lambda: float(sum(layer.deadline_hits.values())))
     registry.gauge(f"{prefix}.retries", lambda: float(sum(layer.retries.values())))
-    registry.gauge(f"{prefix}.hedges_issued", lambda: float(layer.hedge.issued))
+    registry.gauge(f"{prefix}.hedges_issued", lambda: float(layer.hedges_issued))
     registry.gauge(
-        f"{prefix}.quarantined", lambda: float(len(layer.breakers.quarantined()))
+        f"{prefix}.quarantined", lambda: float(len(layer.quarantined_providers()))
     )
 
 

@@ -67,8 +67,8 @@ def test_slow_primary_loses_to_the_backup(rig):
     base_reads = pool.base_reads
     elapsed = fault_page_0(rig, pool)
     assert HEDGE_DELAY_US < elapsed < 100_000
-    assert layer.hedge.issued == 1
-    assert layer.hedge.backup_wins == 1 and layer.hedge.rescues == 0
+    assert layer.hedges_issued == 1
+    assert layer.hedge_backup_wins == 1 and layer.hedge_rescues == 0
     rig.sim.run(until=rig.sim.now + 1)  # the interrupt lands in its instant
     assert seen["interrupted"]
     assert pool.base_reads == base_reads + 1
@@ -79,7 +79,7 @@ def test_fast_primary_issues_no_backup(rig):
     seen = delay_primary(rig, pool, delay_us=10)
     ext_hits = pool.ext_hits
     assert fault_page_0(rig, pool) < HEDGE_DELAY_US
-    assert layer.hedge.issued == 0 and layer.hedge.backup_wins == 0
+    assert layer.hedges_issued == 0 and layer.hedge_backup_wins == 0
     assert not seen["interrupted"]
     assert pool.ext_hits == ext_hits + 1
 
@@ -89,8 +89,8 @@ def test_backup_rescues_a_primary_that_fails_after_the_hedge(rig):
     delay_primary(rig, pool, delay_us=2 * HEDGE_DELAY_US, fails=True)
     base_reads = pool.base_reads
     assert fault_page_0(rig, pool) > 2 * HEDGE_DELAY_US
-    assert layer.hedge.issued == 1
-    assert layer.hedge.backup_wins == 1 and layer.hedge.rescues == 1
+    assert layer.hedges_issued == 1
+    assert layer.hedge_backup_wins == 1 and layer.hedge_rescues == 1
     assert pool.base_reads == base_reads + 1
 
 
@@ -100,5 +100,22 @@ def test_page_missing_from_the_base_file_waits_for_the_primary(rig):
     delay_primary(rig, pool, delay_us=5_000)
     ext_hits = pool.ext_hits
     assert fault_page_0(rig, pool) >= 5_000
-    assert layer.hedge.issued == 0
+    assert layer.hedges_issued == 0
     assert pool.ext_hits == ext_hits + 1
+
+
+def test_primary_that_answers_after_the_hedge_still_wins(rig):
+    # The backup disk read is already in flight when the primary lands,
+    # but the HDD read takes milliseconds: the primary supplies the page.
+    pool, _data, layer = make_hedged_pool(rig)
+    seen = delay_primary(rig, pool, delay_us=2 * HEDGE_DELAY_US)
+    ext_hits, base_reads = pool.ext_hits, pool.base_reads
+    elapsed = fault_page_0(rig, pool)
+    assert 2 * HEDGE_DELAY_US <= elapsed < 3 * HEDGE_DELAY_US
+    assert layer.hedges_issued == 1 and layer.hedge_primary_wins == 1
+    assert layer.hedge_backup_wins == 0
+    assert pool.ext_hits == ext_hits + 1
+    assert pool.base_reads == base_reads
+    rig.sim.run(until=rig.sim.now + 100_000)  # the losing backup lands
+    assert not seen["interrupted"]
+    assert pool.base_reads == base_reads

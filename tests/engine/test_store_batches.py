@@ -228,7 +228,7 @@ class TestProviderQuarantine:
 
     def trip(self, ext, provider="mem0"):
         for _ in range(self.POLICY.breaker_failure_threshold):
-            ext.reliability.breakers.record_failure(provider)
+            ext.reliability.breaker(provider).record_failure()
 
     def test_quarantined_provider_is_skipped_then_recovers(self, rig):
         store = RemotePageFile(9, rig.make_remote_file("ext", 16 * MB))

@@ -1,7 +1,9 @@
-"""Circuit-breaker state machine, clocked on virtual time."""
+"""Circuit-breaker state machine, clocked on virtual time, and the
+layer's per-provider breakers."""
 
-from repro.reliability import BreakerState, ReliabilityPolicy
-from repro.reliability.breaker import BreakerRegistry
+import numpy as np
+
+from repro.reliability import BreakerState, ReliabilityLayer, ReliabilityPolicy
 from repro.sim import Simulator
 
 POLICY = ReliabilityPolicy(
@@ -9,96 +11,98 @@ POLICY = ReliabilityPolicy(
 )
 
 
-def make_registry(policy=POLICY):
+def make_layer(policy=POLICY):
     sim = Simulator()
-    return sim, BreakerRegistry(sim, policy, "db")
+    return sim, ReliabilityLayer(sim, np.random.default_rng(0), policy, server="db")
 
 
-def trip(registry, provider="mem0", times=POLICY.breaker_failure_threshold):
+def trip(layer, provider="mem0", times=POLICY.breaker_failure_threshold):
     for _ in range(times):
-        registry.record_failure(provider)
+        layer.breaker(provider).record_failure()
 
 
 class TestStateMachine:
     def test_starts_closed_and_allows(self):
-        _sim, registry = make_registry()
-        assert registry.state("mem0") is BreakerState.CLOSED
-        assert registry.allow("mem0")
-        assert registry.routable("mem0")
+        _sim, layer = make_layer()
+        assert layer.breaker("mem0").state is BreakerState.CLOSED
+        assert layer.breaker("mem0").allow()
+        assert layer.routable("mem0")
 
     def test_consecutive_failures_trip_open(self):
-        _sim, registry = make_registry()
-        trip(registry, times=POLICY.breaker_failure_threshold - 1)
-        assert registry.state("mem0") is BreakerState.CLOSED
-        registry.record_failure("mem0")
-        assert registry.state("mem0") is BreakerState.OPEN
-        assert not registry.allow("mem0")
-        assert not registry.routable("mem0")
-        assert registry.quarantined() == ["mem0"]
+        _sim, layer = make_layer()
+        trip(layer, times=POLICY.breaker_failure_threshold - 1)
+        assert layer.breaker("mem0").state is BreakerState.CLOSED
+        layer.breaker("mem0").record_failure()
+        assert layer.breaker("mem0").state is BreakerState.OPEN
+        assert not layer.breaker("mem0").allow()
+        assert not layer.routable("mem0")
+        assert layer.quarantined_providers() == ["mem0"]
 
     def test_success_resets_the_failure_streak(self):
-        _sim, registry = make_registry()
-        trip(registry, times=POLICY.breaker_failure_threshold - 1)
-        registry.record_success("mem0")
-        trip(registry, times=POLICY.breaker_failure_threshold - 1)
-        assert registry.state("mem0") is BreakerState.CLOSED
+        _sim, layer = make_layer()
+        trip(layer, times=POLICY.breaker_failure_threshold - 1)
+        layer.breaker("mem0").record_success()
+        trip(layer, times=POLICY.breaker_failure_threshold - 1)
+        assert layer.breaker("mem0").state is BreakerState.CLOSED
 
     def test_quarantine_expiry_admits_probes(self):
-        sim, registry = make_registry()
-        trip(registry)
+        sim, layer = make_layer()
+        trip(layer)
         sim.now = POLICY.breaker_open_us + 1.0
-        assert registry.routable("mem0")  # non-consuming check first
-        assert registry.state("mem0") is BreakerState.OPEN
-        assert registry.allow("mem0")  # consumes a probe slot
-        assert registry.state("mem0") is BreakerState.HALF_OPEN
+        assert layer.routable("mem0")  # non-consuming check first
+        assert layer.breaker("mem0").state is BreakerState.OPEN
+        assert layer.breaker("mem0").allow()  # consumes a probe slot
+        assert layer.breaker("mem0").state is BreakerState.HALF_OPEN
 
     def test_probe_quota_bounds_trial_traffic(self):
-        sim, registry = make_registry()
-        trip(registry)
+        sim, layer = make_layer()
+        trip(layer)
         sim.now = POLICY.breaker_open_us + 1.0
         for _ in range(POLICY.breaker_probe_quota):
-            assert registry.allow("mem0")
-        assert not registry.allow("mem0")
-        assert registry.breaker("mem0").rejections >= 1
+            assert layer.breaker("mem0").allow()
+        assert not layer.breaker("mem0").allow()
+        assert layer.breaker("mem0").rejections >= 1
 
     def test_probe_success_closes(self):
-        sim, registry = make_registry()
-        trip(registry)
+        sim, layer = make_layer()
+        trip(layer)
         sim.now = POLICY.breaker_open_us + 1.0
-        assert registry.allow("mem0")
-        registry.record_success("mem0")
-        assert registry.state("mem0") is BreakerState.CLOSED
-        assert registry.quarantined() == []
+        assert layer.breaker("mem0").allow()
+        layer.breaker("mem0").record_success()
+        assert layer.breaker("mem0").state is BreakerState.CLOSED
+        assert layer.quarantined_providers() == []
 
     def test_probe_failure_reopens_and_restarts_clock(self):
-        sim, registry = make_registry()
-        trip(registry)
+        sim, layer = make_layer()
+        trip(layer)
         sim.now = POLICY.breaker_open_us + 1.0
-        assert registry.allow("mem0")
-        registry.record_failure("mem0")
-        assert registry.state("mem0") is BreakerState.OPEN
+        assert layer.breaker("mem0").allow()
+        layer.breaker("mem0").record_failure()
+        assert layer.breaker("mem0").state is BreakerState.OPEN
         # Fresh quarantine: not routable until another full open period.
         sim.now += POLICY.breaker_open_us / 2
-        assert not registry.routable("mem0")
+        assert not layer.routable("mem0")
         sim.now += POLICY.breaker_open_us
-        assert registry.routable("mem0")
+        assert layer.routable("mem0")
 
 
 class TestRegistry:
+    """The layer keeps one breaker per provider and one transition log."""
+
     def test_breakers_are_per_provider(self):
-        _sim, registry = make_registry()
-        trip(registry, provider="mem0")
-        assert registry.state("mem0") is BreakerState.OPEN
-        assert registry.state("mem1") is BreakerState.CLOSED
-        assert registry.allow("mem1")
+        _sim, layer = make_layer()
+        trip(layer, provider="mem0")
+        assert layer.breaker("mem0").state is BreakerState.OPEN
+        assert layer.breaker("mem1").state is BreakerState.CLOSED
+        assert layer.breaker("mem1").allow()
 
     def test_transition_log_is_ordered_and_complete(self):
-        sim, registry = make_registry()
-        trip(registry)
+        sim, layer = make_layer()
+        trip(layer)
         sim.now = POLICY.breaker_open_us + 5.0
-        registry.allow("mem0")
-        registry.record_success("mem0")
-        log = registry.snapshot()
+        layer.breaker("mem0").allow()
+        layer.breaker("mem0").record_success()
+        log = layer.snapshot()["breaker_transitions"]
         assert [(entry[1], entry[2], entry[3]) for entry in log] == [
             ("mem0", "closed", "open"),
             ("mem0", "open", "half-open"),
@@ -107,11 +111,11 @@ class TestRegistry:
         assert log[0][0] <= log[1][0] <= log[2][0]
 
     def test_listeners_see_every_transition(self):
-        sim, registry = make_registry()
+        sim, layer = make_layer()
         seen = []
         sim.observers.append(
             lambda now, kind, fields: kind == "breaker"
             and seen.append((fields["provider"], fields["old"], fields["new"], now))
         )
-        trip(registry)
+        trip(layer)
         assert seen == [("mem0", BreakerState.CLOSED, BreakerState.OPEN, sim.now)]

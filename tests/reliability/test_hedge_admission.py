@@ -1,15 +1,10 @@
-"""Hedge-delay derivation and per-provider admission control."""
+"""Hedge-delay derivation, the hedged race and per-provider admission
+control, all on the reliability layer."""
 
 import numpy as np
 import pytest
 
-from repro.reliability import (
-    AdmissionController,
-    HedgeStats,
-    ReliabilityLayer,
-    ReliabilityPolicy,
-    hedge_delay_us,
-)
+from repro.reliability import ReliabilityLayer, ReliabilityPolicy
 from repro.sim import Simulator
 from repro.sim.stats import LatencyRecorder
 
@@ -21,49 +16,91 @@ POLICY = ReliabilityPolicy(
 )
 
 
+def make_layer(policy=POLICY):
+    sim = Simulator()
+    return sim, ReliabilityLayer(sim, np.random.default_rng(1), policy, server="db")
+
+
+class LostPage(Exception):
+    """What the racing reads raise when they cannot supply a value."""
+
+
+def read(sim, delay_us, value, fails=False):
+    yield sim.timeout(delay_us)
+    if fails:
+        raise LostPage(value)
+    return value
+
+
 class TestHedgeDelay:
     def test_cold_start_uses_conservative_maximum(self):
+        _sim, layer = make_layer()
         recorder = LatencyRecorder("reads")
         for _ in range(POLICY.hedge_min_samples - 1):
             recorder.record(10.0)
-        assert hedge_delay_us(POLICY, recorder) == POLICY.hedge_max_delay_us
+        assert layer.hedge_delay_us(recorder) == POLICY.hedge_max_delay_us
 
     def test_warm_delay_tracks_the_tail(self):
+        _sim, layer = make_layer()
         recorder = LatencyRecorder("reads")
         for value in [100.0] * 98 + [900.0] * 2:
             recorder.record(value)
-        delay = hedge_delay_us(POLICY, recorder)
+        delay = layer.hedge_delay_us(recorder)
         assert delay == pytest.approx(900.0)
 
     def test_delay_clamps_low_and_high(self):
+        _sim, layer = make_layer()
         fast = LatencyRecorder("fast")
         slow = LatencyRecorder("slow")
         for _ in range(POLICY.hedge_min_samples):
             fast.record(1.0)
             slow.record(1e6)
-        assert hedge_delay_us(POLICY, fast) == POLICY.hedge_min_delay_us
-        assert hedge_delay_us(POLICY, slow) == POLICY.hedge_max_delay_us
+        assert layer.hedge_delay_us(fast) == POLICY.hedge_min_delay_us
+        assert layer.hedge_delay_us(slow) == POLICY.hedge_max_delay_us
 
     def test_layer_exposes_the_same_derivation(self):
-        sim = Simulator()
-        layer = ReliabilityLayer(sim, np.random.default_rng(1), POLICY)
+        # The race asks for its backup exactly one derived delay after
+        # issuing the primary.
+        sim, layer = make_layer()
         recorder = LatencyRecorder("reads")
-        assert layer.hedge_delay_us(recorder) == POLICY.hedge_max_delay_us
+        for _ in range(POLICY.hedge_min_samples):
+            recorder.record(300.0)
+        asked = []
+
+        def backup():
+            asked.append(sim.now)
+            return read(sim, 10.0, "disk")
+
+        sim.run_until_complete(sim.spawn(
+            layer.hedged_read(read(sim, 1e6, "ext"), backup, recorder, LostPage)
+        ))
+        assert asked == [layer.hedge_delay_us(recorder)] == [300.0]
 
 
-class TestHedgeStats:
+class TestHedgeCounters:
     def test_backup_win_notifies_listeners(self):
-        sim = Simulator()
-        stats = HedgeStats(sim, "db")
+        sim, layer = make_layer()
         wins = []
         sim.observers.append(
-            lambda _now, kind, _fields: kind == "hedge.backup_win" and wins.append(1)
+            lambda _now, kind, fields: kind == "hedge.backup_win"
+            and wins.append((fields["server"], fields["rescued"]))
         )
-        stats.record_backup_win()
-        stats.record_backup_win(rescued=True)
-        assert len(wins) == 2
-        assert stats.snapshot() == {
-            "issued": 0,
+        recorder = LatencyRecorder("reads")
+        delay = POLICY.hedge_max_delay_us
+        # A slow primary loses to the backup, then a primary that fails
+        # after the hedge is rescued by it.
+        slow = layer.hedged_read(
+            read(sim, 10 * delay, "ext"), lambda: read(sim, 10.0, "disk"), recorder, LostPage
+        )
+        assert sim.run_until_complete(sim.spawn(slow)) == ("disk", "backup")
+        failing = layer.hedged_read(
+            read(sim, 2 * delay, "ext", fails=True), lambda: read(sim, 2 * delay, "disk"),
+            recorder, LostPage,
+        )
+        assert sim.run_until_complete(sim.spawn(failing)) == ("disk", "backup")
+        assert wins == [("db", False), ("db", True)]
+        assert layer.snapshot()["hedge"] == {
+            "issued": 2,
             "primary_wins": 0,
             "backup_wins": 2,
             "rescues": 1,
@@ -71,37 +108,34 @@ class TestHedgeStats:
 
 
 class TestAdmission:
-    def make(self, policy=POLICY):
-        sim = Simulator()
-        return sim, AdmissionController(sim, policy)
-
     def test_admits_up_to_capacity_then_queues(self):
-        sim, admission = self.make()
+        sim, layer = make_layer()
         tickets = []
 
         def worker():
-            ticket = yield from admission.enter("mem0")
+            ticket = yield from layer.admit("mem0")
             tickets.append(ticket)
 
         for _ in range(3):
             sim.spawn(worker())
         sim.run(until=1.0)
+        gate = layer.gates["mem0"]
         assert len(tickets) == POLICY.per_provider_inflight
-        assert admission.inflight("mem0") == POLICY.per_provider_inflight
-        assert admission.queue_length("mem0") == 1
-        assert admission.queued == 1
+        assert gate.in_use == POLICY.per_provider_inflight
+        assert gate.queue_length == 1
+        assert layer.queued == 1
 
-        tickets[0].release()
+        gate.cancel(tickets[0])
         sim.run(until=2.0)
         assert len(tickets) == 3
-        assert admission.queue_length("mem0") == 0
+        assert gate.queue_length == 0
 
     def test_gates_are_per_provider(self):
-        sim, admission = self.make()
+        sim, layer = make_layer()
         tickets = []
 
         def worker(provider):
-            ticket = yield from admission.enter(provider)
+            ticket = yield from layer.admit(provider)
             tickets.append(ticket)
 
         for _ in range(POLICY.per_provider_inflight):
@@ -110,14 +144,14 @@ class TestAdmission:
         sim.run(until=1.0)
         # mem0 is full but mem1 admits immediately: no head-of-line blocking.
         assert len(tickets) == POLICY.per_provider_inflight + 1
-        assert admission.inflight("mem1") == 1
+        assert layer.gates["mem1"].in_use == 1
 
     def test_interrupted_waiter_leaves_no_ghost(self):
-        sim, admission = self.make()
+        sim, layer = make_layer()
         holders = []
 
         def holder():
-            ticket = yield from admission.enter("mem0")
+            ticket = yield from layer.admit("mem0")
             holders.append(ticket)
 
         for _ in range(POLICY.per_provider_inflight):
@@ -125,52 +159,37 @@ class TestAdmission:
         sim.run(until=1.0)
 
         def waiter():
-            yield from admission.enter("mem0")
+            yield from layer.admit("mem0")
 
         victim = sim.spawn(waiter())
         sim.run(until=2.0)
-        assert admission.queue_length("mem0") == 1
+        gate = layer.gates["mem0"]
+        assert gate.queue_length == 1
         victim.interrupt(cause="deadline")
         sim.run(until=3.0)
-        assert admission.queue_length("mem0") == 0
+        assert gate.queue_length == 0
         # Freed capacity still flows to live waiters.
         for ticket in holders:
-            ticket.release()
+            gate.cancel(ticket)
         done = []
 
         def late():
-            ticket = yield from admission.enter("mem0")
+            ticket = yield from layer.admit("mem0")
             done.append(ticket)
 
         sim.spawn(late())
         sim.run(until=4.0)
         assert len(done) == 1
 
-    def test_ticket_release_is_idempotent(self):
-        sim, admission = self.make()
-        tickets = []
-
-        def worker():
-            ticket = yield from admission.enter("mem0")
-            tickets.append(ticket)
-
-        sim.spawn(worker())
-        sim.run(until=1.0)
-        (ticket,) = tickets
-        ticket.release()
-        ticket.release()
-        assert admission.inflight("mem0") == 0
-
     def test_zero_inflight_disables_the_gate(self):
-        sim, admission = self.make(ReliabilityPolicy(per_provider_inflight=0))
-        assert not admission.enabled
+        sim, layer = make_layer(ReliabilityPolicy(per_provider_inflight=0))
         results = []
 
         def worker():
-            ticket = yield from admission.enter("mem0")
+            ticket = yield from layer.admit("mem0")
             results.append(ticket)
 
         sim.spawn(worker())
         sim.run(until=1.0)
         assert results == [None]
-        assert admission.inflight("mem0") == 0
+        assert not layer.gates and layer.admitted == 0

@@ -35,9 +35,9 @@ def hold_admission(sim, layer, provider, until_us):
     """Take the provider's only admission slot until ``until_us``."""
 
     def holder():
-        ticket = yield from layer.admission.enter(provider)
+        ticket = yield from layer.admit(provider)
         yield sim.timeout(until_us - sim.now)
-        ticket.release()
+        ticket.resource.cancel(ticket)
 
     sim.spawn(holder())
 
@@ -54,7 +54,7 @@ def test_read_missing_its_deadline_once_is_retried_and_succeeds():
     assert layer.deadline_hits["read"] == 1
     assert layer.retries["read"] == 1
     assert layer.retry.draws == 1
-    breaker = layer.breakers.breaker(server.name)
+    breaker = layer.breaker(server.name)
     # One failure, then one success (which reset the failure streak).
     assert (breaker.failures, breaker.successes) == (1, 1)
     assert breaker.consecutive_failures == 0
@@ -79,7 +79,7 @@ def test_failed_foreground_write_is_not_retried_and_fed_once():
     assert layer.deadline_hits["write"] == 1
     assert layer.retry.draws == 0
     assert "write" not in layer.retries
-    breaker = layer.breakers.breaker(server.name)
+    breaker = layer.breaker(server.name)
     assert (breaker.failures, breaker.successes) == (1, 0)
     assert file._qps[server.name].writes == 0  # never reissued
     assert file.writes == 0
@@ -91,7 +91,7 @@ def test_interrupted_half_open_trial_gives_its_probe_slot_back():
         breaker_open_us=1_000.0, per_provider_inflight=1,
     )
     provider = server.name
-    layer.breakers.breaker(provider).record_failure()  # trip it OPEN
+    layer.breaker(provider).record_failure()  # trip it OPEN
     sim.run(until=sim.now + 1_000.0)
     hold_admission(sim, layer, provider, sim.now + 500.0)
     outcome = []
@@ -104,14 +104,14 @@ def test_interrupted_half_open_trial_gives_its_probe_slot_back():
 
     trial = sim.spawn(reader())
     sim.run(until=sim.now + 10.0)  # the trial holds the only probe slot
-    assert layer.breakers.state(provider).value == "half-open"
+    assert layer.breaker(provider).state.value == "half-open"
     trial.interrupt(cause="caller gave up")
     sim.run(until=sim.now + 10.0)
     assert outcome == ["interrupted"]
     # No verdict was recorded, and the slot came back.
-    breaker = layer.breakers.breaker(provider)
+    breaker = layer.breaker(provider)
     assert (breaker.failures, breaker.successes) == (1, 0)
-    assert layer.breakers.allow(provider)
+    assert layer.breaker(provider).allow()
 
 
 def test_aborted_fire_and_forget_write_feeds_a_failure_and_calls_on_abort():
@@ -121,7 +121,7 @@ def test_aborted_fire_and_forget_write_feeds_a_failure_and_calls_on_abort():
         sim,
         file.write(0, PAGE, "new", background=True, on_abort=lambda: aborted.append(sim.now)),
     )
-    breaker = layer.breakers.breaker(server.name)
+    breaker = layer.breaker(server.name)
     assert (breaker.failures, breaker.successes) == (0, 0)  # judged on completion
     failed_at = sim.now
     server.nic.fail()
@@ -135,7 +135,7 @@ def test_healthy_fire_and_forget_write_feeds_one_success():
     sim, layer, file, server = guarded_file()
     complete(sim, file.write(0, PAGE, "new", background=True))
     sim.run()
-    breaker = layer.breakers.breaker(server.name)
+    breaker = layer.breaker(server.name)
     assert (breaker.failures, breaker.successes) == (0, 1)
     assert complete(sim, file.read(0, PAGE)) == "new"
 
@@ -152,7 +152,7 @@ def test_write_behind_outliving_its_deadline_is_interrupted_by_the_watchdog():
     sim.run()
     assert layer.deadline_hits["write"] == 1
     assert len(aborted) == 1 and aborted[0] < start + 200.0
-    breaker = layer.breakers.breaker(server.name)
+    breaker = layer.breaker(server.name)
     assert (breaker.failures, breaker.successes) == (1, 0)
     assert not file._landing
     # The extent was never overwritten.
@@ -162,7 +162,7 @@ def test_write_behind_outliving_its_deadline_is_interrupted_by_the_watchdog():
 
 def test_quarantined_provider_refuses_before_any_transfer():
     sim, layer, file, server = guarded_file(breaker_failure_threshold=1)
-    layer.breakers.breaker(server.name).record_failure()
+    layer.breaker(server.name).record_failure()
     qp = file._qps[server.name]
     with pytest.raises(RemoteMemoryUnavailable, match="quarantined"):
         complete(sim, file.read(0, PAGE))
@@ -177,7 +177,7 @@ def test_probe_judges_the_provider_and_answers_a_bool():
         sim, np.random.default_rng(3), ReliabilityPolicy(breaker_failure_threshold=1)
     )
     proxy = proxies[0]
-    breaker = layer.breakers.breaker(proxy.server.name)
+    breaker = layer.breaker(proxy.server.name)
     assert complete(sim, layer.probe(fs.owner, proxy)) is True
     proxy.server.nic.fail()
     assert complete(sim, layer.probe(fs.owner, proxy)) is False  # NetworkDown
@@ -208,4 +208,4 @@ def test_lease_renewal_is_retried_through_a_broker_restart():
     sim.run(until=start + 1_500.0)
     assert layer.retries["rpc"] == 1
     assert lease.expires_at_us > start + 1e6 + 1_000.0  # renewed after the backoff
-    assert not layer.breakers.breakers  # an RPC to the broker judges no provider
+    assert not layer.breakers  # an RPC to the broker judges no provider
